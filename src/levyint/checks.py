@@ -17,10 +17,16 @@ Reports from multi-statistic checks carry the worst case.  Checks are
 deterministic functions of (scenario, seed, n_paths): path indices map
 to fixed counter-based streams and reductions use a fixed chunked tree,
 so serialized outputs are byte-identical across runs and worker counts.
+
+Statistical checks compute their rows a block of paths at a time
+(:func:`levyint.stats.accumulate_paths`): one sampling call, one
+integrand evaluation shared by the integral and the quadrature, and one
+kernel call per block.  Exact checks run path by path.
 """
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -30,10 +36,10 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigInvalid, UnknownCheck
-from .integrators import (SimpleIntegrand, angle_bracket, cell_values,
-                          covariation_integral, ito_general, ito_h,
-                          ito_l2lambda, ito_seq, quadrature_sq_norm,
-                          series_terms)
+from .integrators import (SimpleIntegrand, cell_values, integrate_cells,
+                          integrate_terms, ito_h, ito_seq, node_values,
+                          quadrature_sq_norm, side_cells, time_quadrature,
+                          unroll_operator_cells)
 from .processes import SamplePath, assemble_levy, coordinate_view, transport_levy
 from .scenarios import (ScenarioConfig, build_integrand, make_sampler,
                         resolve_covariance, restrict_integrand)
@@ -104,22 +110,34 @@ def _finish_statistical(spec: CheckSpec, acc, n_cases: int) -> Report:
                   spec.n_paths, spec.seed)
 
 
+def _rows(lhs: np.ndarray, rhs) -> np.ndarray:
+    """Rows [lhs..., rhs..., lhs - rhs...] of a block; lhs is (n, cases)."""
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    return np.concatenate([lhs, rhs, lhs - rhs], axis=1)
+
+
 def _exact_loop(spec: CheckSpec, per_path) -> Report:
-    """Reduce per_path(index) -> (abs deviation, rel deviation) to a report."""
+    """Reduce per_path(index) -> (abs deviation, rel deviation) to a report.
+
+    A NaN deviation propagates to the margin, and a margin that is not
+    finite fails.
+    """
     _need_paths(spec, 1)
-    worst_abs = 0.0
-    worst_rel = 0.0
-    for p in range(spec.n_paths):
-        a, r = per_path(p)
-        worst_abs = max(worst_abs, a)
-        worst_rel = max(worst_rel, r)
+    devs = np.array([per_path(p) for p in range(spec.n_paths)], dtype=float)
+    worst_abs, worst_rel = (float(v) for v in np.max(devs, axis=0))
     margin = worst_rel / spec.rel_tol
-    return Report(spec.name, worst_abs, 0.0, 0.0, margin, margin <= 1.0,
+    return Report(spec.name, worst_abs, 0.0, 0.0, margin,
+                  bool(np.isfinite(margin) and margin <= 1.0),
                   spec.n_paths, spec.seed)
 
 
+def _worst(*devs) -> float:
+    """Largest of the deviations; NaN if any is NaN."""
+    return float(np.max(devs))
+
+
 def _rel(dev: float, ref: float) -> float:
-    return dev / max(1.0, ref)
+    return float(dev / np.maximum(1.0, ref))
 
 
 def _block_rotations_for(eigenvalues: np.ndarray,
@@ -145,14 +163,22 @@ def _check_isometry1(spec: CheckSpec) -> Report:
     sampler = make_sampler(sc)
     integrand = build_integrand(sc, n_inputs=sampler.n_components)
 
-    def stat(p):
-        path = sampler.sample(spec.seed, p)
-        z = ito_h(integrand, path, 0, sample_side=side).terminal
-        lhs = float(z @ z)
-        rhs = quadrature_sq_norm(integrand, path)
-        return np.array([lhs, rhs, lhs - rhs])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        node = node_values(integrand, block)
+        vals = side_cells(node, side, 1)[:, :, None, :]
+        z = integrate_cells(vals, block.increments[:, :1])[:, -1]
+        return _isometry_rows(z, node, block)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
+
+
+def _isometry_rows(z: np.ndarray, node: np.ndarray, block) -> np.ndarray:
+    """Rows of ||z_T||^2 against the left-point quadrature of ||X||^2."""
+    left = side_cells(node, "left", 1)
+    lhs = np.vecdot(z, z)
+    rhs = time_quadrature(left, left, block.grid.dt)
+    return _rows(lhs[:, None], rhs[:, None])
 
 
 def _check_isometry2(spec: CheckSpec) -> Report:
@@ -172,16 +198,12 @@ def _check_isometry2(spec: CheckSpec) -> Report:
     integrand = build_integrand(sc)
     cov = resolve_covariance(sc) if route == "l2lambda" else None
 
-    def stat(p):
-        path = sampler.sample(spec.seed, p)
-        if cov is None:
-            z = ito_seq(integrand, path, sample_side=side).terminal
-        else:
-            z = ito_l2lambda(integrand, assemble_levy(cov, path),
-                             sample_side=side).terminal
-        lhs = float(z @ z)
-        rhs = quadrature_sq_norm(integrand, path)
-        return np.array([lhs, rhs, lhs - rhs])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        driver = block if cov is None else assemble_levy(cov, block).driver
+        node = node_values(integrand, block)
+        z = integrate_cells(side_cells(node, side, 1), driver.increments)[:, -1]
+        return _isometry_rows(z, node, block)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
 
@@ -196,13 +218,12 @@ def _check_isometry4(spec: CheckSpec) -> Report:
     raw = build_integrand(sc, n_inputs=sc.n_modes)
     restricted = restrict_integrand(raw, cov)
 
-    def stat(p):
-        driver = sampler.sample(spec.seed, p)
-        levy = assemble_levy(cov, driver)
-        z = ito_general(restricted, levy, sample_side=side).terminal
-        lhs = float(z @ z)
-        rhs = quadrature_sq_norm(restricted, driver)
-        return np.array([lhs, rhs, lhs - rhs])
+    def stat(paths):
+        levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
+        node = node_values(restricted, levy.driver)
+        seq = unroll_operator_cells(side_cells(node, side, 1), cov.n_modes, 1)
+        z = integrate_cells(seq, levy.driver.increments)[:, -1]
+        return _isometry_rows(z, node, levy.driver)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
 
@@ -219,16 +240,15 @@ def _check_orthogonality(spec: CheckSpec) -> Report:
             raise ConfigInvalid(f"orthogonality pair {(a, b)} invalid for "
                                 f"{sc.n_modes} components")
     m = len(pairs)
+    first, second = (list(col) for col in zip(*pairs))
     sampler = make_sampler(sc)
     integrand = build_integrand(sc)
-    zeros = np.zeros(m)
 
-    def stat(p):
-        path = sampler.sample(spec.seed, p)
-        vals = cell_values(integrand, path, side)
-        terms = np.einsum("kjd,jk->jd", vals, path.increments)
-        dots = np.array([float(terms[a] @ terms[b]) for a, b in pairs])
-        return np.concatenate([dots, zeros, dots])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        vals = side_cells(node_values(integrand, block), side, 1)
+        terms = integrate_terms(vals, block.increments)[:, :, -1]
+        return _rows(np.vecdot(terms[:, first], terms[:, second]), 0.0)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
 
@@ -265,13 +285,14 @@ def _check_covariance_recovery(spec: CheckSpec) -> Report:
     times = sorted({t for _, _, t, s in cases} | {s for _, _, t, s in cases})
     m = len(cases)
 
-    def stat(p):
-        path = sampler.sample(spec.seed, p)
-        cum = path.cumulative
-        at = {t: cum[:, path.grid.node_at(t)] for t in times}
-        lhs = np.array([float(w1s[i] @ at[cases[i][2]]) *
-                        float(w2s[i] @ at[cases[i][3]]) for i in range(m)])
-        return np.concatenate([lhs, targets, lhs - targets])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        rows = np.arange(block.n_paths)
+        at = {t: block.cumulative[rows, :, block.node_at(t)] for t in times}
+        lhs = np.stack([np.vecdot(at[t], w1) * np.vecdot(at[s], w2)
+                        for w1, w2, (_, _, t, s) in zip(w1s, w2s, cases)],
+                       axis=1)
+        return _rows(lhs, targets)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
 
@@ -294,19 +315,21 @@ def _check_bracket(spec: CheckSpec) -> Report:
     y = build_integrand(sc, n_inputs=sc.n_modes, seed_offset=1000)
     m = 5
 
-    def stat(p):
-        path = sampler.sample(spec.seed, p)
-        dm = path.increments
-        vx = cell_values(x, path, side)
-        vy = cell_values(y, path, side)
-        ip = np.einsum("kd,kd->k", vx, vy)
-        bracket_t = angle_bracket(path.grid, 0, 0).terminal
-        ci = covariation_integral(x, y, path, 0, 0, sample_side=side).terminal
-        lhs = np.array([float(dm[0] @ dm[0]), float(dm[1] @ dm[1]),
-                        float(dm[0] @ dm[1]), float(ip @ (dm[0] * dm[0])),
-                        float(ip @ (dm[0] * dm[1]))])
-        rhs = np.array([bracket_t, bracket_t, 0.0, ci, 0.0])
-        return np.concatenate([lhs, rhs, lhs - rhs])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        dm0, dm1 = block.increments[:, 0], block.increments[:, 1]
+        vx = side_cells(node_values(x, block), side, 1)
+        vy = side_cells(node_values(y, block), side, 1)
+        ip = np.einsum("...kd,...kd->...k", vx, vy)
+        # the bracket of a standard component is t; it is 0 across components
+        bracket_t = block.grid.times[:, -1]
+        ci = time_quadrature(vx, vy, block.grid.dt)
+        zero = np.zeros(block.n_paths)
+        lhs = np.stack([np.vecdot(dm0, dm0), np.vecdot(dm1, dm1),
+                        np.vecdot(dm0, dm1), np.vecdot(ip, dm0 * dm0),
+                        np.vecdot(ip, dm0 * dm1)], axis=1)
+        rhs = np.stack([bracket_t, bracket_t, zero, ci, zero], axis=1)
+        return _rows(lhs, rhs)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
 
@@ -320,13 +343,15 @@ def _check_martingale(spec: CheckSpec) -> Report:
     sampler = make_sampler(sc)
     integrand = build_integrand(sc)
     m = 2 * sc.dim_h + sc.n_modes
-    zeros = np.zeros(m)
 
-    def stat(p):
-        path = sampler.sample(spec.seed, p)
-        z = ito_seq(integrand, path, sample_side=side)
-        lhs = np.concatenate([z.terminal, z.value_at(probe), path.terminal()])
-        return np.concatenate([lhs, zeros, lhs])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        vals = side_cells(node_values(integrand, block), side, 1)
+        z = integrate_cells(vals, block.increments)
+        at_probe = z[np.arange(block.n_paths), block.node_at(probe)]
+        lhs = np.concatenate([z[:, -1], at_probe, block.cumulative[:, :, -1]],
+                             axis=1)
+        return _rows(lhs, 0.0)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
 
@@ -346,18 +371,19 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
     pairs = tuple(tuple(p) for p in
                   spec.options.get("pairs", _default_pairs(sc.n_modes)))
     m = len(pairs) + 1
+    first, second = (list(col) for col in zip(*pairs))
 
-    def stat(p):
-        driver = sampler.sample(spec.seed, p)
-        levy = assemble_levy(cov, driver)
-        terms = series_terms(restricted, levy, sample_side=side)
-        tv = np.stack([t.terminal for t in terms])
-        dots = np.array([float(tv[a] @ tv[b]) for a, b in pairs])
-        total = tv.sum(axis=0)
-        sum_sq = float(np.einsum("jd,jd->", tv, tv))
-        lhs = np.concatenate([dots, [float(total @ total)]])
-        rhs = np.concatenate([np.zeros(len(pairs)), [sum_sq]])
-        return np.concatenate([lhs, rhs, lhs - rhs])
+    def stat(paths):
+        levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
+        node = node_values(restricted, levy.driver)
+        seq = unroll_operator_cells(side_cells(node, side, 1), cov.n_modes, 1)
+        tv = integrate_terms(seq, levy.driver.increments)[:, :, -1]
+        total = tv.sum(axis=1)
+        lhs = np.concatenate([np.vecdot(tv[:, first], tv[:, second]),
+                              np.vecdot(total, total)[:, None]], axis=1)
+        rhs = np.zeros(lhs.shape)
+        rhs[:, -1] = np.einsum("bjd,bjd->b", tv, tv)
+        return _rows(lhs, rhs)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
 
@@ -391,13 +417,14 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
     op_sq = float(np.linalg.norm(raw0, 2)) ** 2
     bound = sc.horizon * (dropped + op_sq * cov.tail_mass)
 
-    def stat(p):
-        driver = sampler.sample(spec.seed, p)
-        vals = cell_values(restricted, driver, side)[:, :, n_sub:]
-        diff = np.einsum("kdj,jk->d", vals, driver.increments[n_sub:])
-        lhs = float(diff @ diff)
-        rhs = float(np.einsum("kdj,kdj,k->", vals, vals, driver.grid.dt))
-        return np.array([lhs, rhs, lhs - rhs])
+    def stat(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        vals = side_cells(node_values(restricted, block), side, 1)
+        tail = unroll_operator_cells(vals, cov.n_modes, 1)[:, :, n_sub:]
+        diff = integrate_cells(tail, block.increments[:, n_sub:])[:, -1]
+        lhs = np.vecdot(diff, diff)
+        rhs = time_quadrature(tail, tail, block.grid.dt)
+        return _rows(lhs[:, None], rhs[:, None])
 
     acc = accumulate_paths(spec.n_paths, stat, 3)
     rep = _finish_statistical(spec, acc, 1)
@@ -434,9 +461,8 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
                    projection_basis=q1).values
         z2 = ito_h(integrand, path, 0, sample_side=side,
                    projection_basis=q2).values
-        dev = max(float(np.max(np.abs(z1 - z0))),
-                  float(np.max(np.abs(z2 - z0))),
-                  float(np.max(np.abs(z2 - z1))))
+        dev = _worst(np.max(np.abs(z1 - z0)), np.max(np.abs(z2 - z0)),
+                     np.max(np.abs(z2 - z1)))
         return dev, _rel(dev, float(np.max(np.abs(z0))))
 
     return _exact_loop(spec, per_path)
@@ -471,8 +497,8 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
         dz = float(np.max(np.abs(z1 - z2)))
         q1 = quadrature_sq_norm(integrand, driver)
         q2 = float(np.einsum("kjd,kjd,k->", vals2, vals2, driver.grid.dt))
-        dev = max(dz, abs(q1 - q2))
-        return dev, _rel(dev, max(float(np.max(np.abs(z1))), q1))
+        dev = _worst(dz, abs(q1 - q2))
+        return dev, _rel(dev, _worst(np.max(np.abs(z1)), q1))
 
     return _exact_loop(spec, per_path)
 
@@ -513,8 +539,8 @@ def _check_well_defined(spec: CheckSpec) -> Report:
         np.cumsum(a2, axis=0, out=z2[1:])
         dz = float(np.max(np.abs(z1 - z2)))
         dc = float(np.max(np.abs(levy1.coords - levy2.coords)))
-        dev = max(dz, dc)
-        ref = max(float(np.max(np.abs(z1))), float(np.max(np.abs(levy1.coords))))
+        dev = _worst(dz, dc)
+        ref = _worst(np.max(np.abs(z1)), np.max(np.abs(levy1.coords)))
         return dev, _rel(dev, ref)
 
     return _exact_loop(spec, per_path)
@@ -548,8 +574,8 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
         ref = 0.0
         for i in range(values.shape[0]):
             partial = partial + values[i] * (cum[nodes[i + 1]] - cum[nodes[i]])
-            dev = max(dev, float(np.max(np.abs(z.values[nodes[i + 1]] - partial))))
-            ref = max(ref, float(np.max(np.abs(partial))))
+            dev = _worst(dev, np.max(np.abs(z.values[nodes[i + 1]] - partial)))
+            ref = _worst(ref, np.max(np.abs(partial)))
         return dev, _rel(dev, ref)
 
     return _exact_loop(spec, per_path)
@@ -595,12 +621,20 @@ def run_check(spec: CheckSpec) -> Report:
     return report
 
 
+def worker_count(parallelism: int, n_tasks: int) -> int:
+    """Workers for ``n_tasks`` checks: at most one per CPU and per check."""
+    if parallelism < 1:
+        raise ConfigInvalid(f"parallelism must be at least 1, got {parallelism}")
+    return max(1, min(parallelism, os.cpu_count() or 1, n_tasks))
+
+
 def run_suite(specs, parallelism: int = 1) -> list:
     """Run checks in order; results do not depend on ``parallelism``."""
     specs = list(specs)
-    if parallelism <= 1:
+    workers = worker_count(parallelism, len(specs))
+    if workers == 1:
         return [run_check(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_check, specs))
 
 

@@ -217,6 +217,16 @@ def _cmd_check(args) -> int:
     return 0 if suite_passed(reports) else 1
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levyint",
@@ -250,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--format", choices=("json", "csv"), default="json")
     chk.add_argument("--negative-control", choices=FAULTS, default=None,
                      help="inject the named fault; succeed only if detected")
-    chk.add_argument("--parallelism", type=int, default=1,
-                     help="worker processes (never changes the output)")
+    chk.add_argument("--parallelism", type=_at_least_one, default=1,
+                     help="worker processes, at most one per CPU and per "
+                          "check (never changes the output)")
     chk.add_argument("--timings", action="store_true",
                      help="serialize real wall times instead of 0.0")
     return parser

@@ -152,6 +152,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     scenario_kwargs["fault"] = fault
     checks = data.get("checks")
     if checks is not None:
+        if not isinstance(checks, (list, tuple)):
+            raise ConfigInvalid("checks must be a list of check names")
         checks = tuple(checks)
         unknown = sorted(set(checks) - set(CHECKS))
         if unknown:

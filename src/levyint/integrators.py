@@ -18,6 +18,13 @@ Layers:
   the previous one.
 * Hilbert-Schmidt integrand against an assembled path: unrolled into the
   sequence picture and summed, or returned term by term.
+
+Every layer is a shape adapter around one kernel, :func:`integrate_cells`
+(and its per-component form :func:`integrate_terms`); the squared-norm
+quadrature is :func:`time_quadrature`.  These take optional leading batch
+axes, so the statistical checks integrate a whole
+:class:`levyint.processes.PathBlock` per call with the same per-cell
+arithmetic as the single-path layers.
 """
 from __future__ import annotations
 
@@ -79,6 +86,32 @@ class GridIntegrand:
     evaluator: Callable[[SamplePath], np.ndarray]
 
 
+def node_values(integrand: GridIntegrand, path) -> np.ndarray:
+    """Per-node values of a grid integrand on a path or a block of paths.
+
+    The result has shape (n_nodes, *value_shape) for a path and
+    (n_paths, n_nodes, *value_shape) for a :class:`PathBlock`.
+    """
+    per_node = np.asarray(integrand.evaluator(path), dtype=float)
+    lead = path.increments.ndim - 2
+    if per_node.ndim <= lead or per_node.shape[lead] != path.grid.n_nodes:
+        rows = per_node.shape[lead] if per_node.ndim > lead else 0
+        raise GridMismatch(
+            f"evaluator returned {rows} rows for {path.grid.n_nodes} nodes")
+    return per_node
+
+
+def side_cells(per_node: np.ndarray, sample_side: str = "left",
+               lead: int = 0) -> np.ndarray:
+    """Cell values from node values: each cell takes its left node's value.
+
+    ``lead`` counts the batch axes in front of the node axis.  The
+    injectable right-point fault takes the right node's value instead.
+    """
+    cut = slice(None, -1) if sample_side == "left" else slice(1, None)
+    return per_node[(slice(None),) * lead + (cut,)]
+
+
 def cell_values(integrand, path: SamplePath, sample_side: str = "left"
                 ) -> np.ndarray:
     """Integrand value per grid cell under the given sampling rule."""
@@ -97,13 +130,65 @@ def cell_values(integrand, path: SamplePath, sample_side: str = "left"
         np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
         return integrand.values[idx]
     if isinstance(integrand, GridIntegrand):
-        per_node = np.asarray(integrand.evaluator(path), dtype=float)
-        if per_node.shape[0] != grid.n_nodes:
-            raise GridMismatch(
-                f"evaluator returned {per_node.shape[0]} rows for "
-                f"{grid.n_nodes} nodes")
-        return per_node[:-1] if sample_side == "left" else per_node[1:]
+        return side_cells(node_values(integrand, path), sample_side)
     raise DimensionMismatch(f"unsupported integrand type {type(integrand)!r}")
+
+
+def _running_sum(cell_increments: np.ndarray) -> np.ndarray:
+    """Sums over the cell axis (-2) up to every node, with a zero first node."""
+    shape = cell_increments.shape
+    out = np.zeros(shape[:-2] + (shape[-2] + 1, shape[-1]))
+    np.cumsum(cell_increments, axis=-2, out=out[..., 1:, :])
+    return out
+
+
+def integrate_cells(vals: np.ndarray, increments: np.ndarray,
+                    order=None) -> np.ndarray:
+    """The integration kernel: running left-point integral at every node.
+
+    ``vals`` holds per-cell sequence values (..., n_cells, n_components,
+    dim_h) and ``increments`` the matching driver increments (...,
+    n_components, n_cells); leading axes, if any, are batch axes.  Cell
+    contributions are summed over components one at a time in ascending
+    index order (``order`` overrides it) and then accumulated over cells,
+    giving (..., n_nodes, dim_h) with a zero first node.
+    """
+    shape = vals.shape
+    out = np.zeros(shape[:-3] + (shape[-3] + 1, shape[-1]))
+    acc = out[..., 1:, :]
+    first, *rest = range(increments.shape[-2]) if order is None else order
+    np.multiply(vals[..., :, first, :], increments[..., first, :, None],
+                out=acc)
+    for j in rest:
+        acc += vals[..., :, j, :] * increments[..., j, :, None]
+    np.cumsum(acc, axis=-2, out=acc)
+    return out
+
+
+def integrate_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Per-component running integrals, (..., n_components, n_nodes, dim_h).
+
+    Term j integrates component j alone, exactly as :func:`integrate_cells`
+    would; the terms add up to the full integral.
+    """
+    shape = vals.shape
+    out = np.zeros(shape[:-3] + (shape[-2], shape[-3] + 1, shape[-1]))
+    cells = out[..., 1:, :]
+    np.multiply(np.swapaxes(vals, -2, -3), increments[..., None], out=cells)
+    np.cumsum(cells, axis=-2, out=cells)
+    return out
+
+
+def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
+                    dt: np.ndarray) -> np.ndarray:
+    """Left-point quadrature of <x, y> against time over all cells.
+
+    ``dt`` is (..., n_cells); the value axes of ``x_vals`` and ``y_vals``
+    after the cell axis are contracted as one inner product.
+    """
+    axes = "abc"[:x_vals.ndim - dt.ndim]
+    per_cell = np.einsum(f"...k{axes},...k{axes}->...k", x_vals, y_vals)
+    return np.vecdot(per_cell, dt)
 
 
 @dataclass
@@ -133,12 +218,6 @@ class BracketPath:
         return float(self.values[-1])
 
 
-def _accumulate(grid: TimeGrid, cell_increments: np.ndarray) -> IntegralPath:
-    values = np.zeros((grid.n_nodes, cell_increments.shape[1]))
-    np.cumsum(cell_increments, axis=0, out=values[1:])
-    return IntegralPath(grid, values)
-
-
 def ito_h(integrand, path: SamplePath, component: int, *,
           sample_side: str = "left",
           projection_basis: Optional[np.ndarray] = None) -> IntegralPath:
@@ -157,13 +236,13 @@ def ito_h(integrand, path: SamplePath, component: int, *,
     vals = cell_values(integrand, path, sample_side)
     if vals.ndim != 2:
         raise DimensionMismatch("H-valued integrand must have vector values")
-    dm = path.increments[component]
+    dm = path.increments[component:component + 1]
     if projection_basis is None:
-        return _accumulate(path.grid, vals * dm[:, None])
+        return IntegralPath(path.grid, integrate_cells(vals[:, None, :], dm))
     basis = np.asarray(projection_basis, dtype=float)
     coeff = vals @ basis                 # per-cell coefficients against the basis
-    scalar_increments = coeff * dm[:, None]
-    return _accumulate(path.grid, scalar_increments @ basis.T)
+    scalar_increments = coeff * dm[0][:, None]
+    return IntegralPath(path.grid, _running_sum(scalar_increments @ basis.T))
 
 
 def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left",
@@ -179,11 +258,8 @@ def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left",
         raise DimensionMismatch(
             f"sequence integrand has shape {vals.shape}, need "
             f"(cells, {path.n_components}, dim_h)")
-    indices = range(path.n_components) if order is None else list(order)
-    acc = np.zeros((path.grid.n_cells, vals.shape[2]))
-    for j in indices:
-        acc += vals[:, j, :] * path.increments[j][:, None]
-    return _accumulate(path.grid, acc)
+    return IntegralPath(path.grid,
+                        integrate_cells(vals, path.increments, order))
 
 
 def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left",
@@ -198,12 +274,18 @@ def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left",
     return ito_seq(integrand, path.driver, sample_side=sample_side, order=order)
 
 
-def _unroll_operator_cells(vals: np.ndarray, n_modes: int) -> np.ndarray:
-    if vals.ndim != 3 or vals.shape[2] != n_modes:
+def unroll_operator_cells(vals: np.ndarray, n_modes: int,
+                          lead: int = 0) -> np.ndarray:
+    """Operator cell values (..., n_cells, dim_h, n_modes) as sequences.
+
+    Column j of each weighted-column operator becomes sequence entry j, so
+    the result (..., n_cells, n_modes, dim_h) feeds :func:`integrate_cells`.
+    """
+    if vals.ndim != 3 + lead or vals.shape[-1] != n_modes:
         raise SpecMismatch(
             f"operator integrand has shape {vals.shape}, need "
             f"(cells, dim_h, {n_modes})")
-    return np.swapaxes(vals, 1, 2)
+    return np.swapaxes(vals, -1, -2)
 
 
 def ito_general(integrand, path: LevyPath, *, sample_side: str = "left",
@@ -215,12 +297,9 @@ def ito_general(integrand, path: LevyPath, *, sample_side: str = "left",
     sequence picture, which is then integrated component by component.
     """
     vals = cell_values(integrand, path.driver, sample_side)
-    seq_vals = _unroll_operator_cells(vals, path.spec.n_modes)
-    indices = range(path.spec.n_modes) if order is None else list(order)
-    acc = np.zeros((path.grid.n_cells, seq_vals.shape[2]))
-    for j in indices:
-        acc += seq_vals[:, j, :] * path.driver.increments[j][:, None]
-    return _accumulate(path.grid, acc)
+    seq_vals = unroll_operator_cells(vals, path.spec.n_modes)
+    return IntegralPath(path.grid, integrate_cells(
+        seq_vals, path.driver.increments, order))
 
 
 def series_terms(integrand, path: LevyPath, *, sample_side: str = "left"
@@ -232,12 +311,9 @@ def series_terms(integrand, path: LevyPath, *, sample_side: str = "left"
     harness verifies.
     """
     vals = cell_values(integrand, path.driver, sample_side)
-    seq_vals = _unroll_operator_cells(vals, path.spec.n_modes)
-    out = []
-    for j in range(path.spec.n_modes):
-        inc = seq_vals[:, j, :] * path.driver.increments[j][:, None]
-        out.append(_accumulate(path.grid, inc))
-    return out
+    seq_vals = unroll_operator_cells(vals, path.spec.n_modes)
+    terms = integrate_terms(seq_vals, path.driver.increments)
+    return [IntegralPath(path.grid, term) for term in terms]
 
 
 def angle_bracket(grid: TimeGrid, j: int, k: int) -> BracketPath:
@@ -280,6 +356,4 @@ def quadrature_sq_norm(integrand, path: SamplePath, *,
     values; all reduce to a sum of squares per cell.
     """
     vals = cell_values(integrand, path, "left")
-    flat = vals.reshape(vals.shape[0], -1)
-    per_cell = np.einsum("kq,kq->k", flat, flat)
-    return float(per_cell @ path.grid.dt)
+    return float(time_quadrature(vals, vals, path.grid.dt))

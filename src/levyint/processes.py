@@ -18,6 +18,18 @@ Parameters
 Grids store node times and a per-node kind flag (scheduled or jump).
 Paths store per-component increments over grid cells; cumulative values
 carry a leading zero column so index k is the value at node k.
+
+Blocks
+------
+:meth:`PathSampler.sample_block` samples several paths at once into a
+:class:`PathBlock`, whose arrays carry a leading path axis.  Each row is
+padded to the block's longest grid with nodes at the horizon: padding
+cells have zero length and zero increments, so they add nothing to any
+increment, cumulative sum or quadrature.  Only the random draws run path
+by path, each from its own (seed, path, component, purpose) stream
+opened through one reused generator (:class:`levyint.rng.StreamOpener`);
+a path's bits are therefore the same whether it is sampled alone, with
+:meth:`PathSampler.sample`, or in any block.
 """
 from __future__ import annotations
 
@@ -148,18 +160,22 @@ def make_standard_specs(n: int, recipe) -> tuple:
 
 @dataclass
 class TimeGrid:
-    """Strictly increasing node times from 0 to the horizon with kind flags."""
+    """Strictly increasing node times from 0 to the horizon with kind flags.
 
-    times: np.ndarray                # (n_nodes,)
-    kind: np.ndarray                 # (n_nodes,) uint8, SCHEDULED or JUMP
+    A block of paths stores one padded grid per row: ``times`` and ``kind``
+    are then (n_paths, n_nodes), and node counts refer to the last axis.
+    """
+
+    times: np.ndarray                # (n_nodes,) or (n_paths, n_nodes)
+    kind: np.ndarray                 # same shape, uint8, SCHEDULED or JUMP
 
     @property
     def n_nodes(self) -> int:
-        return self.times.size
+        return self.times.shape[-1]
 
     @property
     def n_cells(self) -> int:
-        return self.times.size - 1
+        return self.times.shape[-1] - 1
 
     @property
     def horizon(self) -> float:
@@ -176,32 +192,93 @@ class TimeGrid:
         return int(np.searchsorted(self.times, t, side="right") - 1)
 
 
+def _cumulate(increments: np.ndarray) -> np.ndarray:
+    """Running sums over the last (cell) axis, with a leading zero node."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out
+
+
 @dataclass
 class SamplePath:
     """Realized driver components on a shared refined grid.
 
     ``increments[c, k]`` is the increment of component c over the cell
     ending at node k+1; a jump at a node belongs to the cell that ends
-    there.  ``jump_log[c]`` lists (time, size) of the individual jumps of
-    component c; the times all appear as grid nodes.
+    there.  ``jumps[c]`` holds the raw jump draws of component c as
+    (size, times) pairs, one per jump term that fired; replayed and
+    derived paths carry none.  ``jump_log[c]`` lists (time, size) of the
+    individual jumps of component c in sorted order; the times all appear
+    as grid nodes.
     """
 
     grid: TimeGrid
     increments: np.ndarray           # (n_components, n_cells)
-    jump_log: tuple = ()             # per component: tuple of (time, size)
+    jumps: tuple = ()                # per component: ((size, times), ...)
 
     @property
     def n_components(self) -> int:
         return self.increments.shape[0]
 
     @cached_property
+    def jump_log(self) -> tuple:
+        """Per component: sorted (time, size) pairs, built on first access."""
+        # a uniform draw of exactly 0.0 is not a jump (see PathSampler)
+        return tuple(
+            tuple(sorted((t, size) for size, times in terms
+                         for t in times.tolist() if t > 0.0))
+            for terms in self.jumps)
+
+    @cached_property
     def cumulative(self) -> np.ndarray:
-        out = np.zeros((self.increments.shape[0], self.grid.n_nodes))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
+        return _cumulate(self.increments)
 
     def terminal(self) -> np.ndarray:
         return self.cumulative[:, -1].copy()
+
+
+@dataclass
+class PathBlock:
+    """Paths sampled together, each padded to the block's longest grid.
+
+    Row i holds the i-th sampled path: its grid is
+    ``grid.times[i, :n_nodes[i]]`` and its increments are
+    ``increments[i, :, :n_nodes[i] - 1]``.  Padding nodes repeat the
+    horizon, so padding cells have zero length and zero increments: they
+    add nothing to any increment, cumulative sum or quadrature, and every
+    running value past a path's last node stays at its terminal value.
+    """
+
+    grid: TimeGrid                   # times, kind: (n_paths, n_nodes)
+    increments: np.ndarray           # (n_paths, n_components, n_cells)
+    n_nodes: np.ndarray              # (n_paths,) unpadded node counts
+    jumps: tuple                     # per path, as SamplePath.jumps
+
+    @property
+    def n_paths(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def n_components(self) -> int:
+        return self.increments.shape[1]
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """(n_paths, n_components, n_nodes); constant on padding nodes."""
+        return _cumulate(self.increments)
+
+    def node_at(self, t: float) -> np.ndarray:
+        """Per path, the index of the last node not after t."""
+        if t < 0.0 or t > self.grid.times[0, -1]:
+            raise IndexOutOfRange(f"time {t} outside [0, "
+                                  f"{self.grid.times[0, -1]}]")
+        return np.count_nonzero(self.grid.times <= t, axis=1) - 1
+
+    def path(self, i: int) -> SamplePath:
+        """Row i as an unpadded path."""
+        n = int(self.n_nodes[i])
+        grid = TimeGrid(self.grid.times[i, :n], self.grid.kind[i, :n])
+        return SamplePath(grid, self.increments[i, :, :n - 1], self.jumps[i])
 
 
 @dataclass(frozen=True)
@@ -211,6 +288,12 @@ class PathSampler:
     ``extra_times`` are deterministic refinement nodes (integrand
     breakpoints for example); they join the scheduled grid so pathwise
     identities at those times are exact.
+
+    :meth:`sample` and :meth:`sample_block` share one draw routine, and
+    each path draws from its own (seed, path, component, purpose) streams,
+    so a path is the same bit for bit whichever way, in whichever block,
+    it is sampled.  The sampler opens those streams through the one
+    :class:`levyint.rng.StreamOpener` it owns.
     """
 
     specs: tuple
@@ -218,6 +301,7 @@ class PathSampler:
     n_scheduled: int
     extra_times: tuple = ()
     _base_times: np.ndarray = field(init=False, repr=False, compare=False)
+    _opener: _rng.StreamOpener = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_scheduled < 1:
@@ -232,6 +316,7 @@ class PathSampler:
             base = np.unique(np.concatenate([base, extra]))
         base.setflags(write=False)
         object.__setattr__(self, "_base_times", base)
+        object.__setattr__(self, "_opener", _rng.StreamOpener())
         object.__setattr__(self, "specs", tuple(self.specs))
 
     @property
@@ -239,47 +324,104 @@ class PathSampler:
         return len(self.specs)
 
     def sample(self, seed: int, path_index: int) -> SamplePath:
-        horizon = self.horizon
-        events = []                  # (component, size, sorted times array)
-        jump_arrays = []
-        for c, spec in enumerate(self.specs):
-            if not spec.jumps:
-                continue
-            gen = _rng.stream(seed, path_index, c, _rng.JUMPS)
-            for size, intensity in spec.jumps:
-                count = int(gen.poisson(intensity * horizon))
-                if count == 0:
-                    continue
-                times = gen.uniform(0.0, horizon, count)
-                times = np.sort(times[times > 0.0])
-                if times.size:
-                    events.append((c, size, times))
-                    jump_arrays.append(times)
+        return self.sample_block(seed, (path_index,)).path(0)
 
-        if jump_arrays:
-            times = np.unique(np.concatenate([self._base_times, *jump_arrays]))
-            kind = np.zeros(times.size, dtype=np.uint8)
-            for arr in jump_arrays:
-                kind[np.searchsorted(times, arr)] = JUMP
-        else:
-            times = self._base_times
-            kind = np.zeros(times.size, dtype=np.uint8)
+    def sample_block(self, seed: int, indices) -> PathBlock:
+        """Sample the paths ``indices`` of the seeded family as one block.
+
+        Row i of the block is path ``indices[i]``.
+
+        Per path, each jump component draws a Poisson count and uniform
+        times per jump term from its JUMPS stream, and each component with
+        a Brownian part draws one normal per cell of the path's own
+        refined grid from its BROWNIAN stream.  Everything else (merging
+        the jump times into the grids, increments, compensators, jump
+        attribution) runs once for the whole block.
+        """
+        indices = tuple(indices)
+        opener = self._opener
+        horizon = self.horizon
+        base = self._base_times
+        n_paths = len(indices)
+
+        jumps = []                   # per path: per component (size, times)
+        fired = []                   # (row, component, size, times)
+        for row, p in enumerate(indices):
+            per_comp = [()] * len(self.specs)
+            for c, spec in enumerate(self.specs):
+                if not spec.jumps:
+                    continue
+                gen = opener(seed, p, c, _rng.JUMPS)
+                terms = []
+                for size, intensity in spec.jumps:
+                    count = int(gen.poisson(intensity * horizon))
+                    if count:
+                        times = gen.uniform(0.0, horizon, count)
+                        terms.append((size, times))
+                        fired.append((row, c, size, times))
+                per_comp[c] = tuple(terms)
+            jumps.append(tuple(per_comp))
+
+        # merge each path's jump times into the scheduled grid: one row per
+        # path, sorted, equal times collapsed to one node, padded with inf
+        width = [base.size] * n_paths
+        for row, _, _, times in fired:
+            width[row] += times.size
+        merged = np.full((n_paths, max(width)), np.inf)
+        merged[:, :base.size] = base
+        term = np.full(merged.shape, -1)        # which fired term, or -1
+        col = [base.size] * n_paths
+        for k, (row, _, _, times) in enumerate(fired):
+            merged[row, col[row]:col[row] + times.size] = times
+            term[row, col[row]:col[row] + times.size] = k
+            col[row] += times.size
+        # a uniform draw of exactly 0.0 is not a jump: it sorts last
+        drawn = merged[:, base.size:]
+        drawn[drawn == 0.0] = np.inf
+        # stable, so equal times keep the draw order of their terms
+        order = np.argsort(merged, axis=1, kind="stable")
+        by_row = np.arange(n_paths)[:, None]
+        ordered = merged[by_row, order]
+        fresh = np.ones(ordered.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=fresh[:, 1:])
+        node = np.cumsum(fresh, axis=1) - 1
+        real = ordered < np.inf
+        n_nodes = np.count_nonzero(fresh & real, axis=1)
+        times = np.full((n_paths, int(n_nodes.max())), horizon)
+        # the inf entries land on the horizon: the last real node or padding
+        times[by_row, np.minimum(node, times.shape[1] - 1)] = np.where(
+            real, ordered, horizon)
+        kind = np.zeros(times.shape, dtype=np.uint8)
+        if fired:
+            term = term[by_row, order]
+            ev_row, cols = np.nonzero(real & (term >= 0))
+            term = term[ev_row, cols]
+            ev_node = node[ev_row, cols]
+            kind[ev_row, ev_node] = JUMP
+            ev_comp = np.array([c for _, c, _, _ in fired])[term]
+            ev_size = np.array([float(s) for _, _, s, _ in fired])[term]
         grid = TimeGrid(times, kind)
         dt = grid.dt
 
-        inc = np.zeros((len(self.specs), dt.size))
+        inc = np.zeros((n_paths, len(self.specs), dt.shape[1]))
+        if any(spec.sigma != 0.0 for spec in self.specs):
+            sqrt_dt = np.sqrt(dt)
+            normals = np.zeros(dt.shape)     # zero on padding cells
+            for c, spec in enumerate(self.specs):
+                if spec.sigma == 0.0:
+                    continue
+                for row, p in enumerate(indices):
+                    opener(seed, p, c, _rng.BROWNIAN).standard_normal(
+                        out=normals[row, :n_nodes[row] - 1])
+                np.multiply(spec.sigma, sqrt_dt, out=inc[:, c])
+                inc[:, c] *= normals
         for c, spec in enumerate(self.specs):
-            if spec.sigma != 0.0:
-                gen = _rng.stream(seed, path_index, c, _rng.BROWNIAN)
-                inc[c] = spec.sigma * np.sqrt(dt) * gen.standard_normal(dt.size)
             for size, intensity in spec.jumps:
-                inc[c] -= size * intensity * dt
-        log = [[] for _ in self.specs]
-        for c, size, jtimes in events:
-            cells = np.searchsorted(times, jtimes) - 1
-            np.add.at(inc[c], cells, size)
-            log[c].extend((float(t), size) for t in jtimes)
-        return SamplePath(grid, inc, tuple(tuple(sorted(e)) for e in log))
+                inc[:, c] -= size * intensity * dt
+        if fired:
+            # in time order, and equal times in term order, as drawn
+            np.add.at(inc, (ev_row, ev_comp, ev_node - 1), ev_size)
+        return PathBlock(grid, inc, n_nodes, tuple(jumps))
 
 
 def simulate_paths(specs, horizon: float, n_scheduled: int, seed: int,
@@ -449,13 +591,13 @@ def transport_levy(path: LevyPath, iso) -> LevyPath:
         raise SpecMismatch("isometry source does not match the path spec")
     cmap = iso.coord_map
     inc = cmap @ path.driver.increments
-    log = []
-    for k in range(cmap.shape[0]):
-        merged = []
-        for j in np.flatnonzero(cmap[k] != 0.0):
-            merged.extend((t, cmap[k, j] * a) for t, a in path.driver.jump_log[j])
-        log.append(tuple(sorted(merged)))
+    source = path.driver.jumps
+    jumps = tuple(
+        tuple((cmap[k, j] * size, times)
+              for j in np.flatnonzero(cmap[k] != 0.0)
+              for size, times in source[j])
+        for k in range(cmap.shape[0]))
     target = CovarianceSpec(iso.target_eigenvalues,
                             np.eye(iso.target_eigenvalues.size),
                             path.spec.tail_mass)
-    return LevyPath(target, SamplePath(path.grid, inc, tuple(log)))
+    return LevyPath(target, SamplePath(path.grid, inc, jumps))

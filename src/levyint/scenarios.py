@@ -9,7 +9,9 @@ Integrand evaluators are registered by name.  Each evaluator receives the
 sampled path and returns one value per grid node, where the value at node
 k is computed from path data up to node k only.  That convention is what
 makes left-point sampling predictable; the injectable right-point fault
-deliberately breaks it.
+deliberately breaks it.  Given a block of padded paths
+(:class:`levyint.processes.PathBlock`) the evaluators return the same
+values with a leading path axis.
 
 Evaluators:
 
@@ -176,18 +178,24 @@ def _value_shape(carrier: str, dim_h: int, n_modes: int) -> tuple:
 
 
 def _eval_constant(path, value: np.ndarray) -> np.ndarray:
-    n = path.grid.n_nodes
-    return np.broadcast_to(value, (n,) + value.shape)
+    return np.broadcast_to(value, path.grid.times.shape + value.shape)
+
+
+def _affine(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """c0 + sum_m cum[m, k] c1[m] at every node k, batch axes first."""
+    axes = "abc"[:c1.ndim - 1]
+    out = np.einsum(f"...mk,m{axes}->...k{axes}", path.cumulative, c1)
+    out += c0
+    return out
 
 
 def _eval_driver_linear(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    cum = path.cumulative
-    return np.einsum("mk,m...->k...", cum, c1) + c0
+    return _affine(path, c0, c1)
 
 
 def _eval_driver_tanh(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    cum = path.cumulative
-    return np.tanh(np.einsum("mk,m...->k...", cum, c1) + c0)
+    out = _affine(path, c0, c1)
+    return np.tanh(out, out=out)
 
 
 _GRID_EVALUATORS = ("constant", "driver_linear", "driver_tanh")
@@ -224,9 +232,11 @@ def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
 
 def _eval_restricted(path, raw_eval, basis, sqrt_lam) -> np.ndarray:
     raw = raw_eval(path)
-    if basis is not None:
-        raw = np.einsum("kdu,uj->kdj", raw, basis)
-    return raw * sqrt_lam
+    if basis is None:
+        return raw * sqrt_lam
+    out = np.einsum("...du,uj->...dj", raw, basis)
+    out *= sqrt_lam
+    return out
 
 
 def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegrand:

@@ -55,6 +55,11 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
+def _block(row):
+    """The block statistic of accumulate_paths, one per-path row at a time."""
+    return lambda paths: np.array([row(p) for p in paths])
+
+
 def _stat_margin(mean: float, target: float, se: float) -> float:
     dev = abs(mean - target)
     if se == 0.0:
@@ -194,7 +199,7 @@ def test_c06_covariance_recovery():
         return np.array([(w[i] @ at[t]) * (w[j] @ at[s])
                          for (i, j, t, s) in combos])
 
-    acc = accumulate_paths(N_PATHS, stat, len(combos))
+    acc = accumulate_paths(N_PATHS, _block(stat), len(combos))
     worst = 0.0
     for k, (i, j, t, s) in enumerate(combos):
         target = min(t, s) * float(spec.eigenvalues[i]) if i == j else 0.0
@@ -213,7 +218,7 @@ def test_c07_bracket_normalization():
         return np.array([m[0] * m[0], m[1] * m[1], m[2] * m[2],
                          m[0] * m[1], m[0] * m[2], m[1] * m[2]])
 
-    acc = accumulate_paths(N_PATHS, stat, 6)
+    acc = accumulate_paths(N_PATHS, _block(stat), 6)
     targets = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     worst = max(_stat_margin(float(acc.mean[k]), targets[k],
                              float(acc.se[k])) for k in range(6))
@@ -239,7 +244,7 @@ def test_c08_quadratic_variation():
         cross = float(zx @ zy) - covariation_integral(x, y, path, 0, 0).terminal
         return np.array([own, cross])
 
-    acc = accumulate_paths(N_PATHS, stat, 2)
+    acc = accumulate_paths(N_PATHS, _block(stat), 2)
     margins = [_stat_margin(float(acc.mean[k]), 0.0, float(acc.se[k]))
                for k in range(2)]
     _criterion(8, max(margins) <= 1.0,

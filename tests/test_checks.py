@@ -81,8 +81,8 @@ def test_pairwise_merge_tree():
 
 
 def test_accumulate_paths_chunking_and_determinism():
-    def stat(p):
-        return rng.stream(9, p).standard_normal(3)
+    def stat(paths):
+        return np.stack([rng.stream(9, p).standard_normal(3) for p in paths])
 
     small = accumulate_paths(23, stat, 3, chunk_size=7)
     big = accumulate_paths(23, stat, 3, chunk_size=1000)
@@ -186,6 +186,25 @@ def test_suite_results_do_not_depend_on_parallelism():
     assert reports_to_csv(serial) == reports_to_csv(parallel)
 
 
+def test_workers_are_clamped_to_cpus_and_checks(monkeypatch):
+    from levyint import checks
+
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 4)
+    assert checks.worker_count(8, 14) == 4
+    assert checks.worker_count(8, 3) == 3
+    assert checks.worker_count(2, 14) == 2
+    assert checks.worker_count(3, 1) == 1
+    with pytest.raises(ConfigInvalid, match="parallelism"):
+        checks.worker_count(0, 14)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single check must not start a pool")
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", no_pool)
+    spec = default_suite(8, 2)[5]
+    assert run_suite([spec], parallelism=4)[0].passed
+
+
 def test_negative_control_filtering():
     controls = negative_control_suite("right_point", 50, 4)
     assert [s.name for s in controls] == [
@@ -274,3 +293,157 @@ def test_csv_report_shape():
     second = lines[2].split(",")
     assert second[5] == "false"
     assert float(second[9]) == 0.125
+
+
+# ---------------------------------------------------------------------------
+# block statistics against the per-path layers
+
+
+def _reference_rows(spec, paths):
+    """Statistic rows of ``spec`` path by path, from the public layers."""
+    from levyint import checks
+    from levyint.integrators import (angle_bracket, cell_values,
+                                     covariation_integral, ito_general, ito_h,
+                                     ito_l2lambda, ito_seq, quadrature_sq_norm,
+                                     series_terms)
+    from levyint.processes import assemble_levy
+    from levyint.scenarios import (build_integrand, make_sampler,
+                                   resolve_covariance, restrict_integrand)
+
+    sc = spec.scenario
+    side = sc.sample_side
+    sampler = make_sampler(sc)
+    cov = resolve_covariance(sc)
+    integrand = build_integrand(sc, n_inputs=sc.n_modes)
+    restricted = (restrict_integrand(integrand, cov)
+                  if sc.integrand.carrier == "operator" else None)
+    pairs = checks._default_pairs(sc.n_modes)
+
+    def iso(z, q):
+        return [z @ z, q, z @ z - q]
+
+    def row(p):
+        path = sampler.sample(spec.seed, p)
+        levy = assemble_levy(cov, path)
+        if spec.name == "isometry1":
+            z = ito_h(integrand, path, 0, sample_side=side).terminal
+            return iso(z, quadrature_sq_norm(integrand, path))
+        if spec.name == "isometry2":
+            if spec.options["route"] == "seq":
+                z = ito_seq(integrand, path, sample_side=side).terminal
+            else:
+                z = ito_l2lambda(integrand, levy, sample_side=side).terminal
+            return iso(z, quadrature_sq_norm(integrand, path))
+        if spec.name == "isometry4":
+            z = ito_general(restricted, levy, sample_side=side).terminal
+            return iso(z, quadrature_sq_norm(restricted, path))
+        if spec.name == "orthogonality":
+            vals = cell_values(integrand, path, side)
+            terms = [ito_h(_cells_integrand(vals[:, j]), path, j).terminal
+                     for j in range(sc.n_modes)]
+            dots = [terms[a] @ terms[b] for a, b in pairs]
+            return dots + [0.0] * len(dots) + dots
+        if spec.name == "bracket":
+            x = integrand
+            y = build_integrand(sc, n_inputs=sc.n_modes, seed_offset=1000)
+            dm = path.increments
+            ip = np.einsum("kd,kd->k", cell_values(x, path, side),
+                           cell_values(y, path, side))
+            t = angle_bracket(path.grid, 0, 0).terminal
+            ci = covariation_integral(x, y, path, 0, 0,
+                                      sample_side=side).terminal
+            lhs = [dm[0] @ dm[0], dm[1] @ dm[1], dm[0] @ dm[1],
+                   ip @ (dm[0] * dm[0]), ip @ (dm[0] * dm[1])]
+            rhs = [t, t, 0.0, ci, 0.0]
+            return lhs + rhs + [a - b for a, b in zip(lhs, rhs)]
+        if spec.name == "martingale":
+            z = ito_seq(integrand, path, sample_side=side)
+            lhs = list(z.terminal) + list(z.value_at(sc.horizon / 2)) \
+                + list(path.terminal())
+            return lhs + [0.0] * len(lhs) + lhs
+        if spec.name == "series_orthogonality":
+            tv = [t.terminal for t in series_terms(restricted, levy,
+                                                   sample_side=side)]
+            total = sum(tv[1:], tv[0])
+            lhs = [tv[a] @ tv[b] for a, b in pairs] + [total @ total]
+            rhs = [0.0] * len(pairs) + [sum(t @ t for t in tv)]
+            return lhs + rhs + [a - b for a, b in zip(lhs, rhs)]
+        if spec.name == "truncation_tail":
+            n_sub = spec.options["n_sub"]
+            vals = cell_values(restricted, path, side)
+            tail = [ito_h(_cells_integrand(vals[:, :, j]), path, j).terminal
+                    for j in range(n_sub, sc.n_modes)]
+            diff = sum(tail[1:], tail[0])
+            q = sum(quadrature_sq_norm(_cells_integrand(vals[:, :, j]), path)
+                    for j in range(n_sub, sc.n_modes))
+            return iso(diff, q)
+        raise AssertionError(spec.name)
+
+    return np.array([row(p) for p in paths], dtype=float)
+
+
+def _cells_integrand(cells):
+    """A grid integrand whose left-point cell values are ``cells``."""
+    from levyint.integrators import GridIntegrand
+
+    return GridIntegrand(lambda path: np.concatenate([cells, cells[-1:]]))
+
+
+def _block_statistic(spec, monkeypatch):
+    """The block statistic callable that a check hands to accumulate_paths."""
+    from levyint import checks
+
+    captured = []
+
+    def capture(n_paths, stat_fn, n_stats, *args):
+        captured.append((stat_fn, n_stats))
+        return accumulate_paths(n_paths, stat_fn, n_stats, *args)
+
+    monkeypatch.setattr(checks, "accumulate_paths", capture)
+    checks.run_check(spec)
+    return captured[0]
+
+
+STATISTICAL = [s for s in default_suite(64, 4) if s.name not in
+               ("basis_invariance", "isometry_invariance", "well_defined",
+                "simple_exact")]
+
+
+@pytest.mark.parametrize("spec", STATISTICAL, ids=[
+    f"{s.name}-{s.options.get('route', '')}".rstrip("-") for s in STATISTICAL])
+def test_block_rows_match_per_path_layers(spec, monkeypatch):
+    stat_fn, n_stats = _block_statistic(spec, monkeypatch)
+    paths = range(4090, 4103)            # one odd-sized block
+    rows = stat_fn(paths)
+    assert rows.shape == (len(paths), n_stats)
+    if spec.name == "covariance_recovery":
+        ref = _covariance_rows(spec, paths)
+    else:
+        ref = _reference_rows(spec, paths)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
+
+
+def _covariance_rows(spec, paths):
+    """covariance_recovery rows straight from its definition."""
+    from levyint.processes import assemble_levy
+    from levyint.scenarios import make_sampler, resolve_covariance
+
+    sc = spec.scenario
+    clean = resolve_covariance(sc.with_fault(None))
+    sampler = make_sampler(sc)
+    e = np.eye(clean.dim_u)
+    b0, b1 = clean.eigenbasis[:, 0], clean.eigenbasis[:, 1]
+    cases = ((e[0], e[0], 1.0, 1.0), (e[0], e[1], 0.5, 1.0),
+             (e[1], e[1], 0.25, 0.5), (e[0], e[1], 1.0, 0.25),
+             (b0, b0, 0.5, 0.5), (b0, b1, 1.0, 1.0),
+             (b1, b1, 1.0, 0.5), (b0, b1, 0.5, 0.5))
+    q = clean.eigenbasis @ np.diag(clean.eigenvalues) @ clean.eigenbasis.T
+    target = [min(t, s) * (u1 @ q @ u2) for u1, u2, t, s in cases]
+    out = []
+    for p in paths:
+        levy = assemble_levy(resolve_covariance(sc), sampler.sample(spec.seed, p))
+        lhs = [(u1 @ levy.value_at(t)) * (u2 @ levy.value_at(s))
+               for u1, u2, t, s in cases]
+        out.append(lhs + target + [a - b for a, b in zip(lhs, target)])
+    return np.array(out)

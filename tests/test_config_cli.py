@@ -116,6 +116,8 @@ def test_value_validation():
         parse_config(dict(BASE, seed=True))
     with pytest.raises(ConfigInvalid, match="bogus"):
         parse_config(dict(BASE, checks=["isometry1", "bogus"]))
+    with pytest.raises(ConfigInvalid, match="checks"):
+        parse_config(dict(BASE, checks="isometry1"))
     with pytest.raises(ConfigInvalid):
         parse_config(dict(BASE, fault="slow_clock"))
     with pytest.raises(ConfigInvalid):
@@ -351,3 +353,29 @@ def test_missing_config_exits_2(tmp_path):
                                   str(tmp_path / "gone.json"))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_nan_integrand_fails_every_exact_check(tmp_path):
+    payload = json.loads((CONFIG_DIR / "default.json").read_text())
+    payload["integrand"]["scale"] = float("nan")
+    payload["checks"] = ["basis_invariance", "isometry_invariance",
+                         "well_defined", "simple_exact"]
+    payload["nExact"] = 4
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "nan.csv"
+    code = run_cli("check", "--config", cfg, "--format", "csv",
+                   "--out", str(out))
+    assert code == 1
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == payload["checks"]
+    assert all(r[5] == "false" for r in rows)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_parallelism_below_one_exits_2(tmp_path, value):
+    cfg = write_config(tmp_path, dict(CHECK_BASE, checks=["simple_exact"]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["check", "--config", cfg, "--parallelism", value])
+    assert exc.value.code == 2
+    assert "--parallelism" in err.getvalue()

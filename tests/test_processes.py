@@ -348,3 +348,73 @@ def test_transport_rejects_wrong_source():
     driver = replay_path([0.0, 1.0], [[1.0], [2.0]])
     with pytest.raises(SpecMismatch):
         transport_levy(assemble_levy(other, driver), iso)
+
+
+# ---------------------------------------------------------------------------
+# block sampling and stream reuse
+
+DESK = make_standard_specs(6, (
+    "brownian", {"preset": "poisson", "a": 0.5}, MIXED,
+    "brownian", {"preset": "poisson", "a": 0.25},
+    {"preset": "mixed", "sigma": 0.5, "a": 0.5}))
+JUMP_DENSE = make_standard_specs(6, (
+    {"preset": "poisson", "a": 0.15}, {"preset": "mixed", "sigma": 0.5, "a": 0.12},
+    {"preset": "poisson", "a": 0.25}, {"preset": "mixed", "sigma": 0.3, "a": 0.1},
+    {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2}))
+
+
+@pytest.mark.parametrize("specs", [DESK, JUMP_DENSE], ids=["desk", "jump_dense"])
+def test_block_rows_equal_single_path_samples(specs):
+    from levyint.stats import CHUNK_SIZE
+
+    sampler = PathSampler(specs, 1.0, 64)
+    # a block straddling a chunk boundary, and a block of one
+    for indices in (range(CHUNK_SIZE - 5, CHUNK_SIZE + 6), (17,)):
+        block = sampler.sample_block(20260816, indices)
+        assert block.n_paths == len(indices)
+        width = block.grid.n_nodes
+        assert width == int(block.n_nodes.max())
+        for row, p in enumerate(indices):
+            single = sampler.sample(20260816, p)
+            path = block.path(row)
+            assert np.array_equal(path.grid.times, single.grid.times)
+            assert np.array_equal(path.grid.kind, single.grid.kind)
+            assert np.array_equal(path.increments, single.increments)
+            assert path.jump_log == single.jump_log
+            # padding: the horizon repeated, zero-length cells, no increments
+            n = int(block.n_nodes[row])
+            assert np.all(block.grid.times[row, n:] == 1.0)
+            assert np.all(block.grid.dt[row, n - 1:] == 0.0)
+            assert np.all(block.increments[row, :, n - 1:] == 0.0)
+            assert np.array_equal(block.cumulative[row, :, n - 1:],
+                                  np.repeat(single.cumulative[:, -1:],
+                                            width - n + 1, axis=1))
+
+
+def test_jump_log_is_built_from_the_jump_draws():
+    sampler = PathSampler(make_standard_specs(2, (
+        {"sigma": 0.3, "jumps": [[1.0, 1.0], [-0.5, 2.0]]}, "brownian")), 1.0, 8)
+    path = sampler.sample(3, 1)
+    assert "jump_log" not in path.__dict__
+    log = path.jump_log[0]
+    assert path.jump_log[1] == ()
+    assert log == tuple(sorted(log)) and len(log) > 0
+    assert {size for _, size in log} <= {1.0, -0.5}
+    assert all(type(t) is float for t, _ in log)
+    jump_nodes = path.grid.times[path.grid.kind == JUMP]
+    assert sorted(t for t, _ in log) == sorted(jump_nodes.tolist())
+
+
+@pytest.mark.parametrize("address", [
+    (20260816, 0, 0, rng.BROWNIAN), (7, 12345, 5, rng.JUMPS),
+    (2 ** 64 - 1, 2 ** 70 + 3, 2 ** 31, rng.CASE)])
+def test_stream_opener_draws_like_a_fresh_stream(address):
+    opener = rng.StreamOpener()
+    opener(1, 2, 3, rng.BASIS).standard_normal(5)     # leave state behind
+    reused = opener(*address)
+    fresh = rng.stream(*address)
+    assert np.array_equal(reused.standard_normal(7), fresh.standard_normal(7))
+    assert reused.poisson(3.5) == fresh.poisson(3.5)
+    assert np.array_equal(reused.uniform(0.0, 1.0, 5), fresh.uniform(0.0, 1.0, 5))
+    with pytest.raises(ValueError):
+        opener(1, -1)
