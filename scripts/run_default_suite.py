@@ -15,6 +15,7 @@ from levyint.checks import (
     run_suite,
     suite_passed,
 )
+from levyint.cli import _at_least_one
 
 
 def main() -> int:
@@ -24,7 +25,7 @@ def main() -> int:
     parser.add_argument("--exact", type=int, default=64,
                         help="paths per exact check")
     parser.add_argument("--seed", type=int, default=BASE_SEED)
-    parser.add_argument("--parallelism", type=int, default=1,
+    parser.add_argument("--parallelism", type=_at_least_one, default=1,
                         help="worker processes (never changes the output)")
     parser.add_argument("--timings", action="store_true",
                         help="serialize real wall times instead of 0.0")

@@ -15,6 +15,7 @@ from levyint.checks import (
     negative_control_suite,
     run_suite,
 )
+from levyint.cli import _at_least_one
 
 
 def main() -> int:
@@ -27,7 +28,8 @@ def main() -> int:
     parser.add_argument("--exact", type=int, default=64,
                         help="paths per exact check")
     parser.add_argument("--seed", type=int, default=BASE_SEED)
-    parser.add_argument("--parallelism", type=int, default=1)
+    parser.add_argument("--parallelism", type=_at_least_one, default=1,
+                        help="worker processes (never changes the output)")
     args = parser.parse_args()
 
     faults = args.fault if args.fault else sorted(FAULT_CHECKS)

@@ -4,10 +4,10 @@ plus a harness that verifies the identities the construction promises.
 
 Layered API, lowest first:
 
-* :mod:`levyint.spaces`      covariance specs, weighted sequence spaces,
-  the transport maps between them.
+* :mod:`levyint.spaces`      covariance specs and the maps of the
+  construction: Phi_lambda, its inverse, the restriction, Psi_lambda.
 * :mod:`levyint.processes`   normalized driver components, event-driven
-  path sampling, assembled vector-valued paths.
+  path sampling, assembled vector-valued paths and their projection.
 * :mod:`levyint.integrators` the integral layers, brackets, quadratures.
 * :mod:`levyint.scenarios`   config dataclasses and integrand evaluators.
 * :mod:`levyint.checks`      identity checks, suite runner, reports.
@@ -20,23 +20,6 @@ from .checks import (BASE_SEED, CHECKS, CheckSpec, Report, default_suite,
                      reports_to_json, run_check, run_suite, suite_passed)
 from .config import ExperimentConfig, config_to_dict, load_config, parse_config, save_config
 from .errors import LevyintError
-from .integrators import (BracketPath, GridIntegrand, IntegralPath,
-                          SimpleIntegrand, angle_bracket, cell_values,
-                          covariation_integral, ito_general, ito_h,
-                          ito_l2lambda, ito_seq, quadrature_sq_norm,
-                          series_terms)
-from .processes import (LevyPath, PathSampler, SamplePath, StandardLevySpec,
-                        TimeGrid, assemble_levy, coordinate_view,
-                        empirical_covariance, make_standard_specs,
-                        project_standard, replay_path, simulate_paths,
-                        spec_from_preset, transport_levy)
-from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
-                        build_integrand, build_simple_integrand, make_sampler,
-                        resolve_covariance, restrict_integrand)
-from .spaces import (BasisIsometry, CovarianceSpec, WeightedSeq,
-                     alternate_decomposition, build_eigen_isometry,
-                     hs_norm, make_covariance, phi_lambda_apply,
-                     phi_lambda_invert, psi_lambda_apply, random_orthogonal,
-                     restrict_bounded_operator, seqh_norm)
+from .integrators import ito_general, ito_h, ito_l2lambda, ito_seq
 
 __version__ = "0.1.0"

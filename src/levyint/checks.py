@@ -21,11 +21,12 @@ so serialized outputs are byte-identical across runs and worker counts.
 Statistical checks compute their rows a block of paths at a time
 (:func:`levyint.stats.accumulate_paths`): one sampling call, one
 integrand evaluation shared by the integral and the quadrature, and one
-kernel call per block.  Exact checks run path by path.
+kernel call per block.  Exact checks run path by path on the same kernel.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,14 +38,15 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigInvalid, UnknownCheck
 from .integrators import (SimpleIntegrand, cell_values, integrate_cells,
-                          integrate_terms, ito_h, ito_seq, node_values,
-                          quadrature_sq_norm, side_cells, time_quadrature,
-                          unroll_operator_cells)
-from .processes import SamplePath, assemble_levy, coordinate_view, transport_levy
-from .scenarios import (ScenarioConfig, build_integrand, make_sampler,
-                        resolve_covariance, restrict_integrand)
+                          integrate_terms, ito_h, node_values, side_cells,
+                          time_quadrature)
+from .processes import (SamplePath, assemble_levy, coordinate_view,
+                        project_standard, transport_levy)
+from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
+                        build_integrand, make_sampler, resolve_covariance,
+                        restrict_integrand)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
-                     random_orthogonal)
+                     psi_lambda_apply, random_orthogonal)
 from .stats import accumulate_paths
 
 BASE_SEED = 20260816
@@ -55,6 +57,16 @@ def _default_pairs(n_modes: int) -> tuple:
     if n_modes > 2:
         pairs += ((0, n_modes - 1),)
     return pairs
+
+
+def _component_pairs(spec: CheckSpec) -> tuple:
+    """The ``pairs`` option (default :func:`_default_pairs`) as two lists."""
+    n = spec.scenario.n_modes
+    pairs = tuple(map(tuple, spec.options.get("pairs", _default_pairs(n))))
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n and a != b):
+            raise ConfigInvalid(f"pair {(a, b)} invalid for {n} components")
+    return tuple(list(col) for col in zip(*pairs))
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,7 @@ def _check_isometry1(spec: CheckSpec) -> Report:
     sc = spec.scenario
     side = sc.sample_side
     sampler = make_sampler(sc)
-    integrand = build_integrand(sc, n_inputs=sampler.n_components)
+    integrand = build_integrand(sc)
 
     def stat(paths):
         block = sampler.sample_block(spec.seed, paths)
@@ -185,8 +197,8 @@ def _check_isometry2(spec: CheckSpec) -> Report:
     """Isometry for a sequence integrand against the whole driver family.
 
     ``options["route"]`` picks the computation: "seq" integrates the
-    sampled family directly, "l2lambda" goes through an assembled path
-    and addresses the family as its standard components.
+    sampled family directly, "l2lambda" integrates against the standard
+    components that Phi_lambda projects out of the assembled path.
     """
     _need_paths(spec, 2)
     sc = spec.scenario
@@ -200,9 +212,10 @@ def _check_isometry2(spec: CheckSpec) -> Report:
 
     def stat(paths):
         block = sampler.sample_block(spec.seed, paths)
-        driver = block if cov is None else assemble_levy(cov, block).driver
+        inc = (block.increments if cov is None
+               else project_standard(assemble_levy(cov, block)))
         node = node_values(integrand, block)
-        z = integrate_cells(side_cells(node, side, 1), driver.increments)[:, -1]
+        z = integrate_cells(side_cells(node, side, 1), inc)[:, -1]
         return _isometry_rows(z, node, block)
 
     return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
@@ -221,7 +234,7 @@ def _check_isometry4(spec: CheckSpec) -> Report:
     def stat(paths):
         levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
         node = node_values(restricted, levy.driver)
-        seq = unroll_operator_cells(side_cells(node, side, 1), cov.n_modes, 1)
+        seq = psi_lambda_apply(cov, side_cells(node, side, 1))
         z = integrate_cells(seq, levy.driver.increments)[:, -1]
         return _isometry_rows(z, node, levy.driver)
 
@@ -233,14 +246,8 @@ def _check_orthogonality(spec: CheckSpec) -> Report:
     _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
-    pairs = tuple(tuple(p) for p in
-                  spec.options.get("pairs", _default_pairs(sc.n_modes)))
-    for a, b in pairs:
-        if not (0 <= a < sc.n_modes and 0 <= b < sc.n_modes and a != b):
-            raise ConfigInvalid(f"orthogonality pair {(a, b)} invalid for "
-                                f"{sc.n_modes} components")
-    m = len(pairs)
-    first, second = (list(col) for col in zip(*pairs))
+    first, second = _component_pairs(spec)
+    m = len(first)
     sampler = make_sampler(sc)
     integrand = build_integrand(sc)
 
@@ -368,15 +375,13 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
     sampler = make_sampler(sc)
     raw = build_integrand(sc, n_inputs=sc.n_modes)
     restricted = restrict_integrand(raw, cov)
-    pairs = tuple(tuple(p) for p in
-                  spec.options.get("pairs", _default_pairs(sc.n_modes)))
-    m = len(pairs) + 1
-    first, second = (list(col) for col in zip(*pairs))
+    first, second = _component_pairs(spec)
+    m = len(first) + 1
 
     def stat(paths):
         levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
         node = node_values(restricted, levy.driver)
-        seq = unroll_operator_cells(side_cells(node, side, 1), cov.n_modes, 1)
+        seq = psi_lambda_apply(cov, side_cells(node, side, 1))
         tv = integrate_terms(seq, levy.driver.increments)[:, :, -1]
         total = tv.sum(axis=1)
         lhs = np.concatenate([np.vecdot(tv[:, first], tv[:, second]),
@@ -420,7 +425,7 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
     def stat(paths):
         block = sampler.sample_block(spec.seed, paths)
         vals = side_cells(node_values(restricted, block), side, 1)
-        tail = unroll_operator_cells(vals, cov.n_modes, 1)[:, :, n_sub:]
+        tail = psi_lambda_apply(cov, vals)[:, :, n_sub:]
         diff = integrate_cells(tail, block.increments[:, n_sub:])[:, -1]
         lhs = np.vecdot(diff, diff)
         rhs = time_quadrature(tail, tail, block.grid.dt)
@@ -449,7 +454,7 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
     sc = spec.scenario
     side = sc.sample_side
     sampler = make_sampler(sc)
-    integrand = build_integrand(sc, n_inputs=sampler.n_components)
+    integrand = build_integrand(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     q1 = random_orthogonal(sc.dim_h, gen)
     q2 = random_orthogonal(sc.dim_h, gen)
@@ -487,16 +492,14 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
 
     def per_path(p):
         driver = sampler.sample(spec.seed, p)
-        z1 = ito_seq(integrand, driver, sample_side=side).values
-        levy2 = transport_levy(assemble_levy(cov, driver), iso)
         vals = cell_values(integrand, driver, side)
+        z1 = integrate_cells(vals, driver.increments)
+        levy2 = transport_levy(assemble_levy(cov, driver), iso)
         vals2 = np.einsum("ab,kbd->kad", cmap, vals)
-        inc2 = np.einsum("kjd,jk->kd", vals2, levy2.driver.increments)
-        z2 = np.zeros_like(z1)
-        np.cumsum(inc2, axis=0, out=z2[1:])
+        z2 = integrate_cells(vals2, levy2.driver.increments)
         dz = float(np.max(np.abs(z1 - z2)))
-        q1 = quadrature_sq_norm(integrand, driver)
-        q2 = float(np.einsum("kjd,kjd,k->", vals2, vals2, driver.grid.dt))
+        q1 = float(time_quadrature(vals, vals, driver.grid.dt))
+        q2 = float(time_quadrature(vals2, vals2, driver.grid.dt))
         dev = _worst(dz, abs(q1 - q2))
         return dev, _rel(dev, _worst(np.max(np.abs(z1)), q1))
 
@@ -527,16 +530,12 @@ def _check_well_defined(spec: CheckSpec) -> Report:
         d1 = sampler.sample(spec.seed, p)
         levy1 = assemble_levy(cov1, d1)
         view = coordinate_view(levy1)
-        s1 = cell_values(r1, view, side)
-        s2 = cell_values(r2, view, side)
+        s1 = psi_lambda_apply(cov1, cell_values(r1, view, side))
+        s2 = psi_lambda_apply(cov2, cell_values(r2, view, side))
         inc2 = cmap @ d1.increments
         levy2 = assemble_levy(cov2, SamplePath(d1.grid, inc2, ()))
-        a1 = np.einsum("kdj,jk->kd", s1, d1.increments)
-        a2 = np.einsum("kdj,jk->kd", s2, inc2)
-        z1 = np.zeros((d1.grid.n_nodes, sc.dim_h))
-        z2 = np.zeros_like(z1)
-        np.cumsum(a1, axis=0, out=z1[1:])
-        np.cumsum(a2, axis=0, out=z2[1:])
+        z1 = integrate_cells(s1, d1.increments)
+        z2 = integrate_cells(s2, inc2)
         dz = float(np.max(np.abs(z1 - z2)))
         dc = float(np.max(np.abs(levy1.coords - levy2.coords)))
         dev = _worst(dz, dc)
@@ -653,12 +652,13 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
                   desk: Optional[ScenarioConfig] = None) -> list:
     """The standing battery: every check once, isometry2 on both routes.
 
+    The l2lambda route runs under a random eigenbasis, so that its
+    projection through Phi_lambda is a real change of coordinates.
+
     ``desk`` supplies the shared scale (dimensions, horizon, grid,
     covariance law, driver recipe, integrand scale); each entry swaps in
     the structure its identity needs.
     """
-    from .scenarios import CovarianceConfig, IntegrandConfig
-
     desk = ScenarioConfig() if desk is None else desk
     evaluator = desk.integrand.evaluator
     if evaluator not in ("driver_linear", "driver_tanh"):
@@ -680,7 +680,8 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
          n_paths, {}),
         ("isometry2", replace(desk, integrand=replace(seqh, seed=102)),
          n_paths, {"route": "seq"}),
-        ("isometry2", replace(desk, integrand=replace(seqh, seed=103)),
+        ("isometry2", replace(desk, covariance=rand_basis,
+                              integrand=replace(seqh, seed=103)),
          n_paths, {"route": "l2lambda"}),
         ("isometry4", replace(desk, covariance=rand_basis,
                               integrand=replace(oper, seed=104)),
@@ -761,8 +762,14 @@ def report_to_dict(report: Report, include_timings: bool = False) -> dict:
 
 
 def reports_to_json(reports, include_timings: bool = False) -> str:
+    """The JSON report; a NaN or infinite value is written as null."""
     rows = [report_to_dict(r, include_timings) for r in reports]
-    return json.dumps(rows, indent=2) + "\n"
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                row[key] = None
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+
 
 _CSV_COLUMNS = ("name", "lhs", "rhs", "se", "margin", "pass", "nPaths",
                 "seed", "wallTime", "truncationBound")

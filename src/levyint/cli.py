@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 
 import numpy as np
@@ -42,9 +43,13 @@ def _read_path_csv(path: str):
         raise ConfigNotFound(f"replay file not found: {path}")
     if len(rows) < 3 or rows[0][:2] != ["time", "kind"]:
         raise ConfigInvalid(f"replay file {path} is not a path dump")
-    times = [float(r[0]) for r in rows[1:]]
-    kinds = [r[1] for r in rows[1:]]
-    cumulative = np.array([[float(x) for x in r[2:]] for r in rows[1:]]).T
+    try:
+        times = [float(r[0]) for r in rows[1:]]
+        kinds = [r[1] for r in rows[1:]]
+        cumulative = np.array([[float(x) for x in r[2:]] for r in rows[1:]]).T
+    except (IndexError, ValueError) as exc:
+        raise ConfigInvalid(f"replay file {path}: every row needs a numeric "
+                            f"time, a kind and numeric components ({exc})")
     return times, np.diff(cumulative, axis=1), kinds
 
 
@@ -126,7 +131,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _json_dump(obj) -> str:
-    import json
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -143,14 +147,12 @@ def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
         integrand = build_simple_integrand(scenario)
         return ito_h(integrand, path, 0, sample_side=side).values, None
     carrier = scenario.integrand.carrier
+    if want_series and carrier != "operator":
+        raise ConfigInvalid("series dump needs an operator integrand")
     integrand = build_integrand(scenario, n_inputs=path.n_components)
     if carrier == "hvector":
-        if want_series:
-            raise ConfigInvalid("series dump needs an operator integrand")
         return ito_h(integrand, path, 0, sample_side=side).values, None
     if carrier == "seqh":
-        if want_series:
-            raise ConfigInvalid("series dump needs an operator integrand")
         return ito_seq(integrand, path, sample_side=side).values, None
     cov = resolve_covariance(scenario)
     levy = assemble_levy(cov, path)

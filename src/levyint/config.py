@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .checks import BASE_SEED, CHECKS
-from .errors import ConfigInvalid, ConfigNotFound
+from .errors import ConfigInvalid, ConfigNotFound, expect_number
 from .scenarios import (FAULTS, CovarianceConfig, IntegrandConfig,
                         ScenarioConfig)
 
@@ -66,14 +66,13 @@ def _positive_int(section: dict, key: str, default: int, where: str) -> int:
 
 def _parse_space(section: dict) -> dict:
     _reject_unknown(section, _SPACE_KEYS, "space")
-    horizon = section.get("T", 1.0)
-    if not isinstance(horizon, (int, float)) or isinstance(horizon, bool) \
-            or horizon <= 0:
+    horizon = expect_number(section.get("T", 1.0), "space.T")
+    if not horizon > 0:
         raise ConfigInvalid("space.T must be a positive number")
     return {
         "dim_h": _positive_int(section, "dH", 4, "space"),
         "n_modes": _positive_int(section, "J", 6, "space"),
-        "horizon": float(horizon),
+        "horizon": horizon,
         "n_scheduled": _positive_int(section, "nScheduled", 64, "space"),
     }
 
@@ -84,20 +83,21 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     if isinstance(ev, dict):
         _reject_unknown(ev, _LAW_KEYS, "covariance.eigenvalues")
     elif isinstance(ev, (list, tuple)):
-        ev = tuple(float(x) for x in ev)
+        ev = tuple(expect_number(x, "covariance.eigenvalues") for x in ev)
     else:
         raise ConfigInvalid("covariance.eigenvalues must be a list or a law")
     basis = section.get("basis", "identity")
     if isinstance(basis, dict):
         _reject_unknown(basis, {"seed"}, "covariance.basis")
     elif isinstance(basis, list):
-        basis = tuple(tuple(float(x) for x in row) for row in basis)
+        basis = tuple(tuple(expect_number(x, "covariance.basis") for x in row)
+                      for row in basis)
     elif basis != "identity":
         raise ConfigInvalid(
             'covariance.basis must be "identity", {"seed": n} or a matrix')
     tail = section.get("tailMass")
     if tail is not None:
-        tail = float(tail)
+        tail = expect_number(tail, "covariance.tailMass")
         if tail < 0:
             raise ConfigInvalid("covariance.tailMass must be nonnegative")
     return CovarianceConfig(ev, basis, tail)
@@ -108,13 +108,17 @@ def _parse_integrand(section: dict) -> IntegrandConfig:
     value = section.get("value")
     breakpoints = section.get("breakpoints")
     if breakpoints is not None:
-        breakpoints = tuple(float(x) for x in breakpoints)
+        breakpoints = tuple(expect_number(x, "integrand.breakpoints")
+                            for x in breakpoints)
+    seed = section.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigInvalid(f"integrand.seed must be an integer, got {seed!r}")
     return IntegrandConfig(
         family=section.get("family", "grid"),
         carrier=section.get("carrier", "operator"),
         evaluator=section.get("evaluator", "driver_linear"),
-        seed=int(section.get("seed", 0)),
-        scale=float(section.get("scale", 1.0)),
+        seed=seed,
+        scale=expect_number(section.get("scale", 1.0), "integrand.scale"),
         value=value,
         breakpoints=breakpoints,
     )
@@ -130,6 +134,11 @@ def _parse_drivers(entry):
         _reject_unknown(entry, {"replay"}, "drivers")
         return {"replay": entry["replay"]}
     if isinstance(entry, (list, tuple)):
+        for i, e in enumerate(entry):
+            if not isinstance(e, (str, dict)):
+                raise ConfigInvalid(
+                    f"drivers[{i}] must be a preset name or an object, "
+                    f"got {e!r}")
         return tuple(e if isinstance(e, str) else dict(e) for e in entry)
     raise ConfigInvalid("drivers must be a name, a recipe list or a replay")
 

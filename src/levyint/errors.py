@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config number check."""
 
 
 class LevyintError(Exception):
@@ -55,6 +55,13 @@ class ConfigNotFound(LevyintError):
 
 class ConfigInvalid(LevyintError):
     """The configuration is malformed; the message names the offending key."""
+
+
+def expect_number(value, where: str) -> float:
+    """A config value as a float, or a ConfigInvalid naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 class UnknownCheck(LevyintError):

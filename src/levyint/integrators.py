@@ -7,17 +7,16 @@ built into the sampling rule.  ``sample_side="right"`` flips that rule;
 it exists only as an injectable fault for the verification harness and
 must never be used for real computations.
 
-Layers:
+Layers (the maps are those of :mod:`levyint.spaces`):
 
 * H-valued integrand against one real driver component.
 * Sequence-of-H integrand against the whole driver family, summed over
-  components in fixed ascending order (a permuted order is available to
-  test that the sum is insensitive to rearrangement).
-* The same, addressed through a spectrally assembled path: the path's
-  standard components are its driver, so this layer is a reindexing of
-  the previous one.
-* Hilbert-Schmidt integrand against an assembled path: unrolled into the
-  sequence picture and summed, or returned term by term.
+  components in fixed ascending order.
+* The projected route: the same, against the standard components that
+  Phi_lambda projects out of an assembled U-valued path.
+* Hilbert-Schmidt integrand against an assembled path: Psi_lambda turns
+  its values into sequences of columns, summed or returned term by term.
+  A bounded operator on U is restricted to Hilbert-Schmidt form first.
 
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
 (and its per-component form :func:`integrate_terms`); the squared-norm
@@ -39,7 +38,8 @@ from .errors import (
     IndexOutOfRange,
     SpecMismatch,
 )
-from .processes import LevyPath, SamplePath, TimeGrid
+from .processes import LevyPath, SamplePath, TimeGrid, project_standard
+from .spaces import psi_lambda_apply
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class SimpleIntegrand:
     """Piecewise-constant integrand with declared breakpoints.
 
     ``values[i]`` is the value on the half-open interval
-    (breakpoints[i], breakpoints[i+1]]; ``initial`` is the value at time
-    zero, which never enters an integral.  Values may be H vectors,
+    (breakpoints[i], breakpoints[i+1]]; the value at time zero never
+    enters an integral.  Values may be H vectors,
     sequences of H vectors, or Hilbert-Schmidt operators; randomized
     values must be built from path data available at the left breakpoint,
     which is the caller's adaptedness obligation.
@@ -56,7 +56,6 @@ class SimpleIntegrand:
 
     breakpoints: np.ndarray          # (n+1,), 0 = b_0 < ... < b_n = horizon
     values: np.ndarray               # (n, ...) value per interval
-    initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
@@ -142,24 +141,21 @@ def _running_sum(cell_increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_cells(vals: np.ndarray, increments: np.ndarray,
-                    order=None) -> np.ndarray:
+def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """The integration kernel: running left-point integral at every node.
 
     ``vals`` holds per-cell sequence values (..., n_cells, n_components,
     dim_h) and ``increments`` the matching driver increments (...,
     n_components, n_cells); leading axes, if any, are batch axes.  Cell
     contributions are summed over components one at a time in ascending
-    index order (``order`` overrides it) and then accumulated over cells,
-    giving (..., n_nodes, dim_h) with a zero first node.
+    index order and then accumulated over cells, giving (..., n_nodes,
+    dim_h) with a zero first node.
     """
     shape = vals.shape
     out = np.zeros(shape[:-3] + (shape[-3] + 1, shape[-1]))
     acc = out[..., 1:, :]
-    first, *rest = range(increments.shape[-2]) if order is None else order
-    np.multiply(vals[..., :, first, :], increments[..., first, :, None],
-                out=acc)
-    for j in rest:
+    np.multiply(vals[..., :, 0, :], increments[..., 0, :, None], out=acc)
+    for j in range(1, increments.shape[-2]):
         acc += vals[..., :, j, :] * increments[..., j, :, None]
     np.cumsum(acc, axis=-2, out=acc)
     return out
@@ -245,61 +241,53 @@ def ito_h(integrand, path: SamplePath, component: int, *,
     return IntegralPath(path.grid, _running_sum(scalar_increments @ basis.T))
 
 
-def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left",
-            order=None) -> IntegralPath:
+def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left"
+            ) -> IntegralPath:
     """Integrate a sequence-of-H integrand against the driver family.
 
-    Components are accumulated one at a time in ascending index order;
-    ``order`` overrides that order (used to confirm the result does not
-    depend on it).
+    Components are accumulated one at a time in ascending index order.
     """
     vals = cell_values(integrand, path, sample_side)
     if vals.ndim != 3 or vals.shape[1] != path.n_components:
         raise DimensionMismatch(
             f"sequence integrand has shape {vals.shape}, need "
             f"(cells, {path.n_components}, dim_h)")
-    return IntegralPath(path.grid,
-                        integrate_cells(vals, path.increments, order))
+    return IntegralPath(path.grid, integrate_cells(vals, path.increments))
 
 
-def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left",
-                 order=None) -> IntegralPath:
+def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left"
+                 ) -> IntegralPath:
     """Integrate a sequence-of-H integrand against an assembled path.
 
-    The standard components of the assembled path are its stored driver,
-    so this is the previous layer addressed through the spectral
-    representation; with the identity eigenbasis the two are the same
-    computation bit for bit.
+    :func:`ito_seq` on the standard components that Phi_lambda projects
+    out of the path (:func:`project_standard`).
     """
-    return ito_seq(integrand, path.driver, sample_side=sample_side, order=order)
+    standard = SamplePath(path.grid, project_standard(path))
+    return ito_seq(integrand, standard, sample_side=sample_side)
 
 
-def unroll_operator_cells(vals: np.ndarray, n_modes: int,
-                          lead: int = 0) -> np.ndarray:
-    """Operator cell values (..., n_cells, dim_h, n_modes) as sequences.
-
-    Column j of each weighted-column operator becomes sequence entry j, so
-    the result (..., n_cells, n_modes, dim_h) feeds :func:`integrate_cells`.
-    """
-    if vals.ndim != 3 + lead or vals.shape[-1] != n_modes:
+def _operator_cells(integrand, path: LevyPath, sample_side: str
+                    ) -> np.ndarray:
+    """Hilbert-Schmidt cell values as sequences, through Psi_lambda."""
+    vals = cell_values(integrand, path.driver, sample_side)
+    if vals.ndim != 3:
         raise SpecMismatch(
             f"operator integrand has shape {vals.shape}, need "
-            f"(cells, dim_h, {n_modes})")
-    return np.swapaxes(vals, -1, -2)
+            f"(cells, dim_h, {path.spec.n_modes})")
+    return psi_lambda_apply(path.spec, vals)
 
 
-def ito_general(integrand, path: LevyPath, *, sample_side: str = "left",
-                order=None) -> IntegralPath:
+def ito_general(integrand, path: LevyPath, *, sample_side: str = "left"
+                ) -> IntegralPath:
     """Integrate a Hilbert-Schmidt integrand against an assembled path.
 
     Cell values are (dim_h, n_modes) operators in the weighted-column
-    convention of :mod:`levyint.spaces`; unrolling their columns gives the
+    convention of :mod:`levyint.spaces`; Psi_lambda turns them into the
     sequence picture, which is then integrated component by component.
     """
-    vals = cell_values(integrand, path.driver, sample_side)
-    seq_vals = unroll_operator_cells(vals, path.spec.n_modes)
+    seq_vals = _operator_cells(integrand, path, sample_side)
     return IntegralPath(path.grid, integrate_cells(
-        seq_vals, path.driver.increments, order))
+        seq_vals, path.driver.increments))
 
 
 def series_terms(integrand, path: LevyPath, *, sample_side: str = "left"
@@ -310,8 +298,7 @@ def series_terms(integrand, path: LevyPath, *, sample_side: str = "left"
     j; the terms are pairwise orthogonal in mean square, which the
     harness verifies.
     """
-    vals = cell_values(integrand, path.driver, sample_side)
-    seq_vals = unroll_operator_cells(vals, path.spec.n_modes)
+    seq_vals = _operator_cells(integrand, path, sample_side)
     terms = integrate_terms(seq_vals, path.driver.increments)
     return [IntegralPath(path.grid, term) for term in terms]
 
@@ -347,13 +334,11 @@ def covariation_integral(x_integrand, y_integrand, path: SamplePath,
     return BracketPath(path.grid, values)
 
 
-def quadrature_sq_norm(integrand, path: SamplePath, *,
-                       axis_shape: str = "vector") -> float:
+def quadrature_sq_norm(integrand, path: SamplePath) -> float:
     """Left-point quadrature of the squared integrand norm against time.
 
-    ``axis_shape`` names the value layout: "vector" for H values,
-    "seq" for sequences of H vectors, "operator" for Hilbert-Schmidt
-    values; all reduce to a sum of squares per cell.
+    H vectors, sequences of H vectors and Hilbert-Schmidt values all
+    reduce to a sum of squares per cell.
     """
     vals = cell_values(integrand, path, "left")
     return float(time_quadrature(vals, vals, path.grid.dt))

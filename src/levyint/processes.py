@@ -19,6 +19,13 @@ Grids store node times and a per-node kind flag (scheduled or jump).
 Paths store per-component increments over grid cells; cumulative values
 carry a leading zero column so index k is the value at node k.
 
+Assembled paths
+---------------
+A :class:`LevyPath` stores a U-valued path through its standard
+components, the driver.  Its reference coordinates are their image under
+Phi_lambda^-1, and :func:`project_standard` takes the path back through
+Phi_lambda (both maps from :mod:`levyint.spaces`).
+
 Blocks
 ------
 :meth:`PathSampler.sample_block` samples several paths at once into a
@@ -40,14 +47,16 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     GridMismatch,
     IndexOutOfRange,
     NonNormalizable,
     SpecMismatch,
     ZeroJumpSize,
+    expect_number,
 )
-from .spaces import CovarianceSpec
+from .spaces import CovarianceSpec, phi_lambda_apply, phi_lambda_invert
 
 SCHEDULED = 0
 JUMP = 1
@@ -84,7 +93,11 @@ class StandardLevySpec:
 
 def _normalize_spec(sigma: float, jumps) -> StandardLevySpec:
     """Rescale jump intensities so the variance rate is exactly one."""
-    jumps = [(float(a), float(nu)) for a, nu in jumps]
+    try:
+        jumps = [(float(a), float(nu)) for a, nu in jumps]
+    except (TypeError, ValueError):
+        raise ConfigInvalid("drivers entry key 'jumps' must be a list of "
+                            "[size, intensity] number pairs")
     for a, _ in jumps:
         if a == 0.0:
             raise ZeroJumpSize("jump sizes must be nonzero")
@@ -108,6 +121,11 @@ def _normalize_spec(sigma: float, jumps) -> StandardLevySpec:
         jumps=tuple((a, nu * scale) for a, nu in jumps))
 
 
+def _entry_number(entry: dict, key: str, default=None) -> float:
+    return expect_number(entry.get(key, default),
+                         f"drivers entry {entry!r} key {key!r}")
+
+
 def spec_from_preset(entry) -> StandardLevySpec:
     """Build one normalized component spec from a preset description.
 
@@ -126,13 +144,13 @@ def spec_from_preset(entry) -> StandardLevySpec:
         if preset == "brownian":
             return StandardLevySpec(sigma=1.0)
         if preset == "poisson":
-            a = float(entry["a"])
+            a = _entry_number(entry, "a")
             if a == 0.0:
                 raise ZeroJumpSize("jump sizes must be nonzero")
             return StandardLevySpec(sigma=0.0, jumps=((a, 1.0 / (a * a)),))
         if preset == "mixed":
-            sigma = float(entry["sigma"])
-            a = float(entry["a"])
+            sigma = _entry_number(entry, "sigma")
+            a = _entry_number(entry, "a")
             if not 0 <= sigma < 1:
                 raise NonNormalizable("mixed preset needs 0 <= sigma < 1")
             if a == 0.0:
@@ -140,7 +158,8 @@ def spec_from_preset(entry) -> StandardLevySpec:
             return StandardLevySpec(
                 sigma=sigma, jumps=((a, (1.0 - sigma * sigma) / (a * a)),))
         raise NonNormalizable(f"unknown driver preset {preset!r}")
-    return _normalize_spec(float(entry.get("sigma", 0.0)), entry.get("jumps", ()))
+    return _normalize_spec(_entry_number(entry, "sigma", 0.0),
+                           entry.get("jumps", ()))
 
 
 def make_standard_specs(n: int, recipe) -> tuple:
@@ -172,10 +191,6 @@ class TimeGrid:
     @property
     def n_nodes(self) -> int:
         return self.times.shape[-1]
-
-    @property
-    def n_cells(self) -> int:
-        return self.times.shape[-1] - 1
 
     @property
     def horizon(self) -> float:
@@ -232,9 +247,6 @@ class SamplePath:
     @cached_property
     def cumulative(self) -> np.ndarray:
         return _cumulate(self.increments)
-
-    def terminal(self) -> np.ndarray:
-        return self.cumulative[:, -1].copy()
 
 
 @dataclass
@@ -318,10 +330,6 @@ class PathSampler:
         object.__setattr__(self, "_base_times", base)
         object.__setattr__(self, "_opener", _rng.StreamOpener())
         object.__setattr__(self, "specs", tuple(self.specs))
-
-    @property
-    def n_components(self) -> int:
-        return len(self.specs)
 
     def sample(self, seed: int, path_index: int) -> SamplePath:
         return self.sample_block(seed, (path_index,)).path(0)
@@ -424,26 +432,22 @@ class PathSampler:
         return PathBlock(grid, inc, n_nodes, tuple(jumps))
 
 
-def simulate_paths(specs, horizon: float, n_scheduled: int, seed: int,
-                   path_index: int, extra_times=()) -> SamplePath:
-    """One driver path addressed by (seed, path_index); see PathSampler."""
-    sampler = PathSampler(tuple(specs), float(horizon), int(n_scheduled),
-                          tuple(extra_times))
-    return sampler.sample(seed, path_index)
-
-
 def replay_path(times, increments, kinds=None) -> SamplePath:
     """Rebuild a driver path from recorded node times and increments.
 
     Accepts kind flags as ints or the names in KIND_NAMES; without them
     every node counts as scheduled.  Replayed paths carry no jump log.
     """
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+        increments = np.atleast_2d(np.asarray(increments, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise GridMismatch(f"replay times and increments must be numbers "
+                           f"({exc})")
     if times.ndim != 1 or times.size < 2:
         raise GridMismatch("replay needs at least two node times")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+    if times[0] != 0.0 or not np.all(np.diff(times) > 0):
         raise GridMismatch("replay times must increase strictly from 0")
-    increments = np.atleast_2d(np.asarray(increments, dtype=float))
     if increments.shape[1] != times.size - 1:
         raise GridMismatch(
             f"replay increments have {increments.shape[1]} cells for "
@@ -461,13 +465,12 @@ def replay_path(times, increments, kinds=None) -> SamplePath:
 
 @dataclass
 class LevyPath:
-    """A spectrally assembled path with values in U.
+    """A spectrally assembled path with values in U, or a block of them.
 
-    The path is stored implicitly: driver component j scaled by
-    ``sqrt(eigenvalues[j])`` rides the j-th unit eigenvector.  The driver
-    therefore IS the family of standard components of the path, which the
-    integral layers consume directly; :func:`project_standard` recovers
-    them from the assembled values as a consistency check.
+    The path is stored through its standard components, the driver (a
+    :class:`SamplePath` or a :class:`PathBlock`): component j scaled by
+    ``sqrt(eigenvalues[j])`` rides the j-th unit eigenvector, which is
+    Phi_lambda^-1; :func:`project_standard` goes back through Phi_lambda.
     """
 
     spec: CovarianceSpec
@@ -486,13 +489,7 @@ class LevyPath:
     @cached_property
     def coords(self) -> np.ndarray:
         """Reference coordinates in U at every node, shape (dim_u, n_nodes)."""
-        weighted = self.spec.sqrt_eigenvalues[:, None] * self.driver.cumulative
-        if self.spec.identity_basis:
-            return weighted
-        return self.spec.eigenbasis @ weighted
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.coords[:, self.grid.node_at(t)].copy()
+        return phi_lambda_invert(self.spec, self.driver.cumulative)
 
 
 def assemble_levy(spec: CovarianceSpec, driver: SamplePath) -> LevyPath:
@@ -500,20 +497,16 @@ def assemble_levy(spec: CovarianceSpec, driver: SamplePath) -> LevyPath:
     return LevyPath(spec, driver)
 
 
-def project_standard(path: LevyPath, j: int) -> np.ndarray:
-    """Recover standard component j from the assembled values.
+def project_standard(path: LevyPath) -> np.ndarray:
+    """Increments of all standard components of an assembled path or block.
 
-    Projects the path onto the j-th unit eigenvector and divides by
-    ``sqrt(eigenvalues[j])``.  With the identity basis no transport is
-    needed and the stored driver values are returned as-is, bit for bit.
+    Phi_lambda of its reference-coordinate increments; with the identity
+    basis, the stored driver increments themselves.
     """
-    if not 0 <= j < path.spec.n_modes:
-        raise IndexOutOfRange(
-            f"component {j} outside range(0, {path.spec.n_modes})")
     if path.spec.identity_basis:
-        return path.driver.cumulative[j].copy()
-    proj = path.spec.eigenbasis[:, j] @ path.coords
-    return proj / path.spec.sqrt_eigenvalues[j]
+        return path.driver.increments
+    return phi_lambda_apply(path.spec, phi_lambda_invert(
+        path.spec, path.driver.increments))
 
 
 def coordinate_view(path: LevyPath) -> SamplePath:
@@ -523,60 +516,8 @@ def coordinate_view(path: LevyPath) -> SamplePath:
     integrand evaluators can consume the observable path itself rather
     than a specific spectral decomposition of it.
     """
-    weighted = path.spec.sqrt_eigenvalues[:, None] * path.driver.increments
-    if path.spec.identity_basis:
-        inc = weighted
-    else:
-        inc = path.spec.eigenbasis @ weighted
-    return SamplePath(path.grid, inc, ())
-
-
-@dataclass(frozen=True)
-class EstimateSE:
-    estimate: float
-    se: float
-
-
-def empirical_covariance(spec: CovarianceSpec, sampler: PathSampler,
-                         u1, u2, t: float, s: float,
-                         n_paths: int, seed: int) -> EstimateSE:
-    """Monte Carlo estimate of E[<L_t, u1> <L_s, u2>].
-
-    For a path assembled under ``spec`` the analytic value is
-    ``min(t, s) * <Q u1, u2>``; the estimate and its standard error let
-    callers verify that identity at chosen times and directions.
-    """
-    if n_paths < 2:
-        raise DimensionMismatch("need at least 2 paths for a standard error")
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if u1.shape != (spec.dim_u,) or u2.shape != (spec.dim_u,):
-        raise DimensionMismatch(f"probe vectors must have length {spec.dim_u}")
-    if sampler.n_components != spec.n_modes:
-        raise SpecMismatch("sampler component count differs from spec modes")
-    # ride the projections through the spectral representation once
-    w1 = (spec.eigenbasis.T @ u1) * spec.sqrt_eigenvalues
-    w2 = (spec.eigenbasis.T @ u2) * spec.sqrt_eigenvalues
-    total = 0.0
-    totsq = 0.0
-    for p in range(n_paths):
-        path = sampler.sample(seed, p)
-        cum = path.cumulative
-        it = path.grid.node_at(t)
-        js = path.grid.node_at(s)
-        z = float((w1 @ cum[:, it]) * (w2 @ cum[:, js]))
-        total += z
-        totsq += z * z
-    mean = total / n_paths
-    var = max(totsq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)
-    return EstimateSE(mean, float(np.sqrt(var / n_paths)))
-
-
-def covariance_of_transport(iso_coord_map: np.ndarray,
-                            source: CovarianceSpec) -> np.ndarray:
-    """Covariance matrix of a transported path in target coordinates."""
-    lam = np.diag(source.eigenvalues)
-    return iso_coord_map @ lam @ iso_coord_map.T
+    return SamplePath(path.grid,
+                      phi_lambda_invert(path.spec, path.driver.increments), ())
 
 
 def transport_levy(path: LevyPath, iso) -> LevyPath:
@@ -591,7 +532,7 @@ def transport_levy(path: LevyPath, iso) -> LevyPath:
         raise SpecMismatch("isometry source does not match the path spec")
     cmap = iso.coord_map
     inc = cmap @ path.driver.increments
-    source = path.driver.jumps
+    source = path.driver.jumps or ((),) * cmap.shape[1]   # replays: none
     jumps = tuple(
         tuple((cmap[k, j] * size, times)
               for j in np.flatnonzero(cmap[k] != 0.0)

@@ -30,10 +30,10 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from . import rng as _rng
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, expect_number
 from .integrators import GridIntegrand, SimpleIntegrand
 from .processes import PathSampler, make_standard_specs
-from .spaces import CovarianceSpec, make_covariance
+from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
 
 CARRIERS = ("hvector", "seqh", "operator")
 FAULTS = ("right_point", "nonorthogonal_basis")
@@ -62,21 +62,20 @@ class CovarianceConfig:
         ev = self.eigenvalues
         if isinstance(ev, dict):
             kind = ev.get("kind")
-            count = int(ev.get("n_modes", n_modes))
-            c = float(ev.get("c", 1.0))
-            js = np.arange(1, count + 1, dtype=float)
+            c = expect_number(ev.get("c", 1.0), "covariance.eigenvalues.c")
+            js = np.arange(1, n_modes + 1, dtype=float)
             if kind == "power":
-                p = float(ev["p"])
+                p = expect_number(ev.get("p"), "covariance.eigenvalues.p")
                 if p <= 1:
                     raise ConfigInvalid("covariance.eigenvalues.p must exceed 1")
                 lam = c * js ** (-p)
-                tail = c * float(_hurwitz_zeta(p, count + 1))
+                tail = c * float(_hurwitz_zeta(p, n_modes + 1))
             elif kind == "geometric":
-                r = float(ev["r"])
+                r = expect_number(ev.get("r"), "covariance.eigenvalues.r")
                 if not 0 < r < 1:
                     raise ConfigInvalid("covariance.eigenvalues.r must lie in (0, 1)")
                 lam = c * r ** js
-                tail = c * r ** (count + 1) / (1.0 - r)
+                tail = c * r ** (n_modes + 1) / (1.0 - r)
             else:
                 raise ConfigInvalid(
                     f"covariance.eigenvalues.kind {kind!r} not one of power, geometric")
@@ -153,14 +152,8 @@ def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     return CovarianceSpec(spec.eigenvalues, basis, spec.tail_mass)
 
 
-def resolve_drivers(scenario: ScenarioConfig) -> tuple:
-    return make_standard_specs(scenario.n_modes, scenario.drivers)
-
-
-def make_sampler(scenario: ScenarioConfig, extra_times=(),
-                 n_components: Optional[int] = None) -> PathSampler:
-    n = scenario.n_modes if n_components is None else n_components
-    specs = make_standard_specs(n, scenario.drivers)
+def make_sampler(scenario: ScenarioConfig, extra_times=()) -> PathSampler:
+    specs = make_standard_specs(scenario.n_modes, scenario.drivers)
     return PathSampler(specs, scenario.horizon, scenario.n_scheduled,
                        tuple(extra_times))
 
@@ -230,27 +223,20 @@ def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
     return GridIntegrand(partial(fn, c0=c0, c1=c1))
 
 
-def _eval_restricted(path, raw_eval, basis, sqrt_lam) -> np.ndarray:
-    raw = raw_eval(path)
-    if basis is None:
-        return raw * sqrt_lam
-    out = np.einsum("...du,uj->...dj", raw, basis)
-    out *= sqrt_lam
-    return out
+def _eval_restricted(path, raw_eval, spec: CovarianceSpec) -> np.ndarray:
+    return restrict_bounded_operator(spec, raw_eval(path))
 
 
 def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegrand:
     """Turn a reference-coordinate operator integrand into Hilbert-Schmidt form.
 
     The raw evaluator emits (dim_h, dim_u) matrices acting on reference
-    coordinates of U.  Composing with the eigenbasis and scaling column j
-    by sqrt(eigenvalues[j]) yields the weighted-column form the integral
-    layers consume.  Faithful to how a bounded operator is restricted to
-    the variance-carrying subspace.
+    coordinates of U; every node value goes through the restriction of
+    :func:`levyint.spaces.restrict_bounded_operator`, which yields the
+    weighted-column form the integral layers consume.
     """
-    basis = None if spec.identity_basis else spec.eigenbasis
     return GridIntegrand(partial(_eval_restricted, raw_eval=raw.evaluator,
-                                 basis=basis, sqrt_lam=spec.sqrt_eigenvalues))
+                                 spec=spec))
 
 
 def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,

@@ -10,17 +10,31 @@ Conventions used throughout the package:
 * H vectors: ``(dim_h,)`` arrays; the H norm is the Euclidean norm.
 * U vectors: ``(dim_u,)`` arrays in the reference basis of U.
 * ``CovarianceSpec`` holds the spectral data of the covariance operator
-  on U.  Column ``j`` of ``eigenbasis`` holds the reference coordinates
-  of the unit eigenvector belonging to ``eigenvalues[j]``.
-* Weighted sequences (the coordinate picture of U after the spectral
-  isometry): coordinate vectors ``v`` with inner product
-  ``sum_j eigenvalues[j] * v[j] * w[j]``.
+  Q on U.  Column ``j`` of ``eigenbasis`` holds the reference coordinates
+  of the unit eigenvector e_j belonging to ``eigenvalues[j]`` (lambda_j).
+* Weighted sequences (the space l2_lambda): coordinate vectors ``v``
+  with inner product ``sum_j eigenvalues[j] * v[j] * w[j]``.
 * Sequences of H vectors: ``(n_modes, dim_h)`` arrays, row ``j`` an H
   vector; the squared norm is the sum of squared row norms.
 * Hilbert-Schmidt operators: ``(dim_h, n_modes)`` arrays whose column
   ``j`` is the image of the j-th weighted basis direction, i.e.
   ``sqrt(eigenvalues[j])`` times the unit eigenvector.  The squared
   Hilbert-Schmidt norm is then the squared Frobenius norm.
+
+The maps of the construction live here and nowhere else:
+
+* Phi_lambda (analysis) takes U to l2_lambda, u -> (<u, e_j> /
+  sqrt(lambda_j))_j; a path's standard components are its image.
+* Phi_lambda^-1 (synthesis) scales entry j by sqrt(lambda_j) and applies
+  the eigenbasis; it assembles the U-valued path from its components.
+* The restriction makes a bounded operator on U Hilbert-Schmidt: the
+  operator times the eigenbasis, column j scaled by sqrt(lambda_j).
+* Psi_lambda turns a Hilbert-Schmidt operator into its sequence of
+  columns, which the series integral sums term by term.
+
+Phi_lambda and its inverse act on axis -2 (a path is one column per
+node), the restriction and Psi_lambda on the last two axes; leading axes
+are batch axes.  With the identity eigenbasis the maps skip the rotation.
 """
 from __future__ import annotations
 
@@ -50,21 +64,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpaceConfig:
-    """Dimensions of a finite truncation: dim(H), number of retained modes, horizon."""
-
-    dim_h: int
-    n_modes: int
-    horizon: float
-
-    def __post_init__(self):
-        if self.dim_h < 1 or self.n_modes < 1:
-            raise DimensionMismatch("dim_h and n_modes must be at least 1")
-        if not self.horizon > 0:
-            raise DimensionMismatch("horizon must be positive")
-
-
-@dataclass(frozen=True)
 class CovarianceSpec:
     """Spectral data of a trace-class covariance operator on U.
 
@@ -81,6 +80,8 @@ class CovarianceSpec:
     tail_mass: float = 0.0           # declared spectral mass beyond the truncation
     sqrt_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     identity_basis: bool = field(init=False, repr=False, compare=False)
+    n_modes: int = field(init=False, repr=False, compare=False)
+    dim_u: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = _freeze(self.eigenvalues)
@@ -97,22 +98,12 @@ class CovarianceSpec:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenbasis", basis)
         object.__setattr__(self, "sqrt_eigenvalues", _freeze(np.sqrt(lam)))
+        object.__setattr__(self, "n_modes", lam.size)
+        object.__setattr__(self, "dim_u", basis.shape[0])
         object.__setattr__(
             self, "identity_basis",
             basis.shape[0] == basis.shape[1]
             and np.array_equal(basis, np.eye(basis.shape[0])))
-
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def dim_u(self) -> int:
-        return self.eigenbasis.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(self.eigenvalues)) + self.tail_mass
 
     def gram_defect(self) -> float:
         g = self.eigenbasis.T @ self.eigenbasis
@@ -151,8 +142,6 @@ def make_covariance(eigenvalues, eigenbasis="identity", tail_mass: float = 0.0
     uniformly random orthogonal matrix drawn from the seeded basis stream.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise DimensionMismatch("eigenvalues must be a nonempty vector")
     if isinstance(eigenbasis, str):
         if eigenbasis != "identity":
             raise DimensionMismatch(f"unknown eigenbasis directive {eigenbasis!r}")
@@ -172,95 +161,46 @@ def make_covariance(eigenvalues, eigenbasis="identity", tail_mass: float = 0.0
     return spec
 
 
-@dataclass(frozen=True)
-class WeightedSeq:
-    """Coordinates in the weighted sequence space attached to an eigenvalue list."""
-
-    coords: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        c = _freeze(self.coords)
-        w = _freeze(self.weights)
-        if c.shape != w.shape or c.ndim != 1:
-            raise DimensionMismatch("coords and weights must be vectors of equal length")
-        object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "weights", w)
-
-    def inner(self, other: "WeightedSeq") -> float:
-        if not np.array_equal(self.weights, other.weights):
-            raise SpecMismatch("weighted sequences carry different weights")
-        return float(np.sum(self.weights * self.coords * other.coords))
-
-    def sq_norm(self) -> float:
-        return float(np.sum(self.weights * self.coords * self.coords))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.sq_norm()))
+def phi_lambda_apply(spec: CovarianceSpec, u: np.ndarray) -> np.ndarray:
+    """Phi_lambda: U reference coordinates (..., dim_u, k) to l2_lambda."""
+    if u.ndim < 2 or u.shape[-2] != spec.dim_u:
+        raise DimensionMismatch(
+            f"expected {spec.dim_u} U coordinates on axis -2, got {u.shape}")
+    coords = u if spec.identity_basis else spec.eigenbasis.T @ u
+    return coords / spec.sqrt_eigenvalues[:, None]
 
 
-def phi_lambda_apply(spec: CovarianceSpec, u) -> WeightedSeq:
-    """Coordinates of a U vector in the weighted sequence picture.
-
-    Entry j is the eigenbasis coordinate of ``u`` divided by
-    ``sqrt(eigenvalues[j])``; the map preserves norms.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (spec.dim_u,):
-        raise DimensionMismatch(f"expected U vector of length {spec.dim_u}")
-    if spec.identity_basis:
-        coords = u / spec.sqrt_eigenvalues
-    else:
-        coords = (spec.eigenbasis.T @ u) / spec.sqrt_eigenvalues
-    return WeightedSeq(coords, spec.eigenvalues)
-
-
-def phi_lambda_invert(spec: CovarianceSpec, w: WeightedSeq) -> np.ndarray:
-    """Back to U reference coordinates; inverse of :func:`phi_lambda_apply`."""
-    if w.coords.size != spec.n_modes:
-        raise DimensionMismatch("coordinate length does not match the mode count")
-    scaled = spec.sqrt_eigenvalues * w.coords
+def phi_lambda_invert(spec: CovarianceSpec, w: np.ndarray) -> np.ndarray:
+    """Phi_lambda^-1: l2_lambda coordinates (..., n_modes, k) to U."""
+    if w.ndim < 2 or w.shape[-2] != spec.n_modes:
+        raise DimensionMismatch(
+            f"expected {spec.n_modes} modes on axis -2, got {w.shape}")
+    scaled = spec.sqrt_eigenvalues[:, None] * w
     return scaled if spec.identity_basis else spec.eigenbasis @ scaled
 
 
-def psi_lambda_apply(spec: CovarianceSpec, op: np.ndarray) -> np.ndarray:
-    """Unroll a Hilbert-Schmidt operator into its sequence of column images.
-
-    Row j of the result is the H image of the j-th weighted basis
-    direction; squared norms are preserved by construction.
-    """
-    op = np.asarray(op, dtype=float)
-    if op.ndim != 2 or op.shape[1] != spec.n_modes:
-        raise DimensionMismatch(
-            f"operator must have {spec.n_modes} columns, got {op.shape}")
-    return op.T.copy()
-
-
-def hs_norm(op: np.ndarray) -> float:
-    """Hilbert-Schmidt norm: root of the sum of squared column norms."""
-    op = np.asarray(op, dtype=float)
-    return float(np.sqrt(np.sum(op * op)))
-
-
-def seqh_norm(w: np.ndarray) -> float:
-    """Norm of a sequence of H vectors: root of the sum of squared row norms."""
-    w = np.asarray(w, dtype=float)
-    return float(np.sqrt(np.sum(w * w)))
-
-
 def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray:
-    """Restrict a bounded operator to the variance-carrying subspace.
+    """The restriction: operators (..., dim_h, dim_u) on U to Hilbert-Schmidt.
 
-    ``a`` is given in eigenvector coordinates: column j holds the H image
-    of the j-th unit eigenvector.  The restriction scales column j by
-    ``sqrt(eigenvalues[j])``, which makes the result Hilbert-Schmidt with
-    squared norm at most ``opnorm(a)**2 * sum(eigenvalues)``.
+    The result is (..., dim_h, n_modes) with squared norm at most
+    ``opnorm(a)**2 * sum(eigenvalues)``.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != spec.n_modes:
+    if a.ndim < 2 or a.shape[-1] != spec.dim_u:
         raise DimensionMismatch(
-            f"operator must have {spec.n_modes} columns, got {a.shape}")
-    return a * spec.sqrt_eigenvalues[None, :]
+            f"operator must have {spec.dim_u} columns, got {a.shape}")
+    if spec.identity_basis:
+        return a * spec.sqrt_eigenvalues
+    out = np.einsum("...du,uj->...dj", a, spec.eigenbasis)
+    out *= spec.sqrt_eigenvalues
+    return out
+
+
+def psi_lambda_apply(spec: CovarianceSpec, op: np.ndarray) -> np.ndarray:
+    """Psi_lambda: operators (..., dim_h, n_modes) to their columns, a view."""
+    if op.ndim < 2 or op.shape[-1] != spec.n_modes:
+        raise SpecMismatch(
+            f"operator must have {spec.n_modes} columns, got {op.shape}")
+    return op.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -276,24 +216,11 @@ class BasisIsometry:
     source_eigenvalues: np.ndarray
     target_eigenvalues: np.ndarray
     coord_map: np.ndarray            # (n, n) orthogonal, block-supported
-    kind: str = "composed"
 
     def __post_init__(self):
         object.__setattr__(self, "source_eigenvalues", _freeze(self.source_eigenvalues))
         object.__setattr__(self, "target_eigenvalues", _freeze(self.target_eigenvalues))
         object.__setattr__(self, "coord_map", _freeze(self.coord_map))
-
-    def apply_weighted(self, w: WeightedSeq) -> WeightedSeq:
-        if not np.array_equal(w.weights, self.source_eigenvalues):
-            raise SpecMismatch("sequence weights do not match the isometry source")
-        return WeightedSeq(self.coord_map @ w.coords, self.target_eigenvalues)
-
-    def apply_seqh(self, w: np.ndarray) -> np.ndarray:
-        """Companion map on sequences of H vectors: the same mixing, entrywise."""
-        w = np.asarray(w, dtype=float)
-        if w.shape[0] != self.coord_map.shape[1]:
-            raise DimensionMismatch("sequence length does not match the isometry")
-        return self.coord_map @ w
 
 
 def build_eigen_isometry(source: CovarianceSpec, target_eigenvalues,

@@ -214,7 +214,7 @@ def test_c07_bracket_normalization():
     sampler = make_sampler(ScenarioConfig(n_modes=3))
 
     def stat(p):
-        m = sampler.sample(BASE_SEED + 701, p).terminal()
+        m = sampler.sample(BASE_SEED + 701, p).cumulative[:, -1]
         return np.array([m[0] * m[0], m[1] * m[1], m[2] * m[2],
                          m[0] * m[1], m[0] * m[2], m[1] * m[2]])
 

@@ -176,6 +176,9 @@ def test_default_suite_layout():
         assert s.name in CHECKS
     routes = [s.options.get("route") for s in suite if s.name == "isometry2"]
     assert routes == ["seq", "l2lambda"]
+    # the projected route runs under a random eigenbasis
+    assert [s.scenario.covariance.basis for s in suite[1:3]] == [
+        "identity", {"seed": 7}]
 
 
 def test_suite_results_do_not_depend_on_parallelism():
@@ -275,6 +278,26 @@ def test_json_report_round_trip():
     assert rows[0]["pass"] is True
 
 
+def test_json_report_writes_non_finite_values_as_null():
+    def reject(token):
+        raise ValueError(f"bare {token} in a JSON report")
+
+    rows = [Report("alpha", float("nan"), 0.0, 0.0, float("nan"), False, 4, 7),
+            Report("beta", 1.0 / 3.0, float("inf"), 0.0, float("-inf"), False,
+                   4, 8, truncation_bound=float("nan"))]
+    parsed = json.loads(reports_to_json(rows), parse_constant=reject)
+    assert [parsed[0]["lhs"], parsed[0]["margin"]] == [None, None]
+    assert parsed[1]["lhs"] == 1.0 / 3.0
+    assert [parsed[1]["rhs"], parsed[1]["margin"],
+            parsed[1]["truncationBound"]] == [None, None, None]
+    # the CSV report keeps the repr of every value
+    assert reports_to_csv(rows).split("\n")[1].split(",")[1:5] == [
+        "nan", "0.0", "0.0", "nan"]
+    finite = [Report("gamma", 0.1, 0.2, 0.3, 0.4, True, 4, 9)]
+    assert reports_to_json(finite) == json.dumps(
+        [report_to_dict(finite[0])], indent=2) + "\n"
+
+
 def test_csv_report_shape():
     rows = [
         Report("alpha", 1.0 / 3.0, 1.25, 0.1, 0.625, True, 100, 7),
@@ -359,7 +382,7 @@ def _reference_rows(spec, paths):
         if spec.name == "martingale":
             z = ito_seq(integrand, path, sample_side=side)
             lhs = list(z.terminal) + list(z.value_at(sc.horizon / 2)) \
-                + list(path.terminal())
+                + list(path.cumulative[:, -1])
             return lhs + [0.0] * len(lhs) + lhs
         if spec.name == "series_orthogonality":
             tv = [t.terminal for t in series_terms(restricted, levy,
@@ -443,7 +466,7 @@ def _covariance_rows(spec, paths):
     out = []
     for p in paths:
         levy = assemble_levy(resolve_covariance(sc), sampler.sample(spec.seed, p))
-        lhs = [(u1 @ levy.value_at(t)) * (u2 @ levy.value_at(s))
-               for u1, u2, t, s in cases]
+        at = {t: levy.coords[:, levy.grid.node_at(t)] for t in (0.25, 0.5, 1.0)}
+        lhs = [(u1 @ at[t]) * (u2 @ at[s]) for u1, u2, t, s in cases]
         out.append(lhs + target + [a - b for a, b in zip(lhs, target)])
     return np.array(out)

@@ -379,3 +379,79 @@ def test_parallelism_below_one_exits_2(tmp_path, value):
         main(["check", "--config", cfg, "--parallelism", value])
     assert exc.value.code == 2
     assert "--parallelism" in err.getvalue()
+
+
+def _replay_with_bad_time(tmp_path):
+    dump = tmp_path / "bad.csv"
+    dump.write_text("time,kind,comp1\n0.0,scheduled,0.0\nsoon,scheduled,1.0\n"
+                    "1.0,scheduled,2.0\n", encoding="utf-8")
+    return dict(BASE, drivers={"replay": str(dump)})
+
+
+def _edit(**changes):
+    return lambda tmp_path: dict(BASE, **changes)
+
+
+_POISSON_NO_SIZE = dict(BASE, space=dict(BASE["space"], J=2),
+                        covariance={"eigenvalues": [0.5, 0.25]},
+                        integrand=dict(BASE["integrand"], carrier="seqh"),
+                        drivers=["brownian", {"preset": "poisson"}])
+_LAW_NO_RATIO = dict(CHECK_BASE, covariance={
+    "eigenvalues": {"kind": "geometric", "c": 0.5}})
+
+
+@pytest.mark.parametrize("command, make, key", [
+    ("simulate", _edit(drivers=[3]), "drivers[0]"),
+    ("simulate", _edit(covariance={"eigenvalues": ["x"]}),
+     "covariance.eigenvalues"),
+    ("integrate", lambda tmp_path: _POISSON_NO_SIZE, "'a'"),
+    ("integrate", lambda tmp_path: _LAW_NO_RATIO, "covariance.eigenvalues.r"),
+    ("simulate", _edit(integrand=dict(BASE["integrand"], seed="x")),
+     "integrand.seed"),
+    ("simulate", _replay_with_bad_time, "time"),
+    ("simulate", _edit(drivers={"replay": {
+        "times": [0.0, float("nan"), 1.0],
+        "increments": [[0.5, 0.5]]}}), "times"),
+], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
+        "replay-csv-time", "replay-nan-time"])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
+    cfg = write_config(tmp_path, make(tmp_path))
+    code, err = run_cli_capturing(command, "--config", cfg,
+                                  "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_nan_integrand_report_is_valid_json(tmp_path):
+    payload = json.loads((CONFIG_DIR / "default.json").read_text())
+    payload["integrand"]["scale"] = float("nan")
+    payload["checks"] = ["basis_invariance", "simple_exact"]
+    payload["nExact"] = 2
+    out = tmp_path / "nan.json"
+    code = run_cli("check", "--config", write_config(tmp_path, payload),
+                   "--out", str(out))
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"bare {token} in a JSON report")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)
+    assert [r["lhs"] for r in rows] == [None, None]
+    assert all(r["pass"] is False for r in rows)
+
+
+@pytest.mark.parametrize("script", ["run_default_suite.py",
+                                    "run_negative_controls.py"])
+def test_scripts_reject_parallelism_below_one(script):
+    import os
+    import subprocess
+    import sys
+
+    root = CONFIG_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / script),
+                           "--parallelism", "0"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--parallelism" in done.stderr and "Traceback" not in done.stderr

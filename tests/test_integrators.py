@@ -25,7 +25,8 @@ from levyint.integrators import (
     quadrature_sq_norm,
     series_terms,
 )
-from levyint.processes import PathSampler, assemble_levy, make_standard_specs, replay_path
+from levyint.processes import (PathSampler, assemble_levy, make_standard_specs,
+                               project_standard, replay_path)
 from levyint.scenarios import (
     IntegrandConfig,
     ScenarioConfig,
@@ -167,6 +168,13 @@ def test_ito_seq_rejects_wrong_shapes():
         ito_seq(constant_integrand(np.ones((3, 2))), driver)
 
 
+def _permuted(integrand, path, perm):
+    """The integrand values and driver components of ``path`` reordered."""
+    node = integrand.evaluator(path)
+    moved = replay_path(path.grid.times, path.increments[perm])
+    return GridIntegrand(lambda p: node[:, perm]), moved
+
+
 def test_summation_order_does_not_matter():
     scenario = ScenarioConfig(
         integrand=IntegrandConfig(carrier="seqh", evaluator="driver_linear", seed=8))
@@ -174,11 +182,10 @@ def test_summation_order_does_not_matter():
     path = sampler.sample(6, 1)
     integrand = build_integrand(scenario)
     forward = ito_seq(integrand, path)
-    backward = ito_seq(integrand, path, order=range(scenario.n_modes - 1, -1, -1))
-    shuffled = ito_seq(integrand, path, order=[3, 0, 5, 1, 4, 2])
     ref = max(1.0, float(np.max(np.abs(forward.values))))
-    assert np.max(np.abs(backward.values - forward.values)) <= 1e-12 * ref
-    assert np.max(np.abs(shuffled.values - forward.values)) <= 1e-12 * ref
+    for perm in (list(range(scenario.n_modes - 1, -1, -1)), [3, 0, 5, 1, 4, 2]):
+        reordered = ito_seq(*_permuted(integrand, path, perm))
+        assert np.max(np.abs(reordered.values - forward.values)) <= 1e-12 * ref
 
 
 def test_l2lambda_layer_is_the_seq_layer_on_the_driver():
@@ -192,6 +199,20 @@ def test_l2lambda_layer_is_the_seq_layer_on_the_driver():
     through_path = ito_l2lambda(integrand, levy)
     direct = ito_seq(integrand, path)
     assert np.array_equal(through_path.values, direct.values)
+
+
+def test_l2lambda_layer_projects_through_a_random_basis():
+    scenario = ScenarioConfig(
+        integrand=IntegrandConfig(carrier="seqh", evaluator="driver_linear", seed=9))
+    path = make_sampler(scenario).sample(7, 2)
+    integrand = build_integrand(scenario)
+    lam, _ = scenario.covariance.resolve(scenario.n_modes)
+    levy = assemble_levy(make_covariance(lam, {"seed": 5}), path)
+    through_path = ito_l2lambda(integrand, levy).values
+    direct = ito_seq(integrand, path).values
+    assert project_standard(levy) is not path.increments   # a real projection
+    ref = max(1.0, float(np.max(np.abs(direct))))
+    assert np.max(np.abs(through_path - direct)) <= 1e-12 * ref
 
 
 def test_ito_general_worked_example():
@@ -213,9 +234,12 @@ def test_ito_general_order_and_shape_checks():
     spec = make_covariance((0.5, 0.25))
     driver = replay_path([0.0, 0.5, 1.0], [[0.6, 0.4], [1.5, 0.5]])
     levy = assemble_levy(spec, driver)
-    integrand = constant_integrand(np.array([[1.0, 3.0], [2.0, -1.0]]))
-    forward = ito_general(integrand, levy)
-    backward = ito_general(integrand, levy, order=[1, 0])
+    op = np.array([[1.0, 3.0], [2.0, -1.0]])
+    forward = ito_general(constant_integrand(op), levy)
+    # swapping the modes, the operator columns and the driver components
+    swapped = assemble_levy(make_covariance((0.25, 0.5)),
+                            replay_path([0.0, 0.5, 1.0], [[1.5, 0.5], [0.6, 0.4]]))
+    backward = ito_general(constant_integrand(op[:, ::-1]), swapped)
     assert np.max(np.abs(forward.values - backward.values)) <= 1e-12
     with pytest.raises(SpecMismatch):
         ito_general(constant_integrand(np.ones((2, 3))), levy)
@@ -232,7 +256,7 @@ def test_constant_operator_integral_telescopes():
     levy = assemble_levy(spec, driver)
     s = np.array([[1.0, 3.0], [0.5, -2.0]])
     z = ito_general(constant_integrand(s), levy)
-    oracle = s @ driver.terminal()
+    oracle = s @ driver.cumulative[:, -1]
     assert np.max(np.abs(z.terminal - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 

@@ -26,12 +26,9 @@ from levyint.processes import (
     TimeGrid,
     assemble_levy,
     coordinate_view,
-    covariance_of_transport,
-    empirical_covariance,
     make_standard_specs,
     project_standard,
     replay_path,
-    simulate_paths,
     spec_from_preset,
     transport_levy,
 )
@@ -139,7 +136,7 @@ def test_brownian_only_grid_is_the_scheduled_grid():
     assert path.jump_log == ((),)
     assert path.increments.shape == (1, 8)
     assert path.cumulative[0, 0] == 0.0
-    assert abs(path.terminal()[0] - path.increments[0].sum()) <= 1e-12
+    assert abs(path.cumulative[0, -1] - path.increments[0].sum()) <= 1e-12
 
 
 def test_sampling_is_deterministic_per_address():
@@ -153,8 +150,6 @@ def test_sampling_is_deterministic_per_address():
     p3 = sampler.sample(7, 4)
     assert not (p1.grid.times.size == p3.grid.times.size
                 and np.array_equal(p1.increments, p3.increments))
-    q = simulate_paths(specs, 1.0, 8, 7, 3)
-    assert np.array_equal(q.increments, p1.increments)
 
 
 def test_jump_grid_structure_and_compensation():
@@ -173,7 +168,7 @@ def test_jump_grid_structure_and_compensation():
         assert size == 0.5
     # compensated sum: a * N_T - a * nu * T
     n_jumps = len(log)
-    assert abs(path.terminal()[0] - (0.5 * n_jumps - 0.5 * 4.0 * 1.0)) <= 1e-10
+    assert abs(path.cumulative[0, -1] - (0.5 * n_jumps - 0.5 * 4.0 * 1.0)) <= 1e-10
     # the increments are exactly compensator plus logged jumps
     oracle = -0.5 * 4.0 * path.grid.dt
     for t, size in log:
@@ -196,7 +191,7 @@ def test_extra_times_join_the_grid():
 def test_node_lookup_semantics():
     grid = TimeGrid(np.array([0.0, 0.25, 0.5, 1.0]),
                     np.zeros(4, dtype=np.uint8))
-    assert grid.n_nodes == 4 and grid.n_cells == 3 and grid.horizon == 1.0
+    assert grid.n_nodes == 4 and grid.horizon == 1.0
     assert np.array_equal(grid.dt, np.array([0.25, 0.25, 0.5]))
     for k, t in enumerate(grid.times):
         assert grid.node_at(float(t)) == k
@@ -240,10 +235,10 @@ def test_assembled_path_coordinates_frozen_case():
     spec = make_covariance((0.5, 0.25))
     driver = replay_path([0.0, 0.5, 1.0], [[0.6, 0.4], [1.5, 0.5]])
     levy = assemble_levy(spec, driver)
-    half = levy.value_at(0.5)
+    half = levy.coords[:, levy.grid.node_at(0.5)]
     assert half[0] == math.sqrt(0.5) * 0.6
     assert half[1] == 0.75
-    end = levy.value_at(1.0)
+    end = levy.coords[:, -1]
     assert end[0] == math.sqrt(0.5)
     assert end[1] == 1.0
     with pytest.raises(DimensionMismatch):
@@ -254,12 +249,7 @@ def test_project_standard_identity_basis_is_bit_exact():
     spec = make_covariance((0.5, 0.25))
     driver = replay_path([0.0, 0.5, 1.0], [[0.6, 0.4], [1.5, 0.5]])
     levy = assemble_levy(spec, driver)
-    recovered = project_standard(levy, 1)
-    assert np.array_equal(recovered, driver.cumulative[1])
-    recovered[0] = 99.0              # the projection is a private copy
-    assert driver.cumulative[1][0] == 0.0
-    with pytest.raises(IndexOutOfRange):
-        project_standard(levy, 2)
+    assert np.array_equal(project_standard(levy), driver.increments)
 
 
 def test_project_standard_recovers_components_under_rotation():
@@ -267,9 +257,17 @@ def test_project_standard_recovers_components_under_rotation():
     sampler = PathSampler(make_standard_specs(2, ("brownian", MIXED)), 1.0, 8)
     driver = sampler.sample(2, 0)
     levy = assemble_levy(spec, driver)
-    for j in range(2):
-        dev = np.max(np.abs(project_standard(levy, j) - driver.cumulative[j]))
-        assert dev <= 1e-12
+    standard = project_standard(levy)
+    assert standard.shape == driver.increments.shape
+    assert np.max(np.abs(standard - driver.increments)) <= 1e-12
+    # a block projects row by row
+    block = sampler.sample_block(2, range(5))
+    rows = project_standard(assemble_levy(spec, block))
+    for i in range(5):
+        single = project_standard(assemble_levy(spec, sampler.sample(2, i)))
+        n = int(block.n_nodes[i]) - 1
+        assert np.max(np.abs(rows[i, :, :n] - single)) <= 1e-15
+        assert np.all(rows[i, :, n:] == 0.0)
     view = coordinate_view(levy)
     dev = np.max(np.abs(np.cumsum(view.increments, axis=1)
                         - levy.coords[:, 1:]))
@@ -289,36 +287,27 @@ def test_coordinate_view_identity_basis_is_exact():
 # second moments
 
 
-def test_empirical_covariance_validation():
-    spec = make_covariance((0.5, 0.25))
-    sampler = PathSampler(make_standard_specs(2, "brownian"), 1.0, 4)
-    with pytest.raises(DimensionMismatch):
-        empirical_covariance(spec, sampler, np.ones(2), np.ones(2), 1.0, 1.0, 1, 0)
-    with pytest.raises(DimensionMismatch):
-        empirical_covariance(spec, sampler, np.ones(3), np.ones(2), 1.0, 1.0, 4, 0)
-    other = PathSampler(make_standard_specs(3, "brownian"), 1.0, 4)
-    with pytest.raises(SpecMismatch):
-        empirical_covariance(spec, other, np.ones(2), np.ones(2), 1.0, 1.0, 4, 0)
-
-
 def test_empirical_covariance_unexcited_direction_is_exactly_zero():
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     spec = make_covariance((0.5, 0.25), basis)
     sampler = PathSampler(make_standard_specs(2, "brownian"), 1.0, 4)
-    est = empirical_covariance(spec, sampler, np.array([0.0, 0.0, 1.0]),
-                               np.array([1.0, 0.0, 0.0]), 1.0, 0.5, 16, 0)
-    assert est.estimate == 0.0 and est.se == 0.0
+    coords = assemble_levy(spec, sampler.sample_block(0, range(16))).coords
+    assert coords.shape == (16, 3, 5)
+    # the third reference direction carries no variance, so every product
+    # with it, and its empirical covariance with any probe, is zero
+    assert np.all(coords[:, 2] == 0.0)
 
 
 def test_empirical_covariance_matches_analytic_value():
     spec = make_covariance((1.0,))
     sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 4)
-    e0 = np.array([1.0])
-    est = empirical_covariance(spec, sampler, e0, e0, 1.0, 1.0, 4000, 21)
-    assert est.se > 0.0
-    assert abs(est.estimate - 1.0) <= 4.0 * est.se
-    at_zero = empirical_covariance(spec, sampler, e0, e0, 0.0, 1.0, 16, 21)
-    assert at_zero.estimate == 0.0 and at_zero.se == 0.0
+    coords = assemble_levy(spec, sampler.sample_block(21, range(4000))).coords
+    z = coords[:, 0, -1] * coords[:, 0, -1]
+    se = float(np.std(z, ddof=1)) / math.sqrt(z.size)
+    assert se > 0.0
+    # E[<L_1, e0>^2] = min(1, 1) <Q e0, e0> = 1; at time zero it is exactly 0
+    assert abs(float(np.mean(z)) - 1.0) <= 4.0 * se
+    assert np.all(coords[:, 0, 0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +326,6 @@ def test_transport_swaps_components_exactly():
     assert np.array_equal(moved.driver.increments, driver.increments[::-1])
     assert moved.driver.jump_log == (driver.jump_log[1], driver.jump_log[0])
     assert moved.spec.identity_basis
-    assert np.array_equal(covariance_of_transport(iso.coord_map, spec),
-                          np.diag([0.25, 0.25]))
 
 
 def test_transport_rejects_wrong_source():

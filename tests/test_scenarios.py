@@ -19,7 +19,6 @@ from levyint.scenarios import (
     build_simple_integrand,
     make_sampler,
     resolve_covariance,
-    resolve_drivers,
     restrict_integrand,
 )
 from levyint.spaces import make_covariance
@@ -105,8 +104,8 @@ def test_basis_fault_direction_matches_eps():
     assert broken.eigenbasis[1, 0] == BASIS_FAULT_EPS
 
 
-def test_resolve_drivers_cycles_presets():
-    specs = resolve_drivers(ScenarioConfig())
+def test_make_sampler_cycles_the_driver_recipe():
+    specs = make_sampler(ScenarioConfig()).specs
     assert len(specs) == 6
     assert specs[0].sigma == 1.0 and specs[0].jumps == ()
     assert specs[3].sigma == 1.0 and specs[3].jumps == ()
@@ -116,9 +115,10 @@ def test_resolve_drivers_cycles_presets():
 
 
 def test_make_sampler_honors_extras_and_component_override():
-    sc = ScenarioConfig(n_scheduled=8)
-    sampler = make_sampler(sc, extra_times=(0.33,), n_components=2)
-    assert sampler.n_components == 2
+    # the component count follows the scenario's J; override that
+    sc = ScenarioConfig(n_scheduled=8, n_modes=2)
+    sampler = make_sampler(sc, extra_times=(0.33,))
+    assert len(sampler.specs) == 2
     path = sampler.sample(3, 0)
     assert 0.33 in path.grid.times
 

@@ -19,18 +19,14 @@ from levyint.errors import (
 )
 from levyint.spaces import (
     CovarianceSpec,
-    SpaceConfig,
-    WeightedSeq,
     alternate_decomposition,
     build_eigen_isometry,
-    hs_norm,
     make_covariance,
     phi_lambda_apply,
     phi_lambda_invert,
     psi_lambda_apply,
     random_orthogonal,
     restrict_bounded_operator,
-    seqh_norm,
 )
 
 TWO_MODES = make_covariance((0.5, 0.25))
@@ -51,25 +47,12 @@ def gram_defect_fsum(q: np.ndarray) -> float:
 # construction and validation
 
 
-def test_space_config_validates_dimensions():
-    cfg = SpaceConfig(4, 6, 1.0)
-    assert (cfg.dim_h, cfg.n_modes, cfg.horizon) == (4, 6, 1.0)
-    with pytest.raises(DimensionMismatch):
-        SpaceConfig(0, 6, 1.0)
-    with pytest.raises(DimensionMismatch):
-        SpaceConfig(4, 0, 1.0)
-    with pytest.raises(DimensionMismatch):
-        SpaceConfig(4, 6, 0.0)
-
-
 def test_identity_covariance_fields():
     assert TWO_MODES.n_modes == 2
     assert TWO_MODES.dim_u == 2
     assert TWO_MODES.identity_basis
     assert np.array_equal(TWO_MODES.sqrt_eigenvalues,
                           np.sqrt(np.array([0.5, 0.25])))
-    assert TWO_MODES.trace == 0.75
-    assert make_covariance((0.5, 0.25), tail_mass=0.25).trace == 1.0
     assert TWO_MODES.gram_defect() == 0.0
 
 
@@ -119,9 +102,9 @@ def test_rectangular_basis_models_ambient_directions():
     spec = make_covariance((0.5, 0.25), basis)
     assert spec.dim_u == 3 and spec.n_modes == 2
     assert not spec.identity_basis
-    w = phi_lambda_apply(spec, (1.0, 2.0, 5.0))
+    w = phi_lambda_apply(spec, np.array([[1.0], [2.0], [5.0]]))
     # the third reference direction carries no variance and is dropped
-    assert abs(w.sq_norm() - 5.0) <= 1e-12
+    assert abs(float(spec.eigenvalues @ w[:, 0] ** 2) - 5.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +132,21 @@ def test_random_orthogonal_is_deterministic():
 
 
 def test_weighted_coordinates_frozen_case():
-    w = phi_lambda_apply(TWO_MODES, (1.0, 2.0))
-    assert w.coords[0] == 1.0 / math.sqrt(0.5)
-    assert w.coords[1] == 4.0
-    assert w.sq_norm() == 5.0
+    w = phi_lambda_apply(TWO_MODES, np.array([[1.0], [2.0]]))
+    assert w[0, 0] == 1.0 / math.sqrt(0.5)
+    assert w[1, 0] == 4.0
+    assert float(TWO_MODES.eigenvalues @ w[:, 0] ** 2) == 5.0
     back = phi_lambda_invert(TWO_MODES, w)
-    assert np.max(np.abs(back - np.array([1.0, 2.0]))) <= 1e-15
-
-
-def test_weighted_seq_validation():
-    with pytest.raises(DimensionMismatch):
-        WeightedSeq(np.array([1.0, 2.0]), np.array([0.5]))
-    a = WeightedSeq(np.array([1.0]), np.array([0.5]))
-    b = WeightedSeq(np.array([1.0]), np.array([0.25]))
-    with pytest.raises(SpecMismatch):
-        a.inner(b)
+    assert np.max(np.abs(back - np.array([[1.0], [2.0]]))) <= 1e-15
 
 
 def test_phi_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
-        phi_lambda_apply(TWO_MODES, (1.0, 2.0, 3.0))
+        phi_lambda_apply(TWO_MODES, np.ones((3, 1)))
     with pytest.raises(DimensionMismatch):
-        phi_lambda_invert(TWO_MODES, WeightedSeq(np.ones(3), np.ones(3)))
+        phi_lambda_apply(TWO_MODES, np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        phi_lambda_invert(TWO_MODES, np.ones((3, 1)))
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 6))
@@ -178,14 +154,32 @@ def test_phi_rejects_wrong_length():
 def test_weighted_picture_preserves_inner_products(seed, n):
     gen = rng.stream(seed, 0, 0, rng.CASE)
     spec = make_covariance(gen.uniform(0.05, 4.0, n), {"seed": seed})
-    u = gen.standard_normal(n)
-    v = gen.standard_normal(n)
-    uv = float(u @ v)
-    wu = phi_lambda_apply(spec, u)
-    wv = phi_lambda_apply(spec, v)
-    assert abs(wu.inner(wv) - uv) <= 1e-10 * max(1.0, abs(uv))
-    assert abs(wu.sq_norm() - float(u @ u)) <= 1e-10 * max(1.0, float(u @ u))
-    assert np.max(np.abs(phi_lambda_invert(spec, wu) - u)) <= 1e-10
+    u = gen.standard_normal((n, 2))        # two U vectors as columns
+    w = phi_lambda_apply(spec, u)
+    gram = u.T @ u
+    weighted = w.T @ (spec.eigenvalues[:, None] * w)
+    assert np.max(np.abs(weighted - gram)) <= 1e-10 * max(1.0, np.max(np.abs(gram)))
+    # Phi_lambda^-1 inverts Phi_lambda, and Phi_lambda inverts Phi_lambda^-1
+    assert np.max(np.abs(phi_lambda_invert(spec, w) - u)) <= 1e-10
+    assert np.max(np.abs(phi_lambda_apply(spec, phi_lambda_invert(spec, w))
+                         - w)) <= 1e-10 * max(1.0, np.max(np.abs(w)))
+
+
+def test_maps_take_leading_batch_axes():
+    spec = make_covariance((0.5, 0.25, 0.125), {"seed": 2})
+    gen = rng.stream(3, 0, 0, rng.CASE)
+    u = gen.standard_normal((4, 3, 5))
+    op = gen.standard_normal((4, 2, 3))
+    w = phi_lambda_apply(spec, u)
+    restricted = restrict_bounded_operator(spec, op)
+    for i in range(4):
+        assert np.array_equal(w[i], phi_lambda_apply(spec, u[i]))
+        assert np.array_equal(phi_lambda_invert(spec, w)[i],
+                              phi_lambda_invert(spec, w[i]))
+        assert np.allclose(restricted[i], restrict_bounded_operator(spec, op[i]),
+                           rtol=0.0, atol=1e-15)
+    assert np.array_equal(psi_lambda_apply(spec, restricted),
+                          np.swapaxes(restricted, 1, 2))
 
 
 def test_operator_unroll_preserves_norms():
@@ -194,8 +188,9 @@ def test_operator_unroll_preserves_norms():
     rows = psi_lambda_apply(TWO_MODES, op)
     assert rows.shape == (2, 3)
     assert np.array_equal(rows, op.T)
-    assert abs(hs_norm(op) - seqh_norm(rows)) <= 1e-12
-    with pytest.raises(DimensionMismatch):
+    assert abs(math.sqrt(np.sum(op * op))
+               - math.sqrt(np.sum(rows * rows))) <= 1e-12
+    with pytest.raises(SpecMismatch):
         psi_lambda_apply(TWO_MODES, np.ones((3, 4)))
 
 
@@ -204,24 +199,27 @@ def test_restrict_bounded_operator_frozen_case():
     s = restrict_bounded_operator(TWO_MODES, a)
     assert s[0, 0] == math.sqrt(0.5)
     assert s[0, 1] == 1.5
-    hs2 = hs_norm(s) ** 2
+    hs2 = float(np.sum(s * s))
     assert abs(hs2 - 2.75) <= 1e-12
-    # Hilbert-Schmidt mass is capped by opnorm(a)^2 times the trace
-    bound = float(np.linalg.norm(a, 2)) ** 2 * TWO_MODES.trace
+    # Hilbert-Schmidt mass is capped by opnorm(a)^2 times the eigenvalue sum
+    bound = float(np.linalg.norm(a, 2)) ** 2 * float(np.sum(TWO_MODES.eigenvalues))
     assert hs2 <= bound + 1e-12
     with pytest.raises(DimensionMismatch):
         restrict_bounded_operator(TWO_MODES, np.ones((1, 3)))
 
 
-@given(seed=st.integers(0, 10_000), dim_h=st.integers(1, 4), n=st.integers(1, 5))
+@given(seed=st.integers(0, 10_000), dim_h=st.integers(1, 4), n=st.integers(1, 5),
+       rotated=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_restriction_respects_operator_norm_bound(seed, dim_h, n):
+def test_restriction_respects_operator_norm_bound(seed, dim_h, n, rotated):
     gen = rng.stream(seed, 0, 0, rng.CASE)
-    spec = make_covariance(gen.uniform(0.05, 2.0, n))
+    spec = make_covariance(gen.uniform(0.05, 2.0, n),
+                           {"seed": seed} if rotated else "identity")
     a = gen.standard_normal((dim_h, n))
     s = restrict_bounded_operator(spec, a)
-    bound = float(np.linalg.norm(a, 2)) ** 2 * spec.trace
-    assert hs_norm(s) ** 2 <= bound * (1.0 + 1e-12) + 1e-12
+    assert s.shape == (dim_h, n)
+    bound = float(np.linalg.norm(a, 2)) ** 2 * float(np.sum(spec.eigenvalues))
+    assert float(np.sum(s * s)) <= bound * (1.0 + 1e-12) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +229,12 @@ def test_restriction_respects_operator_norm_bound(seed, dim_h, n):
 def test_sorting_permutation_isometry():
     spec = make_covariance((0.25, 0.5, 0.25))
     iso = build_eigen_isometry(spec, (0.5, 0.25, 0.25))
-    moved = iso.coord_map @ np.array([1.0, 2.0, 3.0])
+    w = np.array([1.0, 2.0, 3.0])
+    moved = iso.coord_map @ w
     assert np.array_equal(moved, np.array([2.0, 1.0, 3.0]))
-    w = WeightedSeq(np.array([1.0, 2.0, 3.0]), spec.eigenvalues)
-    out = iso.apply_weighted(w)
-    assert np.array_equal(out.weights, np.array([0.5, 0.25, 0.25]))
-    assert out.sq_norm() == w.sq_norm()
+    assert np.array_equal(iso.target_eigenvalues, np.array([0.5, 0.25, 0.25]))
+    # weighted norms agree on both sides
+    assert iso.target_eigenvalues @ moved ** 2 == spec.eigenvalues @ w ** 2
 
 
 def test_block_rotation_isometry_and_alternate_decomposition():
@@ -257,14 +255,27 @@ def test_block_rotation_isometry_and_alternate_decomposition():
 
 
 def test_seqh_transport_matches_coordinate_map():
+    from levyint.integrators import GridIntegrand, ito_seq
+    from levyint.processes import assemble_levy, replay_path, transport_levy
+
     lam = (0.25, 0.25)
     spec = make_covariance(lam)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     iso = build_eigen_isometry(spec, lam, {0.25: swap})
     rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(iso.apply_seqh(rows), rows[::-1])
-    with pytest.raises(DimensionMismatch):
-        iso.apply_seqh(np.ones((3, 2)))
+    driver = replay_path([0.0, 0.5, 1.0], [[0.5, -1.5], [2.0, 0.25]])
+    moved = transport_levy(assemble_levy(spec, driver), iso)
+
+    def constant(value):
+        return GridIntegrand(lambda p: np.broadcast_to(
+            value, (p.grid.n_nodes,) + value.shape))
+
+    # the coordinate map mixes sequence entries as the transport mixes
+    # the components, so the integral does not move
+    transported = iso.coord_map @ rows
+    assert np.array_equal(transported, rows[::-1])
+    assert np.array_equal(ito_seq(constant(transported), moved.driver).values,
+                          ito_seq(constant(rows), driver).values)
 
 
 def test_isometry_builder_rejects_bad_inputs():
@@ -286,9 +297,6 @@ def test_isometry_builder_rejects_bad_inputs():
 def test_isometry_spec_mismatches():
     spec = make_covariance((0.5, 0.25))
     iso = build_eigen_isometry(spec, (0.5, 0.25))
-    wrong_weights = WeightedSeq(np.ones(2), np.array([1.0, 1.0]))
-    with pytest.raises(SpecMismatch):
-        iso.apply_weighted(wrong_weights)
     other = make_covariance((0.4, 0.2))
     with pytest.raises(SpecMismatch):
         alternate_decomposition(other, iso)
