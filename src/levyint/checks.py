@@ -37,14 +37,13 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigInvalid, UnknownCheck
-from .integrators import (SimpleIntegrand, cell_values, integrate_cells,
-                          integrate_terms, ito_h, node_values, side_cells,
-                          time_quadrature)
+from .integrators import (cell_values, integrate_cells, integrate_terms,
+                          ito_h, node_values, side_cells, time_quadrature)
 from .processes import (SamplePath, assemble_levy, coordinate_view,
                         project_standard, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
-                        build_integrand, make_sampler, resolve_covariance,
-                        restrict_integrand)
+                        build_integrand, build_simple_integrand, make_sampler,
+                        resolve_covariance, restrict_integrand)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      psi_lambda_apply, random_orthogonal)
 from .stats import accumulate_paths
@@ -228,8 +227,7 @@ def _check_isometry4(spec: CheckSpec) -> Report:
     side = sc.sample_side
     cov = resolve_covariance(sc)
     sampler = make_sampler(sc)
-    raw = build_integrand(sc, n_inputs=sc.n_modes)
-    restricted = restrict_integrand(raw, cov)
+    restricted = restrict_integrand(build_integrand(sc), cov)
 
     def stat(paths):
         levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
@@ -318,8 +316,8 @@ def _check_bracket(spec: CheckSpec) -> Report:
         raise ConfigInvalid("bracket check needs at least 2 components")
     side = sc.sample_side
     sampler = make_sampler(sc)
-    x = build_integrand(sc, n_inputs=sc.n_modes)
-    y = build_integrand(sc, n_inputs=sc.n_modes, seed_offset=1000)
+    x = build_integrand(sc)
+    y = build_integrand(sc, seed_offset=1000)
     m = 5
 
     def stat(paths):
@@ -373,8 +371,7 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
     side = sc.sample_side
     cov = resolve_covariance(sc)
     sampler = make_sampler(sc)
-    raw = build_integrand(sc, n_inputs=sc.n_modes)
-    restricted = restrict_integrand(raw, cov)
+    restricted = restrict_integrand(build_integrand(sc), cov)
     first, second = _component_pairs(spec)
     m = len(first) + 1
 
@@ -412,14 +409,17 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
     side = sc.sample_side
     cov = resolve_covariance(sc)
     sampler = make_sampler(sc)
-    raw = build_integrand(sc, n_inputs=sc.n_modes)
+    raw = build_integrand(sc)
     restricted = restrict_integrand(raw, cov)
 
     probe = sampler.sample(spec.seed, 0)
     s0 = cell_values(restricted, probe, "left")[0]
     raw0 = cell_values(raw, probe, "left")[0]
     dropped = float(np.sum(s0[:, n_sub:] ** 2))
-    op_sq = float(np.linalg.norm(raw0, 2)) ** 2
+    # the SVD behind the operator norm fails on a non-finite probe value;
+    # a NaN bound then fails the check below
+    op_sq = (float(np.linalg.norm(raw0, 2)) ** 2
+             if np.all(np.isfinite(raw0)) else math.nan)
     bound = sc.horizon * (dropped + op_sq * cov.tail_mass)
 
     def stat(paths):
@@ -433,13 +433,14 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
 
     acc = accumulate_paths(spec.n_paths, stat, 3)
     rep = _finish_statistical(spec, acc, 1)
-    mean_lhs = float(acc.mean[0])
+    excess = float(acc.mean[0]) - bound          # NaN if either side is
     se_lhs = float(acc.se[0])
     if se_lhs > 0.0:
-        over = max(0.0, mean_lhs - bound) / (spec.sigmas * se_lhs)
-        rep.margin = max(rep.margin, over)
-    elif mean_lhs > bound:
-        rep.margin = float("inf")
+        over = np.maximum(0.0, excess) / (spec.sigmas * se_lhs)
+    else:
+        over = 0.0 if excess <= 0.0 else math.inf
+    # np.maximum, unlike max, keeps a NaN from either side
+    rep.margin = float(np.maximum(rep.margin, over))
     rep.passed = rep.margin <= 1.0
     rep.truncation_bound = bound
     return rep
@@ -461,11 +462,9 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
 
     def per_path(p):
         path = sampler.sample(spec.seed, p)
-        z0 = ito_h(integrand, path, 0, sample_side=side).values
-        z1 = ito_h(integrand, path, 0, sample_side=side,
-                   projection_basis=q1).values
-        z2 = ito_h(integrand, path, 0, sample_side=side,
-                   projection_basis=q2).values
+        z0 = ito_h(integrand, path, 0, sample_side=side)
+        z1 = ito_h(integrand, path, 0, sample_side=side, projection_basis=q1)
+        z2 = ito_h(integrand, path, 0, sample_side=side, projection_basis=q2)
         dev = _worst(np.max(np.abs(z1 - z0)), np.max(np.abs(z2 - z0)),
                      np.max(np.abs(z2 - z1)))
         return dev, _rel(dev, float(np.max(np.abs(z0))))
@@ -533,7 +532,7 @@ def _check_well_defined(spec: CheckSpec) -> Report:
         s1 = psi_lambda_apply(cov1, cell_values(r1, view, side))
         s2 = psi_lambda_apply(cov2, cell_values(r2, view, side))
         inc2 = cmap @ d1.increments
-        levy2 = assemble_levy(cov2, SamplePath(d1.grid, inc2, ()))
+        levy2 = assemble_levy(cov2, SamplePath(d1.grid, inc2))
         z1 = integrate_cells(s1, d1.increments)
         z2 = integrate_cells(s2, inc2)
         dz = float(np.max(np.abs(z1 - z2)))
@@ -549,19 +548,9 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
     """Integrating a piecewise constant integrand telescopes exactly."""
     sc = spec.scenario
     side = sc.sample_side
-    cfg = sc.integrand
-    if cfg.family != "simple":
-        raise ConfigInvalid("simple_exact needs a simple-family integrand")
-    if cfg.breakpoints is None:
-        raise ConfigInvalid("simple_exact needs explicit breakpoints")
-    b = np.asarray(cfg.breakpoints, dtype=float)
-    if cfg.value is not None:
-        values = np.asarray(cfg.value, dtype=float)
-    else:
-        gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
-        values = cfg.scale * gen.standard_normal((b.size - 1, sc.dim_h))
-    integrand = SimpleIntegrand(b, values)
-    sampler = make_sampler(sc, extra_times=tuple(b[1:-1]))
+    integrand = build_simple_integrand(sc)
+    b, values = integrand.breakpoints, integrand.values
+    sampler = make_sampler(sc)
 
     def per_path(p):
         path = sampler.sample(spec.seed, p)
@@ -573,7 +562,7 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
         ref = 0.0
         for i in range(values.shape[0]):
             partial = partial + values[i] * (cum[nodes[i + 1]] - cum[nodes[i]])
-            dev = _worst(dev, np.max(np.abs(z.values[nodes[i + 1]] - partial)))
+            dev = _worst(dev, np.max(np.abs(z[nodes[i + 1]] - partial)))
             ref = _worst(ref, np.max(np.abs(partial)))
         return dev, _rel(dev, ref)
 

@@ -80,11 +80,7 @@ def _materialize_path(scenario: ScenarioConfig, seed: int, path_index: int):
                 f"replay horizon {path.grid.horizon} differs from space.T "
                 f"{scenario.horizon}")
         return path
-    extra = ()
-    if scenario.integrand.family == "simple" \
-            and scenario.integrand.breakpoints is not None:
-        extra = tuple(scenario.integrand.breakpoints[1:-1])
-    return make_sampler(scenario, extra_times=extra).sample(seed, path_index)
+    return make_sampler(scenario).sample(seed, path_index)
 
 
 def _write_text(text: str, out) -> None:
@@ -137,7 +133,8 @@ def _json_dump(obj) -> str:
 def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
     """Run the configured integrand along a path.
 
-    Returns (integral values (n_nodes, dim_h), series list or None).
+    Returns the integral (n_nodes, dim_h) and the series (n_modes, n_nodes,
+    dim_h) or None.
     """
     side = scenario.sample_side
     if scenario.integrand.family == "simple":
@@ -145,24 +142,22 @@ def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
             raise ConfigInvalid("simple integrands integrate as hvector "
                                 "against component 0")
         integrand = build_simple_integrand(scenario)
-        return ito_h(integrand, path, 0, sample_side=side).values, None
+        return ito_h(integrand, path, 0, sample_side=side), None
     carrier = scenario.integrand.carrier
     if want_series and carrier != "operator":
         raise ConfigInvalid("series dump needs an operator integrand")
-    integrand = build_integrand(scenario, n_inputs=path.n_components)
+    integrand = build_integrand(scenario)
     if carrier == "hvector":
-        return ito_h(integrand, path, 0, sample_side=side).values, None
+        return ito_h(integrand, path, 0, sample_side=side), None
     if carrier == "seqh":
-        return ito_seq(integrand, path, sample_side=side).values, None
+        return ito_seq(integrand, path, sample_side=side), None
     cov = resolve_covariance(scenario)
     levy = assemble_levy(cov, path)
     restricted = restrict_integrand(integrand, cov)
     z = ito_general(restricted, levy, sample_side=side)
-    series = None
-    if want_series:
-        series = [t.values for t in series_terms(restricted, levy,
-                                                 sample_side=side)]
-    return z.values, series
+    if not want_series:
+        return z, None
+    return z, series_terms(restricted, levy, sample_side=side)
 
 
 def _cmd_integrate(args) -> int:

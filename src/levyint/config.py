@@ -90,6 +90,9 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     if isinstance(basis, dict):
         _reject_unknown(basis, {"seed"}, "covariance.basis")
     elif isinstance(basis, list):
+        if not all(isinstance(row, (list, tuple)) for row in basis):
+            raise ConfigInvalid("covariance.basis rows must be lists of "
+                                "numbers")
         basis = tuple(tuple(expect_number(x, "covariance.basis") for x in row)
                       for row in basis)
     elif basis != "identity":
@@ -108,6 +111,9 @@ def _parse_integrand(section: dict) -> IntegrandConfig:
     value = section.get("value")
     breakpoints = section.get("breakpoints")
     if breakpoints is not None:
+        if not isinstance(breakpoints, (list, tuple)):
+            raise ConfigInvalid("integrand.breakpoints must be a list of "
+                                "numbers")
         breakpoints = tuple(expect_number(x, "integrand.breakpoints")
                             for x in breakpoints)
     seed = section.get("seed", 0)
@@ -150,7 +156,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     space = _parse_space(data.get("space", {}))
     scenario_kwargs = dict(space)
     if "covariance" in data:
-        scenario_kwargs["covariance"] = _parse_covariance(data["covariance"])
+        cov = _parse_covariance(data["covariance"])
+        if (isinstance(cov.eigenvalues, tuple)
+                and len(cov.eigenvalues) != space["n_modes"]):
+            raise ConfigInvalid(
+                f"covariance.eigenvalues lists {len(cov.eigenvalues)} "
+                f"values, space.J is {space['n_modes']}")
+        scenario_kwargs["covariance"] = cov
     if "drivers" in data:
         scenario_kwargs["drivers"] = _parse_drivers(data["drivers"])
     if "integrand" in data:

@@ -9,14 +9,23 @@ must never be used for real computations.
 
 Layers (the maps are those of :mod:`levyint.spaces`):
 
-* H-valued integrand against one real driver component.
-* Sequence-of-H integrand against the whole driver family, summed over
-  components in fixed ascending order.
-* The projected route: the same, against the standard components that
-  Phi_lambda projects out of an assembled U-valued path.
-* Hilbert-Schmidt integrand against an assembled path: Psi_lambda turns
-  its values into sequences of columns, summed or returned term by term.
-  A bounded operator on U is restricted to Hilbert-Schmidt form first.
+* :func:`ito_h`: H-valued integrand against one real driver component.
+* :func:`ito_seq`: sequence-of-H integrand against the whole driver
+  family, summed over components in fixed ascending order.
+* :func:`ito_l2lambda`, the projected route: the same, against the
+  standard components that Phi_lambda projects out of an assembled
+  U-valued path.
+* :func:`ito_general`: Hilbert-Schmidt integrand against an assembled
+  path: Psi_lambda turns its values into sequences of columns, which are
+  summed, or returned term by term by :func:`series_terms`.  A bounded
+  operator on U is restricted to Hilbert-Schmidt form first.
+
+The integral is an H-valued process, and a layer returns it as a plain
+array: its running value at every grid node, (n_nodes, dim_h), with a
+zero first node, so ``z[-1]`` is the terminal value and
+``z[grid.node_at(t)]`` the value at time t.  :func:`series_terms` returns
+the series as (n_modes, n_nodes, dim_h), and the brackets
+:func:`angle_bracket` and :func:`covariation_integral` return (n_nodes,).
 
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
 (and its per-component form :func:`integrate_terms`); the squared-norm
@@ -187,38 +196,12 @@ def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
     return np.vecdot(per_cell, dt)
 
 
-@dataclass
-class IntegralPath:
-    """Running value of a stochastic integral at every grid node."""
-
-    grid: TimeGrid
-    values: np.ndarray               # (n_nodes, dim_h)
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.grid.node_at(t)]
-
-
-@dataclass
-class BracketPath:
-    """Running value of a predictable bracket at every grid node."""
-
-    grid: TimeGrid
-    values: np.ndarray               # (n_nodes,)
-
-    @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
-
-
 def ito_h(integrand, path: SamplePath, component: int, *,
           sample_side: str = "left",
-          projection_basis: Optional[np.ndarray] = None) -> IntegralPath:
+          projection_basis: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrate an H-valued integrand against one driver component.
 
+    Returns the running integral at every node, (n_nodes, dim_h).
     The default route multiplies cell values by the component increments
     coordinatewise.  ``projection_basis`` (an orthogonal dim_h x dim_h
     matrix) switches to the explicit route that first integrates each
@@ -234,33 +217,34 @@ def ito_h(integrand, path: SamplePath, component: int, *,
         raise DimensionMismatch("H-valued integrand must have vector values")
     dm = path.increments[component:component + 1]
     if projection_basis is None:
-        return IntegralPath(path.grid, integrate_cells(vals[:, None, :], dm))
+        return integrate_cells(vals[:, None, :], dm)
     basis = np.asarray(projection_basis, dtype=float)
     coeff = vals @ basis                 # per-cell coefficients against the basis
     scalar_increments = coeff * dm[0][:, None]
-    return IntegralPath(path.grid, _running_sum(scalar_increments @ basis.T))
+    return _running_sum(scalar_increments @ basis.T)
 
 
 def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left"
-            ) -> IntegralPath:
+            ) -> np.ndarray:
     """Integrate a sequence-of-H integrand against the driver family.
 
-    Components are accumulated one at a time in ascending index order.
+    Components are accumulated one at a time in ascending index order;
+    the result is the running integral, (n_nodes, dim_h).
     """
     vals = cell_values(integrand, path, sample_side)
     if vals.ndim != 3 or vals.shape[1] != path.n_components:
         raise DimensionMismatch(
             f"sequence integrand has shape {vals.shape}, need "
             f"(cells, {path.n_components}, dim_h)")
-    return IntegralPath(path.grid, integrate_cells(vals, path.increments))
+    return integrate_cells(vals, path.increments)
 
 
 def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left"
-                 ) -> IntegralPath:
+                 ) -> np.ndarray:
     """Integrate a sequence-of-H integrand against an assembled path.
 
     :func:`ito_seq` on the standard components that Phi_lambda projects
-    out of the path (:func:`project_standard`).
+    out of the path (:func:`project_standard`), (n_nodes, dim_h).
     """
     standard = SamplePath(path.grid, project_standard(path))
     return ito_seq(integrand, standard, sample_side=sample_side)
@@ -278,51 +262,54 @@ def _operator_cells(integrand, path: LevyPath, sample_side: str
 
 
 def ito_general(integrand, path: LevyPath, *, sample_side: str = "left"
-                ) -> IntegralPath:
+                ) -> np.ndarray:
     """Integrate a Hilbert-Schmidt integrand against an assembled path.
 
     Cell values are (dim_h, n_modes) operators in the weighted-column
     convention of :mod:`levyint.spaces`; Psi_lambda turns them into the
     sequence picture, which is then integrated component by component.
+    The result is the running integral, (n_nodes, dim_h).
     """
     seq_vals = _operator_cells(integrand, path, sample_side)
-    return IntegralPath(path.grid, integrate_cells(
-        seq_vals, path.driver.increments))
+    return integrate_cells(seq_vals, path.driver.increments)
 
 
 def series_terms(integrand, path: LevyPath, *, sample_side: str = "left"
-                 ) -> list:
+                 ) -> np.ndarray:
     """Per-mode integrals whose fixed-order sum is the full integral.
 
-    Term j integrates the j-th operator column against standard component
-    j; the terms are pairwise orthogonal in mean square, which the
-    harness verifies.
+    Term j, row j of the (n_modes, n_nodes, dim_h) result, integrates the
+    j-th operator column against standard component j; the terms are
+    pairwise orthogonal in mean square, which the harness verifies.
     """
     seq_vals = _operator_cells(integrand, path, sample_side)
-    terms = integrate_terms(seq_vals, path.driver.increments)
-    return [IntegralPath(path.grid, term) for term in terms]
+    return integrate_terms(seq_vals, path.driver.increments)
 
 
-def angle_bracket(grid: TimeGrid, j: int, k: int) -> BracketPath:
-    """Predictable bracket of standard components j and k: t when j == k, else 0."""
+def angle_bracket(grid: TimeGrid, j: int, k: int) -> np.ndarray:
+    """Predictable bracket of standard components j and k at every node.
+
+    It is t when j == k and 0 otherwise, (n_nodes,).
+    """
     if j < 0 or k < 0:
         raise IndexOutOfRange("component indices must be nonnegative")
     if j == k:
-        return BracketPath(grid, grid.times.copy())
-    return BracketPath(grid, np.zeros(grid.n_nodes))
+        return grid.times.copy()
+    return np.zeros(grid.n_nodes)
 
 
 def covariation_integral(x_integrand, y_integrand, path: SamplePath,
                          j: int, k: int, *, sample_side: str = "left"
-                         ) -> BracketPath:
+                         ) -> np.ndarray:
     """Pathwise integral of <X, Y> against the bracket of components j, k.
 
-    The bracket of standard components is delta_{jk} t, so the result is
-    the left-point quadrature of the H inner product of the two
-    integrands when j == k and identically zero otherwise.
+    The bracket of standard components is delta_{jk} t, so the result,
+    (n_nodes,), is the running left-point quadrature of the H inner
+    product of the two integrands when j == k and identically zero
+    otherwise.
     """
     if j != k:
-        return BracketPath(path.grid, np.zeros(path.grid.n_nodes))
+        return np.zeros(path.grid.n_nodes)
     vx = cell_values(x_integrand, path, sample_side)
     vy = cell_values(y_integrand, path, sample_side)
     if vx.shape != vy.shape:
@@ -331,7 +318,7 @@ def covariation_integral(x_integrand, y_integrand, path: SamplePath,
     prod = np.einsum("kd,kd->k", vx, vy)
     values = np.zeros(path.grid.n_nodes)
     np.cumsum(prod * path.grid.dt, out=values[1:])
-    return BracketPath(path.grid, values)
+    return values
 
 
 def quadrature_sq_norm(integrand, path: SamplePath) -> float:

@@ -16,8 +16,10 @@ up to float rounding, not discretization error.
 Parameters
 ----------
 Grids store node times and a per-node kind flag (scheduled or jump).
-Paths store per-component increments over grid cells; cumulative values
-carry a leading zero column so index k is the value at node k.
+A path is a grid and per-component increments over its cells, nothing
+more: the jump draws are not kept, their times are the JUMP nodes and
+their sizes are in the increments.  Cumulative values carry a leading
+zero column so index k is the value at node k.
 
 Assembled paths
 ---------------
@@ -61,6 +63,9 @@ from .spaces import CovarianceSpec, phi_lambda_apply, phi_lambda_invert
 SCHEDULED = 0
 JUMP = 1
 KIND_NAMES = ("scheduled", "jump")
+# a replayed kind flag is one of KIND_NAMES or its index
+_KIND_CODES = {key: code for code, name in enumerate(KIND_NAMES)
+               for key in (name, code)}
 
 # construction-time tolerance on the variance-rate normalization
 NORMALIZATION_TOL = 1e-12
@@ -220,29 +225,17 @@ class SamplePath:
 
     ``increments[c, k]`` is the increment of component c over the cell
     ending at node k+1; a jump at a node belongs to the cell that ends
-    there.  ``jumps[c]`` holds the raw jump draws of component c as
-    (size, times) pairs, one per jump term that fired; replayed and
-    derived paths carry none.  ``jump_log[c]`` lists (time, size) of the
-    individual jumps of component c in sorted order; the times all appear
-    as grid nodes.
+    there, and its time is a JUMP node of the grid.  The grid and the
+    increments are the whole path: sampled, replayed and derived paths
+    look alike.
     """
 
     grid: TimeGrid
     increments: np.ndarray           # (n_components, n_cells)
-    jumps: tuple = ()                # per component: ((size, times), ...)
 
     @property
     def n_components(self) -> int:
         return self.increments.shape[0]
-
-    @cached_property
-    def jump_log(self) -> tuple:
-        """Per component: sorted (time, size) pairs, built on first access."""
-        # a uniform draw of exactly 0.0 is not a jump (see PathSampler)
-        return tuple(
-            tuple(sorted((t, size) for size, times in terms
-                         for t in times.tolist() if t > 0.0))
-            for terms in self.jumps)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -264,7 +257,6 @@ class PathBlock:
     grid: TimeGrid                   # times, kind: (n_paths, n_nodes)
     increments: np.ndarray           # (n_paths, n_components, n_cells)
     n_nodes: np.ndarray              # (n_paths,) unpadded node counts
-    jumps: tuple                     # per path, as SamplePath.jumps
 
     @property
     def n_paths(self) -> int:
@@ -290,16 +282,17 @@ class PathBlock:
         """Row i as an unpadded path."""
         n = int(self.n_nodes[i])
         grid = TimeGrid(self.grid.times[i, :n], self.grid.kind[i, :n])
-        return SamplePath(grid, self.increments[i, :, :n - 1], self.jumps[i])
+        return SamplePath(grid, self.increments[i, :, :n - 1])
 
 
 @dataclass(frozen=True)
 class PathSampler:
     """Reusable sampler: fixed driver specs, horizon and scheduled grid.
 
-    ``extra_times`` are deterministic refinement nodes (integrand
-    breakpoints for example); they join the scheduled grid so pathwise
-    identities at those times are exact.
+    ``extra_times`` are deterministic refinement nodes; they join the
+    scheduled grid so pathwise identities at those times are exact
+    (:func:`levyint.scenarios.make_sampler` passes a simple integrand's
+    breakpoints).
 
     :meth:`sample` and :meth:`sample_block` share one draw routine, and
     each path draws from its own (seed, path, component, purpose) streams,
@@ -352,23 +345,17 @@ class PathSampler:
         base = self._base_times
         n_paths = len(indices)
 
-        jumps = []                   # per path: per component (size, times)
         fired = []                   # (row, component, size, times)
         for row, p in enumerate(indices):
-            per_comp = [()] * len(self.specs)
             for c, spec in enumerate(self.specs):
                 if not spec.jumps:
                     continue
                 gen = opener(seed, p, c, _rng.JUMPS)
-                terms = []
                 for size, intensity in spec.jumps:
                     count = int(gen.poisson(intensity * horizon))
                     if count:
-                        times = gen.uniform(0.0, horizon, count)
-                        terms.append((size, times))
-                        fired.append((row, c, size, times))
-                per_comp[c] = tuple(terms)
-            jumps.append(tuple(per_comp))
+                        fired.append((row, c, size,
+                                      gen.uniform(0.0, horizon, count)))
 
         # merge each path's jump times into the scheduled grid: one row per
         # path, sorted, equal times collapsed to one node, padded with inf
@@ -429,14 +416,15 @@ class PathSampler:
         if fired:
             # in time order, and equal times in term order, as drawn
             np.add.at(inc, (ev_row, ev_comp, ev_node - 1), ev_size)
-        return PathBlock(grid, inc, n_nodes, tuple(jumps))
+        return PathBlock(grid, inc, n_nodes)
 
 
 def replay_path(times, increments, kinds=None) -> SamplePath:
     """Rebuild a driver path from recorded node times and increments.
 
-    Accepts kind flags as ints or the names in KIND_NAMES; without them
-    every node counts as scheduled.  Replayed paths carry no jump log.
+    Accepts kind flags as the names in KIND_NAMES or their indices; without
+    them every node counts as scheduled.  A replayed path is its grid and
+    increments, like a sampled one.
     """
     try:
         times = np.asarray(times, dtype=float)
@@ -455,9 +443,11 @@ def replay_path(times, increments, kinds=None) -> SamplePath:
     if kinds is None:
         kind = np.zeros(times.size, dtype=np.uint8)
     else:
-        named = {name: code for code, name in enumerate(KIND_NAMES)}
-        kind = np.array([named[k] if isinstance(k, str) else int(k)
-                         for k in kinds], dtype=np.uint8)
+        try:
+            kind = np.array([_KIND_CODES[k] for k in kinds], dtype=np.uint8)
+        except (KeyError, TypeError):
+            raise GridMismatch(f"replay kinds must be names in {KIND_NAMES} "
+                               f"or their indices, got {kinds!r}")
         if kind.size != times.size:
             raise GridMismatch("replay kinds must match node count")
     return SamplePath(TimeGrid(times, kind), increments)
@@ -517,28 +507,22 @@ def coordinate_view(path: LevyPath) -> SamplePath:
     than a specific spectral decomposition of it.
     """
     return SamplePath(path.grid,
-                      phi_lambda_invert(path.spec, path.driver.increments), ())
+                      phi_lambda_invert(path.spec, path.driver.increments))
 
 
 def transport_levy(path: LevyPath, iso) -> LevyPath:
     """Carry a path through a weighted-sequence isometry.
 
     The transported path lives in the target weighted picture (identity
-    eigenbasis, target eigenvalue order).  Because the isometry is
-    supported on equal-eigenvalue blocks, the standard components of the
-    image are plain orthogonal mixes of the source components.
+    eigenbasis, target eigenvalue order) on the same grid.  Because the
+    isometry is supported on equal-eigenvalue blocks, the standard
+    components of the image are plain orthogonal mixes of the source
+    components: its increments are ``coord_map @ increments``.
     """
     if not np.array_equal(iso.source_eigenvalues, path.spec.eigenvalues):
         raise SpecMismatch("isometry source does not match the path spec")
-    cmap = iso.coord_map
-    inc = cmap @ path.driver.increments
-    source = path.driver.jumps or ((),) * cmap.shape[1]   # replays: none
-    jumps = tuple(
-        tuple((cmap[k, j] * size, times)
-              for j in np.flatnonzero(cmap[k] != 0.0)
-              for size, times in source[j])
-        for k in range(cmap.shape[0]))
     target = CovarianceSpec(iso.target_eigenvalues,
                             np.eye(iso.target_eigenvalues.size),
                             path.spec.tail_mass)
-    return LevyPath(target, SamplePath(path.grid, inc, jumps))
+    return LevyPath(target, SamplePath(
+        path.grid, iso.coord_map @ path.driver.increments))

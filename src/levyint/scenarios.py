@@ -152,10 +152,14 @@ def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     return CovarianceSpec(spec.eigenvalues, basis, spec.tail_mass)
 
 
-def make_sampler(scenario: ScenarioConfig, extra_times=()) -> PathSampler:
+def make_sampler(scenario: ScenarioConfig) -> PathSampler:
+    """The scenario's sampler; a simple integrand's breakpoints join its grid."""
     specs = make_standard_specs(scenario.n_modes, scenario.drivers)
-    return PathSampler(specs, scenario.horizon, scenario.n_scheduled,
-                       tuple(extra_times))
+    cfg = scenario.integrand
+    extra = ()
+    if cfg.family == "simple" and cfg.breakpoints is not None:
+        extra = tuple(cfg.breakpoints[1:-1])
+    return PathSampler(specs, scenario.horizon, scenario.n_scheduled, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +262,22 @@ def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
 
 
 def build_simple_integrand(scenario: ScenarioConfig) -> SimpleIntegrand:
-    """Materialize an explicit simple integrand from the scenario config."""
+    """Materialize the scenario's simple integrand.
+
+    Without an explicit ``value`` the interval values are drawn once per
+    scenario, like the ``constant`` evaluator's: ``scale`` times standard
+    normals of shape (intervals, dim_h) from the integrand seed.
+    """
     cfg = scenario.integrand
     if cfg.family != "simple":
-        raise ConfigInvalid("scenario integrand family is not simple")
-    if cfg.breakpoints is None or cfg.value is None:
-        raise ConfigInvalid(
-            "simple integrands need explicit breakpoints and value")
-    values = np.asarray(cfg.value, dtype=float)
-    return SimpleIntegrand(np.asarray(cfg.breakpoints, dtype=float), values)
+        raise ConfigInvalid("a simple integrand needs integrand.family "
+                            f"'simple', got {cfg.family!r}")
+    if cfg.breakpoints is None:
+        raise ConfigInvalid("a simple integrand needs integrand.breakpoints")
+    b = np.asarray(cfg.breakpoints, dtype=float)
+    if cfg.value is not None:
+        values = np.asarray(cfg.value, dtype=float)
+    else:
+        gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
+        values = cfg.scale * gen.standard_normal((b.size - 1, scenario.dim_h))
+    return SimpleIntegrand(b, values)

@@ -113,7 +113,7 @@ def test_c01_simple_process_exactness():
                 partial = partial + dcum @ values[i]
             else:
                 partial = partial + values[i] @ dcum
-            dev = float(np.max(np.abs(z.values[nodes[i + 1]] - partial)))
+            dev = float(np.max(np.abs(z[nodes[i + 1]] - partial)))
             worst = max(worst, dev / max(1.0, float(np.max(np.abs(partial)))))
     elapsed = time.perf_counter() - t0
     _criterion(1, worst <= 1e-12,
@@ -139,17 +139,17 @@ def test_c03_basis_independence():
         integrand=IntegrandConfig(carrier="hvector",
                                   evaluator="driver_linear", seed=301))
     sampler = make_sampler(sc)
-    integrand = build_integrand(sc, n_inputs=1)
+    integrand = build_integrand(sc)
     gen = rng.stream(BASE_SEED + 303, 0, 0, rng.BASIS)
     rotations = [random_orthogonal(sc.dim_h, gen) for _ in range(10)]
     worst = 0.0
     for p in range(20):
         path = sampler.sample(BASE_SEED + 300, p)
         plain = ito_h(integrand, path, 0)
-        ref = max(1.0, float(np.max(np.abs(plain.values))))
+        ref = max(1.0, float(np.max(np.abs(plain))))
         for q in rotations:
             routed = ito_h(integrand, path, 0, projection_basis=q)
-            dev = float(np.max(np.abs(routed.values - plain.values)))
+            dev = float(np.max(np.abs(routed - plain)))
             worst = max(worst, dev / ref)
     _criterion(3, worst <= 1e-12,
                f"10 rotations x 20 paths, worst relative deviation {worst:.3e}")
@@ -233,15 +233,15 @@ def test_c08_quadratic_variation():
         integrand=IntegrandConfig(carrier="hvector",
                                   evaluator="driver_linear", seed=801))
     sampler = make_sampler(sc)
-    x = build_integrand(sc, n_inputs=1)
-    y = build_integrand(sc, n_inputs=1, seed_offset=1)
+    x = build_integrand(sc)
+    y = build_integrand(sc, seed_offset=1)
 
     def stat(p):
         path = sampler.sample(BASE_SEED + 801, p)
-        zx = ito_h(x, path, 0).terminal
-        zy = ito_h(y, path, 0).terminal
-        own = float(zx @ zx) - covariation_integral(x, x, path, 0, 0).terminal
-        cross = float(zx @ zy) - covariation_integral(x, y, path, 0, 0).terminal
+        zx = ito_h(x, path, 0)[-1]
+        zy = ito_h(y, path, 0)[-1]
+        own = float(zx @ zx) - covariation_integral(x, x, path, 0, 0)[-1]
+        cross = float(zx @ zy) - covariation_integral(x, y, path, 0, 0)[-1]
         return np.array([own, cross])
 
     acc = accumulate_paths(N_PATHS, _block(stat), 2)

@@ -337,7 +337,7 @@ def _reference_rows(spec, paths):
     side = sc.sample_side
     sampler = make_sampler(sc)
     cov = resolve_covariance(sc)
-    integrand = build_integrand(sc, n_inputs=sc.n_modes)
+    integrand = build_integrand(sc)
     restricted = (restrict_integrand(integrand, cov)
                   if sc.integrand.carrier == "operator" else None)
     pairs = checks._default_pairs(sc.n_modes)
@@ -349,44 +349,43 @@ def _reference_rows(spec, paths):
         path = sampler.sample(spec.seed, p)
         levy = assemble_levy(cov, path)
         if spec.name == "isometry1":
-            z = ito_h(integrand, path, 0, sample_side=side).terminal
+            z = ito_h(integrand, path, 0, sample_side=side)[-1]
             return iso(z, quadrature_sq_norm(integrand, path))
         if spec.name == "isometry2":
             if spec.options["route"] == "seq":
-                z = ito_seq(integrand, path, sample_side=side).terminal
+                z = ito_seq(integrand, path, sample_side=side)[-1]
             else:
-                z = ito_l2lambda(integrand, levy, sample_side=side).terminal
+                z = ito_l2lambda(integrand, levy, sample_side=side)[-1]
             return iso(z, quadrature_sq_norm(integrand, path))
         if spec.name == "isometry4":
-            z = ito_general(restricted, levy, sample_side=side).terminal
+            z = ito_general(restricted, levy, sample_side=side)[-1]
             return iso(z, quadrature_sq_norm(restricted, path))
         if spec.name == "orthogonality":
             vals = cell_values(integrand, path, side)
-            terms = [ito_h(_cells_integrand(vals[:, j]), path, j).terminal
+            terms = [ito_h(_cells_integrand(vals[:, j]), path, j)[-1]
                      for j in range(sc.n_modes)]
             dots = [terms[a] @ terms[b] for a, b in pairs]
             return dots + [0.0] * len(dots) + dots
         if spec.name == "bracket":
             x = integrand
-            y = build_integrand(sc, n_inputs=sc.n_modes, seed_offset=1000)
+            y = build_integrand(sc, seed_offset=1000)
             dm = path.increments
             ip = np.einsum("kd,kd->k", cell_values(x, path, side),
                            cell_values(y, path, side))
-            t = angle_bracket(path.grid, 0, 0).terminal
+            t = angle_bracket(path.grid, 0, 0)[-1]
             ci = covariation_integral(x, y, path, 0, 0,
-                                      sample_side=side).terminal
+                                      sample_side=side)[-1]
             lhs = [dm[0] @ dm[0], dm[1] @ dm[1], dm[0] @ dm[1],
                    ip @ (dm[0] * dm[0]), ip @ (dm[0] * dm[1])]
             rhs = [t, t, 0.0, ci, 0.0]
             return lhs + rhs + [a - b for a, b in zip(lhs, rhs)]
         if spec.name == "martingale":
             z = ito_seq(integrand, path, sample_side=side)
-            lhs = list(z.terminal) + list(z.value_at(sc.horizon / 2)) \
+            lhs = list(z[-1]) + list(z[path.grid.node_at(sc.horizon / 2)]) \
                 + list(path.cumulative[:, -1])
             return lhs + [0.0] * len(lhs) + lhs
         if spec.name == "series_orthogonality":
-            tv = [t.terminal for t in series_terms(restricted, levy,
-                                                   sample_side=side)]
+            tv = list(series_terms(restricted, levy, sample_side=side)[:, -1])
             total = sum(tv[1:], tv[0])
             lhs = [tv[a] @ tv[b] for a, b in pairs] + [total @ total]
             rhs = [0.0] * len(pairs) + [sum(t @ t for t in tv)]
@@ -394,7 +393,7 @@ def _reference_rows(spec, paths):
         if spec.name == "truncation_tail":
             n_sub = spec.options["n_sub"]
             vals = cell_values(restricted, path, side)
-            tail = [ito_h(_cells_integrand(vals[:, :, j]), path, j).terminal
+            tail = [ito_h(_cells_integrand(vals[:, :, j]), path, j)[-1]
                     for j in range(n_sub, sc.n_modes)]
             diff = sum(tail[1:], tail[0])
             q = sum(quadrature_sq_norm(_cells_integrand(vals[:, :, j]), path)

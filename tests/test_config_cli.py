@@ -412,8 +412,21 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     ("simulate", _edit(drivers={"replay": {
         "times": [0.0, float("nan"), 1.0],
         "increments": [[0.5, 0.5]]}}), "times"),
+    ("simulate", _edit(covariance={"eigenvalues": [1.0], "basis": [1, 2]}),
+     "covariance.basis"),
+    ("simulate", _edit(integrand=dict(BASE["integrand"], breakpoints=0.5)),
+     "integrand.breakpoints"),
+    ("integrate", _edit(covariance={"eigenvalues": [0.5, 0.25]}),
+     "covariance.eigenvalues"),
+    ("simulate", _edit(drivers={"replay": {
+        "times": [0.0, 0.5, 1.0], "increments": [[0.5, 0.5]],
+        "kinds": ["scheduled", "bogus", "scheduled"]}}), "kinds"),
+    ("simulate", _edit(drivers={"replay": {
+        "times": [0.0, 0.5, 1.0], "increments": [[0.5, 0.5]],
+        "kinds": [0, 7, 0]}}), "kinds"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
-        "replay-csv-time", "replay-nan-time"])
+        "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
+        "eigenvalue-count", "replay-kind-name", "replay-kind-index"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
@@ -439,6 +452,40 @@ def test_nan_integrand_report_is_valid_json(tmp_path):
     rows = json.loads(out.read_text(), parse_constant=reject)
     assert [r["lhs"] for r in rows] == [None, None]
     assert all(r["pass"] is False for r in rows)
+
+
+def test_nan_integrand_fails_truncation_tail_without_a_crash(tmp_path):
+    payload = json.loads((CONFIG_DIR / "default.json").read_text())
+    payload["integrand"]["scale"] = float("nan")
+    payload["nPaths"] = 64
+    payload["nExact"] = 4
+    out = tmp_path / "nan.json"
+    code, err = run_cli_capturing(
+        "check", "--config", write_config(tmp_path, payload),
+        "--out", str(out))
+    assert code == 1 and err == ""
+    rows = json.loads(out.read_text())
+    assert len(rows) == 14
+    tail, = [r for r in rows if r["name"] == "truncation_tail"]
+    assert tail["pass"] is False
+    assert tail["truncationBound"] is None and tail["margin"] is None
+
+
+def test_simple_integrand_without_value_integrates_like_the_check(tmp_path):
+    # the CLI draws the values the simple_exact check draws, on the grid
+    # that make_sampler refines with the breakpoints
+    payload = dict(BASE, integrand={
+        "family": "simple", "carrier": "hvector", "evaluator": "constant",
+        "seed": 5, "scale": 2.0, "breakpoints": [0.0, 0.3, 1.0]},
+        checks=["simple_exact"])
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "simple.json"
+    assert run_cli("integrate", "--config", cfg, "--format", "json",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert 0.3 in data["times"]
+    assert run_cli("check", "--config", cfg,
+                   "--out", str(tmp_path / "report.json")) == 0
 
 
 @pytest.mark.parametrize("script", ["run_default_suite.py",

@@ -99,23 +99,23 @@ def test_ito_h_frozen_case():
     driver = replay_path([0.0, 0.5, 1.0], [[0.5, -1.5]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[2.0, 3.0]]))
     z = ito_h(si, driver, 0)
-    assert z.values[0].tolist() == [0.0, 0.0]
-    assert z.value_at(0.5).tolist() == [1.0, 1.5]
-    assert z.terminal.tolist() == [-2.0, -3.0]
+    assert z[0].tolist() == [0.0, 0.0]
+    assert z[driver.grid.node_at(0.5)].tolist() == [1.0, 1.5]
+    assert z[-1].tolist() == [-2.0, -3.0]
 
 
 def test_ito_h_left_vs_right_attribution():
     si = SimpleIntegrand(np.array([0.0, 0.5, 1.0]), np.array([[2.0], [3.0]]))
     left = ito_h(si, TWO_CELL, 0)
     right = ito_h(si, TWO_CELL, 0, sample_side="right")
-    assert left.terminal[0] == 80.0
-    assert right.terminal[0] == 90.0
+    assert left[-1, 0] == 80.0
+    assert right[-1, 0] == 90.0
 
 
 def test_ito_h_component_selection_and_bounds():
     driver = replay_path([0.0, 1.0], [[1.0], [-2.0]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[1.0, 1.0]]))
-    assert ito_h(si, driver, 1).terminal.tolist() == [-2.0, -2.0]
+    assert ito_h(si, driver, 1)[-1].tolist() == [-2.0, -2.0]
     with pytest.raises(IndexOutOfRange):
         ito_h(si, driver, 2)
     seq_shaped = constant_integrand(np.ones((2, 2)))
@@ -131,7 +131,7 @@ def test_projection_route_identity_basis_is_bit_exact():
     integrand = GridIntegrand(lambda p: vals)
     plain = ito_h(integrand, path, 0)
     routed = ito_h(integrand, path, 0, projection_basis=np.eye(3))
-    assert np.array_equal(plain.values, routed.values)
+    assert np.array_equal(plain, routed)
 
 
 def test_projection_route_any_orthonormal_basis_agrees():
@@ -144,8 +144,8 @@ def test_projection_route_any_orthonormal_basis_agrees():
     for seed in range(3):
         q = random_orthogonal(4, rng.stream(seed, 0, 0, rng.BASIS))
         routed = ito_h(integrand, path, 0, projection_basis=q)
-        dev = np.max(np.abs(routed.values - plain.values))
-        assert dev <= 1e-12 * max(1.0, np.max(np.abs(plain.values)))
+        dev = np.max(np.abs(routed - plain))
+        assert dev <= 1e-12 * max(1.0, np.max(np.abs(plain)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ def test_ito_seq_frozen_case():
     driver = replay_path([0.0, 0.5, 1.0], [[0.5, 0.5], [1.0, -1.0]])
     value = np.array([[1.0, 0.0], [0.0, 2.0]])   # rows: one H vector per component
     z = ito_seq(constant_integrand(value), driver)
-    assert z.value_at(0.5).tolist() == [0.5, 2.0]
-    assert z.terminal.tolist() == [1.0, 0.0]
+    assert z[driver.grid.node_at(0.5)].tolist() == [0.5, 2.0]
+    assert z[-1].tolist() == [1.0, 0.0]
 
 
 def test_ito_seq_rejects_wrong_shapes():
@@ -182,10 +182,10 @@ def test_summation_order_does_not_matter():
     path = sampler.sample(6, 1)
     integrand = build_integrand(scenario)
     forward = ito_seq(integrand, path)
-    ref = max(1.0, float(np.max(np.abs(forward.values))))
+    ref = max(1.0, float(np.max(np.abs(forward))))
     for perm in (list(range(scenario.n_modes - 1, -1, -1)), [3, 0, 5, 1, 4, 2]):
         reordered = ito_seq(*_permuted(integrand, path, perm))
-        assert np.max(np.abs(reordered.values - forward.values)) <= 1e-12 * ref
+        assert np.max(np.abs(reordered - forward)) <= 1e-12 * ref
 
 
 def test_l2lambda_layer_is_the_seq_layer_on_the_driver():
@@ -198,7 +198,7 @@ def test_l2lambda_layer_is_the_seq_layer_on_the_driver():
     levy = assemble_levy(make_covariance(lam), path)
     through_path = ito_l2lambda(integrand, levy)
     direct = ito_seq(integrand, path)
-    assert np.array_equal(through_path.values, direct.values)
+    assert np.array_equal(through_path, direct)
 
 
 def test_l2lambda_layer_projects_through_a_random_basis():
@@ -208,8 +208,8 @@ def test_l2lambda_layer_projects_through_a_random_basis():
     integrand = build_integrand(scenario)
     lam, _ = scenario.covariance.resolve(scenario.n_modes)
     levy = assemble_levy(make_covariance(lam, {"seed": 5}), path)
-    through_path = ito_l2lambda(integrand, levy).values
-    direct = ito_seq(integrand, path).values
+    through_path = ito_l2lambda(integrand, levy)
+    direct = ito_seq(integrand, path)
     assert project_standard(levy) is not path.increments   # a real projection
     ref = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(through_path - direct)) <= 1e-12 * ref
@@ -222,12 +222,12 @@ def test_ito_general_worked_example():
     raw = constant_integrand(np.array([[1.0, 3.0]]))
     restricted = restrict_integrand(raw, spec)
     z = ito_general(restricted, levy)
-    assert abs(z.terminal[0] - 3.7071067811865475) <= 1e-12
+    assert abs(z[-1, 0] - 3.7071067811865475) <= 1e-12
     terms = series_terms(restricted, levy)
-    assert abs(terms[0].terminal[0] - math.sqrt(0.5)) <= 1e-15
-    assert terms[1].terminal[0] == 3.0
-    total = terms[0].values + terms[1].values
-    assert np.max(np.abs(total - z.values)) <= 1e-12
+    assert terms.shape == (2,) + z.shape
+    assert abs(terms[0, -1, 0] - math.sqrt(0.5)) <= 1e-15
+    assert terms[1, -1, 0] == 3.0
+    assert np.max(np.abs(terms[0] + terms[1] - z)) <= 1e-12
 
 
 def test_ito_general_order_and_shape_checks():
@@ -240,7 +240,7 @@ def test_ito_general_order_and_shape_checks():
     swapped = assemble_levy(make_covariance((0.25, 0.5)),
                             replay_path([0.0, 0.5, 1.0], [[1.5, 0.5], [0.6, 0.4]]))
     backward = ito_general(constant_integrand(op[:, ::-1]), swapped)
-    assert np.max(np.abs(forward.values - backward.values)) <= 1e-12
+    assert np.max(np.abs(forward - backward)) <= 1e-12
     with pytest.raises(SpecMismatch):
         ito_general(constant_integrand(np.ones((2, 3))), levy)
     with pytest.raises(SpecMismatch):
@@ -257,7 +257,7 @@ def test_constant_operator_integral_telescopes():
     s = np.array([[1.0, 3.0], [0.5, -2.0]])
     z = ito_general(constant_integrand(s), levy)
     oracle = s @ driver.cumulative[:, -1]
-    assert np.max(np.abs(z.terminal - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+    assert np.max(np.abs(z[-1] - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +267,10 @@ def test_constant_operator_integral_telescopes():
 def test_angle_bracket_values():
     grid = TWO_CELL.grid
     same = angle_bracket(grid, 1, 1)
-    assert np.array_equal(same.values, grid.times)
-    assert same.terminal == 1.0
+    assert np.array_equal(same, grid.times)
+    assert same[-1] == 1.0
     cross = angle_bracket(grid, 0, 1)
-    assert np.all(cross.values == 0.0) and cross.terminal == 0.0
+    assert cross.shape == (grid.n_nodes,) and np.all(cross == 0.0)
     with pytest.raises(IndexOutOfRange):
         angle_bracket(grid, -1, 0)
 
@@ -279,9 +279,9 @@ def test_covariation_integral_frozen_case():
     x = constant_integrand(np.array([1.0, 0.0]))
     y = constant_integrand(np.array([3.0, 4.0]))
     ci = covariation_integral(x, y, TWO_CELL, 0, 0)
-    assert ci.values.tolist() == [0.0, 1.5, 3.0]
+    assert ci.tolist() == [0.0, 1.5, 3.0]
     off = covariation_integral(x, y, TWO_CELL, 0, 1)
-    assert np.all(off.values == 0.0)
+    assert off.shape == (3,) and np.all(off == 0.0)
     mismatched = constant_integrand(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         covariation_integral(x, mismatched, TWO_CELL, 0, 0)
@@ -307,7 +307,8 @@ def test_integral_path_accessors():
     driver = replay_path([0.0, 0.5, 1.0], [[1.0, 1.0]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[1.0]]))
     z = ito_h(si, driver, 0)
-    assert z.value_at(0.75)[0] == z.values[1][0]
-    assert z.terminal[0] == 2.0
+    assert z.shape == (3, 1)
+    assert z[driver.grid.node_at(0.75)][0] == z[1][0]
+    assert z[-1][0] == 2.0
     with pytest.raises(IndexOutOfRange):
-        z.value_at(2.0)
+        z[driver.grid.node_at(2.0)]

@@ -21,7 +21,6 @@ from levyint.processes import (
     KIND_NAMES,
     SCHEDULED,
     PathSampler,
-    SamplePath,
     StandardLevySpec,
     TimeGrid,
     assemble_levy,
@@ -133,7 +132,6 @@ def test_brownian_only_grid_is_the_scheduled_grid():
     path = sampler.sample(1, 0)
     assert np.array_equal(path.grid.times, np.linspace(0.0, 1.0, 9))
     assert np.all(path.grid.kind == SCHEDULED)
-    assert path.jump_log == ((),)
     assert path.increments.shape == (1, 8)
     assert path.cumulative[0, 0] == 0.0
     assert abs(path.cumulative[0, -1] - path.increments[0].sum()) <= 1e-12
@@ -146,7 +144,6 @@ def test_sampling_is_deterministic_per_address():
     p2 = sampler.sample(7, 3)
     assert np.array_equal(p1.grid.times, p2.grid.times)
     assert np.array_equal(p1.increments, p2.increments)
-    assert p1.jump_log == p2.jump_log
     p3 = sampler.sample(7, 4)
     assert not (p1.grid.times.size == p3.grid.times.size
                 and np.array_equal(p1.increments, p3.increments))
@@ -159,20 +156,19 @@ def test_jump_grid_structure_and_compensation():
     times = path.grid.times
     assert times[0] == 0.0 and times[-1] == 1.0
     assert np.all(np.diff(times) > 0)
-    log = path.jump_log[0]
-    assert len(log) > 0
-    for t, size in log:
-        node = path.grid.node_at(t)
-        assert times[node] == t
-        assert path.grid.kind[node] == JUMP
-        assert size == 0.5
+    # redraw the jumps in the documented order: a Poisson count, then that
+    # many uniform times, from the component's JUMPS stream
+    gen = rng.stream(11, 2, 0, rng.JUMPS)
+    n_jumps = int(gen.poisson(4.0 * 1.0))
+    drawn = np.sort(gen.uniform(0.0, 1.0, n_jumps))
+    assert n_jumps > 0
+    assert np.array_equal(times[path.grid.kind == JUMP], drawn)
     # compensated sum: a * N_T - a * nu * T
-    n_jumps = len(log)
     assert abs(path.cumulative[0, -1] - (0.5 * n_jumps - 0.5 * 4.0 * 1.0)) <= 1e-10
-    # the increments are exactly compensator plus logged jumps
+    # the increments are exactly compensator plus a at the jump nodes
     oracle = -0.5 * 4.0 * path.grid.dt
-    for t, size in log:
-        oracle[path.grid.node_at(t) - 1] += size
+    for t in drawn:
+        oracle[path.grid.node_at(t) - 1] += 0.5
     assert np.max(np.abs(path.increments[0] - oracle)) <= 1e-12
 
 
@@ -211,7 +207,6 @@ def test_replay_round_trip_is_exact():
     assert np.array_equal(back.grid.kind, path.grid.kind)
     assert np.array_equal(back.increments, path.increments)
     assert np.array_equal(back.cumulative, path.cumulative)
-    assert back.jump_log == ()
 
 
 def test_replay_validation():
@@ -225,6 +220,12 @@ def test_replay_validation():
         replay_path([0.0, 0.5, 1.0], [[1.0]])
     with pytest.raises(GridMismatch):
         replay_path([0.0, 1.0], [[1.0]], kinds=["scheduled"])
+    # kinds are names of KIND_NAMES or their indices, nothing else
+    assert replay_path([0.0, 1.0], [[1.0]], kinds=[0, "jump"]).grid.kind.tolist() \
+        == [SCHEDULED, JUMP]
+    for kinds in (["scheduled", "bogus"], [0, 7], [0, [1]], 3):
+        with pytest.raises(GridMismatch, match="kinds"):
+            replay_path([0.0, 1.0], [[1.0]], kinds=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,6 @@ def test_project_standard_recovers_components_under_rotation():
     dev = np.max(np.abs(np.cumsum(view.increments, axis=1)
                         - levy.coords[:, 1:]))
     assert dev <= 1e-12
-    assert view.jump_log == ()
 
 
 def test_coordinate_view_identity_basis_is_exact():
@@ -324,7 +324,6 @@ def test_transport_swaps_components_exactly():
     driver = PathSampler(drivers, 1.0, 8).sample(13, 1)
     moved = transport_levy(assemble_levy(spec, driver), iso)
     assert np.array_equal(moved.driver.increments, driver.increments[::-1])
-    assert moved.driver.jump_log == (driver.jump_log[1], driver.jump_log[0])
     assert moved.spec.identity_basis
 
 
@@ -367,7 +366,6 @@ def test_block_rows_equal_single_path_samples(specs):
             assert np.array_equal(path.grid.times, single.grid.times)
             assert np.array_equal(path.grid.kind, single.grid.kind)
             assert np.array_equal(path.increments, single.increments)
-            assert path.jump_log == single.jump_log
             # padding: the horizon repeated, zero-length cells, no increments
             n = int(block.n_nodes[row])
             assert np.all(block.grid.times[row, n:] == 1.0)
@@ -376,20 +374,6 @@ def test_block_rows_equal_single_path_samples(specs):
             assert np.array_equal(block.cumulative[row, :, n - 1:],
                                   np.repeat(single.cumulative[:, -1:],
                                             width - n + 1, axis=1))
-
-
-def test_jump_log_is_built_from_the_jump_draws():
-    sampler = PathSampler(make_standard_specs(2, (
-        {"sigma": 0.3, "jumps": [[1.0, 1.0], [-0.5, 2.0]]}, "brownian")), 1.0, 8)
-    path = sampler.sample(3, 1)
-    assert "jump_log" not in path.__dict__
-    log = path.jump_log[0]
-    assert path.jump_log[1] == ()
-    assert log == tuple(sorted(log)) and len(log) > 0
-    assert {size for _, size in log} <= {1.0, -0.5}
-    assert all(type(t) is float for t, _ in log)
-    jump_nodes = path.grid.times[path.grid.kind == JUMP]
-    assert sorted(t for t, _ in log) == sorted(jump_nodes.tolist())
 
 
 @pytest.mark.parametrize("address", [

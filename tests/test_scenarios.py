@@ -1,6 +1,7 @@
 """Scenario configs: covariance laws, integrand factories, fault injection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,12 +116,19 @@ def test_make_sampler_cycles_the_driver_recipe():
 
 
 def test_make_sampler_honors_extras_and_component_override():
-    # the component count follows the scenario's J; override that
-    sc = ScenarioConfig(n_scheduled=8, n_modes=2)
-    sampler = make_sampler(sc, extra_times=(0.33,))
+    # the component count follows the scenario's J, and a simple
+    # integrand's interior breakpoints join the grid
+    simple = IntegrandConfig(family="simple", carrier="hvector",
+                             evaluator="constant", breakpoints=(0.0, 0.33, 1.0))
+    sc = ScenarioConfig(n_scheduled=8, n_modes=2, integrand=simple)
+    sampler = make_sampler(sc)
     assert len(sampler.specs) == 2
+    assert sampler.extra_times == (0.33,)
     path = sampler.sample(3, 0)
     assert 0.33 in path.grid.times
+    # a grid integrand, or a simple one without breakpoints, adds nothing
+    for integrand in (IntegrandConfig(), replace(simple, breakpoints=None)):
+        assert make_sampler(replace(sc, integrand=integrand)).extra_times == ()
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +232,15 @@ def test_build_simple_integrand_round_trip_and_validation():
     assert si.values.tolist() == [[2.0], [3.0]]
     with pytest.raises(ConfigInvalid):
         build_simple_integrand(ScenarioConfig())
-    missing = ScenarioConfig(integrand=IntegrandConfig(
-        family="simple", carrier="hvector", evaluator="constant",
-        breakpoints=(0.0, 1.0)))
-    with pytest.raises(ConfigInvalid):
-        build_simple_integrand(missing)
+    # without a value, scale times normals from the integrand seed's stream
+    drawn = ScenarioConfig(integrand=IntegrandConfig(
+        family="simple", carrier="hvector", evaluator="constant", seed=4,
+        scale=0.5, breakpoints=(0.0, 0.25, 1.0)))
+    oracle = 0.5 * rng.stream(4, 0, 0, rng.INTEGRAND).standard_normal((2, 4))
+    assert np.array_equal(build_simple_integrand(drawn).values, oracle)
+    with pytest.raises(ConfigInvalid, match="breakpoints"):
+        build_simple_integrand(replace(drawn, integrand=replace(
+            drawn.integrand, breakpoints=None)))
 
 
 def test_restrict_integrand_identity_matches_explicit_eye():
