@@ -18,10 +18,12 @@ deterministic functions of (scenario, seed, n_paths): path indices map
 to fixed counter-based streams and reductions use a fixed chunked tree,
 so serialized outputs are byte-identical across runs and worker counts.
 
-Statistical checks compute their rows a block of paths at a time
-(:func:`levyint.stats.accumulate_paths`): one sampling call, one
-integrand evaluation shared by the integral and the quadrature, and one
-kernel call per block.  Exact checks run path by path on the same kernel.
+Every check computes its rows a block of paths at a time, over the
+ranges of :func:`levyint.stats.path_blocks`: one sampling call, one
+evaluation per integrand shared by the integrals and the quadrature, and
+one kernel call per route and block.  Statistical rows feed
+:func:`levyint.stats.accumulate_paths`; exact rows, each path's worst
+absolute and relative deviation, reduce to their maximum.
 """
 from __future__ import annotations
 
@@ -37,16 +39,17 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigInvalid, UnknownCheck
-from .integrators import (cell_values, integrate_cells, integrate_terms,
-                          ito_h, node_values, side_cells, time_quadrature)
-from .processes import (SamplePath, assemble_levy, coordinate_view,
-                        project_standard, transport_levy)
+from .integrators import (cell_values, integrate_cells, integrate_in_basis,
+                          integrate_terms, ito_h, node_values, side_cells,
+                          time_quadrature)
+from .processes import (assemble_levy, coordinate_view, project_standard,
+                        transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, build_simple_integrand, make_sampler,
                         resolve_covariance, restrict_integrand)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      psi_lambda_apply, random_orthogonal)
-from .stats import accumulate_paths
+from .stats import accumulate_paths, path_blocks
 
 BASE_SEED = 20260816
 
@@ -128,13 +131,17 @@ def _rows(lhs: np.ndarray, rhs) -> np.ndarray:
 
 
 def _exact_loop(spec: CheckSpec, per_path) -> Report:
-    """Reduce per_path(index) -> (abs deviation, rel deviation) to a report.
+    """Reduce ``per_path(paths) -> (len(paths), 2)`` rows to a report.
 
-    A NaN deviation propagates to the margin, and a margin that is not
-    finite fails.
+    ``paths`` is a range of :func:`levyint.stats.path_blocks`, and a row
+    holds the absolute and the relative deviation of one path.  A NaN
+    deviation propagates to the margin, and a margin that is not finite
+    fails.  The parameter keeps its name ``per_path``, which the traced
+    benchmark relies on (``tests/test_bench_targets.py``).
     """
     _need_paths(spec, 1)
-    devs = np.array([per_path(p) for p in range(spec.n_paths)], dtype=float)
+    devs = np.concatenate([per_path(paths) for blocks in
+                           path_blocks(spec.n_paths) for paths in blocks])
     worst_abs, worst_rel = (float(v) for v in np.max(devs, axis=0))
     margin = worst_rel / spec.rel_tol
     return Report(spec.name, worst_abs, 0.0, 0.0, margin,
@@ -142,13 +149,14 @@ def _exact_loop(spec: CheckSpec, per_path) -> Report:
                   spec.n_paths, spec.seed)
 
 
-def _worst(*devs) -> float:
-    """Largest of the deviations; NaN if any is NaN."""
-    return float(np.max(devs))
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Per path, the largest absolute entry; NaN if any entry is NaN."""
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
 
 
-def _rel(dev: float, ref: float) -> float:
-    return float(dev / np.maximum(1.0, ref))
+def _exact_rows(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Rows (absolute, relative) of per-path deviations against references."""
+    return np.stack([dev, dev / np.maximum(1.0, ref)], axis=1)
 
 
 def _block_rotations_for(eigenvalues: np.ndarray,
@@ -460,16 +468,18 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
     q1 = random_orthogonal(sc.dim_h, gen)
     q2 = random_orthogonal(sc.dim_h, gen)
 
-    def per_path(p):
-        path = sampler.sample(spec.seed, p)
-        z0 = ito_h(integrand, path, 0, sample_side=side)
-        z1 = ito_h(integrand, path, 0, sample_side=side, projection_basis=q1)
-        z2 = ito_h(integrand, path, 0, sample_side=side, projection_basis=q2)
-        dev = _worst(np.max(np.abs(z1 - z0)), np.max(np.abs(z2 - z0)),
-                     np.max(np.abs(z2 - z1)))
-        return dev, _rel(dev, float(np.max(np.abs(z0))))
+    def per_block(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        vals = cell_values(integrand, block, side)
+        dm = block.increments[:, 0]
+        z0 = integrate_cells(vals[:, :, None, :], dm[:, None, :])
+        z1 = integrate_in_basis(vals, dm, q1)
+        z2 = integrate_in_basis(vals, dm, q2)
+        dev = np.max([_row_max(z1 - z0), _row_max(z2 - z0),
+                      _row_max(z2 - z1)], axis=0)
+        return _exact_rows(dev, _row_max(z0))
 
-    return _exact_loop(spec, per_path)
+    return _exact_loop(spec, per_block)
 
 
 def _check_isometry_invariance(spec: CheckSpec) -> Report:
@@ -489,28 +499,30 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
     sampler = make_sampler(sc)
     integrand = build_integrand(sc)
 
-    def per_path(p):
-        driver = sampler.sample(spec.seed, p)
+    def per_block(paths):
+        driver = sampler.sample_block(spec.seed, paths)
         vals = cell_values(integrand, driver, side)
         z1 = integrate_cells(vals, driver.increments)
         levy2 = transport_levy(assemble_levy(cov, driver), iso)
-        vals2 = np.einsum("ab,kbd->kad", cmap, vals)
+        vals2 = cmap @ vals
         z2 = integrate_cells(vals2, levy2.driver.increments)
-        dz = float(np.max(np.abs(z1 - z2)))
-        q1 = float(time_quadrature(vals, vals, driver.grid.dt))
-        q2 = float(time_quadrature(vals2, vals2, driver.grid.dt))
-        dev = _worst(dz, abs(q1 - q2))
-        return dev, _rel(dev, _worst(np.max(np.abs(z1)), q1))
+        q1 = time_quadrature(vals, vals, driver.grid.dt)
+        q2 = time_quadrature(vals2, vals2, driver.grid.dt)
+        dev = np.max([_row_max(z1 - z2), np.abs(q1 - q2)], axis=0)
+        return _exact_rows(dev, np.max([_row_max(z1), q1], axis=0))
 
-    return _exact_loop(spec, per_path)
+    return _exact_loop(spec, per_block)
 
 
 def _check_well_defined(spec: CheckSpec) -> Report:
     """Two eigendecompositions of one covariance give one integral.
 
-    The integrand is a function of the observable path (its reference
+    The integrand A is a function of the observable path (its reference
     coordinates), restricted per decomposition; integral paths and
-    reconstructed path coordinates must agree to rounding.
+    reconstructed path coordinates must agree to rounding.  A third route
+    is the paper's main theorem on the truncation: the series
+    sum_j (A e_j sqrt(lambda_j)) d beta_j equals the integral of A itself
+    against the reference-coordinate increments dL at every node.
     """
     sc = spec.scenario
     side = sc.sample_side
@@ -525,23 +537,27 @@ def _check_well_defined(spec: CheckSpec) -> Report:
     r1 = restrict_integrand(raw, cov1)
     r2 = restrict_integrand(raw, cov2)
 
-    def per_path(p):
-        d1 = sampler.sample(spec.seed, p)
+    def per_block(paths):
+        d1 = sampler.sample_block(spec.seed, paths)
         levy1 = assemble_levy(cov1, d1)
         view = coordinate_view(levy1)
-        s1 = psi_lambda_apply(cov1, cell_values(r1, view, side))
-        s2 = psi_lambda_apply(cov2, cell_values(r2, view, side))
         inc2 = cmap @ d1.increments
-        levy2 = assemble_levy(cov2, SamplePath(d1.grid, inc2))
-        z1 = integrate_cells(s1, d1.increments)
-        z2 = integrate_cells(s2, inc2)
-        dz = float(np.max(np.abs(z1 - z2)))
-        dc = float(np.max(np.abs(levy1.coords - levy2.coords)))
-        dev = _worst(dz, dc)
-        ref = _worst(np.max(np.abs(z1)), np.max(np.abs(levy1.coords)))
-        return dev, _rel(dev, ref)
+        levy2 = assemble_levy(cov2, replace(d1, increments=inc2))
+        # one integrand's cell values alive at a time
+        z1 = integrate_cells(
+            psi_lambda_apply(cov1, cell_values(r1, view, side)),
+            d1.increments)
+        z2 = integrate_cells(
+            psi_lambda_apply(cov2, cell_values(r2, view, side)), inc2)
+        # A dL: column u of A integrates reference coordinate u
+        z3 = integrate_cells(cell_values(raw, view, side).swapaxes(-1, -2),
+                             view.increments)
+        dev = np.max([_row_max(z1 - z2), _row_max(z1 - z3),
+                      _row_max(levy1.coords - levy2.coords)], axis=0)
+        ref = np.max([_row_max(z1), _row_max(levy1.coords)], axis=0)
+        return _exact_rows(dev, ref)
 
-    return _exact_loop(spec, per_path)
+    return _exact_loop(spec, per_block)
 
 
 def _check_simple_exact(spec: CheckSpec) -> Report:
@@ -552,21 +568,23 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
     b, values = integrand.breakpoints, integrand.values
     sampler = make_sampler(sc)
 
-    def per_path(p):
-        path = sampler.sample(spec.seed, p)
-        z = ito_h(integrand, path, 0, sample_side=side)
-        cum = path.cumulative[0]
-        nodes = [path.grid.node_at(t) for t in b]
-        partial = np.zeros(sc.dim_h)
-        dev = 0.0
-        ref = 0.0
+    def per_block(paths):
+        block = sampler.sample_block(spec.seed, paths)
+        z = ito_h(integrand, block, 0, sample_side=side)
+        rows = np.arange(block.n_paths)
+        cum = block.cumulative[:, 0]
+        nodes = [block.node_at(t) for t in b]
+        partial = np.zeros((block.n_paths, sc.dim_h))
+        dev = np.zeros(block.n_paths)
+        ref = np.zeros(block.n_paths)
         for i in range(values.shape[0]):
-            partial = partial + values[i] * (cum[nodes[i + 1]] - cum[nodes[i]])
-            dev = _worst(dev, np.max(np.abs(z[nodes[i + 1]] - partial)))
-            ref = _worst(ref, np.max(np.abs(partial)))
-        return dev, _rel(dev, ref)
+            step = cum[rows, nodes[i + 1]] - cum[rows, nodes[i]]
+            partial = partial + values[i] * step[:, None]
+            dev = np.maximum(dev, _row_max(z[rows, nodes[i + 1]] - partial))
+            ref = np.maximum(ref, _row_max(partial))
+        return _exact_rows(dev, ref)
 
-    return _exact_loop(spec, per_path)
+    return _exact_loop(spec, per_block)
 
 
 # ---------------------------------------------------------------------------

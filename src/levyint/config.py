@@ -26,6 +26,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .checks import BASE_SEED, CHECKS
 from .errors import ConfigInvalid, ConfigNotFound, expect_number
 from .scenarios import (FAULTS, CovarianceConfig, IntegrandConfig,
@@ -106,9 +108,25 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     return CovarianceConfig(ev, basis, tail)
 
 
+def _check_value(value) -> None:
+    """``integrand.value`` must be a number or nested lists of numbers."""
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            _check_value(entry)
+    else:
+        expect_number(value, "integrand.value")
+
+
 def _parse_integrand(section: dict) -> IntegrandConfig:
     _reject_unknown(section, _INTEGRAND_KEYS, "integrand")
     value = section.get("value")
+    if value is not None:
+        _check_value(value)
+        try:
+            np.asarray(value, dtype=float)
+        except ValueError:
+            raise ConfigInvalid("integrand.value must be a rectangular array "
+                                "of numbers")
     breakpoints = section.get("breakpoints")
     if breakpoints is not None:
         if not isinstance(breakpoints, (list, tuple)):

@@ -28,11 +28,13 @@ the series as (n_modes, n_nodes, dim_h), and the brackets
 :func:`angle_bracket` and :func:`covariation_integral` return (n_nodes,).
 
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
-(and its per-component form :func:`integrate_terms`); the squared-norm
-quadrature is :func:`time_quadrature`.  These take optional leading batch
-axes, so the statistical checks integrate a whole
-:class:`levyint.processes.PathBlock` per call with the same per-cell
-arithmetic as the single-path layers.
+(and its per-component form :func:`integrate_terms`, and the explicit
+basis route :func:`integrate_in_basis`); the squared-norm quadrature is
+:func:`time_quadrature`.  These take optional leading batch axes, and so
+do :func:`cell_values` and :func:`ito_h`: given a
+:class:`levyint.processes.PathBlock` they return one row per path with
+the same per-cell arithmetic as for a single path.  That is how every
+check computes its rows, a block of paths per call.
 """
 from __future__ import annotations
 
@@ -120,34 +122,32 @@ def side_cells(per_node: np.ndarray, sample_side: str = "left",
     return per_node[(slice(None),) * lead + (cut,)]
 
 
-def cell_values(integrand, path: SamplePath, sample_side: str = "left"
-                ) -> np.ndarray:
-    """Integrand value per grid cell under the given sampling rule."""
-    grid = path.grid
+def cell_values(integrand, path, sample_side: str = "left") -> np.ndarray:
+    """Integrand value per grid cell under the given sampling rule.
+
+    The result is (n_cells, *value_shape) for a path and (n_paths,
+    n_cells, *value_shape) for a :class:`PathBlock`, whose padding cells
+    take the value of the last interval or node.  A simple integrand
+    looks its values up row by row, and every breakpoint must be a node
+    of every row.
+    """
+    times = path.grid.times
     if isinstance(integrand, SimpleIntegrand):
         b = integrand.breakpoints
-        if b[-1] != grid.times[-1]:
+        if np.any(times[..., -1] != b[-1]):
             raise GridMismatch("breakpoints do not end at the horizon")
-        pos = np.searchsorted(grid.times, b)
-        if np.any(pos >= grid.n_nodes) or np.any(grid.times[pos] != b):
+        if not np.all(np.any(times[..., :, None] == b, axis=-2)):
             raise GridMismatch(
                 "every breakpoint must be a grid node; pass breakpoints as "
                 "extra_times when sampling")
-        lookup = grid.times[:-1] if sample_side == "left" else grid.times[1:]
+        lookup = times[..., :-1] if sample_side == "left" else times[..., 1:]
         idx = np.searchsorted(b, lookup, side="right") - 1
         np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
         return integrand.values[idx]
     if isinstance(integrand, GridIntegrand):
-        return side_cells(node_values(integrand, path), sample_side)
+        return side_cells(node_values(integrand, path), sample_side,
+                          times.ndim - 1)
     raise DimensionMismatch(f"unsupported integrand type {type(integrand)!r}")
-
-
-def _running_sum(cell_increments: np.ndarray) -> np.ndarray:
-    """Sums over the cell axis (-2) up to every node, with a zero first node."""
-    shape = cell_increments.shape
-    out = np.zeros(shape[:-2] + (shape[-2] + 1, shape[-1]))
-    np.cumsum(cell_increments, axis=-2, out=out[..., 1:, :])
-    return out
 
 
 def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -184,6 +184,25 @@ def integrate_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return out
 
 
+def integrate_in_basis(vals: np.ndarray, increments: np.ndarray,
+                       basis: np.ndarray) -> np.ndarray:
+    """The explicit route: the running integral through an orthonormal basis.
+
+    ``vals`` holds H-valued cell values (..., n_cells, dim_h) and
+    ``increments`` one component's increments (..., n_cells).  Each
+    coefficient of the values against the columns of ``basis`` is
+    integrated as a scalar, and the coefficient integrals are recombined
+    into H, giving (..., n_nodes, dim_h) with a zero first node.
+    """
+    basis = np.asarray(basis, dtype=float)
+    coeff = vals @ basis                 # per-cell coefficients against the basis
+    cells = (coeff * increments[..., :, None]) @ basis.T
+    shape = cells.shape
+    out = np.zeros(shape[:-2] + (shape[-2] + 1, shape[-1]))
+    np.cumsum(cells, axis=-2, out=out[..., 1:, :])
+    return out
+
+
 def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
                     dt: np.ndarray) -> np.ndarray:
     """Left-point quadrature of <x, y> against time over all cells.
@@ -196,32 +215,29 @@ def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
     return np.vecdot(per_cell, dt)
 
 
-def ito_h(integrand, path: SamplePath, component: int, *,
-          sample_side: str = "left",
+def ito_h(integrand, path, component: int, *, sample_side: str = "left",
           projection_basis: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrate an H-valued integrand against one driver component.
 
-    Returns the running integral at every node, (n_nodes, dim_h).
+    Returns the running integral at every node, (n_nodes, dim_h) for a
+    path and (n_paths, n_nodes, dim_h) for a :class:`PathBlock`.
     The default route multiplies cell values by the component increments
     coordinatewise.  ``projection_basis`` (an orthogonal dim_h x dim_h
-    matrix) switches to the explicit route that first integrates each
-    basis coefficient as a scalar and then recombines; the two routes
-    agree up to rounding for any orthonormal basis, which is exactly the
-    basis-independence of the construction.
+    matrix) switches to the explicit route of :func:`integrate_in_basis`,
+    which first integrates each basis coefficient as a scalar and then
+    recombines; the two routes agree up to rounding for any orthonormal
+    basis, which is exactly the basis-independence of the construction.
     """
     if not 0 <= component < path.n_components:
         raise IndexOutOfRange(
             f"component {component} outside range(0, {path.n_components})")
     vals = cell_values(integrand, path, sample_side)
-    if vals.ndim != 2:
+    if vals.ndim != path.increments.ndim:
         raise DimensionMismatch("H-valued integrand must have vector values")
-    dm = path.increments[component:component + 1]
+    dm = path.increments[..., component, :]
     if projection_basis is None:
-        return integrate_cells(vals[:, None, :], dm)
-    basis = np.asarray(projection_basis, dtype=float)
-    coeff = vals @ basis                 # per-cell coefficients against the basis
-    scalar_increments = coeff * dm[0][:, None]
-    return _running_sum(scalar_increments @ basis.T)
+        return integrate_cells(vals[..., None, :], dm[..., None, :])
+    return integrate_in_basis(vals, dm, projection_basis)
 
 
 def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left"

@@ -38,11 +38,12 @@ increment, cumulative sum or quadrature.  Only the random draws run path
 by path, each from its own (seed, path, component, purpose) stream
 opened through one reused generator (:class:`levyint.rng.StreamOpener`);
 a path's bits are therefore the same whether it is sampled alone, with
-:meth:`PathSampler.sample`, or in any block.
+:meth:`PathSampler.sample`, or in any block.  A block assembles, projects,
+transports and views like a path, with the path axis in front.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -499,30 +500,32 @@ def project_standard(path: LevyPath) -> np.ndarray:
         path.spec, path.driver.increments))
 
 
-def coordinate_view(path: LevyPath) -> SamplePath:
-    """Reference-coordinate increments of the assembled path.
+def coordinate_view(path: LevyPath):
+    """Reference-coordinate increments of the assembled path or block.
 
-    Packages the U coordinates as a plain component path so adapted
-    integrand evaluators can consume the observable path itself rather
-    than a specific spectral decomposition of it.
+    Packages the U coordinates as a plain component path, of the driver's
+    kind (a :class:`SamplePath` or a :class:`PathBlock` on the same
+    grid), so adapted integrand evaluators can consume the observable
+    path itself rather than a specific spectral decomposition of it.
     """
-    return SamplePath(path.grid,
-                      phi_lambda_invert(path.spec, path.driver.increments))
+    return replace(path.driver, increments=phi_lambda_invert(
+        path.spec, path.driver.increments))
 
 
 def transport_levy(path: LevyPath, iso) -> LevyPath:
-    """Carry a path through a weighted-sequence isometry.
+    """Carry a path, or a block of paths, through a weighted-sequence isometry.
 
     The transported path lives in the target weighted picture (identity
-    eigenbasis, target eigenvalue order) on the same grid.  Because the
-    isometry is supported on equal-eigenvalue blocks, the standard
-    components of the image are plain orthogonal mixes of the source
-    components: its increments are ``coord_map @ increments``.
+    eigenbasis, target eigenvalue order) on the same grid, and its driver
+    is of the source driver's kind.  Because the isometry is supported on
+    equal-eigenvalue blocks, the standard components of the image are
+    plain orthogonal mixes of the source components: its increments are
+    ``coord_map @ increments``.
     """
     if not np.array_equal(iso.source_eigenvalues, path.spec.eigenvalues):
         raise SpecMismatch("isometry source does not match the path spec")
     target = CovarianceSpec(iso.target_eigenvalues,
                             np.eye(iso.target_eigenvalues.size),
                             path.spec.tail_mass)
-    return LevyPath(target, SamplePath(
-        path.grid, iso.coord_map @ path.driver.increments))
+    return LevyPath(target, replace(
+        path.driver, increments=iso.coord_map @ path.driver.increments))

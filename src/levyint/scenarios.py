@@ -30,7 +30,8 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from . import rng as _rng
-from .errors import ConfigInvalid, expect_number
+from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
+                     expect_number)
 from .integrators import GridIntegrand, SimpleIntegrand
 from .processes import PathSampler, make_standard_specs
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
@@ -140,7 +141,11 @@ class ScenarioConfig:
 def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     """Materialize the covariance spec, applying the basis fault if injected."""
     lam, tail = scenario.covariance.resolve(scenario.n_modes)
-    spec = make_covariance(lam, scenario.covariance.basis, tail)
+    try:
+        spec = make_covariance(lam, scenario.covariance.basis, tail)
+    except (DimensionMismatch, NonOrthogonalBasis) as exc:
+        # the eigenvalues are checked when parsed: the basis is at fault
+        raise type(exc)(f"covariance.basis: {exc}") from None
     if scenario.fault != "nonorthogonal_basis":
         return spec
     basis = np.array(spec.eigenbasis)
@@ -180,8 +185,9 @@ def _eval_constant(path, value: np.ndarray) -> np.ndarray:
 
 def _affine(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     """c0 + sum_m cum[m, k] c1[m] at every node k, batch axes first."""
-    axes = "abc"[:c1.ndim - 1]
-    out = np.einsum(f"...mk,m{axes}->...k{axes}", path.cumulative, c1)
+    cum = path.cumulative.swapaxes(-1, -2)
+    out = cum @ c1.reshape(c1.shape[0], -1)
+    out = out.reshape(cum.shape[:-1] + c1.shape[1:])
     out += c0
     return out
 

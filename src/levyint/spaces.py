@@ -190,7 +190,9 @@ def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray
             f"operator must have {spec.dim_u} columns, got {a.shape}")
     if spec.identity_basis:
         return a * spec.sqrt_eigenvalues
-    out = np.einsum("...du,uj->...dj", a, spec.eigenbasis)
+    # one product over every leading axis, not one per operator
+    out = a.reshape(-1, spec.dim_u) @ spec.eigenbasis
+    out = out.reshape(a.shape[:-1] + (spec.n_modes,))
     out *= spec.sqrt_eigenvalues
     return out
 

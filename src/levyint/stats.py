@@ -12,7 +12,7 @@ most ``BLOCK_PATHS`` consecutive path indices, which never straddles a
 chunk boundary, and stores the ``(n, n_stats)`` rows it returns in path
 order.  Each row depends only on its own path, so blocking changes no
 row and no chunk, and the reduction is the same as for one path at a
-time.
+time.  The exact checks walk the same ranges (:func:`path_blocks`).
 """
 from __future__ import annotations
 
@@ -81,21 +81,31 @@ def pairwise_merge(accumulators) -> MomentAccumulator:
     return accs[0]
 
 
+def path_blocks(n_paths: int, chunk_size: int = CHUNK_SIZE):
+    """Per chunk of ``chunk_size`` path indices, the ranges a statistic sees.
+
+    Each range holds at most ``BLOCK_PATHS`` consecutive indices and never
+    straddles a chunk boundary.
+    """
+    for start in range(0, n_paths, chunk_size):
+        stop = min(start + chunk_size, n_paths)
+        yield [range(lo, min(lo + BLOCK_PATHS, stop))
+               for lo in range(start, stop, BLOCK_PATHS)]
+
+
 def accumulate_paths(n_paths: int, stat_fn, n_stats: int,
                      chunk_size: int = CHUNK_SIZE) -> MomentAccumulator:
     """Evaluate ``stat_fn(paths) -> (len(paths), n_stats)`` over all paths.
 
-    ``paths`` is a ``range`` of consecutive path indices inside one chunk.
-    Chunking is by path index with a fixed chunk size, so the reduction
-    tree, and therefore every output bit, is independent of how the work
-    is scheduled.
+    ``paths`` is a range of :func:`path_blocks`.  Chunking is by path
+    index with a fixed chunk size, so the reduction tree, and therefore
+    every output bit, is independent of how the work is scheduled.
     """
     accs = []
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        buf = np.empty((stop - start, n_stats))
-        for lo in range(start, stop, BLOCK_PATHS):
-            hi = min(lo + BLOCK_PATHS, stop)
-            buf[lo - start:hi - start] = stat_fn(range(lo, hi))
+    for blocks in path_blocks(n_paths, chunk_size):
+        start = blocks[0].start
+        buf = np.empty((blocks[-1].stop - start, n_stats))
+        for paths in blocks:
+            buf[paths.start - start:paths.stop - start] = stat_fn(paths)
         accs.append(MomentAccumulator.from_samples(buf))
     return pairwise_merge(accs)

@@ -28,10 +28,11 @@ from levyint.checks import (
 )
 from levyint.integrators import (
     SimpleIntegrand,
-    covariation_integral,
+    cell_values,
     ito_general,
     ito_h,
     ito_seq,
+    time_quadrature,
 )
 from levyint.processes import PathSampler, assemble_levy, make_standard_specs
 from levyint.scenarios import (
@@ -53,11 +54,6 @@ MIXED_ONE = ({"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},)
 def _criterion(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {num:02d}: {detail}"
-
-
-def _block(row):
-    """The block statistic of accumulate_paths, one per-path row at a time."""
-    return lambda paths: np.array([row(p) for p in paths])
 
 
 def _stat_margin(mean: float, target: float, se: float) -> float:
@@ -192,14 +188,14 @@ def test_c06_covariance_recovery():
     combos = [(i, j, t, s) for (i, j) in ((0, 0), (1, 1), (0, 1))
               for t in times for s in times]
 
-    def stat(p):
-        path = sampler.sample(BASE_SEED + 601, p)
-        cum = path.cumulative
-        at = {t: cum[:, path.grid.node_at(t)] for t in times}
-        return np.array([(w[i] @ at[t]) * (w[j] @ at[s])
-                         for (i, j, t, s) in combos])
+    def stat(paths):
+        block = sampler.sample_block(BASE_SEED + 601, paths)
+        rows = np.arange(block.n_paths)
+        at = {t: block.cumulative[rows, :, block.node_at(t)] for t in times}
+        return np.stack([(at[t] @ w[i]) * (at[s] @ w[j])
+                         for (i, j, t, s) in combos], axis=1)
 
-    acc = accumulate_paths(N_PATHS, _block(stat), len(combos))
+    acc = accumulate_paths(N_PATHS, stat, len(combos))
     worst = 0.0
     for k, (i, j, t, s) in enumerate(combos):
         target = min(t, s) * float(spec.eigenvalues[i]) if i == j else 0.0
@@ -213,12 +209,13 @@ def test_c06_covariance_recovery():
 def test_c07_bracket_normalization():
     sampler = make_sampler(ScenarioConfig(n_modes=3))
 
-    def stat(p):
-        m = sampler.sample(BASE_SEED + 701, p).cumulative[:, -1]
-        return np.array([m[0] * m[0], m[1] * m[1], m[2] * m[2],
-                         m[0] * m[1], m[0] * m[2], m[1] * m[2]])
+    def stat(paths):
+        m = sampler.sample_block(BASE_SEED + 701, paths).cumulative[:, :, -1]
+        return np.stack([m[:, 0] * m[:, 0], m[:, 1] * m[:, 1],
+                         m[:, 2] * m[:, 2], m[:, 0] * m[:, 1],
+                         m[:, 0] * m[:, 2], m[:, 1] * m[:, 2]], axis=1)
 
-    acc = accumulate_paths(N_PATHS, _block(stat), 6)
+    acc = accumulate_paths(N_PATHS, stat, 6)
     targets = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     worst = max(_stat_margin(float(acc.mean[k]), targets[k],
                              float(acc.se[k])) for k in range(6))
@@ -236,15 +233,18 @@ def test_c08_quadratic_variation():
     x = build_integrand(sc)
     y = build_integrand(sc, seed_offset=1)
 
-    def stat(p):
-        path = sampler.sample(BASE_SEED + 801, p)
-        zx = ito_h(x, path, 0)[-1]
-        zy = ito_h(y, path, 0)[-1]
-        own = float(zx @ zx) - covariation_integral(x, x, path, 0, 0)[-1]
-        cross = float(zx @ zy) - covariation_integral(x, y, path, 0, 0)[-1]
-        return np.array([own, cross])
+    def stat(paths):
+        block = sampler.sample_block(BASE_SEED + 801, paths)
+        zx = ito_h(x, block, 0)[:, -1]
+        zy = ito_h(y, block, 0)[:, -1]
+        vx = cell_values(x, block)
+        vy = cell_values(y, block)
+        # the bracket of the one standard component is t
+        own = np.vecdot(zx, zx) - time_quadrature(vx, vx, block.grid.dt)
+        cross = np.vecdot(zx, zy) - time_quadrature(vx, vy, block.grid.dt)
+        return np.stack([own, cross], axis=1)
 
-    acc = accumulate_paths(N_PATHS, _block(stat), 2)
+    acc = accumulate_paths(N_PATHS, stat, 2)
     margins = [_stat_margin(float(acc.mean[k]), 0.0, float(acc.se[k]))
                for k in range(2)]
     _criterion(8, max(margins) <= 1.0,

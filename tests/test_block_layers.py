@@ -1,0 +1,152 @@
+"""The layers on a block of paths agree with the same layers path by path.
+
+Every check computes its rows from a :class:`PathBlock`, so each layer
+it calls must give, on row i of a block, what it gives on path i alone,
+and padding must leave running values at their terminal value.
+"""
+
+import numpy as np
+import pytest
+
+from levyint.errors import GridMismatch
+from levyint.integrators import SimpleIntegrand, cell_values, ito_h
+from levyint.processes import (
+    PathBlock,
+    PathSampler,
+    TimeGrid,
+    assemble_levy,
+    coordinate_view,
+    make_standard_specs,
+    transport_levy,
+)
+from levyint.scenarios import IntegrandConfig, build_grid_integrand
+from levyint.spaces import build_eigen_isometry, make_covariance, random_orthogonal
+from levyint.stats import CHUNK_SIZE
+from levyint import rng
+
+SEED = 20260816
+BREAKS = (0.0, 0.3, 0.7, 1.0)
+DIM_H = 3
+DESK = make_standard_specs(6, (
+    "brownian", {"preset": "poisson", "a": 0.5},
+    {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},
+    "brownian", {"preset": "poisson", "a": 0.25},
+    {"preset": "mixed", "sigma": 0.5, "a": 0.5}))
+JUMP_DENSE = make_standard_specs(6, (
+    {"preset": "poisson", "a": 0.15}, {"preset": "mixed", "sigma": 0.5, "a": 0.12},
+    {"preset": "poisson", "a": 0.25}, {"preset": "mixed", "sigma": 0.3, "a": 0.1},
+    {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2}))
+# a block that crosses a chunk boundary, and a block of one
+BLOCKS = (range(CHUNK_SIZE - 5, CHUNK_SIZE + 6), (17,))
+
+DRIVERS = pytest.mark.parametrize("specs", [DESK, JUMP_DENSE],
+                                  ids=["desk", "jump_dense"])
+INDICES = pytest.mark.parametrize("indices", BLOCKS,
+                                  ids=["chunk-boundary", "one"])
+
+
+def _sampler(specs):
+    return PathSampler(specs, 1.0, 64, extra_times=BREAKS[1:-1])
+
+
+def _integrands():
+    gen = rng.stream(3, 0, 0, rng.INTEGRAND)
+    simple = SimpleIntegrand(BREAKS, gen.standard_normal((3, DIM_H)))
+    grid = build_grid_integrand(
+        IntegrandConfig(carrier="hvector", evaluator="driver_tanh", seed=4),
+        (DIM_H,), 6)
+    seq = build_grid_integrand(
+        IntegrandConfig(carrier="seqh", evaluator="driver_linear", seed=5),
+        (6, DIM_H), 6)
+    return {"simple": simple, "grid": grid, "seq": seq}
+
+
+def _close(got, want):
+    """Equal to 1e-12 of the largest absolute value of the reference row."""
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def _keeps_terminal(values, n_nodes):
+    """Running values (nodes first) repeat their terminal value on padding."""
+    assert np.all(values[n_nodes:] == values[n_nodes - 1])
+
+
+@DRIVERS
+@INDICES
+@pytest.mark.parametrize("kind", ["simple", "grid", "seq"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cell_values_rows_are_the_per_path_values(specs, indices, kind, side):
+    sampler = _sampler(specs)
+    integrand = _integrands()[kind]
+    block = sampler.sample_block(SEED, indices)
+    vals = cell_values(integrand, block, side)
+    assert vals.shape[:2] == (block.n_paths, block.grid.n_nodes - 1)
+    for row, p in enumerate(indices):
+        n = int(block.n_nodes[row])
+        want = cell_values(integrand, sampler.sample(SEED, p), side)
+        _close(vals[row, :n - 1], want)
+
+
+@DRIVERS
+@INDICES
+@pytest.mark.parametrize("kind", ["simple", "grid"])
+def test_ito_h_rows_are_the_per_path_integrals(specs, indices, kind):
+    sampler = _sampler(specs)
+    integrand = _integrands()[kind]
+    basis = random_orthogonal(DIM_H, rng.stream(9, 0, 0, rng.BASIS))
+    block = sampler.sample_block(SEED, indices)
+    for route in (None, basis):
+        z = ito_h(integrand, block, 2, projection_basis=route)
+        assert z.shape == (block.n_paths, block.grid.n_nodes, DIM_H)
+        for row, p in enumerate(indices):
+            n = int(block.n_nodes[row])
+            want = ito_h(integrand, sampler.sample(SEED, p), 2,
+                         projection_basis=route)
+            _close(z[row, :n], want)
+            _keeps_terminal(z[row], n)
+
+
+@DRIVERS
+@INDICES
+def test_transport_and_view_keep_the_block(specs, indices):
+    sampler = _sampler(specs)
+    lam = (0.25, 0.125, 0.125, 0.0625, 0.0625, 0.03125)
+    cov = make_covariance(lam, {"seed": 7})
+    gen = rng.stream(1, 0, 0, rng.BASIS)
+    iso = build_eigen_isometry(cov, lam, {0.125: random_orthogonal(2, gen),
+                                          0.0625: random_orthogonal(2, gen)})
+    block = sampler.sample_block(SEED, indices)
+    levy = assemble_levy(cov, block)
+    moved = transport_levy(levy, iso)
+    view = coordinate_view(levy)
+    assert isinstance(moved.driver, PathBlock)
+    assert isinstance(view, PathBlock)
+    for row, p in enumerate(indices):
+        n = int(block.n_nodes[row])
+        single = assemble_levy(cov, sampler.sample(SEED, p))
+        want_moved = transport_levy(single, iso)
+        want_view = coordinate_view(single)
+        _close(moved.driver.increments[row, :, :n - 1],
+               want_moved.driver.increments)
+        _close(view.increments[row, :, :n - 1], want_view.increments)
+        _close(moved.coords[row, :, :n], want_moved.coords)
+        for cum in (moved.driver.cumulative[row], view.cumulative[row]):
+            _keeps_terminal(cum.T, n)
+
+
+@DRIVERS
+def test_a_breakpoint_missing_from_one_row_is_rejected(specs):
+    block = _sampler(specs).sample_block(SEED, range(4))
+    simple = _integrands()["simple"]
+    cell_values(simple, block)
+    times = block.grid.times.copy()
+    k = int(np.flatnonzero(times[2] == BREAKS[1])[0])
+    times[2, k] = np.nextafter(BREAKS[1], 0.0)
+    moved = PathBlock(TimeGrid(times, block.grid.kind), block.increments,
+                      block.n_nodes)
+    with pytest.raises(GridMismatch):
+        cell_values(simple, moved)
+    with pytest.raises(GridMismatch):
+        ito_h(simple, moved, 0)

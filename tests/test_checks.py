@@ -236,6 +236,21 @@ def test_nonorthogonal_basis_fault_is_detected():
     assert not suite_passed(reports)
 
 
+def test_well_defined_sees_a_restriction_without_sqrt_lambda(monkeypatch):
+    # both decompositions share a restriction that drops sqrt(lambda_j);
+    # only the route through the raw integrand and the reference
+    # coordinates of the path can tell
+    from levyint import scenarios
+
+    spec, = [s for s in default_suite(64, 64) if s.name == "well_defined"]
+    assert run_check(spec).passed
+    monkeypatch.setattr(scenarios, "restrict_bounded_operator",
+                        lambda cov, a: a @ cov.eigenbasis)
+    report = run_check(spec)
+    assert not report.passed
+    assert report.margin > 1e6
+
+
 # ---------------------------------------------------------------------------
 # helpers and serialization
 

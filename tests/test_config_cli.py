@@ -424,9 +424,15 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     ("simulate", _edit(drivers={"replay": {
         "times": [0.0, 0.5, 1.0], "increments": [[0.5, 0.5]],
         "kinds": [0, 7, 0]}}), "kinds"),
+    ("integrate", _edit(integrand=dict(BASE["integrand"], evaluator="constant",
+                                       value=["x", 1])), "integrand.value"),
+    ("integrate", _edit(covariance={"eigenvalues": [1.0], "basis": [[2.0]]},
+                        integrand=dict(BASE["integrand"], carrier="operator")),
+     "covariance.basis"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
-        "eigenvalue-count", "replay-kind-name", "replay-kind-index"])
+        "eigenvalue-count", "replay-kind-name", "replay-kind-index",
+        "integrand-value", "basis-not-orthonormal"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
