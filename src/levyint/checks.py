@@ -42,8 +42,8 @@ from .errors import ConfigInvalid, UnknownCheck
 from .integrators import (cell_values, integrate_cells, integrate_in_basis,
                           integrate_terms, ito_h, node_values, side_cells,
                           time_quadrature)
-from .processes import (assemble_levy, coordinate_view, project_standard,
-                        transport_levy)
+from .processes import (SCHEDULED, assemble_levy, coordinate_view,
+                        project_standard, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, build_simple_integrand, make_sampler,
                         resolve_covariance, restrict_integrand)
@@ -150,8 +150,8 @@ def _exact_loop(spec: CheckSpec, per_path) -> Report:
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """Per path, the largest absolute entry; NaN if any entry is NaN."""
-    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
+    """Per path, the largest absolute entry (0 if none); NaN if any is NaN."""
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0)
 
 
 def _exact_rows(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -163,10 +163,10 @@ def _block_rotations_for(eigenvalues: np.ndarray,
                          gen: np.random.Generator) -> dict:
     """Haar rotation per repeated eigenvalue, keyed per the isometry builder."""
     out = {}
-    for v in np.unique(eigenvalues):
+    for v in sorted(set(eigenvalues.tolist())):
         n = int(np.count_nonzero(eigenvalues == v))
         if n > 1:
-            out[float(v)] = random_orthogonal(n, gen)
+            out[v] = random_orthogonal(n, gen)
     return out
 
 
@@ -412,8 +412,8 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
         raise ConfigInvalid("truncation_tail needs a constant integrand")
     n_sub = int(spec.options.get("n_sub", 3))
     if not 0 < n_sub < sc.n_modes:
-        raise ConfigInvalid(f"n_sub {n_sub} must lie strictly between 0 and "
-                            f"{sc.n_modes}")
+        raise ConfigInvalid(f"truncation_tail option n_sub {n_sub} must lie "
+                            f"strictly between 0 and space.J {sc.n_modes}")
     side = sc.sample_side
     cov = resolve_covariance(sc)
     sampler = make_sampler(sc)
@@ -487,7 +487,10 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
 
     Mixing equal-variance components by an orthogonal map, and the
     integrand coordinates by the same map, changes neither the integral
-    path nor the squared-norm quadrature beyond rounding.
+    path nor the squared-norm quadrature beyond rounding.  The driver
+    attributes its jumps: a cell that ends at a SCHEDULED node holds no
+    jump, so there a pure-jump component's increment is exactly minus its
+    compensator ``sum(a * nu) * dt``.
     """
     sc = spec.scenario
     side = sc.sample_side
@@ -498,6 +501,9 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
     cmap = iso.coord_map
     sampler = make_sampler(sc)
     integrand = build_integrand(sc)
+    pure = [c for c, s in enumerate(sampler.specs) if s.sigma == 0.0]
+    rate = np.array([sum(a * nu for a, nu in sampler.specs[c].jumps)
+                     for c in pure])[:, None]
 
     def per_block(paths):
         driver = sampler.sample_block(spec.seed, paths)
@@ -508,7 +514,11 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
         z2 = integrate_cells(vals2, levy2.driver.increments)
         q1 = time_quadrature(vals, vals, driver.grid.dt)
         q2 = time_quadrature(vals2, vals2, driver.grid.dt)
-        dev = np.max([_row_max(z1 - z2), np.abs(q1 - q2)], axis=0)
+        dt = driver.grid.dt[:, None]
+        jumpless = driver.grid.kind[:, None, 1:] == SCHEDULED
+        stray = (driver.increments[:, pure] + rate * dt) * jumpless
+        dev = np.max([_row_max(z1 - z2), np.abs(q1 - q2), _row_max(stray)],
+                     axis=0)
         return _exact_rows(dev, np.max([_row_max(z1), q1], axis=0))
 
     return _exact_loop(spec, per_block)

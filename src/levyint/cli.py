@@ -214,14 +214,22 @@ def _cmd_check(args) -> int:
     return 0 if suite_passed(reports) else 1
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_option(low: int, high: int = None):
+    """An argparse type: an integer in [low, high), high open if None."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        if high is not None and value >= high:
+            raise argparse.ArgumentTypeError(
+                f"must be below {high}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")
     for p in (sim, integ):
-        p.add_argument("--path-index", type=int, default=0,
+        p.add_argument("--path-index", type=_int_option(0, 2 ** 64),
+                       default=0,
                        help="which path of the seeded family")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     integ.add_argument("--dump-series", action="store_true",
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--format", choices=("json", "csv"), default="json")
     chk.add_argument("--negative-control", choices=FAULTS, default=None,
                      help="inject the named fault; succeed only if detected")
-    chk.add_argument("--parallelism", type=_at_least_one, default=1,
+    chk.add_argument("--parallelism", type=_int_option(1), default=1,
                      help="worker processes, at most one per CPU and per "
                           "check (never changes the output)")
     chk.add_argument("--timings", action="store_true",

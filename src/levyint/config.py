@@ -54,6 +54,8 @@ class ExperimentConfig:
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigInvalid(f"{where} must be an object, got {section!r}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigInvalid(f"unknown key(s) {', '.join(unknown)} in {where}")
@@ -69,8 +71,8 @@ def _positive_int(section: dict, key: str, default: int, where: str) -> int:
 def _parse_space(section: dict) -> dict:
     _reject_unknown(section, _SPACE_KEYS, "space")
     horizon = expect_number(section.get("T", 1.0), "space.T")
-    if not horizon > 0:
-        raise ConfigInvalid("space.T must be a positive number")
+    if not 0 < horizon < float("inf"):
+        raise ConfigInvalid("space.T must be a positive finite number")
     return {
         "dim_h": _positive_int(section, "dH", 4, "space"),
         "n_modes": _positive_int(section, "J", 6, "space"),
@@ -191,7 +193,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     scenario_kwargs["fault"] = fault
     checks = data.get("checks")
     if checks is not None:
-        if not isinstance(checks, (list, tuple)):
+        if not isinstance(checks, (list, tuple)) \
+                or not all(isinstance(c, str) for c in checks):
             raise ConfigInvalid("checks must be a list of check names")
         checks = tuple(checks)
         unknown = sorted(set(checks) - set(CHECKS))

@@ -34,17 +34,21 @@ Blocks
 :class:`PathBlock`, whose arrays carry a leading path axis.  Each row is
 padded to the block's longest grid with nodes at the horizon: padding
 cells have zero length and zero increments, so they add nothing to any
-increment, cumulative sum or quadrature.  Only the random draws run path
-by path, each from its own (seed, path, component, purpose) stream
-opened through one reused generator (:class:`levyint.rng.StreamOpener`);
-a path's bits are therefore the same whether it is sampled alone, with
-:meth:`PathSampler.sample`, or in any block.  A block assembles, projects,
-transports and views like a path, with the path axis in front.
+increment, cumulative sum or quadrature.  Sampling a block is a fixed
+number of array operations, whatever its size: every draw is a
+counter-based word addressed by (seed, path, component, purpose, draw
+index), as :mod:`levyint.rng` lays out, so each kind of draw (jump
+counts, jump times, normals) is one hash over the block's addresses.  A
+path's bits are therefore the same whether it is sampled alone, with
+:meth:`PathSampler.sample`, or in any block.  A block assembles,
+projects, transports and views like a path, with the path axis in front.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     IndexOutOfRange,
+    LevyintError,
     NonNormalizable,
     SpecMismatch,
     ZeroJumpSize,
@@ -70,6 +75,8 @@ _KIND_CODES = {key: code for code, name in enumerate(KIND_NAMES)
 
 # construction-time tolerance on the variance-rate normalization
 NORMALIZATION_TOL = 1e-12
+# most jumps one jump term may expect per path; a block holds its jumps
+MAX_MEAN_JUMPS = 1e5
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,11 @@ class StandardLevySpec:
         for size, intensity in self.jumps:
             if size == 0.0:
                 raise ZeroJumpSize("jump sizes must be nonzero")
-            if intensity <= 0.0:
-                raise NonNormalizable("jump intensities must be positive")
+            if not 0.0 < intensity < math.inf:
+                raise NonNormalizable("jump intensities must be positive "
+                                      "and finite")
         rate = self.sigma ** 2 + sum(a * a * nu for a, nu in self.jumps)
-        if abs(rate - 1.0) > NORMALIZATION_TOL:
+        if not abs(rate - 1.0) <= NORMALIZATION_TOL:
             raise NonNormalizable(
                 f"variance rate {rate!r} differs from 1 by more than "
                 f"{NORMALIZATION_TOL:.0e}")
@@ -101,9 +109,12 @@ def _normalize_spec(sigma: float, jumps) -> StandardLevySpec:
     """Rescale jump intensities so the variance rate is exactly one."""
     try:
         jumps = [(float(a), float(nu)) for a, nu in jumps]
+        finite = all(map(math.isfinite, sum(jumps, ())))
     except (TypeError, ValueError):
+        finite = False
+    if not finite:
         raise ConfigInvalid("drivers entry key 'jumps' must be a list of "
-                            "[size, intensity] number pairs")
+                            "[size, intensity] pairs of finite numbers")
     for a, _ in jumps:
         if a == 0.0:
             raise ZeroJumpSize("jump sizes must be nonzero")
@@ -128,8 +139,11 @@ def _normalize_spec(sigma: float, jumps) -> StandardLevySpec:
 
 
 def _entry_number(entry: dict, key: str, default=None) -> float:
-    return expect_number(entry.get(key, default),
-                         f"drivers entry {entry!r} key {key!r}")
+    where = f"drivers entry {entry!r} key {key!r}"
+    value = expect_number(entry.get(key, default), where)
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{where} must be finite, got {value!r}")
+    return value
 
 
 def spec_from_preset(entry) -> StandardLevySpec:
@@ -178,9 +192,17 @@ def make_standard_specs(n: int, recipe) -> tuple:
         raise DimensionMismatch("component count must be at least 1")
     if isinstance(recipe, (list, tuple)):
         if not recipe:
-            raise NonNormalizable("driver recipe list is empty")
-        return tuple(spec_from_preset(recipe[i % len(recipe)]) for i in range(n))
-    return tuple(spec_from_preset(recipe) for _ in range(n))
+            raise NonNormalizable("drivers: the recipe list is empty")
+        entries = [(f"drivers[{i}]", e) for i, e in enumerate(recipe[:n])]
+    else:
+        entries = [("drivers", recipe)]
+    specs = []
+    for where, entry in entries:
+        try:
+            specs.append(spec_from_preset(entry))
+        except LevyintError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+    return tuple(specs[i % len(specs)] for i in range(n))
 
 
 @dataclass
@@ -286,6 +308,23 @@ class PathBlock:
         return SamplePath(grid, self.increments[i, :, :n - 1])
 
 
+class _Plan(NamedTuple):
+    """What a sampler draws, fixed when it is built.
+
+    Jump terms are listed in (component, spec) order; a term's draws start
+    at index ``t << 32`` of its component's JUMPS address, where t is its
+    position among that component's terms.
+    """
+
+    term_comp: np.ndarray            # component of each term
+    term_first: np.ndarray           # uint64 first draw index of each term
+    term_size: np.ndarray
+    poisson: _rng.PoissonTable       # counts at each term's mean nu * horizon
+    brown: list                      # components with a Brownian part
+    sigma: np.ndarray                # (len(brown), 1) their weights
+    drift: np.ndarray                # (n_components, 1) compensator rates
+
+
 @dataclass(frozen=True)
 class PathSampler:
     """Reusable sampler: fixed driver specs, horizon and scheduled grid.
@@ -295,11 +334,12 @@ class PathSampler:
     (:func:`levyint.scenarios.make_sampler` passes a simple integrand's
     breakpoints).
 
-    :meth:`sample` and :meth:`sample_block` share one draw routine, and
-    each path draws from its own (seed, path, component, purpose) streams,
-    so a path is the same bit for bit whichever way, in whichever block,
-    it is sampled.  The sampler opens those streams through the one
-    :class:`levyint.rng.StreamOpener` it owns.
+    :meth:`sample` is :meth:`sample_block` on a block of one.  Every draw
+    is addressed by (seed, path, component, purpose, draw index) as
+    :mod:`levyint.rng` lays out, so a path is the same bit for bit
+    whichever way, in whichever block, it is sampled.  The jump terms and
+    their Poisson inverse CDFs are tabulated once, when the sampler is
+    built.
     """
 
     specs: tuple
@@ -307,7 +347,7 @@ class PathSampler:
     n_scheduled: int
     extra_times: tuple = ()
     _base_times: np.ndarray = field(init=False, repr=False, compare=False)
-    _opener: _rng.StreamOpener = field(init=False, repr=False, compare=False)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_scheduled < 1:
@@ -319,11 +359,26 @@ class PathSampler:
             extra = np.asarray(self.extra_times, dtype=float)
             if np.any(extra < 0) or np.any(extra > self.horizon):
                 raise DimensionMismatch("extra_times must lie in [0, horizon]")
-            base = np.unique(np.concatenate([base, extra]))
+            base = np.array(sorted(set(base.tolist() + extra.tolist())))
         base.setflags(write=False)
+        specs = tuple(self.specs)
         object.__setattr__(self, "_base_times", base)
-        object.__setattr__(self, "_opener", _rng.StreamOpener())
-        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "specs", specs)
+        comp, first, size, mean = np.array(
+            [(c, t << 32, a, nu * self.horizon) for c, s in enumerate(specs)
+             for t, (a, nu) in enumerate(s.jumps)]).reshape(-1, 4).T
+        if mean.size and not mean.max() <= MAX_MEAN_JUMPS:
+            raise ConfigInvalid(
+                f"a jump term expects {mean.max():.3g} jumps per path "
+                f"(intensity times space.T); drivers and space.T allow at "
+                f"most {MAX_MEAN_JUMPS:.0e}")
+        brown = [c for c, s in enumerate(specs) if s.sigma != 0.0]
+        object.__setattr__(self, "_plan", _Plan(
+            comp.astype(np.intp), first.astype(np.uint64), size,
+            _rng.PoissonTable(mean), brown,
+            np.array([specs[c].sigma for c in brown])[:, None],
+            np.array([sum(a * nu for a, nu in s.jumps)
+                      for s in specs])[:, None]))
 
     def sample(self, seed: int, path_index: int) -> SamplePath:
         return self.sample_block(seed, (path_index,)).path(0)
@@ -331,92 +386,87 @@ class PathSampler:
     def sample_block(self, seed: int, indices) -> PathBlock:
         """Sample the paths ``indices`` of the seeded family as one block.
 
-        Row i of the block is path ``indices[i]``.
-
-        Per path, each jump component draws a Poisson count and uniform
-        times per jump term from its JUMPS stream, and each component with
-        a Brownian part draws one normal per cell of the path's own
-        refined grid from its BROWNIAN stream.  Everything else (merging
-        the jump times into the grids, increments, compensators, jump
-        attribution) runs once for the whole block.
+        Row i of the block is path ``indices[i]``.  Every step is an array
+        operation over the whole block.  Each jump term draws a Poisson
+        count and that many uniform jump times from its component's JUMPS
+        address; the times are merged into the scheduled grid, one padded
+        row per path, and equal times collapse to one JUMP node.  Each
+        component with a Brownian part then draws one normal per cell of
+        the padded grid from its BROWNIAN address (padding cells draw, but
+        their zero length zeroes them), each cell subtracts the
+        compensator ``a * nu * dt``, and each jump adds its size to the
+        cell that ends at its node.
         """
-        indices = tuple(indices)
-        opener = self._opener
+        plan = self._plan
         horizon = self.horizon
         base = self._base_times
-        n_paths = len(indices)
+        paths = np.asarray(indices)
+        n_paths = paths.size
+        n_terms = plan.term_comp.size
 
-        fired = []                   # (row, component, size, times)
-        for row, p in enumerate(indices):
-            for c, spec in enumerate(self.specs):
-                if not spec.jumps:
-                    continue
-                gen = opener(seed, p, c, _rng.JUMPS)
-                for size, intensity in spec.jumps:
-                    count = int(gen.poisson(intensity * horizon))
-                    if count:
-                        fired.append((row, c, size,
-                                      gen.uniform(0.0, horizon, count)))
-
-        # merge each path's jump times into the scheduled grid: one row per
-        # path, sorted, equal times collapsed to one node, padded with inf
-        width = [base.size] * n_paths
-        for row, _, _, times in fired:
-            width[row] += times.size
-        merged = np.full((n_paths, max(width)), np.inf)
+        total = 0
+        if n_terms:
+            # one count word per (path, term), then the jump times
+            key = _rng.keys(seed, _rng.JUMPS, plan.term_comp, paths)
+            counts = plan.poisson.counts(_rng.words(key, plan.term_first))
+            per_row = counts.sum(axis=1)
+            total = int(per_row.sum())
+        width = base.size + (int(per_row.max()) if total else 0)
+        merged = np.full((n_paths, width), np.inf)
         merged[:, :base.size] = base
-        term = np.full(merged.shape, -1)        # which fired term, or -1
-        col = [base.size] * n_paths
-        for k, (row, _, _, times) in enumerate(fired):
-            merged[row, col[row]:col[row] + times.size] = times
-            term[row, col[row]:col[row] + times.size] = k
-            col[row] += times.size
-        # a uniform draw of exactly 0.0 is not a jump: it sorts last
-        drawn = merged[:, base.size:]
-        drawn[drawn == 0.0] = np.inf
-        # stable, so equal times keep the draw order of their terms
-        order = np.argsort(merged, axis=1, kind="stable")
-        by_row = np.arange(n_paths)[:, None]
-        ordered = merged[by_row, order]
+        if total:
+            slot = np.repeat(np.arange(counts.size), counts.ravel())
+            k = np.arange(total) - (np.cumsum(counts) - counts.ravel())[slot]
+            row, term = np.divmod(slot, n_terms)
+            drawn = horizon * _rng.uniforms(_rng.words(
+                key.ravel()[slot],
+                plan.term_first[term] + (k + 1).astype(np.uint64)))
+            # the jumps of a row follow its scheduled nodes, as drawn; a
+            # uniform of exactly 0.0 is not a jump, its inf sorts last
+            at = (row * width + base.size + np.arange(total)
+                  - (np.cumsum(per_row) - per_row)[row])
+            real = drawn > 0.0
+            merged.ravel()[at] = np.where(real, drawn, np.inf)
+        # sort each row and number its distinct times: the node of an entry
+        # depends only on its value, so ties may sort either way
+        flat = (np.argsort(merged, axis=1)
+                + np.arange(0, merged.size, width)[:, None])
+        ordered = merged.ravel()[flat]
         fresh = np.ones(ordered.shape, dtype=bool)
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=fresh[:, 1:])
         node = np.cumsum(fresh, axis=1) - 1
-        real = ordered < np.inf
-        n_nodes = np.count_nonzero(fresh & real, axis=1)
+        n_nodes = np.count_nonzero(fresh & (ordered < np.inf), axis=1)
         times = np.full((n_paths, int(n_nodes.max())), horizon)
-        # the inf entries land on the horizon: the last real node or padding
-        times[by_row, np.minimum(node, times.shape[1] - 1)] = np.where(
-            real, ordered, horizon)
+        by_row = np.arange(n_paths)[:, None]
+        # an inf entry lands on the horizon: the last real node or padding
+        times[by_row, np.minimum(node, times.shape[1] - 1)] = np.minimum(
+            ordered, horizon)
         kind = np.zeros(times.shape, dtype=np.uint8)
-        if fired:
-            term = term[by_row, order]
-            ev_row, cols = np.nonzero(real & (term >= 0))
-            term = term[ev_row, cols]
-            ev_node = node[ev_row, cols]
-            kind[ev_row, ev_node] = JUMP
-            ev_comp = np.array([c for _, c, _, _ in fired])[term]
-            ev_size = np.array([float(s) for _, _, s, _ in fired])[term]
+        if total:
+            node_of = np.empty(merged.size, dtype=np.intp)
+            node_of[flat] = node
+            row, term, ev_node = row[real], term[real], node_of[at[real]]
+            kind[row, ev_node] = JUMP
         grid = TimeGrid(times, kind)
         dt = grid.dt
 
         inc = np.zeros((n_paths, len(self.specs), dt.shape[1]))
-        if any(spec.sigma != 0.0 for spec in self.specs):
-            sqrt_dt = np.sqrt(dt)
-            normals = np.zeros(dt.shape)     # zero on padding cells
-            for c, spec in enumerate(self.specs):
-                if spec.sigma == 0.0:
-                    continue
-                for row, p in enumerate(indices):
-                    opener(seed, p, c, _rng.BROWNIAN).standard_normal(
-                        out=normals[row, :n_nodes[row] - 1])
-                np.multiply(spec.sigma, sqrt_dt, out=inc[:, c])
-                inc[:, c] *= normals
-        for c, spec in enumerate(self.specs):
-            for size, intensity in spec.jumps:
-                inc[:, c] -= size * intensity * dt
-        if fired:
-            # in time order, and equal times in term order, as drawn
-            np.add.at(inc, (ev_row, ev_comp, ev_node - 1), ev_size)
+        if plan.brown:
+            # normals of cells 2i and 2i + 1 from draw i
+            pairs = np.arange((dt.shape[1] + 1) // 2, dtype=np.uint64)
+            key = _rng.keys(seed, _rng.BROWNIAN, plan.brown, paths)
+            normals = _rng.normal_pairs(_rng.words(key[:, :, None], pairs))
+            normals = normals.reshape(n_paths, len(plan.brown), -1)
+            inc[:, plan.brown] = (plan.sigma * np.sqrt(dt)[:, None]
+                                  * normals[..., :dt.shape[1]])
+        inc -= plan.drift * dt[:, None]
+        if total:
+            # each jump adds its size to the cell that ends at its node;
+            # jumps at one node add up in draw order
+            cell = ((row * len(self.specs) + plan.term_comp[term])
+                    * dt.shape[1] + ev_node - 1)
+            inc += np.bincount(cell, plan.term_size[term],
+                               minlength=inc.size).reshape(inc.shape)
         return PathBlock(grid, inc, n_nodes)
 
 

@@ -22,16 +22,16 @@ Evaluators:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from . import rng as _rng
 from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
-                     expect_number)
+                     NonPositiveEigenvalue, expect_number)
 from .integrators import GridIntegrand, SimpleIntegrand
 from .processes import PathSampler, make_standard_specs
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
@@ -42,6 +42,25 @@ FAULTS = ("right_point", "nonorthogonal_basis")
 # perturbation size for the deliberately broken eigenbasis; far above the
 # construction tolerance and far above 4-sigma noise at default path counts
 BASIS_FAULT_EPS = 0.05
+
+
+# B_2j / (2j)! for j = 1..7, the Euler-Maclaurin corrections of a power sum
+_EULER_MACLAURIN = np.array([b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6), 1)])
+
+
+def _hurwitz_zeta(p: float, q: float) -> float:
+    """sum_{k>=0} (q + k)**-p for p > 1 and q >= 1, by Euler-Maclaurin.
+
+    Twelve terms are summed directly; the rest is the integral, the half
+    term and the corrections B_2 .. B_14 at a = q + 12.
+    """
+    head = math.fsum(((q + np.arange(12)) ** -p).tolist())
+    a = q + 12.0
+    # p (p + 1) ... (p + 2j - 2) / a**(2j - 1) for j = 1..7
+    rising = np.cumprod((p + np.arange(13)) / a)[::2]
+    return head + a ** -p * (a / (p - 1.0) + 0.5
+                             + float(_EULER_MACLAURIN @ rising))
 
 
 @dataclass(frozen=True)
@@ -143,8 +162,10 @@ def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     lam, tail = scenario.covariance.resolve(scenario.n_modes)
     try:
         spec = make_covariance(lam, scenario.covariance.basis, tail)
+    except NonPositiveEigenvalue as exc:
+        raise type(exc)(f"covariance.eigenvalues: {exc}") from None
     except (DimensionMismatch, NonOrthogonalBasis) as exc:
-        # the eigenvalues are checked when parsed: the basis is at fault
+        # the eigenvalue count is checked when parsed: the basis is at fault
         raise type(exc)(f"covariance.basis: {exc}") from None
     if scenario.fault != "nonorthogonal_basis":
         return spec

@@ -246,7 +246,7 @@ def build_eigen_isometry(source: CovarianceSpec, target_eigenvalues,
     block_rotations = dict(block_rotations or {})
     n = lam.size
     cmap = np.zeros((n, n))
-    for value in np.unique(lam):
+    for value in sorted(set(lam.tolist())):
         src_idx = np.flatnonzero(lam == value)
         tgt_idx = np.flatnonzero(mu == value)
         rot = block_rotations.pop(value, None)

@@ -251,6 +251,38 @@ def test_well_defined_sees_a_restriction_without_sqrt_lambda(monkeypatch):
     assert report.margin > 1e6
 
 
+def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
+    # a mutant sampler credits each pure-jump component's jumps to the cell
+    # after their node (ev_node instead of ev_node - 1): the path is still a
+    # compensated martingale under a predictable integrand, so only the
+    # jump-attribution identity on cells ending at SCHEDULED nodes can tell
+    from levyint.processes import PathSampler
+
+    sample_block = PathSampler.sample_block
+
+    def late_jumps(self, seed, indices):
+        block = sample_block(self, seed, indices)
+        inc, dt = block.increments, block.grid.dt
+        # a jump in a path's last cell stays there
+        movable = np.arange(1, dt.shape[1]) < block.n_nodes[:, None] - 1
+        for c, s in enumerate(self.specs):
+            if s.sigma == 0.0:
+                jump = inc[:, c] + sum(a * nu for a, nu in s.jumps) * dt
+                move = np.where(movable, jump[:, :-1], 0.0)
+                inc[:, c, :-1] -= move
+                inc[:, c, 1:] += move
+        return block
+
+    spec, = [s for s in default_suite(64, 64)
+             if s.name == "isometry_invariance"]
+    assert {"preset": "poisson", "a": 0.5} in spec.scenario.drivers
+    assert run_check(spec).passed
+    monkeypatch.setattr(PathSampler, "sample_block", late_jumps)
+    report = run_check(spec)
+    assert not report.passed
+    assert report.margin > 1e6
+
+
 # ---------------------------------------------------------------------------
 # helpers and serialization
 

@@ -429,10 +429,26 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     ("integrate", _edit(covariance={"eigenvalues": [1.0], "basis": [[2.0]]},
                         integrand=dict(BASE["integrand"], carrier="operator")),
      "covariance.basis"),
+    # found by tests/test_config_fuzz.py
+    ("simulate", _edit(space=3), "space"),
+    ("simulate", _edit(space=dict(BASE["space"], T=float("inf"))), "space.T"),
+    ("check", _edit(checks=[1.0]), "checks"),
+    ("simulate", _edit(drivers=[{"preset": "poisson", "a": float("nan")}]),
+     "'a'"),
+    # driver and spectrum errors name their entry
+    ("simulate", _edit(drivers=[{"preset": "mixed", "sigma": 1.5, "a": 1.0}]),
+     "drivers[0]"),
+    ("integrate", _edit(covariance={"eigenvalues": [0.0]},
+                        integrand=dict(BASE["integrand"], carrier="operator")),
+     "covariance.eigenvalues"),
+    ("simulate", _edit(space=dict(BASE["space"], T=1e300),
+                       drivers=[{"preset": "poisson", "a": 0.5}]), "space.T"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
-        "integrand-value", "basis-not-orthonormal"])
+        "integrand-value", "basis-not-orthonormal", "space-not-object",
+        "infinite-horizon", "check-not-a-name", "nan-jump-size",
+        "mixed-sigma", "zero-eigenvalue", "jumps-per-path"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
@@ -494,17 +510,28 @@ def test_simple_integrand_without_value_integrates_like_the_check(tmp_path):
                    "--out", str(tmp_path / "report.json")) == 0
 
 
-@pytest.mark.parametrize("script", ["run_default_suite.py",
-                                    "run_negative_controls.py"])
-def test_scripts_reject_parallelism_below_one(script):
+@pytest.mark.parametrize("args, option", [
+    (("simulate", "--path-index", "-1"), "--path-index"),
+    (("integrate", "--path-index", str(2 ** 64)), "--path-index"),
+    (("simulate", "--path-index", "x"), "--path-index")])
+def test_bad_path_index_exits_2(tmp_path, capsys, args, option):
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as done:
+        main([args[0], "--config", cfg, *args[1:]])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
     import os
     import subprocess
     import sys
 
-    root = CONFIG_DIR.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, str(root / "scripts" / script),
-                           "--parallelism", "0"], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2
-    assert "--parallelism" in done.stderr and "Traceback" not in done.stderr
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, levyint.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

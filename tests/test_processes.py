@@ -156,11 +156,14 @@ def test_jump_grid_structure_and_compensation():
     times = path.grid.times
     assert times[0] == 0.0 and times[-1] == 1.0
     assert np.all(np.diff(times) > 0)
-    # redraw the jumps in the documented order: a Poisson count, then that
-    # many uniform times, from the component's JUMPS stream
-    gen = rng.stream(11, 2, 0, rng.JUMPS)
-    n_jumps = int(gen.poisson(4.0 * 1.0))
-    drawn = np.sort(gen.uniform(0.0, 1.0, n_jumps))
+    # redraw the jumps in the documented order: draw 0 of the component's
+    # JUMPS address is the Poisson count of its first term, draws 1..n the
+    # uniform jump times
+    key = rng.keys(11, rng.JUMPS, [0], [2])[0, 0]
+    n_jumps = int(rng.PoissonTable([4.0 * 1.0]).counts(
+        rng.words(key, np.zeros(1, dtype=np.uint64)))[0])
+    drawn = np.sort(1.0 * rng.uniforms(
+        rng.words(key, np.arange(1, n_jumps + 1, dtype=np.uint64))))
     assert n_jumps > 0
     assert np.array_equal(times[path.grid.kind == JUMP], drawn)
     # compensated sum: a * N_T - a * nu * T
@@ -337,7 +340,7 @@ def test_transport_rejects_wrong_source():
 
 
 # ---------------------------------------------------------------------------
-# block sampling and stream reuse
+# block sampling
 
 DESK = make_standard_specs(6, (
     "brownian", {"preset": "poisson", "a": 0.5}, MIXED,
@@ -374,18 +377,3 @@ def test_block_rows_equal_single_path_samples(specs):
             assert np.array_equal(block.cumulative[row, :, n - 1:],
                                   np.repeat(single.cumulative[:, -1:],
                                             width - n + 1, axis=1))
-
-
-@pytest.mark.parametrize("address", [
-    (20260816, 0, 0, rng.BROWNIAN), (7, 12345, 5, rng.JUMPS),
-    (2 ** 64 - 1, 2 ** 70 + 3, 2 ** 31, rng.CASE)])
-def test_stream_opener_draws_like_a_fresh_stream(address):
-    opener = rng.StreamOpener()
-    opener(1, 2, 3, rng.BASIS).standard_normal(5)     # leave state behind
-    reused = opener(*address)
-    fresh = rng.stream(*address)
-    assert np.array_equal(reused.standard_normal(7), fresh.standard_normal(7))
-    assert reused.poisson(3.5) == fresh.poisson(3.5)
-    assert np.array_equal(reused.uniform(0.0, 1.0, 5), fresh.uniform(0.0, 1.0, 5))
-    with pytest.raises(ValueError):
-        opener(1, -1)
