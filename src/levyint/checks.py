@@ -19,9 +19,11 @@ to fixed counter-based streams and reductions use a fixed chunked tree,
 so serialized outputs are byte-identical across runs and worker counts.
 
 Every check computes its rows a block of paths at a time, over the
-ranges of :func:`levyint.stats.path_blocks`: one sampling call, one
+ranges of :func:`levyint.stats.path_blocks` at the width
+:attr:`CheckSpec.block_width` gives its scenario: one sampling call, one
 evaluation per integrand shared by the integrals and the quadrature, and
-one kernel call per route and block.  Statistical rows feed
+one kernel call per route and block.  Checks that read an integral only
+at the horizon take the kernels' terminal forms.  Statistical rows feed
 :func:`levyint.stats.accumulate_paths`; exact rows, each path's worst
 absolute and relative deviation, reduce to their maximum.
 """
@@ -33,6 +35,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,16 +43,16 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigInvalid, UnknownCheck
 from .integrators import (cell_values, integrate_cells, integrate_in_basis,
-                          integrate_terms, ito_h, node_values, side_cells,
-                          time_quadrature)
-from .processes import (SCHEDULED, assemble_levy, coordinate_view,
-                        project_standard, transport_levy)
+                          ito_h, node_values, side_cells, terminal_cells,
+                          terminal_terms, time_quadrature)
+from .processes import (SCHEDULED, PathSampler, assemble_levy,
+                        coordinate_view, project_standard, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, build_simple_integrand, make_sampler,
                         resolve_covariance, restrict_integrand)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      psi_lambda_apply, random_orthogonal)
-from .stats import accumulate_paths, path_blocks
+from .stats import accumulate_paths, block_paths, path_blocks
 
 BASE_SEED = 20260816
 
@@ -63,6 +66,7 @@ def _default_pairs(n_modes: int) -> tuple:
 
 def _component_pairs(spec: CheckSpec) -> tuple:
     """The ``pairs`` option (default :func:`_default_pairs`) as two lists."""
+    _need_modes(spec, 2)
     n = spec.scenario.n_modes
     pairs = tuple(map(tuple, spec.options.get("pairs", _default_pairs(n))))
     for a, b in pairs:
@@ -82,6 +86,16 @@ class CheckSpec:
     rel_tol: float = 1e-12
     sigmas: float = 4.0
     options: dict = field(default_factory=dict)
+
+    @cached_property
+    def sampler(self) -> PathSampler:
+        """The scenario's path sampler, built once per spec."""
+        return make_sampler(self.scenario)
+
+    @property
+    def block_width(self) -> int:
+        """Paths per block, from the paths' expected grid nodes alone."""
+        return block_paths(self.sampler.expected_nodes)
 
 
 @dataclass
@@ -103,6 +117,13 @@ def _need_paths(spec: CheckSpec, minimum: int) -> None:
         raise ConfigInvalid(
             f"check {spec.name} needs at least {minimum} paths, "
             f"got {spec.n_paths}")
+
+
+def _need_modes(spec: CheckSpec, minimum: int) -> None:
+    if spec.scenario.n_modes < minimum:
+        raise ConfigInvalid(
+            f"check {spec.name} needs space.J of at least {minimum}, "
+            f"got {spec.scenario.n_modes}")
 
 
 def _finish_statistical(spec: CheckSpec, acc, n_cases: int) -> Report:
@@ -133,15 +154,17 @@ def _rows(lhs: np.ndarray, rhs) -> np.ndarray:
 def _exact_loop(spec: CheckSpec, per_path) -> Report:
     """Reduce ``per_path(paths) -> (len(paths), 2)`` rows to a report.
 
-    ``paths`` is a range of :func:`levyint.stats.path_blocks`, and a row
-    holds the absolute and the relative deviation of one path.  A NaN
-    deviation propagates to the margin, and a margin that is not finite
-    fails.  The parameter keeps its name ``per_path``, which the traced
+    ``paths`` is a range of :func:`levyint.stats.path_blocks`, at most
+    ``spec.block_width`` paths wide, and a row holds the absolute and the
+    relative deviation of one path.  A NaN deviation propagates to the
+    margin, and a margin that is not finite fails.  The parameter keeps
+    its name ``per_path``, which the traced
     benchmark relies on (``tests/test_bench_targets.py``).
     """
     _need_paths(spec, 1)
     devs = np.concatenate([per_path(paths) for blocks in
-                           path_blocks(spec.n_paths) for paths in blocks])
+                           path_blocks(spec.n_paths, spec.block_width)
+                           for paths in blocks])
     worst_abs, worst_rel = (float(v) for v in np.max(devs, axis=0))
     margin = worst_rel / spec.rel_tol
     return Report(spec.name, worst_abs, 0.0, 0.0, margin,
@@ -179,17 +202,18 @@ def _check_isometry1(spec: CheckSpec) -> Report:
     _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     integrand = build_integrand(sc)
 
     def stat(paths):
         block = sampler.sample_block(spec.seed, paths)
         node = node_values(integrand, block)
         vals = side_cells(node, side, 1)[:, :, None, :]
-        z = integrate_cells(vals, block.increments[:, :1])[:, -1]
+        z = terminal_cells(vals, block.increments[:, :1])
         return _isometry_rows(z, node, block)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
+    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
+    return _finish_statistical(spec, acc, 1)
 
 
 def _isometry_rows(z: np.ndarray, node: np.ndarray, block) -> np.ndarray:
@@ -213,7 +237,7 @@ def _check_isometry2(spec: CheckSpec) -> Report:
     route = spec.options.get("route", "seq")
     if route not in ("seq", "l2lambda"):
         raise ConfigInvalid(f"isometry2 route {route!r} not one of seq, l2lambda")
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     integrand = build_integrand(sc)
     cov = resolve_covariance(sc) if route == "l2lambda" else None
 
@@ -222,10 +246,11 @@ def _check_isometry2(spec: CheckSpec) -> Report:
         inc = (block.increments if cov is None
                else project_standard(assemble_levy(cov, block)))
         node = node_values(integrand, block)
-        z = integrate_cells(side_cells(node, side, 1), inc)[:, -1]
+        z = terminal_cells(side_cells(node, side, 1), inc)
         return _isometry_rows(z, node, block)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
+    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
+    return _finish_statistical(spec, acc, 1)
 
 
 def _check_isometry4(spec: CheckSpec) -> Report:
@@ -234,17 +259,18 @@ def _check_isometry4(spec: CheckSpec) -> Report:
     sc = spec.scenario
     side = sc.sample_side
     cov = resolve_covariance(sc)
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     restricted = restrict_integrand(build_integrand(sc), cov)
 
     def stat(paths):
         levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
         node = node_values(restricted, levy.driver)
         seq = psi_lambda_apply(cov, side_cells(node, side, 1))
-        z = integrate_cells(seq, levy.driver.increments)[:, -1]
+        z = terminal_cells(seq, levy.driver.increments)
         return _isometry_rows(z, node, levy.driver)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3), 1)
+    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
+    return _finish_statistical(spec, acc, 1)
 
 
 def _check_orthogonality(spec: CheckSpec) -> Report:
@@ -254,41 +280,45 @@ def _check_orthogonality(spec: CheckSpec) -> Report:
     side = sc.sample_side
     first, second = _component_pairs(spec)
     m = len(first)
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     integrand = build_integrand(sc)
 
     def stat(paths):
         block = sampler.sample_block(spec.seed, paths)
         vals = side_cells(node_values(integrand, block), side, 1)
-        terms = integrate_terms(vals, block.increments)[:, :, -1]
+        terms = terminal_terms(vals, block.increments)
         return _rows(np.vecdot(terms[:, first], terms[:, second]), 0.0)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
+    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
+    return _finish_statistical(spec, acc, m)
 
 
 def _check_covariance_recovery(spec: CheckSpec) -> Report:
     """Sampled second moments match min(t, s) <Q u1, u2>.
 
     Probes pair reference directions with the leading intended
-    eigendirections; the analytic side always uses the intended
-    covariance, so a corrupted sampling basis shows up here.
+    eigendirections at fractions of the horizon; the analytic side always
+    uses the intended covariance, so a corrupted sampling basis shows up
+    here.
     """
     _need_paths(spec, 2)
+    _need_modes(spec, 2)
     sc = spec.scenario
     clean = resolve_covariance(sc.with_fault(None))
     sim = resolve_covariance(sc)
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     e = np.eye(clean.dim_u)
     b0 = clean.eigenbasis[:, 0]
     b1 = clean.eigenbasis[:, 1]
-    cases = ((e[0], e[0], 1.0, 1.0),
-             (e[0], e[1], 0.5, 1.0),
-             (e[1], e[1], 0.25, 0.5),
-             (e[0], e[1], 1.0, 0.25),
-             (b0, b0, 0.5, 0.5),
-             (b0, b1, 1.0, 1.0),
-             (b1, b1, 1.0, 0.5),
-             (b0, b1, 0.5, 0.5))
+    h = sc.horizon
+    cases = ((e[0], e[0], h, h),
+             (e[0], e[1], h / 2, h),
+             (e[1], e[1], h / 4, h / 2),
+             (e[0], e[1], h, h / 4),
+             (b0, b0, h / 2, h / 2),
+             (b0, b1, h, h),
+             (b1, b1, h, h / 2),
+             (b0, b1, h / 2, h / 2))
     q = clean.eigenbasis @ np.diag(clean.eigenvalues) @ clean.eigenbasis.T
     targets = np.array([min(t, s) * float(u1 @ q @ u2)
                         for u1, u2, t, s in cases])
@@ -307,7 +337,8 @@ def _check_covariance_recovery(spec: CheckSpec) -> Report:
                        axis=1)
         return _rows(lhs, targets)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
+    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
+    return _finish_statistical(spec, acc, m)
 
 
 def _check_bracket(spec: CheckSpec) -> Report:
@@ -319,11 +350,10 @@ def _check_bracket(spec: CheckSpec) -> Report:
     inner product.
     """
     _need_paths(spec, 2)
+    _need_modes(spec, 2)
     sc = spec.scenario
-    if sc.n_modes < 2:
-        raise ConfigInvalid("bracket check needs at least 2 components")
     side = sc.sample_side
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     x = build_integrand(sc)
     y = build_integrand(sc, seed_offset=1000)
     m = 5
@@ -336,7 +366,7 @@ def _check_bracket(spec: CheckSpec) -> Report:
         ip = np.einsum("...kd,...kd->...k", vx, vy)
         # the bracket of a standard component is t; it is 0 across components
         bracket_t = block.grid.times[:, -1]
-        ci = time_quadrature(vx, vy, block.grid.dt)
+        ci = np.vecdot(ip, block.grid.dt)
         zero = np.zeros(block.n_paths)
         lhs = np.stack([np.vecdot(dm0, dm0), np.vecdot(dm1, dm1),
                         np.vecdot(dm0, dm1), np.vecdot(ip, dm0 * dm0),
@@ -344,7 +374,8 @@ def _check_bracket(spec: CheckSpec) -> Report:
         rhs = np.stack([bracket_t, bracket_t, zero, ci, zero], axis=1)
         return _rows(lhs, rhs)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
+    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
+    return _finish_statistical(spec, acc, m)
 
 
 def _check_martingale(spec: CheckSpec) -> Report:
@@ -353,7 +384,7 @@ def _check_martingale(spec: CheckSpec) -> Report:
     sc = spec.scenario
     side = sc.sample_side
     probe = float(spec.options.get("probe_time", sc.horizon / 2))
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     integrand = build_integrand(sc)
     m = 2 * sc.dim_h + sc.n_modes
 
@@ -366,7 +397,8 @@ def _check_martingale(spec: CheckSpec) -> Report:
                              axis=1)
         return _rows(lhs, 0.0)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
+    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
+    return _finish_statistical(spec, acc, m)
 
 
 def _check_series_orthogonality(spec: CheckSpec) -> Report:
@@ -378,7 +410,7 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
     sc = spec.scenario
     side = sc.sample_side
     cov = resolve_covariance(sc)
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     restricted = restrict_integrand(build_integrand(sc), cov)
     first, second = _component_pairs(spec)
     m = len(first) + 1
@@ -387,7 +419,7 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
         levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
         node = node_values(restricted, levy.driver)
         seq = psi_lambda_apply(cov, side_cells(node, side, 1))
-        tv = integrate_terms(seq, levy.driver.increments)[:, :, -1]
+        tv = terminal_terms(seq, levy.driver.increments)
         total = tv.sum(axis=1)
         lhs = np.concatenate([np.vecdot(tv[:, first], tv[:, second]),
                               np.vecdot(total, total)[:, None]], axis=1)
@@ -395,7 +427,8 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
         rhs[:, -1] = np.einsum("bjd,bjd->b", tv, tv)
         return _rows(lhs, rhs)
 
-    return _finish_statistical(spec, accumulate_paths(spec.n_paths, stat, 3 * m), m)
+    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
+    return _finish_statistical(spec, acc, m)
 
 
 def _check_truncation_tail(spec: CheckSpec) -> Report:
@@ -416,7 +449,7 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
                             f"strictly between 0 and space.J {sc.n_modes}")
     side = sc.sample_side
     cov = resolve_covariance(sc)
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     raw = build_integrand(sc)
     restricted = restrict_integrand(raw, cov)
 
@@ -434,12 +467,12 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
         block = sampler.sample_block(spec.seed, paths)
         vals = side_cells(node_values(restricted, block), side, 1)
         tail = psi_lambda_apply(cov, vals)[:, :, n_sub:]
-        diff = integrate_cells(tail, block.increments[:, n_sub:])[:, -1]
+        diff = terminal_cells(tail, block.increments[:, n_sub:])
         lhs = np.vecdot(diff, diff)
         rhs = time_quadrature(tail, tail, block.grid.dt)
         return _rows(lhs[:, None], rhs[:, None])
 
-    acc = accumulate_paths(spec.n_paths, stat, 3)
+    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
     rep = _finish_statistical(spec, acc, 1)
     excess = float(acc.mean[0]) - bound          # NaN if either side is
     se_lhs = float(acc.se[0])
@@ -462,7 +495,7 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
     """The integral does not depend on the orthonormal basis used to expand it."""
     sc = spec.scenario
     side = sc.sample_side
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     integrand = build_integrand(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     q1 = random_orthogonal(sc.dim_h, gen)
@@ -499,7 +532,7 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
     rotations = _block_rotations_for(cov.eigenvalues, gen)
     iso = build_eigen_isometry(cov, cov.eigenvalues, rotations)
     cmap = iso.coord_map
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     integrand = build_integrand(sc)
     pure = [c for c, s in enumerate(sampler.specs) if s.sigma == 0.0]
     rate = np.array([sum(a * nu for a, nu in sampler.specs[c].jumps)
@@ -542,7 +575,7 @@ def _check_well_defined(spec: CheckSpec) -> Report:
     iso = build_eigen_isometry(cov1, cov1.eigenvalues, rotations)
     cov2 = alternate_decomposition(cov1, iso)
     cmap = iso.coord_map
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
     raw = build_integrand(sc, n_inputs=cov1.dim_u)
     r1 = restrict_integrand(raw, cov1)
     r2 = restrict_integrand(raw, cov2)
@@ -576,7 +609,7 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
     side = sc.sample_side
     integrand = build_simple_integrand(sc)
     b, values = integrand.breakpoints, integrand.values
-    sampler = make_sampler(sc)
+    sampler = spec.sampler
 
     def per_block(paths):
         block = sampler.sample_block(spec.seed, paths)

@@ -30,8 +30,11 @@ the series as (n_modes, n_nodes, dim_h), and the brackets
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
 (and its per-component form :func:`integrate_terms`, and the explicit
 basis route :func:`integrate_in_basis`); the squared-norm quadrature is
-:func:`time_quadrature`.  These take optional leading batch axes, and so
-do :func:`cell_values` and :func:`ito_h`: given a
+:func:`time_quadrature`.  Where only the value at the horizon is wanted,
+the terminal forms :func:`terminal_cells` and :func:`terminal_terms` give
+the kernels' last node as one contraction, without the running sums;
+they agree with it up to rounding.  These take optional leading batch
+axes, and so do :func:`cell_values` and :func:`ito_h`: given a
 :class:`levyint.processes.PathBlock` they return one row per path with
 the same per-cell arithmetic as for a single path.  That is how every
 check computes its rows, a block of paths per call.
@@ -182,6 +185,27 @@ def integrate_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     np.multiply(np.swapaxes(vals, -2, -3), increments[..., None], out=cells)
     np.cumsum(cells, axis=-2, out=cells)
     return out
+
+
+def terminal_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """The kernel's terminal value: ``integrate_cells(...)[..., -1, :]``.
+
+    One contraction over cells and components together, (..., dim_h),
+    without the running sum; it agrees with the last node of
+    :func:`integrate_cells` up to rounding.
+    """
+    lead = vals.shape[:-3]
+    n = vals.shape[-3] * vals.shape[-2]
+    flat = np.swapaxes(increments, -1, -2).reshape(lead + (1, n))
+    return (flat @ vals.reshape(lead + (n, vals.shape[-1])))[..., 0, :]
+
+
+def terminal_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """The terms' terminal values: ``integrate_terms(...)[..., -1, :]``.
+
+    One contraction over cells per component, (..., n_components, dim_h).
+    """
+    return np.einsum("...kjd,...jk->...jd", vals, increments)
 
 
 def integrate_in_basis(vals: np.ndarray, increments: np.ndarray,

@@ -380,6 +380,13 @@ class PathSampler:
             np.array([sum(a * nu for a, nu in s.jumps)
                       for s in specs])[:, None]))
 
+    @property
+    def expected_nodes(self) -> float:
+        """Mean nodes per path: the scheduled grid with its extra times,
+        plus ``nu * horizon`` jump nodes per jump term."""
+        rate = sum(nu for s in self.specs for _, nu in s.jumps)
+        return self._base_times.size + rate * self.horizon
+
     def sample(self, seed: int, path_index: int) -> SamplePath:
         return self.sample_block(seed, (path_index,)).path(0)
 

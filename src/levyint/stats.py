@@ -8,11 +8,13 @@ distributed.
 
 Within a chunk, the statistic is computed a block of paths at a time:
 :func:`accumulate_paths` hands the statistic callable a ``range`` of at
-most ``BLOCK_PATHS`` consecutive path indices, which never straddles a
-chunk boundary, and stores the ``(n, n_stats)`` rows it returns in path
-order.  Each row depends only on its own path, so blocking changes no
-row and no chunk, and the reduction is the same as for one path at a
-time.  The exact checks walk the same ranges (:func:`path_blocks`).
+most ``width`` consecutive path indices, which never straddles a chunk
+boundary, and stores the ``(n, n_stats)`` rows it returns in path order.
+Each row depends only on its own path, so blocking changes no row and no
+chunk, and the reduction is the same as for one path at a time.  The
+width is :func:`block_paths` of the grid nodes a path is expected to
+hold, so a block holds about ``BLOCK_CELLS`` cells whatever the
+scenario.  The exact checks walk the same ranges (:func:`path_blocks`).
 """
 from __future__ import annotations
 
@@ -22,12 +24,14 @@ import numpy as np
 
 CHUNK_SIZE = 4096
 
-# Paths per statistic call.  A block's per-node arrays are padded to its
-# longest grid, so the bound that matters is padded cells per block: an
-# operator-valued per-node array on 6 modes and 4 dimensions takes 192 B per
-# node, and 16 paths of the longest grids met in practice (about 400 nodes)
-# keep it near 1.2 MB.  Larger blocks measured no faster.
-BLOCK_PATHS = 16
+# Grid cells per statistic call.  Per-block work is mostly a fixed number
+# of numpy calls, so wider blocks cost less per path; the cell budget bounds
+# the per-node arrays, which take 192 B per node for an operator on 6 modes
+# and 4 dimensions, about 0.8 MB at 4096 cells.  The floor applies to
+# jump-dense grids (about 300 nodes per path), where 4096-cell blocks of 13
+# paths measured more calls per path than blocks of 16.
+BLOCK_CELLS = 4096
+MIN_BLOCK_PATHS = 16
 
 
 @dataclass
@@ -81,28 +85,34 @@ def pairwise_merge(accumulators) -> MomentAccumulator:
     return accs[0]
 
 
-def path_blocks(n_paths: int, chunk_size: int = CHUNK_SIZE):
+def block_paths(expected_nodes: float) -> int:
+    """Paths per block: ``BLOCK_CELLS`` cells, at least ``MIN_BLOCK_PATHS``."""
+    return max(MIN_BLOCK_PATHS, int(BLOCK_CELLS // expected_nodes))
+
+
+def path_blocks(n_paths: int, width: int, chunk_size: int = CHUNK_SIZE):
     """Per chunk of ``chunk_size`` path indices, the ranges a statistic sees.
 
-    Each range holds at most ``BLOCK_PATHS`` consecutive indices and never
+    Each range holds at most ``width`` consecutive indices and never
     straddles a chunk boundary.
     """
     for start in range(0, n_paths, chunk_size):
         stop = min(start + chunk_size, n_paths)
-        yield [range(lo, min(lo + BLOCK_PATHS, stop))
-               for lo in range(start, stop, BLOCK_PATHS)]
+        yield [range(lo, min(lo + width, stop))
+               for lo in range(start, stop, width)]
 
 
-def accumulate_paths(n_paths: int, stat_fn, n_stats: int,
+def accumulate_paths(n_paths: int, stat_fn, n_stats: int, width: int,
                      chunk_size: int = CHUNK_SIZE) -> MomentAccumulator:
     """Evaluate ``stat_fn(paths) -> (len(paths), n_stats)`` over all paths.
 
-    ``paths`` is a range of :func:`path_blocks`.  Chunking is by path
-    index with a fixed chunk size, so the reduction tree, and therefore
-    every output bit, is independent of how the work is scheduled.
+    ``paths`` is a range of :func:`path_blocks` of the given ``width``.
+    Chunking is by path index with a fixed chunk size, so the reduction
+    tree, and therefore every output bit, is independent of how the work
+    is scheduled.
     """
     accs = []
-    for blocks in path_blocks(n_paths, chunk_size):
+    for blocks in path_blocks(n_paths, width, chunk_size):
         start = blocks[0].start
         buf = np.empty((blocks[-1].stop - start, n_stats))
         for paths in blocks:

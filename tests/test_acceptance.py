@@ -44,7 +44,7 @@ from levyint.scenarios import (
     resolve_covariance,
 )
 from levyint.spaces import make_covariance, random_orthogonal
-from levyint.stats import accumulate_paths
+from levyint.stats import accumulate_paths, block_paths
 
 N_PATHS = 100_000
 DESK_DRIVERS = ScenarioConfig().drivers
@@ -195,7 +195,8 @@ def test_c06_covariance_recovery():
         return np.stack([(at[t] @ w[i]) * (at[s] @ w[j])
                          for (i, j, t, s) in combos], axis=1)
 
-    acc = accumulate_paths(N_PATHS, stat, len(combos))
+    acc = accumulate_paths(N_PATHS, stat, len(combos),
+                           block_paths(sampler.expected_nodes))
     worst = 0.0
     for k, (i, j, t, s) in enumerate(combos):
         target = min(t, s) * float(spec.eigenvalues[i]) if i == j else 0.0
@@ -215,7 +216,8 @@ def test_c07_bracket_normalization():
                          m[:, 2] * m[:, 2], m[:, 0] * m[:, 1],
                          m[:, 0] * m[:, 2], m[:, 1] * m[:, 2]], axis=1)
 
-    acc = accumulate_paths(N_PATHS, stat, 6)
+    acc = accumulate_paths(N_PATHS, stat, 6,
+                           block_paths(sampler.expected_nodes))
     targets = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     worst = max(_stat_margin(float(acc.mean[k]), targets[k],
                              float(acc.se[k])) for k in range(6))
@@ -244,7 +246,8 @@ def test_c08_quadratic_variation():
         cross = np.vecdot(zx, zy) - time_quadrature(vx, vy, block.grid.dt)
         return np.stack([own, cross], axis=1)
 
-    acc = accumulate_paths(N_PATHS, stat, 2)
+    acc = accumulate_paths(N_PATHS, stat, 2,
+                           block_paths(sampler.expected_nodes))
     margins = [_stat_margin(float(acc.mean[k]), 0.0, float(acc.se[k]))
                for k in range(2)]
     _criterion(8, max(margins) <= 1.0,

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from levyint.errors import GridMismatch
-from levyint.integrators import SimpleIntegrand, cell_values, ito_h
+from levyint.integrators import (
+    SimpleIntegrand,
+    cell_values,
+    integrate_cells,
+    integrate_terms,
+    ito_h,
+    terminal_cells,
+    terminal_terms,
+)
 from levyint.processes import (
     PathBlock,
     PathSampler,
@@ -106,6 +114,24 @@ def test_ito_h_rows_are_the_per_path_integrals(specs, indices, kind):
                          projection_basis=route)
             _close(z[row, :n], want)
             _keeps_terminal(z[row], n)
+
+
+@DRIVERS
+@INDICES
+@pytest.mark.parametrize("first", [0, 2], ids=["all", "tail-slice"])
+def test_terminal_forms_are_the_running_kernels_last_node(specs, indices,
+                                                          first):
+    block = _sampler(specs).sample_block(SEED, indices)
+    vals = cell_values(_integrands()["seq"], block)[:, :, first:]
+    inc = block.increments[:, first:]
+    # the tail slice is a view, as in truncation_tail
+    assert first == 0 or not vals.flags.c_contiguous
+    for got, want in ((terminal_cells(vals, inc),
+                       integrate_cells(vals, inc)[..., -1, :]),
+                      (terminal_terms(vals, inc),
+                       integrate_terms(vals, inc)[..., -1, :])):
+        for row in range(block.n_paths):
+            _close(got[row], want[row])
 
 
 @DRIVERS

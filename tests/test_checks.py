@@ -1,6 +1,7 @@
 """Check harness: accumulators, registry, suites, fault detection, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from levyint.checks import (
 )
 from levyint.errors import ConfigInvalid, UnknownCheck
 from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
-from levyint.stats import MomentAccumulator, accumulate_paths, pairwise_merge
+from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
+                           accumulate_paths, pairwise_merge, path_blocks)
 
 ONE_MODE = ScenarioConfig(
     n_modes=1, drivers=("brownian",), covariance=CovarianceConfig((1.0,)),
@@ -84,15 +86,15 @@ def test_accumulate_paths_chunking_and_determinism():
     def stat(paths):
         return np.stack([rng.stream(9, p).standard_normal(3) for p in paths])
 
-    small = accumulate_paths(23, stat, 3, chunk_size=7)
-    big = accumulate_paths(23, stat, 3, chunk_size=1000)
-    again = accumulate_paths(23, stat, 3, chunk_size=7)
+    small = accumulate_paths(23, stat, 3, 4, chunk_size=7)
+    big = accumulate_paths(23, stat, 3, 4, chunk_size=1000)
+    again = accumulate_paths(23, stat, 3, 4, chunk_size=7)
     assert small.count == big.count == 23
     assert np.max(np.abs(small.mean - big.mean)) <= 1e-12
     assert np.array_equal(small.mean, again.mean)
     assert np.array_equal(small.m2, again.m2)
     with pytest.raises(ValueError):
-        accumulate_paths(0, stat, 3)
+        accumulate_paths(0, stat, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def test_unknown_check_name_rejected():
 def test_check_preconditions_rejected():
     with pytest.raises(ConfigInvalid):
         run_check(CheckSpec("isometry1", ONE_MODE, 1, 1))
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigInvalid, match="space.J"):
         run_check(CheckSpec("bracket", ScenarioConfig(
             n_modes=1, drivers=("brownian",),
             covariance=CovarianceConfig((1.0,))), 4, 1))
@@ -464,9 +466,9 @@ def _block_statistic(spec, monkeypatch):
 
     captured = []
 
-    def capture(n_paths, stat_fn, n_stats, *args):
+    def capture(n_paths, stat_fn, n_stats, *args, **kwargs):
         captured.append((stat_fn, n_stats))
-        return accumulate_paths(n_paths, stat_fn, n_stats, *args)
+        return accumulate_paths(n_paths, stat_fn, n_stats, *args, **kwargs)
 
     monkeypatch.setattr(checks, "accumulate_paths", capture)
     checks.run_check(spec)
@@ -476,6 +478,68 @@ def _block_statistic(spec, monkeypatch):
 STATISTICAL = [s for s in default_suite(64, 4) if s.name not in
                ("basis_invariance", "isometry_invariance", "well_defined",
                 "simple_exact")]
+
+
+@pytest.mark.parametrize("spec", STATISTICAL, ids=[
+    f"{s.name}-{s.options.get('route', '')}".rstrip("-") for s in STATISTICAL])
+def test_block_rows_do_not_depend_on_the_block_width(spec, monkeypatch):
+    stat_fn, n_stats = _block_statistic(spec, monkeypatch)
+    width = spec.block_width
+    n_paths = 2 * width + 5
+
+    def walk(w):
+        return np.concatenate([stat_fn(paths) for blocks in
+                               path_blocks(n_paths, w) for paths in blocks])
+
+    narrow, wide = walk(MIN_BLOCK_PATHS), walk(width)
+    assert narrow.shape == wide.shape == (n_paths, n_stats)
+    scale = np.max(np.abs(narrow), axis=1, keepdims=True)
+    assert np.all(np.abs(wide - narrow) <= 1e-12 * scale)
+
+
+# the desk of configs/default.json, and the jump-dense desk of the benchmark
+DESK_DRIVERS = ("brownian", {"preset": "poisson", "a": 0.5},
+                {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},
+                "brownian", {"preset": "poisson", "a": 0.25},
+                {"preset": "mixed", "sigma": 0.5, "a": 0.5})
+JUMP_DENSE_DRIVERS = (
+    {"preset": "poisson", "a": 0.15}, {"preset": "mixed", "sigma": 0.5, "a": 0.12},
+    {"preset": "poisson", "a": 0.25}, {"preset": "mixed", "sigma": 0.3, "a": 0.1},
+    {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2})
+
+
+@pytest.mark.parametrize("drivers, desk_nodes, desk_width", [
+    (DESK_DRIVERS, 88.5, 46), (JUMP_DENSE_DRIVERS, 306.3, MIN_BLOCK_PATHS)],
+    ids=["desk", "jump_dense"])
+def test_block_width_is_a_function_of_the_scenario(drivers, desk_nodes,
+                                                   desk_width):
+    desk = CheckSpec("martingale", ScenarioConfig(drivers=drivers), 64, 1)
+    assert desk.sampler.expected_nodes == pytest.approx(desk_nodes, abs=0.05)
+    assert desk.block_width == desk_width
+    for spec in default_suite(64, 4, desk=desk.scenario):
+        width = spec.block_width
+        assert width >= MIN_BLOCK_PATHS
+        # the same scenario at another seed, path count or fault
+        other = replace(spec, seed=spec.seed + 1, n_paths=5,
+                        scenario=spec.scenario.with_fault("right_point"))
+        assert other.block_width == width
+        if spec.scenario.n_modes == 1:
+            # one mixed component: 65 scheduled nodes and 0.5 jumps, plus
+            # simple_exact's two breakpoints
+            assert width == (60 if spec.name == "simple_exact" else 62)
+
+
+def test_blocks_never_straddle_a_chunk():
+    n_paths = 2 * CHUNK_SIZE + 50
+    for width in (MIN_BLOCK_PATHS, 46, 62):
+        chunks = list(path_blocks(n_paths, width))
+        assert len(chunks) == 3
+        flat = [p for blocks in chunks for paths in blocks for p in paths]
+        assert flat == list(range(n_paths))
+        for c, blocks in enumerate(chunks):
+            for paths in blocks:
+                assert 0 < len(paths) <= width
+                assert paths.start // CHUNK_SIZE == (paths.stop - 1) // CHUNK_SIZE == c
 
 
 @pytest.mark.parametrize("spec", STATISTICAL, ids=[

@@ -396,6 +396,8 @@ _POISSON_NO_SIZE = dict(BASE, space=dict(BASE["space"], J=2),
                         covariance={"eigenvalues": [0.5, 0.25]},
                         integrand=dict(BASE["integrand"], carrier="seqh"),
                         drivers=["brownian", {"preset": "poisson"}])
+_ONE_COMPONENT_CHECK = dict(CHECK_BASE,
+                            space=dict(CHECK_BASE["space"], J=1))
 _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     "eigenvalues": {"kind": "geometric", "c": 0.5}})
 
@@ -443,12 +445,20 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
      "covariance.eigenvalues"),
     ("simulate", _edit(space=dict(BASE["space"], T=1e300),
                        drivers=[{"preset": "poisson", "a": 0.5}]), "space.T"),
+    # pairs of components and probes along a second eigendirection
+    ("check", lambda tmp_path: _ONE_COMPONENT_CHECK, "space.J"),
+    ("check", lambda tmp_path: dict(_ONE_COMPONENT_CHECK,
+                                    checks=["covariance_recovery"]), "space.J"),
+    ("check", lambda tmp_path: dict(_ONE_COMPONENT_CHECK,
+                                    checks=["series_orthogonality"]), "space.J"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
         "integrand-value", "basis-not-orthonormal", "space-not-object",
         "infinite-horizon", "check-not-a-name", "nan-jump-size",
-        "mixed-sigma", "zero-eigenvalue", "jumps-per-path"])
+        "mixed-sigma", "zero-eigenvalue", "jumps-per-path",
+        "one-component-suite", "one-component-covariance",
+        "one-component-series"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
@@ -491,6 +501,18 @@ def test_nan_integrand_fails_truncation_tail_without_a_crash(tmp_path):
     tail, = [r for r in rows if r["name"] == "truncation_tail"]
     assert tail["pass"] is False
     assert tail["truncationBound"] is None and tail["margin"] is None
+
+
+def test_a_short_horizon_runs_every_check(tmp_path):
+    # covariance_recovery probes at fractions of the horizon
+    out = tmp_path / "short.json"
+    code, err = run_cli_capturing(
+        "check", "--config",
+        write_config(tmp_path, dict(CHECK_BASE, space=dict(
+            CHECK_BASE["space"], T=0.5))), "--out", str(out))
+    assert code == 0 and err == ""
+    rows = json.loads(out.read_text())
+    assert len(rows) == 14 and all(r["pass"] for r in rows)
 
 
 def test_simple_integrand_without_value_integrates_like_the_check(tmp_path):
