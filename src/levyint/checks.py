@@ -4,13 +4,13 @@ Every check compares the two sides of an identity the integral layers
 must satisfy and reduces the outcome to one report row.  Two regimes:
 
 * Statistical checks estimate E[lhs - rhs] over Monte Carlo paths and
-  pass when the estimate lies within ``sigmas`` standard errors of zero.
-  ``margin`` is |mean difference| / (sigmas * se), so 1.0 is the edge of
-  acceptance; with the default 4 sigmas a correct implementation fails a
-  single statistic with probability about 6.3e-5.
+  pass when the estimate lies within ``SIGMAS`` standard errors of zero.
+  ``margin`` is |mean difference| / (SIGMAS * se), so 1.0 is the edge of
+  acceptance; with 4 sigmas a correct implementation fails a single
+  statistic with probability about 6.3e-5.
 * Exact checks compare two computations of the same pathwise quantity
-  and pass when the worst relative deviation stays below ``rel_tol``
-  (margin is deviation / rel_tol, again 1.0 at the edge).  Relative
+  and pass when the worst relative deviation stays below ``REL_TOL``
+  (margin is deviation / REL_TOL, again 1.0 at the edge).  Relative
   means against max(1, magnitude of the reference path).
 
 Reports from multi-statistic checks carry the worst case.  Checks are
@@ -18,14 +18,28 @@ deterministic functions of (scenario, seed, n_paths): path indices map
 to fixed counter-based streams and reductions use a fixed chunked tree,
 so serialized outputs are byte-identical across runs and worker counts.
 
-Every check computes its rows a block of paths at a time, over the
-ranges of :func:`levyint.stats.path_blocks` at the width
-:attr:`CheckSpec.block_width` gives its scenario: one sampling call, one
-evaluation per integrand shared by the integrals and the quadrature, and
-one kernel call per route and block.  Checks that read an integral only
-at the horizon take the kernels' terminal forms.  Statistical rows feed
-:func:`levyint.stats.accumulate_paths`; exact rows, each path's worst
-absolute and relative deviation, reduce to their maximum.
+A check is its set-up and one function of a sampled
+:class:`levyint.processes.PathBlock`, handed to one of two drivers that
+own everything else:
+
+* :func:`_statistical` takes ``stat(block) -> (lhs, rhs)``, where lhs is
+  (n_paths, n_cases) and rhs broadcasts to it.  It checks the path
+  count, samples each range of :func:`levyint.stats.path_blocks` as one
+  block, lays out the rows [lhs..., rhs..., lhs - rhs...], accumulates
+  them with :func:`levyint.stats.accumulate_paths` and reports the worst
+  case.  Times at which ``stat`` reads the path are passed as
+  ``probes``; they join the sampled grid, so each is a node of every
+  path.
+* :func:`_exact` takes ``per_block(block) -> (dev, ref)``, per path the
+  largest deviation between the two computations and the magnitude of
+  the reference.  Its rows are the absolute and the relative deviation,
+  and :func:`_exact_loop` reduces them to their maximum.
+
+The block width depends only on the scenario and the probes
+(:func:`levyint.stats.block_paths` of the sampler's expected nodes).  A
+block costs one sampling call, one evaluation per integrand shared by the
+integrals and the quadrature, and one kernel call per route.  Checks that
+read an integral only at the horizon take the kernels' terminal forms.
 """
 from __future__ import annotations
 
@@ -34,9 +48,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -55,6 +69,8 @@ from .spaces import (alternate_decomposition, build_eigen_isometry,
 from .stats import accumulate_paths, block_paths, path_blocks
 
 BASE_SEED = 20260816
+SIGMAS = 4.0
+REL_TOL = 1e-12
 
 def _default_pairs(n_modes: int) -> tuple:
     """Adjacent component pairs plus the extreme pair; touches every component."""
@@ -65,37 +81,29 @@ def _default_pairs(n_modes: int) -> tuple:
 
 
 def _component_pairs(spec: CheckSpec) -> tuple:
-    """The ``pairs`` option (default :func:`_default_pairs`) as two lists."""
+    """:func:`_default_pairs` of the scenario as two index lists."""
     _need_modes(spec, 2)
-    n = spec.scenario.n_modes
-    pairs = tuple(map(tuple, spec.options.get("pairs", _default_pairs(n))))
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n and a != b):
-            raise ConfigInvalid(f"pair {(a, b)} invalid for {n} components")
+    pairs = _default_pairs(spec.scenario.n_modes)
     return tuple(list(col) for col in zip(*pairs))
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One check invocation: which identity, on what scenario, how hard."""
+    """One check invocation: which identity, on what scenario, how hard.
+
+    Only ``isometry2`` reads ``route``; the default suite runs it on both.
+    """
 
     name: str
     scenario: ScenarioConfig
     n_paths: int
     seed: int
-    rel_tol: float = 1e-12
-    sigmas: float = 4.0
-    options: dict = field(default_factory=dict)
+    route: Literal["seq", "l2lambda"] = "seq"
 
     @cached_property
     def sampler(self) -> PathSampler:
         """The scenario's path sampler, built once per spec."""
         return make_sampler(self.scenario)
-
-    @property
-    def block_width(self) -> int:
-        """Paths per block, from the paths' expected grid nodes alone."""
-        return block_paths(self.sampler.expected_nodes)
 
 
 @dataclass
@@ -126,8 +134,27 @@ def _need_modes(spec: CheckSpec, minimum: int) -> None:
             f"got {spec.scenario.n_modes}")
 
 
-def _finish_statistical(spec: CheckSpec, acc, n_cases: int) -> Report:
+def _moments(spec: CheckSpec, stat, probes=()):
+    """Moments of the rows [lhs..., rhs..., lhs - rhs...] of ``stat``.
+
+    The sampler is the spec's, or, with ``probes``, the scenario's with
+    the probe times as extra nodes; the block width comes from it.
+    """
+    _need_paths(spec, 2)
+    sampler = make_sampler(spec.scenario, probes) if probes else spec.sampler
+
+    def rows(paths):
+        lhs, rhs = stat(sampler.sample_block(spec.seed, paths))
+        rhs = np.broadcast_to(rhs, lhs.shape)
+        return np.concatenate([lhs, rhs, lhs - rhs], axis=1)
+
+    return accumulate_paths(spec.n_paths, rows,
+                            block_paths(sampler.expected_nodes))
+
+
+def _finish_statistical(spec: CheckSpec, acc) -> Report:
     """Reduce an accumulator laid out as [lhs..., rhs..., diff...]."""
+    n_cases = acc.mean.size // 3
     mean = acc.mean
     se = acc.se
     margins = np.empty(n_cases)
@@ -137,7 +164,7 @@ def _finish_statistical(spec: CheckSpec, acc, n_cases: int) -> Report:
         if s == 0.0:
             margins[i] = 0.0 if d == 0.0 else float("inf")
         else:
-            margins[i] = d / (spec.sigmas * s)
+            margins[i] = d / (SIGMAS * s)
     w = int(np.argmax(margins))
     margin = float(margins[w])
     return Report(spec.name, float(mean[w]), float(mean[n_cases + w]),
@@ -145,41 +172,47 @@ def _finish_statistical(spec: CheckSpec, acc, n_cases: int) -> Report:
                   spec.n_paths, spec.seed)
 
 
-def _rows(lhs: np.ndarray, rhs) -> np.ndarray:
-    """Rows [lhs..., rhs..., lhs - rhs...] of a block; lhs is (n, cases)."""
-    rhs = np.broadcast_to(rhs, lhs.shape)
-    return np.concatenate([lhs, rhs, lhs - rhs], axis=1)
+def _statistical(spec: CheckSpec, stat, probes=()) -> Report:
+    """The statistical driver: ``stat(block) -> (lhs, rhs)`` to a report."""
+    return _finish_statistical(spec, _moments(spec, stat, probes))
 
 
 def _exact_loop(spec: CheckSpec, per_path) -> Report:
     """Reduce ``per_path(paths) -> (len(paths), 2)`` rows to a report.
 
-    ``paths`` is a range of :func:`levyint.stats.path_blocks`, at most
-    ``spec.block_width`` paths wide, and a row holds the absolute and the
+    ``paths`` is a range of :func:`levyint.stats.path_blocks` at the
+    width of the spec's sampler, and a row holds the absolute and the
     relative deviation of one path.  A NaN deviation propagates to the
     margin, and a margin that is not finite fails.  The parameter keeps
     its name ``per_path``, which the traced
     benchmark relies on (``tests/test_bench_targets.py``).
     """
     _need_paths(spec, 1)
+    width = block_paths(spec.sampler.expected_nodes)
     devs = np.concatenate([per_path(paths) for blocks in
-                           path_blocks(spec.n_paths, spec.block_width)
+                           path_blocks(spec.n_paths, width)
                            for paths in blocks])
     worst_abs, worst_rel = (float(v) for v in np.max(devs, axis=0))
-    margin = worst_rel / spec.rel_tol
+    margin = worst_rel / REL_TOL
     return Report(spec.name, worst_abs, 0.0, 0.0, margin,
                   bool(np.isfinite(margin) and margin <= 1.0),
                   spec.n_paths, spec.seed)
 
 
+def _exact(spec: CheckSpec, per_block) -> Report:
+    """The exact driver: ``per_block(block) -> (dev, ref)`` to a report."""
+    sampler = spec.sampler
+
+    def per_path(paths):
+        dev, ref = per_block(sampler.sample_block(spec.seed, paths))
+        return np.stack([dev, dev / np.maximum(1.0, ref)], axis=1)
+
+    return _exact_loop(spec, per_path)
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """Per path, the largest absolute entry (0 if none); NaN if any is NaN."""
     return np.max(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0)
-
-
-def _exact_rows(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rows (absolute, relative) of per-path deviations against references."""
-    return np.stack([dev, dev / np.maximum(1.0, ref)], axis=1)
 
 
 def _block_rotations_for(eigenvalues: np.ndarray,
@@ -199,98 +232,81 @@ def _block_rotations_for(eigenvalues: np.ndarray,
 
 def _check_isometry1(spec: CheckSpec) -> Report:
     """E ||(X . M)_T||^2 equals E of the squared-norm quadrature (one driver)."""
-    _need_paths(spec, 2)
-    sc = spec.scenario
-    side = sc.sample_side
-    sampler = spec.sampler
-    integrand = build_integrand(sc)
+    side = spec.scenario.sample_side
+    integrand = build_integrand(spec.scenario)
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         node = node_values(integrand, block)
         vals = side_cells(node, side, 1)[:, :, None, :]
         z = terminal_cells(vals, block.increments[:, :1])
-        return _isometry_rows(z, node, block)
+        return _isometry_sides(z, node, block)
 
-    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
-    return _finish_statistical(spec, acc, 1)
+    return _statistical(spec, stat)
 
 
-def _isometry_rows(z: np.ndarray, node: np.ndarray, block) -> np.ndarray:
-    """Rows of ||z_T||^2 against the left-point quadrature of ||X||^2."""
+def _isometry_sides(z: np.ndarray, node: np.ndarray, block) -> tuple:
+    """||z_T||^2 against the left-point quadrature of ||X||^2."""
     left = side_cells(node, "left", 1)
     lhs = np.vecdot(z, z)
     rhs = time_quadrature(left, left, block.grid.dt)
-    return _rows(lhs[:, None], rhs[:, None])
+    return lhs[:, None], rhs[:, None]
 
 
 def _check_isometry2(spec: CheckSpec) -> Report:
     """Isometry for a sequence integrand against the whole driver family.
 
-    ``options["route"]`` picks the computation: "seq" integrates the
-    sampled family directly, "l2lambda" integrates against the standard
+    ``spec.route`` picks the computation: "seq" integrates the sampled
+    family directly, "l2lambda" integrates against the standard
     components that Phi_lambda projects out of the assembled path.
     """
-    _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
-    route = spec.options.get("route", "seq")
-    if route not in ("seq", "l2lambda"):
-        raise ConfigInvalid(f"isometry2 route {route!r} not one of seq, l2lambda")
-    sampler = spec.sampler
+    if spec.route not in ("seq", "l2lambda"):
+        raise ConfigInvalid(
+            f"isometry2 route {spec.route!r} not one of seq, l2lambda")
     integrand = build_integrand(sc)
-    cov = resolve_covariance(sc) if route == "l2lambda" else None
+    cov = resolve_covariance(sc) if spec.route == "l2lambda" else None
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         inc = (block.increments if cov is None
                else project_standard(assemble_levy(cov, block)))
         node = node_values(integrand, block)
         z = terminal_cells(side_cells(node, side, 1), inc)
-        return _isometry_rows(z, node, block)
+        return _isometry_sides(z, node, block)
 
-    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
-    return _finish_statistical(spec, acc, 1)
+    return _statistical(spec, stat)
 
 
 def _check_isometry4(spec: CheckSpec) -> Report:
     """Isometry for an operator integrand against an assembled path."""
-    _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
     cov = resolve_covariance(sc)
-    sampler = spec.sampler
     restricted = restrict_integrand(build_integrand(sc), cov)
 
-    def stat(paths):
-        levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
+    def stat(block):
+        levy = assemble_levy(cov, block)
         node = node_values(restricted, levy.driver)
         seq = psi_lambda_apply(cov, side_cells(node, side, 1))
         z = terminal_cells(seq, levy.driver.increments)
-        return _isometry_rows(z, node, levy.driver)
+        return _isometry_sides(z, node, levy.driver)
 
-    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
-    return _finish_statistical(spec, acc, 1)
+    return _statistical(spec, stat)
 
 
 def _check_orthogonality(spec: CheckSpec) -> Report:
     """Integrals against distinct components are orthogonal in mean square."""
-    _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
     first, second = _component_pairs(spec)
-    m = len(first)
-    sampler = spec.sampler
     integrand = build_integrand(sc)
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         vals = side_cells(node_values(integrand, block), side, 1)
         terms = terminal_terms(vals, block.increments)
-        return _rows(np.vecdot(terms[:, first], terms[:, second]), 0.0)
+        return np.vecdot(terms[:, first], terms[:, second]), 0.0
 
-    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
-    return _finish_statistical(spec, acc, m)
+    return _statistical(spec, stat)
 
 
 def _check_covariance_recovery(spec: CheckSpec) -> Report:
@@ -301,12 +317,10 @@ def _check_covariance_recovery(spec: CheckSpec) -> Report:
     uses the intended covariance, so a corrupted sampling basis shows up
     here.
     """
-    _need_paths(spec, 2)
     _need_modes(spec, 2)
     sc = spec.scenario
     clean = resolve_covariance(sc.with_fault(None))
     sim = resolve_covariance(sc)
-    sampler = spec.sampler
     e = np.eye(clean.dim_u)
     b0 = clean.eigenbasis[:, 0]
     b1 = clean.eigenbasis[:, 1]
@@ -326,19 +340,16 @@ def _check_covariance_recovery(spec: CheckSpec) -> Report:
     w1s = [(sim.eigenbasis.T @ u1) * sim.sqrt_eigenvalues for u1, _, _, _ in cases]
     w2s = [(sim.eigenbasis.T @ u2) * sim.sqrt_eigenvalues for _, u2, _, _ in cases]
     times = sorted({t for _, _, t, s in cases} | {s for _, _, t, s in cases})
-    m = len(cases)
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         rows = np.arange(block.n_paths)
         at = {t: block.cumulative[rows, :, block.node_at(t)] for t in times}
         lhs = np.stack([np.vecdot(at[t], w1) * np.vecdot(at[s], w2)
                         for w1, w2, (_, _, t, s) in zip(w1s, w2s, cases)],
                        axis=1)
-        return _rows(lhs, targets)
+        return lhs, targets
 
-    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
-    return _finish_statistical(spec, acc, m)
+    return _statistical(spec, stat, probes=times)
 
 
 def _check_bracket(spec: CheckSpec) -> Report:
@@ -349,17 +360,13 @@ def _check_bracket(spec: CheckSpec) -> Report:
     integral processes against the time quadrature of the integrand
     inner product.
     """
-    _need_paths(spec, 2)
     _need_modes(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
-    sampler = spec.sampler
     x = build_integrand(sc)
     y = build_integrand(sc, seed_offset=1000)
-    m = 5
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         dm0, dm1 = block.increments[:, 0], block.increments[:, 1]
         vx = side_cells(node_values(x, block), side, 1)
         vy = side_cells(node_values(y, block), side, 1)
@@ -372,33 +379,27 @@ def _check_bracket(spec: CheckSpec) -> Report:
                         np.vecdot(dm0, dm1), np.vecdot(ip, dm0 * dm0),
                         np.vecdot(ip, dm0 * dm1)], axis=1)
         rhs = np.stack([bracket_t, bracket_t, zero, ci, zero], axis=1)
-        return _rows(lhs, rhs)
+        return lhs, rhs
 
-    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
-    return _finish_statistical(spec, acc, m)
+    return _statistical(spec, stat)
 
 
 def _check_martingale(spec: CheckSpec) -> Report:
     """Zero mean of the integral at the horizon and at an interior time."""
-    _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
-    probe = float(spec.options.get("probe_time", sc.horizon / 2))
-    sampler = spec.sampler
+    probe = sc.horizon / 2
     integrand = build_integrand(sc)
-    m = 2 * sc.dim_h + sc.n_modes
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         vals = side_cells(node_values(integrand, block), side, 1)
         z = integrate_cells(vals, block.increments)
         at_probe = z[np.arange(block.n_paths), block.node_at(probe)]
         lhs = np.concatenate([z[:, -1], at_probe, block.cumulative[:, :, -1]],
                              axis=1)
-        return _rows(lhs, 0.0)
+        return lhs, 0.0
 
-    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
-    return _finish_statistical(spec, acc, m)
+    return _statistical(spec, stat, probes=(probe,))
 
 
 def _check_series_orthogonality(spec: CheckSpec) -> Report:
@@ -406,17 +407,14 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
 
     Includes the resulting additivity of squared norms across the series.
     """
-    _need_paths(spec, 2)
     sc = spec.scenario
     side = sc.sample_side
     cov = resolve_covariance(sc)
-    sampler = spec.sampler
     restricted = restrict_integrand(build_integrand(sc), cov)
     first, second = _component_pairs(spec)
-    m = len(first) + 1
 
-    def stat(paths):
-        levy = assemble_levy(cov, sampler.sample_block(spec.seed, paths))
+    def stat(block):
+        levy = assemble_levy(cov, block)
         node = node_values(restricted, levy.driver)
         seq = psi_lambda_apply(cov, side_cells(node, side, 1))
         tv = terminal_terms(seq, levy.driver.increments)
@@ -425,35 +423,31 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
                               np.vecdot(total, total)[:, None]], axis=1)
         rhs = np.zeros(lhs.shape)
         rhs[:, -1] = np.einsum("bjd,bjd->b", tv, tv)
-        return _rows(lhs, rhs)
+        return lhs, rhs
 
-    acc = accumulate_paths(spec.n_paths, stat, 3 * m, spec.block_width)
-    return _finish_statistical(spec, acc, m)
+    return _statistical(spec, stat)
 
 
 def _check_truncation_tail(spec: CheckSpec) -> Report:
     """Dropping trailing modes loses exactly the dropped quadrature mass.
 
+    Keeps the leading ``min(3, J - 1)`` modes, so at least one is dropped.
     Also reports the a priori tail bound (horizon times dropped column
     mass plus operator norm squared times unresolved tail mass) and
     fails if the sampled mean exceeds it.  Needs a constant integrand so
     the bound is a single number.
     """
-    _need_paths(spec, 2)
     sc = spec.scenario
     if sc.integrand.evaluator != "constant":
         raise ConfigInvalid("truncation_tail needs a constant integrand")
-    n_sub = int(spec.options.get("n_sub", 3))
-    if not 0 < n_sub < sc.n_modes:
-        raise ConfigInvalid(f"truncation_tail option n_sub {n_sub} must lie "
-                            f"strictly between 0 and space.J {sc.n_modes}")
+    _need_modes(spec, 2)
+    n_sub = min(3, sc.n_modes - 1)
     side = sc.sample_side
     cov = resolve_covariance(sc)
-    sampler = spec.sampler
     raw = build_integrand(sc)
     restricted = restrict_integrand(raw, cov)
 
-    probe = sampler.sample(spec.seed, 0)
+    probe = spec.sampler.sample(spec.seed, 0)
     s0 = cell_values(restricted, probe, "left")[0]
     raw0 = cell_values(raw, probe, "left")[0]
     dropped = float(np.sum(s0[:, n_sub:] ** 2))
@@ -463,21 +457,20 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
              if np.all(np.isfinite(raw0)) else math.nan)
     bound = sc.horizon * (dropped + op_sq * cov.tail_mass)
 
-    def stat(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def stat(block):
         vals = side_cells(node_values(restricted, block), side, 1)
         tail = psi_lambda_apply(cov, vals)[:, :, n_sub:]
         diff = terminal_cells(tail, block.increments[:, n_sub:])
         lhs = np.vecdot(diff, diff)
         rhs = time_quadrature(tail, tail, block.grid.dt)
-        return _rows(lhs[:, None], rhs[:, None])
+        return lhs[:, None], rhs[:, None]
 
-    acc = accumulate_paths(spec.n_paths, stat, 3, spec.block_width)
-    rep = _finish_statistical(spec, acc, 1)
+    acc = _moments(spec, stat)
+    rep = _finish_statistical(spec, acc)
     excess = float(acc.mean[0]) - bound          # NaN if either side is
     se_lhs = float(acc.se[0])
     if se_lhs > 0.0:
-        over = np.maximum(0.0, excess) / (spec.sigmas * se_lhs)
+        over = np.maximum(0.0, excess) / (SIGMAS * se_lhs)
     else:
         over = 0.0 if excess <= 0.0 else math.inf
     # np.maximum, unlike max, keeps a NaN from either side
@@ -495,14 +488,12 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
     """The integral does not depend on the orthonormal basis used to expand it."""
     sc = spec.scenario
     side = sc.sample_side
-    sampler = spec.sampler
     integrand = build_integrand(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     q1 = random_orthogonal(sc.dim_h, gen)
     q2 = random_orthogonal(sc.dim_h, gen)
 
-    def per_block(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def per_block(block):
         vals = cell_values(integrand, block, side)
         dm = block.increments[:, 0]
         z0 = integrate_cells(vals[:, :, None, :], dm[:, None, :])
@@ -510,9 +501,9 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
         z2 = integrate_in_basis(vals, dm, q2)
         dev = np.max([_row_max(z1 - z0), _row_max(z2 - z0),
                       _row_max(z2 - z1)], axis=0)
-        return _exact_rows(dev, _row_max(z0))
+        return dev, _row_max(z0)
 
-    return _exact_loop(spec, per_block)
+    return _exact(spec, per_block)
 
 
 def _check_isometry_invariance(spec: CheckSpec) -> Report:
@@ -532,14 +523,13 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
     rotations = _block_rotations_for(cov.eigenvalues, gen)
     iso = build_eigen_isometry(cov, cov.eigenvalues, rotations)
     cmap = iso.coord_map
-    sampler = spec.sampler
+    driver_specs = spec.sampler.specs
     integrand = build_integrand(sc)
-    pure = [c for c, s in enumerate(sampler.specs) if s.sigma == 0.0]
-    rate = np.array([sum(a * nu for a, nu in sampler.specs[c].jumps)
+    pure = [c for c, s in enumerate(driver_specs) if s.sigma == 0.0]
+    rate = np.array([sum(a * nu for a, nu in driver_specs[c].jumps)
                      for c in pure])[:, None]
 
-    def per_block(paths):
-        driver = sampler.sample_block(spec.seed, paths)
+    def per_block(driver):
         vals = cell_values(integrand, driver, side)
         z1 = integrate_cells(vals, driver.increments)
         levy2 = transport_levy(assemble_levy(cov, driver), iso)
@@ -552,9 +542,9 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
         stray = (driver.increments[:, pure] + rate * dt) * jumpless
         dev = np.max([_row_max(z1 - z2), np.abs(q1 - q2), _row_max(stray)],
                      axis=0)
-        return _exact_rows(dev, np.max([_row_max(z1), q1], axis=0))
+        return dev, np.max([_row_max(z1), q1], axis=0)
 
-    return _exact_loop(spec, per_block)
+    return _exact(spec, per_block)
 
 
 def _check_well_defined(spec: CheckSpec) -> Report:
@@ -575,13 +565,11 @@ def _check_well_defined(spec: CheckSpec) -> Report:
     iso = build_eigen_isometry(cov1, cov1.eigenvalues, rotations)
     cov2 = alternate_decomposition(cov1, iso)
     cmap = iso.coord_map
-    sampler = spec.sampler
     raw = build_integrand(sc, n_inputs=cov1.dim_u)
     r1 = restrict_integrand(raw, cov1)
     r2 = restrict_integrand(raw, cov2)
 
-    def per_block(paths):
-        d1 = sampler.sample_block(spec.seed, paths)
+    def per_block(d1):
         levy1 = assemble_levy(cov1, d1)
         view = coordinate_view(levy1)
         inc2 = cmap @ d1.increments
@@ -598,9 +586,9 @@ def _check_well_defined(spec: CheckSpec) -> Report:
         dev = np.max([_row_max(z1 - z2), _row_max(z1 - z3),
                       _row_max(levy1.coords - levy2.coords)], axis=0)
         ref = np.max([_row_max(z1), _row_max(levy1.coords)], axis=0)
-        return _exact_rows(dev, ref)
+        return dev, ref
 
-    return _exact_loop(spec, per_block)
+    return _exact(spec, per_block)
 
 
 def _check_simple_exact(spec: CheckSpec) -> Report:
@@ -609,10 +597,8 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
     side = sc.sample_side
     integrand = build_simple_integrand(sc)
     b, values = integrand.breakpoints, integrand.values
-    sampler = spec.sampler
 
-    def per_block(paths):
-        block = sampler.sample_block(spec.seed, paths)
+    def per_block(block):
         z = ito_h(integrand, block, 0, sample_side=side)
         rows = np.arange(block.n_paths)
         cum = block.cumulative[:, 0]
@@ -625,9 +611,9 @@ def _check_simple_exact(spec: CheckSpec) -> Report:
             partial = partial + values[i] * step[:, None]
             dev = np.maximum(dev, _row_max(z[rows, nodes[i + 1]] - partial))
             ref = np.maximum(ref, _row_max(partial))
-        return _exact_rows(dev, ref)
+        return dev, ref
 
-    return _exact_loop(spec, per_block)
+    return _exact(spec, per_block)
 
 
 # ---------------------------------------------------------------------------
@@ -727,49 +713,49 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
 
     entries = [
         ("isometry1", replace(one, integrand=replace(hvec, seed=101)),
-         n_paths, {}),
+         n_paths),
         ("isometry2", replace(desk, integrand=replace(seqh, seed=102)),
-         n_paths, {"route": "seq"}),
+         n_paths, "seq"),
         ("isometry2", replace(desk, covariance=rand_basis,
                               integrand=replace(seqh, seed=103)),
-         n_paths, {"route": "l2lambda"}),
+         n_paths, "l2lambda"),
         ("isometry4", replace(desk, covariance=rand_basis,
                               integrand=replace(oper, seed=104)),
-         n_paths, {}),
+         n_paths),
         ("orthogonality", replace(desk, integrand=replace(seqh, seed=105)),
-         n_paths, {}),
+         n_paths),
         ("basis_invariance", replace(one, integrand=replace(hvec, seed=106)),
-         n_exact, {}),
+         n_exact),
         ("isometry_invariance", replace(desk, covariance=blocks_id,
                                         integrand=replace(seqh, seed=107)),
-         n_exact, {}),
+         n_exact),
         ("well_defined", replace(desk, covariance=blocks_rand,
                                  integrand=replace(oper, seed=108)),
-         n_exact, {}),
+         n_exact),
         ("covariance_recovery", replace(desk, covariance=rand_basis),
-         n_paths, {}),
+         n_paths),
         ("bracket", replace(desk, n_modes=2,
                             integrand=replace(hvec, seed=110)),
-         n_paths, {}),
+         n_paths),
         ("martingale", replace(desk, integrand=replace(seqh, seed=111)),
-         n_paths, {}),
+         n_paths),
         ("simple_exact",
          replace(one, integrand=IntegrandConfig(
              family="simple", carrier="hvector", evaluator="constant",
              seed=112, scale=scale,
              breakpoints=(0.0, 0.3 * desk.horizon, 0.7 * desk.horizon,
                           desk.horizon))),
-         n_exact, {}),
+         n_exact),
         ("series_orthogonality", replace(desk, covariance=rand_basis,
                                          integrand=replace(oper, seed=113)),
-         n_paths, {}),
+         n_paths),
         ("truncation_tail",
          replace(desk, covariance=rand_basis,
                  integrand=replace(oper, evaluator="constant", seed=114)),
-         n_paths, {"n_sub": 3}),
+         n_paths),
     ]
-    return [CheckSpec(name, scenario, paths, base_seed + i, options=options)
-            for i, (name, scenario, paths, options) in enumerate(entries, 1)]
+    return [CheckSpec(name, scenario, paths, base_seed + i, *route)
+            for i, (name, scenario, paths, *route) in enumerate(entries, 1)]
 
 
 def negative_control_suite(fault: str, n_paths: int = 100_000,

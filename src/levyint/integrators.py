@@ -42,7 +42,7 @@ check computes its rows, a block of paths per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -239,18 +239,18 @@ def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
     return np.vecdot(per_cell, dt)
 
 
-def ito_h(integrand, path, component: int, *, sample_side: str = "left",
-          projection_basis: Optional[np.ndarray] = None) -> np.ndarray:
+def ito_h(integrand, path, component: int, *, sample_side: str = "left"
+          ) -> np.ndarray:
     """Integrate an H-valued integrand against one driver component.
 
     Returns the running integral at every node, (n_nodes, dim_h) for a
     path and (n_paths, n_nodes, dim_h) for a :class:`PathBlock`.
-    The default route multiplies cell values by the component increments
-    coordinatewise.  ``projection_basis`` (an orthogonal dim_h x dim_h
-    matrix) switches to the explicit route of :func:`integrate_in_basis`,
-    which first integrates each basis coefficient as a scalar and then
-    recombines; the two routes agree up to rounding for any orthonormal
-    basis, which is exactly the basis-independence of the construction.
+    Cell values are multiplied by the component increments
+    coordinatewise.  The explicit route of :func:`integrate_in_basis`
+    first integrates each coefficient against an orthonormal basis as a
+    scalar and then recombines; the two routes agree up to rounding for
+    any orthonormal basis, which is exactly the basis-independence of the
+    construction.
     """
     if not 0 <= component < path.n_components:
         raise IndexOutOfRange(
@@ -259,9 +259,7 @@ def ito_h(integrand, path, component: int, *, sample_side: str = "left",
     if vals.ndim != path.increments.ndim:
         raise DimensionMismatch("H-valued integrand must have vector values")
     dm = path.increments[..., component, :]
-    if projection_basis is None:
-        return integrate_cells(vals[..., None, :], dm[..., None, :])
-    return integrate_in_basis(vals, dm, projection_basis)
+    return integrate_cells(vals[..., None, :], dm[..., None, :])
 
 
 def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left"

@@ -178,13 +178,18 @@ def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     return CovarianceSpec(spec.eigenvalues, basis, spec.tail_mass)
 
 
-def make_sampler(scenario: ScenarioConfig) -> PathSampler:
-    """The scenario's sampler; a simple integrand's breakpoints join its grid."""
+def make_sampler(scenario: ScenarioConfig, probes: tuple = ()) -> PathSampler:
+    """The scenario's sampler.
+
+    A simple integrand's breakpoints and the ``probes``, times at which a
+    check reads the path, join its grid, so that each is a node of every
+    path.
+    """
     specs = make_standard_specs(scenario.n_modes, scenario.drivers)
     cfg = scenario.integrand
-    extra = ()
+    extra = tuple(probes)
     if cfg.family == "simple" and cfg.breakpoints is not None:
-        extra = tuple(cfg.breakpoints[1:-1])
+        extra = tuple(cfg.breakpoints[1:-1]) + extra
     return PathSampler(specs, scenario.horizon, scenario.n_scheduled, extra)
 
 

@@ -9,12 +9,17 @@ distributed.
 Within a chunk, the statistic is computed a block of paths at a time:
 :func:`accumulate_paths` hands the statistic callable a ``range`` of at
 most ``width`` consecutive path indices, which never straddles a chunk
-boundary, and stores the ``(n, n_stats)`` rows it returns in path order.
-Each row depends only on its own path, so blocking changes no row and no
-chunk, and the reduction is the same as for one path at a time.  The
-width is :func:`block_paths` of the grid nodes a path is expected to
-hold, so a block holds about ``BLOCK_CELLS`` cells whatever the
-scenario.  The exact checks walk the same ranges (:func:`path_blocks`).
+boundary, and concatenates the rows it returns in path order; the row
+length is the number of statistics.  Each row depends only on its own
+path, so blocking changes no row and no chunk, and the reduction is the
+same as for one path at a time.  The width is :func:`block_paths` of the
+grid nodes a path is expected to hold, so a block holds about
+``BLOCK_CELLS`` cells whatever the scenario.
+
+The two drivers of :mod:`levyint.checks` are the callers: the statistical
+driver hands :func:`accumulate_paths` a callable that samples the range
+as one block and lays out its rows, and the exact driver walks the same
+ranges (:func:`path_blocks`) and reduces its rows to their maximum.
 """
 from __future__ import annotations
 
@@ -102,7 +107,7 @@ def path_blocks(n_paths: int, width: int, chunk_size: int = CHUNK_SIZE):
                for lo in range(start, stop, width)]
 
 
-def accumulate_paths(n_paths: int, stat_fn, n_stats: int, width: int,
+def accumulate_paths(n_paths: int, stat_fn, width: int,
                      chunk_size: int = CHUNK_SIZE) -> MomentAccumulator:
     """Evaluate ``stat_fn(paths) -> (len(paths), n_stats)`` over all paths.
 
@@ -111,11 +116,7 @@ def accumulate_paths(n_paths: int, stat_fn, n_stats: int, width: int,
     tree, and therefore every output bit, is independent of how the work
     is scheduled.
     """
-    accs = []
-    for blocks in path_blocks(n_paths, width, chunk_size):
-        start = blocks[0].start
-        buf = np.empty((blocks[-1].stop - start, n_stats))
-        for paths in blocks:
-            buf[paths.start - start:paths.stop - start] = stat_fn(paths)
-        accs.append(MomentAccumulator.from_samples(buf))
+    accs = [MomentAccumulator.from_samples(
+                np.concatenate([stat_fn(paths) for paths in blocks]))
+            for blocks in path_blocks(n_paths, width, chunk_size)]
     return pairwise_merge(accs)

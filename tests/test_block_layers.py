@@ -13,6 +13,7 @@ from levyint.integrators import (
     SimpleIntegrand,
     cell_values,
     integrate_cells,
+    integrate_in_basis,
     integrate_terms,
     ito_h,
     terminal_cells,
@@ -104,14 +105,19 @@ def test_ito_h_rows_are_the_per_path_integrals(specs, indices, kind):
     sampler = _sampler(specs)
     integrand = _integrands()[kind]
     basis = random_orthogonal(DIM_H, rng.stream(9, 0, 0, rng.BASIS))
+
+    def routes(path):
+        """Component 2's integral, plainly and through ``basis``."""
+        dm = path.increments[..., 2, :]
+        return (ito_h(integrand, path, 2),
+                integrate_in_basis(cell_values(integrand, path), dm, basis))
+
     block = sampler.sample_block(SEED, indices)
-    for route in (None, basis):
-        z = ito_h(integrand, block, 2, projection_basis=route)
+    for route, z in enumerate(routes(block)):
         assert z.shape == (block.n_paths, block.grid.n_nodes, DIM_H)
         for row, p in enumerate(indices):
             n = int(block.n_nodes[row])
-            want = ito_h(integrand, sampler.sample(SEED, p), 2,
-                         projection_basis=route)
+            want = routes(sampler.sample(SEED, p))[route]
             _close(z[row, :n], want)
             _keeps_terminal(z[row], n)
 

@@ -28,7 +28,8 @@ from levyint.checks import (
 from levyint.errors import ConfigInvalid, UnknownCheck
 from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
 from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
-                           accumulate_paths, pairwise_merge, path_blocks)
+                           accumulate_paths, block_paths, pairwise_merge,
+                           path_blocks)
 
 ONE_MODE = ScenarioConfig(
     n_modes=1, drivers=("brownian",), covariance=CovarianceConfig((1.0,)),
@@ -86,15 +87,15 @@ def test_accumulate_paths_chunking_and_determinism():
     def stat(paths):
         return np.stack([rng.stream(9, p).standard_normal(3) for p in paths])
 
-    small = accumulate_paths(23, stat, 3, 4, chunk_size=7)
-    big = accumulate_paths(23, stat, 3, 4, chunk_size=1000)
-    again = accumulate_paths(23, stat, 3, 4, chunk_size=7)
+    small = accumulate_paths(23, stat, 4, chunk_size=7)
+    big = accumulate_paths(23, stat, 4, chunk_size=1000)
+    again = accumulate_paths(23, stat, 4, chunk_size=7)
     assert small.count == big.count == 23
     assert np.max(np.abs(small.mean - big.mean)) <= 1e-12
     assert np.array_equal(small.mean, again.mean)
     assert np.array_equal(small.m2, again.m2)
     with pytest.raises(ValueError):
-        accumulate_paths(0, stat, 3, 4)
+        accumulate_paths(0, stat, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +127,28 @@ def test_check_preconditions_rejected():
             n_modes=1, drivers=("brownian",),
             covariance=CovarianceConfig((1.0,))), 4, 1))
     with pytest.raises(ConfigInvalid):
-        run_check(CheckSpec("orthogonality", ScenarioConfig(
-            integrand=IntegrandConfig(carrier="seqh")), 4, 1,
-            options={"pairs": ((0, 0),)}))
-    with pytest.raises(ConfigInvalid):
         run_check(CheckSpec("isometry2", ScenarioConfig(
             integrand=IntegrandConfig(carrier="seqh")), 4, 1,
-            options={"route": "spectral"}))
-    tail_scenario = ScenarioConfig(
-        integrand=IntegrandConfig(carrier="operator", evaluator="constant"))
+            route="spectral"))
     with pytest.raises(ConfigInvalid):
         run_check(CheckSpec("truncation_tail", ScenarioConfig(
             integrand=IntegrandConfig(carrier="operator")), 4, 1))
-    with pytest.raises(ConfigInvalid):
-        run_check(CheckSpec("truncation_tail", tail_scenario, 4, 1,
-                            options={"n_sub": 0}))
-    with pytest.raises(ConfigInvalid):
-        run_check(CheckSpec("truncation_tail", tail_scenario, 4, 1,
-                            options={"n_sub": 6}))
+    # one mode leaves no tail to drop
+    with pytest.raises(ConfigInvalid, match="space.J"):
+        run_check(CheckSpec("truncation_tail", ScenarioConfig(
+            n_modes=1, drivers=("brownian",),
+            covariance=CovarianceConfig((1.0,)),
+            integrand=IntegrandConfig(carrier="operator",
+                                      evaluator="constant")), 4, 1))
 
 
 def test_isometry2_routes_are_the_same_computation():
     scenario = ScenarioConfig(
         integrand=IntegrandConfig(carrier="seqh", evaluator="driver_linear",
                                   seed=42))
-    seq = run_check(CheckSpec("isometry2", scenario, 400, 555,
-                              options={"route": "seq"}))
+    seq = run_check(CheckSpec("isometry2", scenario, 400, 555, route="seq"))
     spectral = run_check(CheckSpec("isometry2", scenario, 400, 555,
-                                   options={"route": "l2lambda"}))
+                                   route="l2lambda"))
     # identity eigenbasis: the assembled path stores the same driver
     assert report_to_dict(seq) == report_to_dict(spectral)
 
@@ -176,7 +171,7 @@ def test_default_suite_layout():
     for s in suite:
         assert s.n_paths == (8 if s.name in exact else 300)
         assert s.name in CHECKS
-    routes = [s.options.get("route") for s in suite if s.name == "isometry2"]
+    routes = [s.route for s in suite if s.name == "isometry2"]
     assert routes == ["seq", "l2lambda"]
     # the projected route runs under a random eigenbasis
     assert [s.scenario.covariance.basis for s in suite[1:3]] == [
@@ -401,7 +396,7 @@ def _reference_rows(spec, paths):
             z = ito_h(integrand, path, 0, sample_side=side)[-1]
             return iso(z, quadrature_sq_norm(integrand, path))
         if spec.name == "isometry2":
-            if spec.options["route"] == "seq":
+            if spec.route == "seq":
                 z = ito_seq(integrand, path, sample_side=side)[-1]
             else:
                 z = ito_l2lambda(integrand, levy, sample_side=side)[-1]
@@ -440,7 +435,7 @@ def _reference_rows(spec, paths):
             rhs = [0.0] * len(pairs) + [sum(t @ t for t in tv)]
             return lhs + rhs + [a - b for a, b in zip(lhs, rhs)]
         if spec.name == "truncation_tail":
-            n_sub = spec.options["n_sub"]
+            n_sub = min(3, sc.n_modes - 1)
             vals = cell_values(restricted, path, side)
             tail = [ito_h(_cells_integrand(vals[:, :, j]), path, j)[-1]
                     for j in range(n_sub, sc.n_modes)]
@@ -461,30 +456,46 @@ def _cells_integrand(cells):
 
 
 def _block_statistic(spec, monkeypatch):
-    """The block statistic callable that a check hands to accumulate_paths."""
+    """The block statistic callable that a check hands to accumulate_paths,
+    and the block width it asks for."""
     from levyint import checks
 
     captured = []
 
-    def capture(n_paths, stat_fn, n_stats, *args, **kwargs):
-        captured.append((stat_fn, n_stats))
-        return accumulate_paths(n_paths, stat_fn, n_stats, *args, **kwargs)
+    def capture(n_paths, stat_fn, width, *args, **kwargs):
+        captured.append((stat_fn, width))
+        return accumulate_paths(n_paths, stat_fn, width, *args, **kwargs)
 
     monkeypatch.setattr(checks, "accumulate_paths", capture)
     checks.run_check(spec)
     return captured[0]
 
 
+def _block_width(spec, monkeypatch):
+    """The block width a check runs at, statistical or exact."""
+    from levyint import checks
+
+    widths = []
+
+    def capture(expected_nodes):
+        widths.append(block_paths(expected_nodes))
+        return widths[-1]
+
+    monkeypatch.setattr(checks, "block_paths", capture)
+    checks.run_check(spec)
+    return widths[0]
+
+
 STATISTICAL = [s for s in default_suite(64, 4) if s.name not in
                ("basis_invariance", "isometry_invariance", "well_defined",
                 "simple_exact")]
+STATISTICAL_IDS = [f"{s.name}-{s.route}" if s.name == "isometry2" else s.name
+                   for s in STATISTICAL]
 
 
-@pytest.mark.parametrize("spec", STATISTICAL, ids=[
-    f"{s.name}-{s.options.get('route', '')}".rstrip("-") for s in STATISTICAL])
+@pytest.mark.parametrize("spec", STATISTICAL, ids=STATISTICAL_IDS)
 def test_block_rows_do_not_depend_on_the_block_width(spec, monkeypatch):
-    stat_fn, n_stats = _block_statistic(spec, monkeypatch)
-    width = spec.block_width
+    stat_fn, width = _block_statistic(spec, monkeypatch)
     n_paths = 2 * width + 5
 
     def walk(w):
@@ -492,7 +503,7 @@ def test_block_rows_do_not_depend_on_the_block_width(spec, monkeypatch):
                                path_blocks(n_paths, w) for paths in blocks])
 
     narrow, wide = walk(MIN_BLOCK_PATHS), walk(width)
-    assert narrow.shape == wide.shape == (n_paths, n_stats)
+    assert narrow.shape == wide.shape and narrow.shape[0] == n_paths
     scale = np.max(np.abs(narrow), axis=1, keepdims=True)
     assert np.all(np.abs(wide - narrow) <= 1e-12 * scale)
 
@@ -512,17 +523,18 @@ JUMP_DENSE_DRIVERS = (
     (DESK_DRIVERS, 88.5, 46), (JUMP_DENSE_DRIVERS, 306.3, MIN_BLOCK_PATHS)],
     ids=["desk", "jump_dense"])
 def test_block_width_is_a_function_of_the_scenario(drivers, desk_nodes,
-                                                   desk_width):
-    desk = CheckSpec("martingale", ScenarioConfig(drivers=drivers), 64, 1)
+                                                   desk_width, monkeypatch):
+    desk = CheckSpec("martingale", ScenarioConfig(
+        drivers=drivers, integrand=IntegrandConfig(carrier="seqh")), 64, 1)
     assert desk.sampler.expected_nodes == pytest.approx(desk_nodes, abs=0.05)
-    assert desk.block_width == desk_width
+    assert _block_width(desk, monkeypatch) == desk_width
     for spec in default_suite(64, 4, desk=desk.scenario):
-        width = spec.block_width
+        width = _block_width(spec, monkeypatch)
         assert width >= MIN_BLOCK_PATHS
         # the same scenario at another seed, path count or fault
         other = replace(spec, seed=spec.seed + 1, n_paths=5,
                         scenario=spec.scenario.with_fault("right_point"))
-        assert other.block_width == width
+        assert _block_width(other, monkeypatch) == width
         if spec.scenario.n_modes == 1:
             # one mixed component: 65 scheduled nodes and 0.5 jumps, plus
             # simple_exact's two breakpoints
@@ -542,17 +554,16 @@ def test_blocks_never_straddle_a_chunk():
                 assert paths.start // CHUNK_SIZE == (paths.stop - 1) // CHUNK_SIZE == c
 
 
-@pytest.mark.parametrize("spec", STATISTICAL, ids=[
-    f"{s.name}-{s.options.get('route', '')}".rstrip("-") for s in STATISTICAL])
+@pytest.mark.parametrize("spec", STATISTICAL, ids=STATISTICAL_IDS)
 def test_block_rows_match_per_path_layers(spec, monkeypatch):
-    stat_fn, n_stats = _block_statistic(spec, monkeypatch)
+    stat_fn, _ = _block_statistic(spec, monkeypatch)
     paths = range(4090, 4103)            # one odd-sized block
     rows = stat_fn(paths)
-    assert rows.shape == (len(paths), n_stats)
     if spec.name == "covariance_recovery":
         ref = _covariance_rows(spec, paths)
     else:
         ref = _reference_rows(spec, paths)
+    assert rows.shape == ref.shape
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
 

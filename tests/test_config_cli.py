@@ -515,6 +515,41 @@ def test_a_short_horizon_runs_every_check(tmp_path):
     assert len(rows) == 14 and all(r["pass"] for r in rows)
 
 
+def _default_config(**space) -> dict:
+    payload = json.loads((CONFIG_DIR / "default.json").read_text())
+    payload["space"].update(space)
+    return payload
+
+
+@pytest.mark.parametrize("n_scheduled, check", [
+    (10, "covariance_recovery"), (3, "martingale")])
+def test_probe_times_off_the_scheduled_grid_are_nodes(tmp_path, n_scheduled,
+                                                      check):
+    # a quarter or half of the horizon is no scheduled node here; read at
+    # the last node before it, a path is biased by where its jumps fall
+    payload = dict(_default_config(nScheduled=n_scheduled), nPaths=20000,
+                   checks=[check])
+    out = tmp_path / "probe.json"
+    code, err = run_cli_capturing(
+        "check", "--config", write_config(tmp_path, payload),
+        "--out", str(out))
+    assert code == 0 and err == ""
+    assert json.loads(out.read_text())[0]["pass"] is True
+
+
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_few_modes_run_the_default_suite(tmp_path, n_modes):
+    # truncation_tail keeps at most J - 1 modes and drops the rest
+    payload = dict(_default_config(J=n_modes), nPaths=4096, nExact=64)
+    out = tmp_path / "few.json"
+    code, err = run_cli_capturing(
+        "check", "--config", write_config(tmp_path, payload),
+        "--out", str(out))
+    assert code == 0 and err == ""
+    rows = json.loads(out.read_text())
+    assert len(rows) == 14 and all(r["pass"] for r in rows)
+
+
 def test_simple_integrand_without_value_integrates_like_the_check(tmp_path):
     # the CLI draws the values the simple_exact check draws, on the grid
     # that make_sampler refines with the breakpoints
