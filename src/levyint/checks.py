@@ -13,10 +13,11 @@ must satisfy and reduces the outcome to one report row.  Two regimes:
   (margin is deviation / REL_TOL, again 1.0 at the edge).  Relative
   means against max(1, magnitude of the reference path).
 
-Reports from multi-statistic checks carry the worst case.  Checks are
-deterministic functions of (scenario, seed, n_paths): path indices map
-to fixed counter-based streams and reductions use a fixed chunked tree,
-so serialized outputs are byte-identical across runs and worker counts.
+Reports from multi-statistic checks carry the worst case.  A check's
+report is a deterministic function of its own spec (scenario, seeds,
+n_paths): path indices map to fixed counter-based streams and reductions
+use a fixed chunked tree, so serialized outputs are byte-identical across
+runs, worker counts and the other checks selected.
 
 A check is its set-up and one function of a sampled
 :class:`levyint.processes.PathBlock`, handed to one of two drivers that
@@ -24,20 +25,26 @@ own everything else:
 
 * :func:`_statistical` takes ``stat(block) -> (lhs, rhs)``, where lhs is
   (n_paths, n_cases) and rhs broadcasts to it.  It checks the path
-  count, samples each range of :func:`levyint.stats.path_blocks` as one
-  block, lays out the rows [lhs..., rhs..., lhs - rhs...], accumulates
-  them with :func:`levyint.stats.accumulate_paths` and reports the worst
-  case.  Times at which ``stat`` reads the path are passed as
-  ``probes``; they join the sampled grid, so each is a node of every
-  path.
+  count, lays out the rows [lhs..., rhs..., lhs - rhs...] and reports
+  the worst case of their accumulator.
 * :func:`_exact` takes ``per_block(block) -> (dev, ref)``, per path the
   largest deviation between the two computations and the magnitude of
   the reference.  Its rows are the absolute and the relative deviation,
-  and :func:`_exact_loop` reduces them to their maximum.
+  and :func:`_exact_loop` reports their maxima.
 
-The block width depends only on the scenario and the probes
-(:func:`levyint.stats.block_paths` of the sampler's expected nodes).  A
-block costs one sampling call, one evaluation per integrand shared by the
+The suite runner owns the paths.  Checks whose paths have one law (driver
+specs, horizon, grid) and one seed read the same paths: the default suite
+draws every path under the config seed, while each entry keeps its own
+seed for its set-up draws and its report.  :func:`run_suite` walks each
+law's blocks once, with :func:`levyint.stats.accumulate_paths`, samples
+each block once and hands it to every check of the law; a check of n
+paths reads the first n, as the block it would sample alone.  Times at
+which a check reads the path (``_PROBES``) join its grid, so each is a
+node of every path, and on the desk they are scheduled nodes already.
+
+The block width depends only on the law (:func:`levyint.stats.block_paths`
+of the sampler's expected nodes).  A block costs one sampling call for
+all the checks of its law, one evaluation per integrand shared by the
 integrals and the quadrature, and one kernel call per route.  Checks that
 read an integral only at the horizon take the kernels' terminal forms.
 """
@@ -49,8 +56,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Literal, Optional
+from functools import partial
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -59,14 +66,15 @@ from .errors import ConfigInvalid, UnknownCheck
 from .integrators import (cell_values, integrate_cells, integrate_in_basis,
                           ito_h, node_values, side_cells, terminal_cells,
                           terminal_terms, time_quadrature)
-from .processes import (SCHEDULED, PathSampler, assemble_levy,
-                        coordinate_view, project_standard, transport_levy)
+from .processes import (SCHEDULED, SamplePath, TimeGrid, assemble_levy,
+                        coordinate_view, make_standard_specs,
+                        project_standard, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, build_simple_integrand, make_sampler,
-                        resolve_covariance, restrict_integrand)
+                        path_law, resolve_covariance, restrict_integrand)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      psi_lambda_apply, random_orthogonal)
-from .stats import accumulate_paths, block_paths, path_blocks
+from .stats import accumulate_paths, block_paths
 
 BASE_SEED = 20260816
 SIGMAS = 4.0
@@ -91,7 +99,11 @@ def _component_pairs(spec: CheckSpec) -> tuple:
 class CheckSpec:
     """One check invocation: which identity, on what scenario, how hard.
 
-    Only ``isometry2`` reads ``route``; the default suite runs it on both.
+    ``seed`` keys the check's set-up draws and is its report's ``seed``;
+    ``path_seed`` draws its paths, and defaults to ``seed``.  The default
+    suite draws every path under the config seed, so that checks on one
+    path law read the same paths.  Only ``isometry2`` reads ``route``; the
+    default suite runs it on both.
     """
 
     name: str
@@ -99,11 +111,7 @@ class CheckSpec:
     n_paths: int
     seed: int
     route: Literal["seq", "l2lambda"] = "seq"
-
-    @cached_property
-    def sampler(self) -> PathSampler:
-        """The scenario's path sampler, built once per spec."""
-        return make_sampler(self.scenario)
+    path_seed: Optional[int] = None
 
 
 @dataclass
@@ -120,6 +128,15 @@ class Report:
     truncation_bound: Optional[float] = None
 
 
+@dataclass
+class _Member:
+    """A check set up for a pass over the blocks of its path law."""
+
+    spec: CheckSpec
+    rows: Callable                   # block -> (n_paths, n_stats) rows
+    finish: Callable                 # accumulator of the rows -> Report
+
+
 def _need_paths(spec: CheckSpec, minimum: int) -> None:
     if spec.n_paths < minimum:
         raise ConfigInvalid(
@@ -132,24 +149,6 @@ def _need_modes(spec: CheckSpec, minimum: int) -> None:
         raise ConfigInvalid(
             f"check {spec.name} needs space.J of at least {minimum}, "
             f"got {spec.scenario.n_modes}")
-
-
-def _moments(spec: CheckSpec, stat, probes=()):
-    """Moments of the rows [lhs..., rhs..., lhs - rhs...] of ``stat``.
-
-    The sampler is the spec's, or, with ``probes``, the scenario's with
-    the probe times as extra nodes; the block width comes from it.
-    """
-    _need_paths(spec, 2)
-    sampler = make_sampler(spec.scenario, probes) if probes else spec.sampler
-
-    def rows(paths):
-        lhs, rhs = stat(sampler.sample_block(spec.seed, paths))
-        rhs = np.broadcast_to(rhs, lhs.shape)
-        return np.concatenate([lhs, rhs, lhs - rhs], axis=1)
-
-    return accumulate_paths(spec.n_paths, rows,
-                            block_paths(sampler.expected_nodes))
 
 
 def _finish_statistical(spec: CheckSpec, acc) -> Report:
@@ -172,39 +171,47 @@ def _finish_statistical(spec: CheckSpec, acc) -> Report:
                   spec.n_paths, spec.seed)
 
 
-def _statistical(spec: CheckSpec, stat, probes=()) -> Report:
-    """The statistical driver: ``stat(block) -> (lhs, rhs)`` to a report."""
-    return _finish_statistical(spec, _moments(spec, stat, probes))
+def _statistical(spec: CheckSpec, stat, finish=None) -> _Member:
+    """The statistical driver: ``stat(block) -> (lhs, rhs)`` to a member.
+
+    Its rows are [lhs..., rhs..., lhs - rhs...]; ``finish`` reduces their
+    accumulator to the report, by default the worst case.
+    """
+    _need_paths(spec, 2)
+
+    def rows(block):
+        lhs, rhs = stat(block)
+        rhs = np.broadcast_to(rhs, lhs.shape)
+        return np.concatenate([lhs, rhs, lhs - rhs], axis=1)
+
+    return _Member(spec, rows, finish or partial(_finish_statistical, spec))
 
 
-def _exact_loop(spec: CheckSpec, per_path) -> Report:
-    """Reduce ``per_path(paths) -> (len(paths), 2)`` rows to a report.
+def _exact_loop(spec: CheckSpec, per_path) -> _Member:
+    """The member that reduces ``per_path(block) -> (n_paths, 2)`` rows.
 
-    ``paths`` is a range of :func:`levyint.stats.path_blocks` at the
-    width of the spec's sampler, and a row holds the absolute and the
-    relative deviation of one path.  A NaN deviation propagates to the
-    margin, and a margin that is not finite fails.  The parameter keeps
-    its name ``per_path``, which the traced
+    A row holds the absolute and the relative deviation of one path, and
+    the report carries their maxima over the spec's paths.  A NaN
+    deviation propagates to the margin, and a margin that is not finite
+    fails.  The parameter keeps its name ``per_path``, which the traced
     benchmark relies on (``tests/test_bench_targets.py``).
     """
     _need_paths(spec, 1)
-    width = block_paths(spec.sampler.expected_nodes)
-    devs = np.concatenate([per_path(paths) for blocks in
-                           path_blocks(spec.n_paths, width)
-                           for paths in blocks])
-    worst_abs, worst_rel = (float(v) for v in np.max(devs, axis=0))
-    margin = worst_rel / REL_TOL
-    return Report(spec.name, worst_abs, 0.0, 0.0, margin,
-                  bool(np.isfinite(margin) and margin <= 1.0),
-                  spec.n_paths, spec.seed)
+
+    def finish(acc):
+        worst_abs, worst_rel = (float(v) for v in acc.peak)
+        margin = worst_rel / REL_TOL
+        return Report(spec.name, worst_abs, 0.0, 0.0, margin,
+                      bool(np.isfinite(margin) and margin <= 1.0),
+                      spec.n_paths, spec.seed)
+
+    return _Member(spec, per_path, finish)
 
 
-def _exact(spec: CheckSpec, per_block) -> Report:
-    """The exact driver: ``per_block(block) -> (dev, ref)`` to a report."""
-    sampler = spec.sampler
-
-    def per_path(paths):
-        dev, ref = per_block(sampler.sample_block(spec.seed, paths))
+def _exact(spec: CheckSpec, per_block) -> _Member:
+    """The exact driver: ``per_block(block) -> (dev, ref)`` to a member."""
+    def per_path(block):
+        dev, ref = per_block(block)
         return np.stack([dev, dev / np.maximum(1.0, ref)], axis=1)
 
     return _exact_loop(spec, per_path)
@@ -230,7 +237,7 @@ def _block_rotations_for(eigenvalues: np.ndarray,
 # statistical checks
 
 
-def _check_isometry1(spec: CheckSpec) -> Report:
+def _check_isometry1(spec: CheckSpec) -> _Member:
     """E ||(X . M)_T||^2 equals E of the squared-norm quadrature (one driver)."""
     side = spec.scenario.sample_side
     integrand = build_integrand(spec.scenario)
@@ -252,7 +259,7 @@ def _isometry_sides(z: np.ndarray, node: np.ndarray, block) -> tuple:
     return lhs[:, None], rhs[:, None]
 
 
-def _check_isometry2(spec: CheckSpec) -> Report:
+def _check_isometry2(spec: CheckSpec) -> _Member:
     """Isometry for a sequence integrand against the whole driver family.
 
     ``spec.route`` picks the computation: "seq" integrates the sampled
@@ -277,7 +284,7 @@ def _check_isometry2(spec: CheckSpec) -> Report:
     return _statistical(spec, stat)
 
 
-def _check_isometry4(spec: CheckSpec) -> Report:
+def _check_isometry4(spec: CheckSpec) -> _Member:
     """Isometry for an operator integrand against an assembled path."""
     sc = spec.scenario
     side = sc.sample_side
@@ -294,7 +301,7 @@ def _check_isometry4(spec: CheckSpec) -> Report:
     return _statistical(spec, stat)
 
 
-def _check_orthogonality(spec: CheckSpec) -> Report:
+def _check_orthogonality(spec: CheckSpec) -> _Member:
     """Integrals against distinct components are orthogonal in mean square."""
     sc = spec.scenario
     side = sc.sample_side
@@ -309,7 +316,7 @@ def _check_orthogonality(spec: CheckSpec) -> Report:
     return _statistical(spec, stat)
 
 
-def _check_covariance_recovery(spec: CheckSpec) -> Report:
+def _check_covariance_recovery(spec: CheckSpec) -> _Member:
     """Sampled second moments match min(t, s) <Q u1, u2>.
 
     Probes pair reference directions with the leading intended
@@ -324,35 +331,35 @@ def _check_covariance_recovery(spec: CheckSpec) -> Report:
     e = np.eye(clean.dim_u)
     b0 = clean.eigenbasis[:, 0]
     b1 = clean.eigenbasis[:, 1]
-    h = sc.horizon
+    quarter, half, h = _probes(spec)
     cases = ((e[0], e[0], h, h),
-             (e[0], e[1], h / 2, h),
-             (e[1], e[1], h / 4, h / 2),
-             (e[0], e[1], h, h / 4),
-             (b0, b0, h / 2, h / 2),
+             (e[0], e[1], half, h),
+             (e[1], e[1], quarter, half),
+             (e[0], e[1], h, quarter),
+             (b0, b0, half, half),
              (b0, b1, h, h),
-             (b1, b1, h, h / 2),
-             (b0, b1, h / 2, h / 2))
+             (b1, b1, h, half),
+             (b0, b1, half, half))
     q = clean.eigenbasis @ np.diag(clean.eigenvalues) @ clean.eigenbasis.T
     targets = np.array([min(t, s) * float(u1 @ q @ u2)
                         for u1, u2, t, s in cases])
     # per-probe driver weights under the covariance actually sampled
     w1s = [(sim.eigenbasis.T @ u1) * sim.sqrt_eigenvalues for u1, _, _, _ in cases]
     w2s = [(sim.eigenbasis.T @ u2) * sim.sqrt_eigenvalues for _, u2, _, _ in cases]
-    times = sorted({t for _, _, t, s in cases} | {s for _, _, t, s in cases})
 
     def stat(block):
         rows = np.arange(block.n_paths)
-        at = {t: block.cumulative[rows, :, block.node_at(t)] for t in times}
+        at = {t: block.cumulative[rows, :, block.node_at(t)]
+              for t in (quarter, half, h)}
         lhs = np.stack([np.vecdot(at[t], w1) * np.vecdot(at[s], w2)
                         for w1, w2, (_, _, t, s) in zip(w1s, w2s, cases)],
                        axis=1)
         return lhs, targets
 
-    return _statistical(spec, stat, probes=times)
+    return _statistical(spec, stat)
 
 
-def _check_bracket(spec: CheckSpec) -> Report:
+def _check_bracket(spec: CheckSpec) -> _Member:
     """Bracket identities on two components and on their integrals.
 
     Realized quadratic variation against the predictable bracket,
@@ -384,11 +391,11 @@ def _check_bracket(spec: CheckSpec) -> Report:
     return _statistical(spec, stat)
 
 
-def _check_martingale(spec: CheckSpec) -> Report:
+def _check_martingale(spec: CheckSpec) -> _Member:
     """Zero mean of the integral at the horizon and at an interior time."""
     sc = spec.scenario
     side = sc.sample_side
-    probe = sc.horizon / 2
+    probe, = _probes(spec)
     integrand = build_integrand(sc)
 
     def stat(block):
@@ -399,10 +406,10 @@ def _check_martingale(spec: CheckSpec) -> Report:
                              axis=1)
         return lhs, 0.0
 
-    return _statistical(spec, stat, probes=(probe,))
+    return _statistical(spec, stat)
 
 
-def _check_series_orthogonality(spec: CheckSpec) -> Report:
+def _check_series_orthogonality(spec: CheckSpec) -> _Member:
     """Per-mode terms of the operator integral are pairwise orthogonal.
 
     Includes the resulting additivity of squared norms across the series.
@@ -428,7 +435,7 @@ def _check_series_orthogonality(spec: CheckSpec) -> Report:
     return _statistical(spec, stat)
 
 
-def _check_truncation_tail(spec: CheckSpec) -> Report:
+def _check_truncation_tail(spec: CheckSpec) -> _Member:
     """Dropping trailing modes loses exactly the dropped quadrature mass.
 
     Keeps the leading ``min(3, J - 1)`` modes, so at least one is dropped.
@@ -447,9 +454,12 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
     raw = build_integrand(sc)
     restricted = restrict_integrand(raw, cov)
 
-    probe = spec.sampler.sample(spec.seed, 0)
-    s0 = cell_values(restricted, probe, "left")[0]
-    raw0 = cell_values(raw, probe, "left")[0]
+    # a constant integrand takes its value on any path, here a still one
+    still = SamplePath(TimeGrid(np.array([0.0, sc.horizon]),
+                                np.zeros(2, dtype=np.uint8)),
+                       np.zeros((sc.n_modes, 1)))
+    s0 = cell_values(restricted, still, "left")[0]
+    raw0 = cell_values(raw, still, "left")[0]
     dropped = float(np.sum(s0[:, n_sub:] ** 2))
     # the SVD behind the operator norm fails on a non-finite probe value;
     # a NaN bound then fails the check below
@@ -465,26 +475,28 @@ def _check_truncation_tail(spec: CheckSpec) -> Report:
         rhs = time_quadrature(tail, tail, block.grid.dt)
         return lhs[:, None], rhs[:, None]
 
-    acc = _moments(spec, stat)
-    rep = _finish_statistical(spec, acc)
-    excess = float(acc.mean[0]) - bound          # NaN if either side is
-    se_lhs = float(acc.se[0])
-    if se_lhs > 0.0:
-        over = np.maximum(0.0, excess) / (SIGMAS * se_lhs)
-    else:
-        over = 0.0 if excess <= 0.0 else math.inf
-    # np.maximum, unlike max, keeps a NaN from either side
-    rep.margin = float(np.maximum(rep.margin, over))
-    rep.passed = rep.margin <= 1.0
-    rep.truncation_bound = bound
-    return rep
+    def finish(acc):
+        rep = _finish_statistical(spec, acc)
+        excess = float(acc.mean[0]) - bound      # NaN if either side is
+        se_lhs = float(acc.se[0])
+        if se_lhs > 0.0:
+            over = np.maximum(0.0, excess) / (SIGMAS * se_lhs)
+        else:
+            over = 0.0 if excess <= 0.0 else math.inf
+        # np.maximum, unlike max, keeps a NaN from either side
+        rep.margin = float(np.maximum(rep.margin, over))
+        rep.passed = rep.margin <= 1.0
+        rep.truncation_bound = bound
+        return rep
+
+    return _statistical(spec, stat, finish)
 
 
 # ---------------------------------------------------------------------------
 # exact checks
 
 
-def _check_basis_invariance(spec: CheckSpec) -> Report:
+def _check_basis_invariance(spec: CheckSpec) -> _Member:
     """The integral does not depend on the orthonormal basis used to expand it."""
     sc = spec.scenario
     side = sc.sample_side
@@ -506,7 +518,7 @@ def _check_basis_invariance(spec: CheckSpec) -> Report:
     return _exact(spec, per_block)
 
 
-def _check_isometry_invariance(spec: CheckSpec) -> Report:
+def _check_isometry_invariance(spec: CheckSpec) -> _Member:
     """Transport by a component isometry preserves integrals and norms.
 
     Mixing equal-variance components by an orthogonal map, and the
@@ -523,7 +535,7 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
     rotations = _block_rotations_for(cov.eigenvalues, gen)
     iso = build_eigen_isometry(cov, cov.eigenvalues, rotations)
     cmap = iso.coord_map
-    driver_specs = spec.sampler.specs
+    driver_specs = make_standard_specs(sc.n_modes, sc.drivers)
     integrand = build_integrand(sc)
     pure = [c for c, s in enumerate(driver_specs) if s.sigma == 0.0]
     rate = np.array([sum(a * nu for a, nu in driver_specs[c].jumps)
@@ -547,7 +559,7 @@ def _check_isometry_invariance(spec: CheckSpec) -> Report:
     return _exact(spec, per_block)
 
 
-def _check_well_defined(spec: CheckSpec) -> Report:
+def _check_well_defined(spec: CheckSpec) -> _Member:
     """Two eigendecompositions of one covariance give one integral.
 
     The integrand A is a function of the observable path (its reference
@@ -591,7 +603,7 @@ def _check_well_defined(spec: CheckSpec) -> Report:
     return _exact(spec, per_block)
 
 
-def _check_simple_exact(spec: CheckSpec) -> Report:
+def _check_simple_exact(spec: CheckSpec) -> _Member:
     """Integrating a piecewise constant integrand telescopes exactly."""
     sc = spec.scenario
     side = sc.sample_side
@@ -645,32 +657,111 @@ FAULT_CHECKS = {
 }
 
 
+# times, as fractions of the horizon, at which a check reads the path; they
+# join its sampled grid, so each is a node of every path
+_PROBES = {"covariance_recovery": (0.25, 0.5, 1.0), "martingale": (0.5,)}
+
+
+def _probes(spec: CheckSpec) -> tuple:
+    return tuple(f * spec.scenario.horizon for f in _PROBES.get(spec.name, ()))
+
+
+def _path_seed(spec: CheckSpec) -> int:
+    return spec.seed if spec.path_seed is None else spec.path_seed
+
+
+def _run_pass(specs) -> list:
+    """Reports of checks on one path law and seed, from one pass.
+
+    Each block of the law's :func:`levyint.stats.path_blocks` is sampled
+    once and handed to every check that reads it, a check of n paths
+    reading the first n.  A check's rows and its accumulators are those
+    of a pass on its own, so its report does not depend on the others.
+    A report's wall time is the check's own set-up, statistic and report
+    time plus an equal share of the sampling and the walk.
+    """
+    start = time.perf_counter()
+    own = []
+    members = []
+    for spec in specs:
+        t0 = time.perf_counter()
+        members.append(CHECKS[spec.name](spec))
+        own.append(time.perf_counter() - t0)
+    first = specs[0]
+    sampler = make_sampler(first.scenario, _probes(first))
+    seed = _path_seed(first)
+
+    def stat_fn(paths):
+        block = sampler.sample_block(seed, paths)
+        rows = []
+        for i, m in enumerate(members):
+            if paths.start >= m.spec.n_paths:
+                rows.append(None)
+                continue
+            t0 = time.perf_counter()
+            rows.append(m.rows(block.head(m.spec.n_paths - paths.start)))
+            own[i] += time.perf_counter() - t0
+        return tuple(rows)
+
+    accs = accumulate_paths(max(s.n_paths for s in specs), stat_fn,
+                            block_paths(sampler.expected_nodes))
+    reports = []
+    for i, (m, acc) in enumerate(zip(members, accs)):
+        t0 = time.perf_counter()
+        reports.append(m.finish(acc))
+        own[i] += time.perf_counter() - t0
+    shared = (time.perf_counter() - start - sum(own)) / len(members)
+    for report, t in zip(reports, own):
+        report.wall_time = t + shared
+    return reports
+
+
 def run_check(spec: CheckSpec) -> Report:
-    fn = CHECKS.get(spec.name)
-    if fn is None:
-        raise UnknownCheck(f"unknown check {spec.name!r}; valid names: "
-                           f"{', '.join(CHECKS)}")
-    t0 = time.perf_counter()
-    report = fn(spec)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    """Run one check on its own."""
+    return run_suite([spec])[0]
 
 
 def worker_count(parallelism: int, n_tasks: int) -> int:
-    """Workers for ``n_tasks`` checks: at most one per CPU and per check."""
+    """Workers for ``n_tasks`` tasks: at most one per CPU and per task."""
     if parallelism < 1:
         raise ConfigInvalid(f"parallelism must be at least 1, got {parallelism}")
     return max(1, min(parallelism, os.cpu_count() or 1, n_tasks))
 
 
 def run_suite(specs, parallelism: int = 1) -> list:
-    """Run checks in order; results do not depend on ``parallelism``."""
+    """Run checks; reports in order, with bytes that depend on nothing else.
+
+    Checks whose paths have one law and seed form a group, and each group
+    is walked once (:func:`_run_pass`).  With several workers, a group's
+    checks are dealt in order into at most one unit per worker, and each
+    unit is a pass of its own; units start in the order of their path
+    counts, largest first.
+    """
     specs = list(specs)
-    workers = worker_count(parallelism, len(specs))
+    for s in specs:
+        if s.name not in CHECKS:
+            raise UnknownCheck(f"unknown check {s.name!r}; valid names: "
+                               f"{', '.join(CHECKS)}")
+    groups = {}
+    for i, s in enumerate(specs):
+        key = (path_law(s.scenario, _probes(s)), _path_seed(s))
+        groups.setdefault(key, []).append(i)
+    ways = worker_count(parallelism, len(specs))
+    units = [group[k::ways] for group in groups.values()
+             for k in range(min(ways, len(group)))]
+    units.sort(key=lambda unit: -sum(specs[i].n_paths for i in unit))
+    tasks = [[specs[i] for i in unit] for unit in units]
+    workers = worker_count(parallelism, len(units))
     if workers == 1:
-        return [run_check(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_check, specs))
+        done = map(_run_pass, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_pass, tasks))
+    reports = [None] * len(specs)
+    for unit, unit_reports in zip(units, done):
+        for i, report in zip(unit, unit_reports):
+            reports[i] = report
+    return reports
 
 
 _MIXED_SIGMA = 0.7071067811865476
@@ -754,7 +845,8 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
                  integrand=replace(oper, evaluator="constant", seed=114)),
          n_paths),
     ]
-    return [CheckSpec(name, scenario, paths, base_seed + i, *route)
+    return [CheckSpec(name, scenario, paths, base_seed + i, *route,
+                      path_seed=base_seed)
             for i, (name, scenario, paths, *route) in enumerate(entries, 1)]
 
 

@@ -40,8 +40,11 @@ counter-based word addressed by (seed, path, component, purpose, draw
 index), as :mod:`levyint.rng` lays out, so each kind of draw (jump
 counts, jump times, normals) is one hash over the block's addresses.  A
 path's bits are therefore the same whether it is sampled alone, with
-:meth:`PathSampler.sample`, or in any block.  A block assembles,
-projects, transports and views like a path, with the path axis in front.
+:meth:`PathSampler.sample`, or in any block, and :meth:`PathBlock.head`
+cuts a block's first paths to the block that sampling them alone gives.
+A block assembles, projects, transports and views like a path, with the
+path axis in front.  Several checks read one sampled block, so its
+arrays are read-only.
 """
 from __future__ import annotations
 
@@ -226,13 +229,19 @@ class TimeGrid:
 
     @cached_property
     def dt(self) -> np.ndarray:
-        return np.diff(self.times)
+        return _frozen(np.diff(self.times))
 
     def node_at(self, t: float) -> int:
         """Index of the last node not after t (step-function semantics)."""
         if t < self.times[0] or t > self.times[-1]:
             raise IndexOutOfRange(f"time {t} outside [0, {self.horizon}]")
         return int(np.searchsorted(self.times, t, side="right") - 1)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` marked read-only, so that no reader can change it for another."""
+    a.setflags(write=False)
+    return a
 
 
 def _cumulate(increments: np.ndarray) -> np.ndarray:
@@ -275,6 +284,9 @@ class PathBlock:
     horizon, so padding cells have zero length and zero increments: they
     add nothing to any increment, cumulative sum or quadrature, and every
     running value past a path's last node stays at its terminal value.
+
+    A sampled block is read by every check on its path law, so its arrays,
+    and the ``dt`` and ``cumulative`` derived from them, are read-only.
     """
 
     grid: TimeGrid                   # times, kind: (n_paths, n_nodes)
@@ -292,7 +304,23 @@ class PathBlock:
     @cached_property
     def cumulative(self) -> np.ndarray:
         """(n_paths, n_components, n_nodes); constant on padding nodes."""
-        return _cumulate(self.increments)
+        return _frozen(_cumulate(self.increments))
+
+    def head(self, n: int) -> "PathBlock":
+        """The first n rows, with the padding past their longest grid cut.
+
+        It is bit for bit the block that sampling those n paths gives:
+        rows do not depend on the block they are sampled in, and padding
+        cells are zero.  A copy, laid out as a sampled block is.
+        """
+        if n >= self.n_paths:
+            return self
+        width = int(self.n_nodes[:n].max())
+        times = self.grid.times[:n, :width].copy()
+        kind = self.grid.kind[:n, :width].copy()
+        return PathBlock(TimeGrid(_frozen(times), _frozen(kind)),
+                         _frozen(self.increments[:n, :, :width - 1].copy()),
+                         _frozen(self.n_nodes[:n].copy()))
 
     def node_at(self, t: float) -> np.ndarray:
         """Per path, the index of the last node not after t."""
@@ -306,6 +334,23 @@ class PathBlock:
         n = int(self.n_nodes[i])
         grid = TimeGrid(self.grid.times[i, :n], self.grid.kind[i, :n])
         return SamplePath(grid, self.increments[i, :, :n - 1])
+
+
+def scheduled_nodes(horizon: float, n_scheduled: int,
+                    extra_times=()) -> np.ndarray:
+    """The nodes every path holds: ``n_scheduled`` equal cells on [0,
+    horizon], refined by the deterministic ``extra_times``.  Read-only."""
+    if n_scheduled < 1:
+        raise DimensionMismatch("n_scheduled must be at least 1")
+    if not horizon > 0:
+        raise DimensionMismatch("horizon must be positive")
+    base = np.linspace(0.0, horizon, n_scheduled + 1)
+    if extra_times:
+        extra = np.asarray(extra_times, dtype=float)
+        if np.any(extra < 0) or np.any(extra > horizon):
+            raise DimensionMismatch("extra_times must lie in [0, horizon]")
+        base = np.array(sorted(set(base.tolist() + extra.tolist())))
+    return _frozen(base)
 
 
 class _Plan(NamedTuple):
@@ -350,19 +395,9 @@ class PathSampler:
     _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_scheduled < 1:
-            raise DimensionMismatch("n_scheduled must be at least 1")
-        if not self.horizon > 0:
-            raise DimensionMismatch("horizon must be positive")
-        base = np.linspace(0.0, self.horizon, self.n_scheduled + 1)
-        if self.extra_times:
-            extra = np.asarray(self.extra_times, dtype=float)
-            if np.any(extra < 0) or np.any(extra > self.horizon):
-                raise DimensionMismatch("extra_times must lie in [0, horizon]")
-            base = np.array(sorted(set(base.tolist() + extra.tolist())))
-        base.setflags(write=False)
         specs = tuple(self.specs)
-        object.__setattr__(self, "_base_times", base)
+        object.__setattr__(self, "_base_times", scheduled_nodes(
+            self.horizon, self.n_scheduled, self.extra_times))
         object.__setattr__(self, "specs", specs)
         comp, first, size, mean = np.array(
             [(c, t << 32, a, nu * self.horizon) for c, s in enumerate(specs)
@@ -372,6 +407,12 @@ class PathSampler:
                 f"a jump term expects {mean.max():.3g} jumps per path "
                 f"(intensity times space.T); drivers and space.T allow at "
                 f"most {MAX_MEAN_JUMPS:.0e}")
+        distinct = len(set(mean.tolist()))
+        if distinct > _rng.MAX_POISSON_MEANS:
+            raise ConfigInvalid(
+                f"drivers give {distinct} jump terms with distinct expected "
+                f"counts (intensity times space.T); at most "
+                f"{_rng.MAX_POISSON_MEANS} are supported")
         brown = [c for c, s in enumerate(specs) if s.sigma != 0.0]
         object.__setattr__(self, "_plan", _Plan(
             comp.astype(np.intp), first.astype(np.uint64), size,
@@ -454,7 +495,7 @@ class PathSampler:
             node_of[flat] = node
             row, term, ev_node = row[real], term[real], node_of[at[real]]
             kind[row, ev_node] = JUMP
-        grid = TimeGrid(times, kind)
+        grid = TimeGrid(_frozen(times), _frozen(kind))
         dt = grid.dt
 
         inc = np.zeros((n_paths, len(self.specs), dt.shape[1]))
@@ -474,7 +515,7 @@ class PathSampler:
                     * dt.shape[1] + ev_node - 1)
             inc += np.bincount(cell, plan.term_size[term],
                                minlength=inc.size).reshape(inc.shape)
-        return PathBlock(grid, inc, n_nodes)
+        return PathBlock(grid, _frozen(inc), _frozen(n_nodes))
 
 
 def replay_path(times, increments, kinds=None) -> SamplePath:

@@ -32,7 +32,7 @@ A word becomes
   ``sqrt(64 log 2)``, so normals are cut at |z| ~ 6.66; an exact pair's
   radius exceeds that with probability 2**-32;
 * a Poisson count by :meth:`PoissonTable.counts`, the inverse CDF of its
-  uniform over a table built once per intensity.
+  uniform over a table built once per distinct mean.
 
 Draw-index layout of a driver path (:mod:`levyint.processes`):
 
@@ -70,6 +70,7 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _S11, _S32, _ONE = np.uint64(11), np.uint64(32), np.uint64(1)
 _ANGLE = np.uint64(0x7FFFFFFF)
 _POISSON_SIGMAS = 12       # a Poisson table reaches mean + 12 sd (+ 30)
+MAX_POISSON_MEANS = 1023   # distinct means of one PoissonTable
 
 
 def stream(seed: int, path_index: int, component: int = 0,
@@ -132,16 +133,23 @@ class PoissonTable:
     The CDF of mean ``mu`` is tabulated from 0 to ``mu + 12 sqrt(mu) + 30``
     in log space, so large means neither underflow nor take a loop over
     counts, and scaled to integers on the 53-bit grid of :func:`uniforms`.
-    The tables of all means sit in one sorted array, the t-th offset by
-    ``t << 53``, so one ``searchsorted`` serves every mean of a block.  A
-    count is the number of CDF entries not above its uniform, exactly as
-    for the float CDF.
+    Each distinct mean has one table, and the tables sit in one sorted
+    array, the t-th offset by ``t << 53``, so one ``searchsorted`` serves
+    every mean of a block; with at most ``MAX_POISSON_MEANS`` tables the
+    offset entries stay inside int64.  A count is the number of CDF
+    entries not above its uniform, exactly as for the float CDF, so it
+    does not depend on which other means share the array.
     """
 
     def __init__(self, means):
+        table = {}
+        which = [table.setdefault(float(mu), len(table)) for mu in means]
+        if len(table) > MAX_POISSON_MEANS:
+            raise ValueError(f"{len(table)} distinct Poisson means; at most "
+                             f"{MAX_POISSON_MEANS} fit one table")
         flat, start = [], []
         n = 0
-        for t, mu in enumerate(means):
+        for t, mu in enumerate(table):
             k = np.arange(int(mu + _POISSON_SIGMAS * np.sqrt(mu)) + 31)
             log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
             cdf = np.cumsum(np.exp(k * np.log(mu) - mu - log_fact))
@@ -151,8 +159,9 @@ class PoissonTable:
             start.append(n)
             n += grid.size
         self._flat = np.concatenate(flat) if flat else np.zeros(0, np.int64)
-        self._offset = (np.arange(len(start), dtype=np.int64) << 53)
-        self._start = np.array(start, dtype=np.int64)
+        which = np.array(which, dtype=np.int64)
+        self._offset = which << 53
+        self._start = np.array(start, dtype=np.int64)[which]
 
     def counts(self, w: np.ndarray) -> np.ndarray:
         """Counts from words whose last axis runs over the means."""

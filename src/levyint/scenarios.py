@@ -33,7 +33,7 @@ from . import rng as _rng
 from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
                      NonPositiveEigenvalue, expect_number)
 from .integrators import GridIntegrand, SimpleIntegrand
-from .processes import PathSampler, make_standard_specs
+from .processes import PathSampler, make_standard_specs, scheduled_nodes
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
 
 CARRIERS = ("hvector", "seqh", "operator")
@@ -178,6 +178,15 @@ def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     return CovarianceSpec(spec.eigenvalues, basis, spec.tail_mass)
 
 
+def _extra_times(scenario: ScenarioConfig, probes) -> tuple:
+    """A simple integrand's inner breakpoints, then the probe times."""
+    cfg = scenario.integrand
+    extra = tuple(probes)
+    if cfg.family == "simple" and cfg.breakpoints is not None:
+        extra = tuple(cfg.breakpoints[1:-1]) + extra
+    return extra
+
+
 def make_sampler(scenario: ScenarioConfig, probes: tuple = ()) -> PathSampler:
     """The scenario's sampler.
 
@@ -186,11 +195,21 @@ def make_sampler(scenario: ScenarioConfig, probes: tuple = ()) -> PathSampler:
     path.
     """
     specs = make_standard_specs(scenario.n_modes, scenario.drivers)
-    cfg = scenario.integrand
-    extra = tuple(probes)
-    if cfg.family == "simple" and cfg.breakpoints is not None:
-        extra = tuple(cfg.breakpoints[1:-1]) + extra
-    return PathSampler(specs, scenario.horizon, scenario.n_scheduled, extra)
+    return PathSampler(specs, scenario.horizon, scenario.n_scheduled,
+                       _extra_times(scenario, probes))
+
+
+def path_law(scenario: ScenarioConfig, probes: tuple = ()) -> tuple:
+    """What ``make_sampler(scenario, probes)`` draws from, as a dict key.
+
+    The normalized driver specs, the horizon and the bytes of the merged
+    grid: scenarios with equal laws sample equal paths from one seed,
+    whatever their integrands, and without building a sampler.
+    """
+    grid = scheduled_nodes(scenario.horizon, scenario.n_scheduled,
+                           _extra_times(scenario, probes))
+    return (make_standard_specs(scenario.n_modes, scenario.drivers),
+            scenario.horizon, grid.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,14 @@ same as for one path at a time.  The width is :func:`block_paths` of the
 grid nodes a path is expected to hold, so a block holds about
 ``BLOCK_CELLS`` cells whatever the scenario.
 
-The two drivers of :mod:`levyint.checks` are the callers: the statistical
-driver hands :func:`accumulate_paths` a callable that samples the range
-as one block and lays out its rows, and the exact driver walks the same
-ranges (:func:`path_blocks`) and reduces its rows to their maximum.
+Several statistics can share one walk over the blocks, each reading the
+first paths of the walk: the callable then returns one row array per
+statistic, and each statistic gets its own accumulator per chunk and its
+own merge, exactly those of a walk over its paths alone.
+:func:`levyint.checks.run_suite` walks once per path law this way: its
+callable samples each block once and hands it to every check that reads
+it.  An accumulator also keeps the column maxima, which is all that the
+exact checks reduce their rows to.
 """
 from __future__ import annotations
 
@@ -41,11 +45,15 @@ MIN_BLOCK_PATHS = 16
 
 @dataclass
 class MomentAccumulator:
-    """Count, mean and centered second moment of a vector statistic."""
+    """Count, mean, centered second moment and maximum of a vector statistic.
+
+    The maximum is NaN in a column that holds a NaN.
+    """
 
     count: int
     mean: np.ndarray
     m2: np.ndarray
+    peak: np.ndarray
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "MomentAccumulator":
@@ -54,14 +62,14 @@ class MomentAccumulator:
             raise ValueError("samples must be (n, n_stats)")
         mean = samples.mean(axis=0)
         m2 = np.einsum("ij,ij->j", samples - mean, samples - mean)
-        return cls(samples.shape[0], mean, m2)
+        return cls(samples.shape[0], mean, m2, samples.max(axis=0))
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         n = self.count + other.count
         delta = other.mean - self.mean
         mean = self.mean + delta * (other.count / n)
         m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / n)
-        return MomentAccumulator(n, mean, m2)
+        return MomentAccumulator(n, mean, m2, np.maximum(self.peak, other.peak))
 
     @property
     def variance(self) -> np.ndarray:
@@ -108,15 +116,31 @@ def path_blocks(n_paths: int, width: int, chunk_size: int = CHUNK_SIZE):
 
 
 def accumulate_paths(n_paths: int, stat_fn, width: int,
-                     chunk_size: int = CHUNK_SIZE) -> MomentAccumulator:
+                     chunk_size: int = CHUNK_SIZE):
     """Evaluate ``stat_fn(paths) -> (len(paths), n_stats)`` over all paths.
 
     ``paths`` is a range of :func:`path_blocks` of the given ``width``.
     Chunking is by path index with a fixed chunk size, so the reduction
     tree, and therefore every output bit, is independent of how the work
     is scheduled.
+
+    Statistics that share the walk: ``stat_fn`` returns a tuple with one
+    entry per statistic, the rows of the first paths of the range that
+    the statistic reads, or None when it reads none of them.  The result
+    is then a tuple with one accumulator per statistic.  A statistic that
+    reads the first m paths gets the chunk accumulators and the tree of
+    ``accumulate_paths(m, ...)``: its rows alone make each of them.
     """
-    accs = [MomentAccumulator.from_samples(
-                np.concatenate([stat_fn(paths) for paths in blocks]))
-            for blocks in path_blocks(n_paths, width, chunk_size)]
-    return pairwise_merge(accs)
+    chunks = []
+    for blocks in path_blocks(n_paths, width, chunk_size):
+        outs = [stat_fn(paths) for paths in blocks]
+        shared = isinstance(outs[0], tuple)
+        per_stat = zip(*outs) if shared else [outs]
+        chunks.append([MomentAccumulator.from_samples(np.concatenate(rows))
+                       if rows else None for rows in
+                       ([r for r in col if r is not None] for col in per_stat)])
+    if not chunks:
+        raise ValueError("no paths to accumulate")
+    merged = tuple(pairwise_merge(acc for acc in col if acc is not None)
+                   for col in zip(*chunks))
+    return merged if shared else merged[0]

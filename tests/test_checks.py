@@ -26,7 +26,8 @@ from levyint.checks import (
     suite_passed,
 )
 from levyint.errors import ConfigInvalid, UnknownCheck
-from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
+from levyint.scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
+                               make_sampler)
 from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
                            accumulate_paths, block_paths, pairwise_merge,
                            path_blocks)
@@ -69,6 +70,8 @@ def test_merge_agrees_with_whole_sample():
     assert merged.count == whole.count
     assert np.max(np.abs(merged.mean - whole.mean)) <= 1e-12
     assert np.max(np.abs(merged.variance - whole.variance)) <= 1e-12
+    assert np.array_equal(merged.peak, whole.peak)
+    assert np.array_equal(whole.peak, x.max(axis=0))
 
 
 def test_pairwise_merge_tree():
@@ -184,6 +187,66 @@ def test_suite_results_do_not_depend_on_parallelism():
     parallel = run_suite(suite, parallelism=2)
     assert reports_to_json(serial) == reports_to_json(parallel)
     assert reports_to_csv(serial) == reports_to_csv(parallel)
+    # nor on the other checks, which share a check's paths in the suite
+    alone = [reports_to_json(run_suite([spec])) for spec in suite]
+    assert [reports_to_json([r]) for r in serial] == alone
+
+
+DESK_LAW = ["isometry2", "isometry2", "isometry4", "orthogonality",
+            "isometry_invariance", "well_defined", "covariance_recovery",
+            "martingale", "series_orthogonality", "truncation_tail"]
+
+
+def test_the_default_suite_samples_each_block_of_four_laws_once(monkeypatch):
+    from levyint import checks
+    from levyint.processes import PathSampler
+
+    passes = []
+    run_pass = checks._run_pass
+
+    def recorded(specs):
+        passes.append(specs)
+        return run_pass(specs)
+
+    calls = []
+    sample_block = PathSampler.sample_block
+
+    def counted(self, seed, indices):
+        calls.append((self.specs, self.extra_times, seed, indices))
+        return sample_block(self, seed, indices)
+
+    monkeypatch.setattr(checks, "_run_pass", recorded)
+    monkeypatch.setattr(PathSampler, "sample_block", counted)
+    run_suite(default_suite(300, 8))
+    # largest first: the desk's law, the single mixed driver, the first
+    # two desk drivers, the single driver refined by the breakpoints
+    assert [[s.name for s in specs] for specs in passes] == [
+        DESK_LAW, ["isometry1", "basis_invariance"], ["bracket"],
+        ["simple_exact"]]
+    blocks = 0
+    for specs in passes:
+        nodes = make_sampler(specs[0].scenario,
+                             checks._probes(specs[0])).expected_nodes
+        blocks += sum(len(b) for b in path_blocks(
+            max(s.n_paths for s in specs), block_paths(nodes)))
+    # one call per block of each law, never one per check
+    assert len(calls) == len(set(calls)) == blocks
+
+
+def test_a_statistic_cannot_write_into_a_shared_block(monkeypatch):
+    from levyint import checks
+
+    def writes(spec):
+        def stat(block):
+            block.increments[:, 0] *= 2.0
+            return block.increments[:, 0, :1], 0.0
+
+        return checks._statistical(spec, stat)
+
+    monkeypatch.setitem(checks.CHECKS, "orthogonality", writes)
+    spec, = [s for s in default_suite(8, 4) if s.name == "orthogonality"]
+    with pytest.raises(ValueError, match="read-only"):
+        run_check(spec)
 
 
 def test_workers_are_clamped_to_cpus_and_checks(monkeypatch):
@@ -258,8 +321,9 @@ def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
     sample_block = PathSampler.sample_block
 
     def late_jumps(self, seed, indices):
+        # sampled blocks are read-only: the mutant builds a new one
         block = sample_block(self, seed, indices)
-        inc, dt = block.increments, block.grid.dt
+        inc, dt = block.increments.copy(), block.grid.dt
         # a jump in a path's last cell stays there
         movable = np.arange(1, dt.shape[1]) < block.n_nodes[:, None] - 1
         for c, s in enumerate(self.specs):
@@ -268,7 +332,7 @@ def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
                 move = np.where(movable, jump[:, :-1], 0.0)
                 inc[:, c, :-1] -= move
                 inc[:, c, 1:] += move
-        return block
+        return replace(block, increments=inc)
 
     spec, = [s for s in default_suite(64, 64)
              if s.name == "isometry_invariance"]
@@ -374,8 +438,8 @@ def _reference_rows(spec, paths):
                                      ito_l2lambda, ito_seq, quadrature_sq_norm,
                                      series_terms)
     from levyint.processes import assemble_levy
-    from levyint.scenarios import (build_integrand, make_sampler,
-                                   resolve_covariance, restrict_integrand)
+    from levyint.scenarios import (build_integrand, resolve_covariance,
+                                   restrict_integrand)
 
     sc = spec.scenario
     side = sc.sample_side
@@ -390,7 +454,7 @@ def _reference_rows(spec, paths):
         return [z @ z, q, z @ z - q]
 
     def row(p):
-        path = sampler.sample(spec.seed, p)
+        path = sampler.sample(spec.path_seed, p)
         levy = assemble_levy(cov, path)
         if spec.name == "isometry1":
             z = ito_h(integrand, path, 0, sample_side=side)[-1]
@@ -455,19 +519,29 @@ def _cells_integrand(cells):
     return GridIntegrand(lambda path: np.concatenate([cells, cells[-1:]]))
 
 
+class _Captured(Exception):
+    pass
+
+
 def _block_statistic(spec, monkeypatch):
-    """The block statistic callable that a check hands to accumulate_paths,
-    and the block width it asks for."""
+    """The block statistic callable that a check's pass hands to
+    accumulate_paths, as rows of that check alone, and the block width it
+    asks for.
+
+    The check runs alone, at a path count that any range the tests pass
+    lies below, and stops as soon as the pass starts.
+    """
     from levyint import checks
 
     captured = []
 
     def capture(n_paths, stat_fn, width, *args, **kwargs):
-        captured.append((stat_fn, width))
-        return accumulate_paths(n_paths, stat_fn, width, *args, **kwargs)
+        captured.append((lambda paths: stat_fn(paths)[0], width))
+        raise _Captured
 
     monkeypatch.setattr(checks, "accumulate_paths", capture)
-    checks.run_check(spec)
+    with pytest.raises(_Captured):
+        checks.run_check(replace(spec, n_paths=1 << 20))
     return captured[0]
 
 
@@ -526,7 +600,8 @@ def test_block_width_is_a_function_of_the_scenario(drivers, desk_nodes,
                                                    desk_width, monkeypatch):
     desk = CheckSpec("martingale", ScenarioConfig(
         drivers=drivers, integrand=IntegrandConfig(carrier="seqh")), 64, 1)
-    assert desk.sampler.expected_nodes == pytest.approx(desk_nodes, abs=0.05)
+    assert make_sampler(desk.scenario).expected_nodes == pytest.approx(
+        desk_nodes, abs=0.05)
     assert _block_width(desk, monkeypatch) == desk_width
     for spec in default_suite(64, 4, desk=desk.scenario):
         width = _block_width(spec, monkeypatch)
@@ -571,7 +646,7 @@ def test_block_rows_match_per_path_layers(spec, monkeypatch):
 def _covariance_rows(spec, paths):
     """covariance_recovery rows straight from its definition."""
     from levyint.processes import assemble_levy
-    from levyint.scenarios import make_sampler, resolve_covariance
+    from levyint.scenarios import resolve_covariance
 
     sc = spec.scenario
     clean = resolve_covariance(sc.with_fault(None))
@@ -586,7 +661,8 @@ def _covariance_rows(spec, paths):
     target = [min(t, s) * (u1 @ q @ u2) for u1, u2, t, s in cases]
     out = []
     for p in paths:
-        levy = assemble_levy(resolve_covariance(sc), sampler.sample(spec.seed, p))
+        levy = assemble_levy(resolve_covariance(sc),
+                             sampler.sample(spec.path_seed, p))
         at = {t: levy.coords[:, levy.grid.node_at(t)] for t in (0.25, 0.5, 1.0)}
         lhs = [(u1 @ at[t]) * (u2 @ at[s]) for u1, u2, t, s in cases]
         out.append(lhs + target + [a - b for a, b in zip(lhs, target)])

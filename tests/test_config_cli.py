@@ -445,6 +445,9 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
      "covariance.eigenvalues"),
     ("simulate", _edit(space=dict(BASE["space"], T=1e300),
                        drivers=[{"preset": "poisson", "a": 0.5}]), "space.T"),
+    # more jump-term means than one Poisson table holds
+    ("simulate", _edit(drivers=[{"sigma": 0.0, "jumps": [
+        [1.0, 1.0 + i / 1024] for i in range(1024)]}]), "drivers"),
     # pairs of components and probes along a second eigendirection
     ("check", lambda tmp_path: _ONE_COMPONENT_CHECK, "space.J"),
     ("check", lambda tmp_path: dict(_ONE_COMPONENT_CHECK,
@@ -456,7 +459,7 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
         "integrand-value", "basis-not-orthonormal", "space-not-object",
         "infinite-horizon", "check-not-a-name", "nan-jump-size",
-        "mixed-sigma", "zero-eigenvalue", "jumps-per-path",
+        "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",
         "one-component-series"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
@@ -592,3 +595,38 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _cli_subprocess(code: str):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_check_round_imports_nothing_after_the_cli(tmp_path):
+    # a module first imported inside a round would be counted, and timed,
+    # as part of every cold round
+    cfg = write_config(tmp_path, dict(CHECK_BASE, nPaths=4, nExact=4))
+    out = str(tmp_path / "report.json")
+    done = _cli_subprocess(
+        "import sys, levyint.cli as cli; before = set(sys.modules); "
+        f"cli.main(['check', '--config', {cfg!r}, '--out', {out!r}]); "
+        "print(sorted(set(sys.modules) - before))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert len(json.loads(Path(out).read_text(encoding="utf-8"))) == 14
+
+
+def test_many_components_of_one_jump_law_simulate(tmp_path):
+    # 1025 jump terms with one mean read one Poisson table
+    cfg = write_config(tmp_path, dict(
+        BASE, space=dict(BASE["space"], J=1025),
+        covariance={"eigenvalues": [1.0] * 1025},
+        drivers=[{"preset": "poisson", "a": 0.5}]))
+    out = tmp_path / "path.csv"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 0
+    assert out.read_text(encoding="utf-8").split("\n")[0].endswith("comp1025")

@@ -377,3 +377,38 @@ def test_block_rows_equal_single_path_samples(specs):
             assert np.array_equal(block.cumulative[row, :, n - 1:],
                                   np.repeat(single.cumulative[:, -1:],
                                             width - n + 1, axis=1))
+
+
+ONE_MIXED = make_standard_specs(1, MIXED)
+
+
+@pytest.mark.parametrize("specs", [DESK, JUMP_DENSE, ONE_MIXED],
+                         ids=["desk", "jump_dense", "one_mixed"])
+def test_a_block_head_is_the_block_sampled_alone(specs):
+    # bit for bit, with the padding cut to the head's longest grid; a head
+    # of the one-mixed sampler (half a jump per path) often has no jump
+    sampler = PathSampler(specs, 1.0, 64, (0.3,))
+    block = sampler.sample_block(20260816, range(40, 86))
+    assert block.head(46) is block
+    for n in (1, 2, 5, 18, 45):
+        head, alone = block.head(n), sampler.sample_block(20260816,
+                                                          range(40, 40 + n))
+        for a, b in ((head.grid.times, alone.grid.times),
+                     (head.grid.kind, alone.grid.kind),
+                     (head.increments, alone.increments),
+                     (head.n_nodes, alone.n_nodes),
+                     (head.grid.dt, alone.grid.dt),
+                     (head.cumulative, alone.cumulative)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_sampled_blocks_are_read_only():
+    block = PathSampler(DESK, 1.0, 64).sample_block(20260816, range(8))
+    for b in (block, block.head(3)):
+        for a in (b.grid.times, b.grid.kind, b.grid.dt, b.increments,
+                  b.n_nodes, b.cumulative):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+

@@ -149,3 +149,21 @@ def test_sampled_jump_times_are_uniform():
     p = 1.0 / 16
     sd = math.sqrt(jumps.size * p * (1 - p))
     assert np.all(np.abs(bins - jumps.size * p) <= 4.0 * sd)
+
+
+def test_poisson_table_keeps_one_table_per_distinct_mean():
+    # repeated means share a table; every count is the one a table of its
+    # mean alone gives, from the same uniform
+    means = [4.0, 0.5, 4.0, 52.0, 0.5, 4.0]
+    key = rng.keys(20260816, rng.JUMPS, range(len(means)), range(256))
+    w = rng.words(key, np.zeros(len(means), dtype=np.uint64))
+    counts = rng.PoissonTable(means).counts(w)
+    for t, mean in enumerate(means):
+        alone = rng.PoissonTable([mean]).counts(w[:, t:t + 1])[:, 0]
+        assert np.array_equal(counts[:, t], alone)
+    # a thousand terms of one mean are one table
+    same = rng.PoissonTable([0.5] * 2000)
+    assert np.array_equal(same.counts(np.repeat(w[:, 1:2], 2000, axis=1)),
+                          np.repeat(counts[:, 1:2], 2000, axis=1))
+    with pytest.raises(ValueError, match="distinct"):
+        rng.PoissonTable(1.0 + np.arange(rng.MAX_POISSON_MEANS + 1) / 4096)
