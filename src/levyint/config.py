@@ -17,7 +17,8 @@ Configs are JSON with camelCase keys.  Top level:
 
 Every section is optional and falls back to the desk-scale defaults of
 :class:`levyint.scenarios.ScenarioConfig`.  Unknown keys are rejected by
-name rather than ignored, so a typo cannot silently run the defaults.
+name rather than ignored, so a typo cannot silently run the defaults, and
+the size keys of ``space`` are bounded before anything is allocated.
 """
 from __future__ import annotations
 
@@ -40,6 +41,9 @@ _COV_KEYS = {"eigenvalues", "basis", "tailMass"}
 _LAW_KEYS = {"kind", "c", "p", "r"}
 _INTEGRAND_KEYS = {"family", "carrier", "evaluator", "seed", "scale",
                    "value", "breakpoints"}
+# upper bounds of the size keys, checked before anything is allocated;
+# they stop sizes no array could hold, far above the desk's 4, 6 and 64
+_SIZE_LIMITS = {"dH": 1024, "J": 2048, "nScheduled": 65536}
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,14 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigInvalid(f"unknown key(s) {', '.join(unknown)} in {where}")
 
 
-def _positive_int(section: dict, key: str, default: int, where: str) -> int:
+def _positive_int(section: dict, key: str, default: int, where: str,
+                  limit: Optional[int] = None) -> int:
     value = section.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigInvalid(f"{where}.{key} must be a positive integer")
+    if limit is not None and value > limit:
+        raise ConfigInvalid(f"{where}.{key} must be at most {limit}, "
+                            f"got {value}")
     return value
 
 
@@ -74,10 +82,11 @@ def _parse_space(section: dict) -> dict:
     if not 0 < horizon < float("inf"):
         raise ConfigInvalid("space.T must be a positive finite number")
     return {
-        "dim_h": _positive_int(section, "dH", 4, "space"),
-        "n_modes": _positive_int(section, "J", 6, "space"),
+        "dim_h": _positive_int(section, "dH", 4, "space", _SIZE_LIMITS["dH"]),
+        "n_modes": _positive_int(section, "J", 6, "space", _SIZE_LIMITS["J"]),
         "horizon": horizon,
-        "n_scheduled": _positive_int(section, "nScheduled", 64, "space"),
+        "n_scheduled": _positive_int(section, "nScheduled", 64, "space",
+                                     _SIZE_LIMITS["nScheduled"]),
     }
 
 

@@ -196,16 +196,18 @@ def terminal_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """
     lead = vals.shape[:-3]
     n = vals.shape[-3] * vals.shape[-2]
-    flat = np.swapaxes(increments, -1, -2).reshape(lead + (1, n))
+    flat = increments.swapaxes(-1, -2).reshape(lead + (1, n))
     return (flat @ vals.reshape(lead + (n, vals.shape[-1])))[..., 0, :]
 
 
 def terminal_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """The terms' terminal values: ``integrate_terms(...)[..., -1, :]``.
 
-    One contraction over cells per component, (..., n_components, dim_h).
+    One contraction over cells per component, (..., n_components, dim_h),
+    as a batched product of each component's increments with its values.
     """
-    return np.einsum("...kjd,...jk->...jd", vals, increments)
+    per_term = increments[..., :, None, :] @ vals.swapaxes(-2, -3)
+    return per_term[..., 0, :]
 
 
 def integrate_in_basis(vals: np.ndarray, increments: np.ndarray,

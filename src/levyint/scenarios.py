@@ -19,6 +19,13 @@ Evaluators:
 * ``driver_linear``: value at node k is affine in the cumulative driver
   values at node k.  Unbounded but square-integrable.
 * ``driver_tanh``: tanh of the same affine expression, hence bounded.
+
+An operator carrier's raw values are (dim_h, dim_u) matrices on the
+reference coordinates of U, and :func:`restrict_integrand` makes them
+Hilbert-Schmidt.  The restriction is linear, so for ``constant`` and
+``driver_linear`` it runs once, on the coefficients, when the integrand is
+restricted; for ``driver_tanh`` it runs on every node value, after the
+tanh.  Either way it is :func:`levyint.spaces.restrict_bounded_operator`.
 """
 from __future__ import annotations
 
@@ -105,6 +112,12 @@ class CovarianceConfig:
         if self.tail_mass is not None:
             tail = float(self.tail_mass)
         return lam, tail
+
+    def dim_u(self, n_modes: int) -> int:
+        """The dimension of U: the rows of an explicit basis, else ``n_modes``."""
+        if isinstance(self.basis, (str, dict)):
+            return n_modes
+        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -216,12 +229,12 @@ def path_law(scenario: ScenarioConfig, probes: tuple = ()) -> tuple:
 # evaluator registry
 
 
-def _value_shape(carrier: str, dim_h: int, n_modes: int) -> tuple:
+def _value_shape(scenario: ScenarioConfig, carrier: str) -> tuple:
     if carrier == "hvector":
-        return (dim_h,)
+        return (scenario.dim_h,)
     if carrier == "seqh":
-        return (n_modes, dim_h)
-    return (dim_h, n_modes)
+        return (scenario.n_modes, scenario.dim_h)
+    return (scenario.dim_h, scenario.covariance.dim_u(scenario.n_modes))
 
 
 def _eval_constant(path, value: np.ndarray) -> np.ndarray:
@@ -278,20 +291,49 @@ def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
     return GridIntegrand(partial(fn, c0=c0, c1=c1))
 
 
+# evaluators linear in their coefficient arrays jointly, so that the
+# restriction, linear in the operator, commutes with them; named, so that
+# a wrapper made with functools.wraps is recognized too
+_LINEAR_IN_COEFFICIENTS = ("_eval_constant", "_eval_driver_linear")
+
+
 def _eval_restricted(path, raw_eval, spec: CovarianceSpec) -> np.ndarray:
     return restrict_bounded_operator(spec, raw_eval(path))
+
+
+def _eval_folded(path, raw_eval) -> np.ndarray:
+    return raw_eval(path).swapaxes(-1, -2)
 
 
 def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegrand:
     """Turn a reference-coordinate operator integrand into Hilbert-Schmidt form.
 
     The raw evaluator emits (dim_h, dim_u) matrices acting on reference
-    coordinates of U; every node value goes through the restriction of
-    :func:`levyint.spaces.restrict_bounded_operator`, which yields the
-    weighted-column form the integral layers consume.
+    coordinates of U; the result emits their restriction by
+    :func:`levyint.spaces.restrict_bounded_operator`, the weighted-column
+    form (dim_h, n_modes) that the integral layers consume.
+
+    Where the restriction runs depends on the evaluator.  ``constant`` and
+    ``driver_linear`` are linear in their coefficients, so their
+    coefficients are restricted once, here, and stored as C-contiguous
+    (..., n_modes, dim_h) arrays: the node values are a transposed view
+    of (..., n_nodes, n_modes, dim_h) memory, whose Psi_lambda view is
+    contiguous and reshapes into the kernels without a copy.
+    ``driver_tanh`` applies tanh before the restriction, which then no
+    longer commutes with the evaluator; it, and any other evaluator,
+    restricts every node value of every path instead.
     """
-    return GridIntegrand(partial(_eval_restricted, raw_eval=raw.evaluator,
-                                 spec=spec))
+    ev = raw.evaluator
+    if (isinstance(ev, partial)
+            and getattr(ev.func, "__name__", None) in _LINEAR_IN_COEFFICIENTS):
+        coeffs = {}
+        for key, c in ev.keywords.items():
+            # (..., dim_h, n_modes) values, stored (..., n_modes, dim_h)
+            c = restrict_bounded_operator(spec, c).swapaxes(-1, -2)
+            coeffs[key] = np.ascontiguousarray(c)
+        return GridIntegrand(partial(_eval_folded,
+                                     raw_eval=partial(ev.func, **coeffs)))
+    return GridIntegrand(partial(_eval_restricted, raw_eval=ev, spec=spec))
 
 
 def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
@@ -299,15 +341,16 @@ def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
     """Materialize the scenario integrand (grid family).
 
     Returns the integrand in the value convention of its carrier; operator
-    carriers emit reference-coordinate matrices and callers restrict them
-    per covariance spec via :func:`restrict_integrand`.
+    carriers emit (dim_h, dim_u) matrices on the reference coordinates of
+    U, and callers restrict them per covariance spec via
+    :func:`restrict_integrand`.
     """
     cfg = scenario.integrand
     if cfg.family != "grid":
         raise ConfigInvalid("build_integrand handles the grid family only")
     if seed_offset:
         cfg = replace(cfg, seed=cfg.seed + seed_offset)
-    shape = _value_shape(cfg.carrier, scenario.dim_h, scenario.n_modes)
+    shape = _value_shape(scenario, cfg.carrier)
     inputs = scenario.n_modes if n_inputs is None else n_inputs
     return build_grid_integrand(cfg, shape, inputs)
 

@@ -28,7 +28,10 @@ The maps of the construction live here and nowhere else:
 * Phi_lambda^-1 (synthesis) scales entry j by sqrt(lambda_j) and applies
   the eigenbasis; it assembles the U-valued path from its components.
 * The restriction makes a bounded operator on U Hilbert-Schmidt: the
-  operator times the eigenbasis, column j scaled by sqrt(lambda_j).
+  operator times the eigenbasis, column j scaled by sqrt(lambda_j).  It is
+  linear in the operator, so an integrand affine in its coefficients is
+  restricted once, coefficient by coefficient, and any other integrand
+  node by node (:func:`levyint.scenarios.restrict_integrand`).
 * Psi_lambda turns a Hilbert-Schmidt operator into its sequence of
   columns, which the series integral sums term by term.
 
@@ -183,7 +186,9 @@ def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray
     """The restriction: operators (..., dim_h, dim_u) on U to Hilbert-Schmidt.
 
     The result is (..., dim_h, n_modes) with squared norm at most
-    ``opnorm(a)**2 * sum(eigenvalues)``.
+    ``opnorm(a)**2 * sum(eigenvalues)``.  Leading axes may be nodes and
+    paths, or the coefficient axis of an affine integrand: the map is
+    linear, so both give the same values up to rounding.
     """
     if a.ndim < 2 or a.shape[-1] != spec.dim_u:
         raise DimensionMismatch(
@@ -198,7 +203,11 @@ def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray
 
 
 def psi_lambda_apply(spec: CovarianceSpec, op: np.ndarray) -> np.ndarray:
-    """Psi_lambda: operators (..., dim_h, n_modes) to their columns, a view."""
+    """Psi_lambda: operators (..., dim_h, n_modes) to their columns, a view.
+
+    The view is C-contiguous when ``op`` is itself the transposed view of
+    (..., n_modes, dim_h) memory, as restricted affine integrands emit it.
+    """
     if op.ndim < 2 or op.shape[-1] != spec.n_modes:
         raise SpecMismatch(
             f"operator must have {spec.n_modes} columns, got {op.shape}")

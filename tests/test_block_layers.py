@@ -16,6 +16,8 @@ from levyint.integrators import (
     integrate_in_basis,
     integrate_terms,
     ito_h,
+    node_values,
+    side_cells,
     terminal_cells,
     terminal_terms,
 )
@@ -28,8 +30,11 @@ from levyint.processes import (
     make_standard_specs,
     transport_levy,
 )
-from levyint.scenarios import IntegrandConfig, build_grid_integrand
-from levyint.spaces import build_eigen_isometry, make_covariance, random_orthogonal
+from levyint.scenarios import (IntegrandConfig, build_grid_integrand,
+                               restrict_integrand)
+from levyint.spaces import (build_eigen_isometry, make_covariance,
+                            psi_lambda_apply, random_orthogonal,
+                            restrict_bounded_operator)
 from levyint.stats import CHUNK_SIZE
 from levyint import rng
 
@@ -166,6 +171,54 @@ def test_transport_and_view_keep_the_block(specs, indices):
         _close(moved.coords[row, :, :n], want_moved.coords)
         for cum in (moved.driver.cumulative[row], view.cumulative[row]):
             _keeps_terminal(cum.T, n)
+
+
+BASES = pytest.mark.parametrize("basis", ["identity", "random", "rectangular"])
+
+
+def _restriction_case(basis, evaluator):
+    """A covariance with the named basis and a raw operator integrand on U."""
+    lam = 0.5 ** np.arange(1.0, 7.0)
+    gen = rng.stream(2, 0, 0, rng.BASIS)
+    directive = {"identity": "identity", "random": {"seed": 7},
+                 # U with two directions beyond the six modes
+                 "rectangular": random_orthogonal(8, gen)[:, :6]}[basis]
+    cov = make_covariance(lam, directive)
+    raw = build_grid_integrand(
+        IntegrandConfig(carrier="operator", evaluator=evaluator, seed=6),
+        (DIM_H, cov.dim_u), 6)
+    return cov, raw
+
+
+@DRIVERS
+@BASES
+@pytest.mark.parametrize("evaluator", ["constant", "driver_linear"])
+def test_folded_restriction_is_the_per_node_restriction(specs, basis,
+                                                        evaluator):
+    # the affine evaluators restrict their coefficients once; restricting
+    # every node value of the raw integrand must give the same values
+    cov, raw = _restriction_case(basis, evaluator)
+    block = _sampler(specs).sample_block(SEED, BLOCKS[0])
+    folded = node_values(restrict_integrand(raw, cov), block)
+    per_node = restrict_bounded_operator(cov, node_values(raw, block))
+    assert folded.shape == (block.n_paths, block.grid.n_nodes, DIM_H, 6)
+    for row in range(block.n_paths):
+        _close(folded[row], per_node[row])
+
+
+@DRIVERS
+@BASES
+def test_restricted_affine_values_reach_the_kernels_without_a_copy(specs,
+                                                                   basis):
+    cov, raw = _restriction_case(basis, "driver_linear")
+    block = _sampler(specs).sample_block(SEED, BLOCKS[0])
+    node = node_values(restrict_integrand(raw, cov), block)
+    seq = psi_lambda_apply(cov, node)
+    assert seq.flags.c_contiguous
+    # terminal_cells flattens cells and components into one axis
+    cells = side_cells(seq, "left", 1)
+    flat = cells.reshape(cells.shape[:1] + (-1, DIM_H))
+    assert np.shares_memory(flat, node)
 
 
 @DRIVERS

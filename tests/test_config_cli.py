@@ -253,6 +253,42 @@ def test_integrate_series_dump_columns(tmp_path):
     assert float(last[4]) == 3.0
 
 
+@pytest.mark.parametrize("evaluator", ["driver_linear", "constant"])
+def test_integrate_with_a_rectangular_basis_is_the_a_dl_route(tmp_path,
+                                                              evaluator):
+    # U has a third direction that carries no variance: the raw operator
+    # acts on the three coordinates of U, the series runs over two modes
+    import numpy as np
+
+    from levyint.integrators import cell_values, integrate_cells
+    from levyint.processes import assemble_levy, coordinate_view
+    from levyint.scenarios import (build_integrand, make_sampler,
+                                   resolve_covariance)
+
+    cfg = write_config(tmp_path, dict(
+        BASE, space=dict(BASE["space"], J=2),
+        covariance={"eigenvalues": [0.5, 0.25],
+                    "basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+        integrand=dict(BASE["integrand"], carrier="operator",
+                       evaluator=evaluator)))
+    out = tmp_path / "integral.json"
+    code, err = run_cli_capturing("integrate", "--config", cfg,
+                                  "--format", "json", "--out", str(out))
+    assert code == 0 and err == ""
+    z = np.array(json.loads(out.read_text())["integral"])
+
+    sc = load_config(cfg).scenario
+    path = make_sampler(sc).sample(BASE["seed"], 0)
+    view = coordinate_view(assemble_levy(resolve_covariance(sc), path))
+    raw = cell_values(build_integrand(sc), path)
+    assert raw.shape[1:] == (2, 3)
+    # A dL: column u of A integrates reference coordinate u
+    reference = integrate_cells(raw.swapaxes(-1, -2), view.increments)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert z.shape == reference.shape
+    assert np.max(np.abs(z - reference)) <= 1e-12 * scale
+
+
 def test_series_dump_requires_operator_integrand(tmp_path):
     cfg = write_config(tmp_path, BASE)
     code, err = run_cli_capturing("integrate", "--config", cfg,
@@ -454,6 +490,11 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
                                     checks=["covariance_recovery"]), "space.J"),
     ("check", lambda tmp_path: dict(_ONE_COMPONENT_CHECK,
                                     checks=["series_orthogonality"]), "space.J"),
+    # size keys are bounded before anything is allocated
+    ("check", lambda tmp_path: dict(CHECK_BASE, space=dict(
+        CHECK_BASE["space"], nScheduled=10 ** 18)), "space.nScheduled"),
+    ("integrate", _edit(space=dict(BASE["space"], dH=10 ** 18)), "space.dH"),
+    ("simulate", _edit(space=dict(BASE["space"], J=10 ** 18)), "space.J"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
@@ -461,7 +502,7 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "infinite-horizon", "check-not-a-name", "nan-jump-size",
         "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",
-        "one-component-series"])
+        "one-component-series", "huge-grid", "huge-h", "huge-j"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
