@@ -71,10 +71,11 @@ from .processes import (SCHEDULED, SamplePath, TimeGrid, assemble_levy,
                         project_standard, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, build_simple_integrand, make_sampler,
-                        path_law, resolve_covariance, restrict_integrand)
+                        path_law, resolve_covariance, restrict_integrand,
+                        value_shape)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      psi_lambda_apply, random_orthogonal)
-from .stats import accumulate_paths, block_paths
+from .stats import MAX_BLOCK_BYTES, accumulate_paths, block_paths
 
 BASE_SEED = 20260816
 SIGMAS = 4.0
@@ -149,6 +150,26 @@ def _need_modes(spec: CheckSpec, minimum: int) -> None:
         raise ConfigInvalid(
             f"check {spec.name} needs space.J of at least {minimum}, "
             f"got {spec.scenario.n_modes}")
+
+
+def _need_block_memory(spec: CheckSpec, width: int, nodes: float) -> None:
+    """Fail closed where one per-node array of a block would outgrow memory.
+
+    A block holds ``width`` paths of ``nodes`` expected nodes each.  The
+    largest per-node arrays are the integrand's values and the node
+    inputs of the path.
+    """
+    sc = spec.scenario
+    per_node = max(sc.n_modes + 1,
+                   math.prod(value_shape(sc, sc.integrand.carrier)))
+    size = 8 * width * nodes * per_node
+    if size > MAX_BLOCK_BYTES:
+        raise ConfigInvalid(
+            f"check {spec.name}: a block of {width} paths holds about "
+            f"{width * nodes:.0f} grid nodes of {per_node} values each, "
+            f"{size / 2**30:.3g} GiB per array; space.J, space.dH, space.T "
+            f"and the drivers' jump rates must keep it within "
+            f"{MAX_BLOCK_BYTES / 2**30:.3g} GiB")
 
 
 def _finish_statistical(spec: CheckSpec, acc) -> Report:
@@ -677,18 +698,24 @@ def _run_pass(specs) -> list:
     once and handed to every check that reads it, a check of n paths
     reading the first n.  A check's rows and its accumulators are those
     of a pass on its own, so its report does not depend on the others.
-    A report's wall time is the check's own set-up, statistic and report
-    time plus an equal share of the sampling and the walk.
+    A pass whose blocks would hold a per-node array larger than
+    ``MAX_BLOCK_BYTES`` fails before any check is set up.  A report's
+    wall time is the check's own set-up, statistic and report time plus
+    an equal share of the sampling and the walk.
     """
     start = time.perf_counter()
+    first = specs[0]
+    sampler = make_sampler(first.scenario, _probes(first))
+    nodes = sampler.expected_nodes
+    width = block_paths(nodes)
+    for spec in specs:
+        _need_block_memory(spec, width, nodes)
     own = []
     members = []
     for spec in specs:
         t0 = time.perf_counter()
         members.append(CHECKS[spec.name](spec))
         own.append(time.perf_counter() - t0)
-    first = specs[0]
-    sampler = make_sampler(first.scenario, _probes(first))
     seed = _path_seed(first)
 
     def stat_fn(paths):
@@ -703,8 +730,7 @@ def _run_pass(specs) -> list:
             own[i] += time.perf_counter() - t0
         return tuple(rows)
 
-    accs = accumulate_paths(max(s.n_paths for s in specs), stat_fn,
-                            block_paths(sampler.expected_nodes))
+    accs = accumulate_paths(max(s.n_paths for s in specs), stat_fn, width)
     reports = []
     for i, (m, acc) in enumerate(zip(members, accs)):
         t0 = time.perf_counter()

@@ -11,7 +11,8 @@ Layers (the maps are those of :mod:`levyint.spaces`):
 
 * :func:`ito_h`: H-valued integrand against one real driver component.
 * :func:`ito_seq`: sequence-of-H integrand against the whole driver
-  family, summed over components in fixed ascending order.
+  family: per cell, the components are summed by one contraction, and
+  the cells are summed in node order.
 * :func:`ito_l2lambda`, the projected route: the same, against the
   standard components that Phi_lambda projects out of an assembled
   U-valued path.
@@ -30,14 +31,19 @@ the series as (n_modes, n_nodes, dim_h), and the brackets
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
 (and its per-component form :func:`integrate_terms`, and the explicit
 basis route :func:`integrate_in_basis`); the squared-norm quadrature is
-:func:`time_quadrature`.  Where only the value at the horizon is wanted,
-the terminal forms :func:`terminal_cells` and :func:`terminal_terms` give
-the kernels' last node as one contraction, without the running sums;
-they agree with it up to rounding.  These take optional leading batch
-axes, and so do :func:`cell_values` and :func:`ito_h`: given a
-:class:`levyint.processes.PathBlock` they return one row per path with
-the same per-cell arithmetic as for a single path.  That is how every
-check computes its rows, a block of paths per call.
+:func:`time_quadrature`.  The kernel is two passes over a block: one
+batched product contracts every cell's increments with its values over
+the components, and one cumsum accumulates the cells.  The order in which
+the product adds the components is the linear-algebra library's, so the
+running sums are deterministic for given shapes but equal to a
+component-by-component sum only up to rounding.  Where only the value at
+the horizon is wanted, the terminal forms :func:`terminal_cells` and
+:func:`terminal_terms` give the kernels' last node as one contraction,
+without the running sums; they agree with it up to rounding.  These
+take optional leading batch axes, and so do :func:`cell_values` and
+:func:`ito_h`: given a :class:`levyint.processes.PathBlock` they return
+one row per path with the same per-cell arithmetic as for a single path.
+That is how every check computes its rows, a block of paths per call.
 """
 from __future__ import annotations
 
@@ -158,18 +164,16 @@ def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
 
     ``vals`` holds per-cell sequence values (..., n_cells, n_components,
     dim_h) and ``increments`` the matching driver increments (...,
-    n_components, n_cells); leading axes, if any, are batch axes.  Cell
-    contributions are summed over components one at a time in ascending
-    index order and then accumulated over cells, giving (..., n_nodes,
+    n_components, n_cells); leading axes, if any, are batch axes.  Each
+    cell's contribution contracts its increments with its values over the
+    components, all cells in one batched product, and the contributions
+    are then accumulated over cells in node order, giving (..., n_nodes,
     dim_h) with a zero first node.
     """
+    cells = increments.mT[..., None, :] @ vals
     shape = vals.shape
     out = np.zeros(shape[:-3] + (shape[-3] + 1, shape[-1]))
-    acc = out[..., 1:, :]
-    np.multiply(vals[..., :, 0, :], increments[..., 0, :, None], out=acc)
-    for j in range(1, increments.shape[-2]):
-        acc += vals[..., :, j, :] * increments[..., j, :, None]
-    np.cumsum(acc, axis=-2, out=acc)
+    np.cumsum(cells[..., 0, :], axis=-2, out=out[..., 1:, :])
     return out
 
 
@@ -268,8 +272,9 @@ def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left"
             ) -> np.ndarray:
     """Integrate a sequence-of-H integrand against the driver family.
 
-    Components are accumulated one at a time in ascending index order;
-    the result is the running integral, (n_nodes, dim_h).
+    Each cell sums its components in one contraction, and the cells are
+    accumulated in node order (:func:`integrate_cells`); the result is the
+    running integral, (n_nodes, dim_h).
     """
     vals = cell_values(integrand, path, sample_side)
     if vals.ndim != 3 or vals.shape[1] != path.n_components:

@@ -19,7 +19,9 @@ Grids store node times and a per-node kind flag (scheduled or jump).
 A path is a grid and per-component increments over its cells, nothing
 more: the jump draws are not kept, their times are the JUMP nodes and
 their sizes are in the increments.  Cumulative values carry a leading
-zero column so index k is the value at node k.
+zero column so index k is the value at node k; they are a transposed view
+of the node inputs, node-major rows of a one and every component's value,
+so that one cumsum serves both.
 
 Assembled paths
 ---------------
@@ -244,10 +246,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cumulate(increments: np.ndarray) -> np.ndarray:
-    """Running sums over the last (cell) axis, with a leading zero node."""
-    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
-    np.cumsum(increments, axis=-1, out=out[..., 1:])
+def _node_inputs(increments: np.ndarray) -> np.ndarray:
+    """A one, then every component's running sum, at every node.
+
+    (..., n_nodes, 1 + n_components) from (..., n_components, n_cells) by
+    one cumsum over the cells; the first node holds a one and zeros.
+    """
+    shape = increments.shape
+    out = np.empty(shape[:-2] + (shape[-1] + 1, shape[-2] + 1))
+    out[..., 0] = 1.0
+    out[..., 0, 1:] = 0.0
+    np.cumsum(increments.mT, axis=-2, out=out[..., 1:, 1:])
     return out
 
 
@@ -270,8 +279,15 @@ class SamplePath:
         return self.increments.shape[0]
 
     @cached_property
+    def node_inputs(self) -> np.ndarray:
+        """(n_nodes, 1 + n_components): at node k a one, then the value of
+        every component; the affine evaluators contract it at once."""
+        return _node_inputs(self.increments)
+
+    @cached_property
     def cumulative(self) -> np.ndarray:
-        return _cumulate(self.increments)
+        """(n_components, n_nodes), a transposed view of ``node_inputs``."""
+        return self.node_inputs[..., 1:].mT
 
 
 @dataclass
@@ -286,7 +302,8 @@ class PathBlock:
     running value past a path's last node stays at its terminal value.
 
     A sampled block is read by every check on its path law, so its arrays,
-    and the ``dt`` and ``cumulative`` derived from them, are read-only.
+    and the ``dt``, ``node_inputs`` and ``cumulative`` derived from them,
+    are read-only.
     """
 
     grid: TimeGrid                   # times, kind: (n_paths, n_nodes)
@@ -302,9 +319,17 @@ class PathBlock:
         return self.increments.shape[1]
 
     @cached_property
+    def node_inputs(self) -> np.ndarray:
+        """(n_paths, n_nodes, 1 + n_components), as for a path."""
+        return _frozen(_node_inputs(self.increments))
+
+    @cached_property
     def cumulative(self) -> np.ndarray:
-        """(n_paths, n_components, n_nodes); constant on padding nodes."""
-        return _frozen(_cumulate(self.increments))
+        """(n_paths, n_components, n_nodes); constant on padding nodes.
+
+        A transposed view of ``node_inputs``.
+        """
+        return self.node_inputs[..., 1:].mT
 
     def head(self, n: int) -> "PathBlock":
         """The first n rows, with the padding past their longest grid cut.

@@ -17,7 +17,9 @@ Evaluators:
 
 * ``constant``: a fixed value, given explicitly or drawn once per scenario.
 * ``driver_linear``: value at node k is affine in the cumulative driver
-  values at node k.  Unbounded but square-integrable.
+  values at node k, c0 + sum_m L_m(t_k) c1[m], evaluated as one product
+  of the path's node inputs with the stacked coefficients [c0; c1].
+  Unbounded but square-integrable.
 * ``driver_tanh``: tanh of the same affine expression, hence bounded.
 
 An operator carrier's raw values are (dim_h, dim_u) matrices on the
@@ -229,7 +231,8 @@ def path_law(scenario: ScenarioConfig, probes: tuple = ()) -> tuple:
 # evaluator registry
 
 
-def _value_shape(scenario: ScenarioConfig, carrier: str) -> tuple:
+def value_shape(scenario: ScenarioConfig, carrier: str) -> tuple:
+    """The shape of one node value of an integrand with this carrier."""
     if carrier == "hvector":
         return (scenario.dim_h,)
     if carrier == "seqh":
@@ -241,21 +244,24 @@ def _eval_constant(path, value: np.ndarray) -> np.ndarray:
     return np.broadcast_to(value, path.grid.times.shape + value.shape)
 
 
-def _affine(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """c0 + sum_m cum[m, k] c1[m] at every node k, batch axes first."""
-    cum = path.cumulative.swapaxes(-1, -2)
-    out = cum @ c1.reshape(c1.shape[0], -1)
-    out = out.reshape(cum.shape[:-1] + c1.shape[1:])
-    out += c0
-    return out
+def _affine(path, coeffs: np.ndarray) -> np.ndarray:
+    """c0 + sum_m cum[m, k] c1[m] at every node k, batch axes first.
+
+    ``coeffs`` stacks [c0; c1], (1 + n_inputs, *value_shape), so the sum
+    is one product of the path's node inputs, a one and then every
+    cumulative value, with the flattened coefficients.
+    """
+    x = path.node_inputs
+    out = x @ coeffs.reshape(coeffs.shape[0], -1)
+    return out.reshape(x.shape[:-1] + coeffs.shape[1:])
 
 
-def _eval_driver_linear(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    return _affine(path, c0, c1)
+def _eval_driver_linear(path, coeffs: np.ndarray) -> np.ndarray:
+    return _affine(path, coeffs)
 
 
-def _eval_driver_tanh(path, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    out = _affine(path, c0, c1)
+def _eval_driver_tanh(path, coeffs: np.ndarray) -> np.ndarray:
+    out = _affine(path, coeffs)
     return np.tanh(out, out=out)
 
 
@@ -288,7 +294,7 @@ def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
     c1 = (cfg.scale / np.sqrt(n_inputs)) * gen.standard_normal(
         (n_inputs,) + carrier_shape)
     fn = _eval_driver_linear if cfg.evaluator == "driver_linear" else _eval_driver_tanh
-    return GridIntegrand(partial(fn, c0=c0, c1=c1))
+    return GridIntegrand(partial(fn, coeffs=np.concatenate([c0[None], c1])))
 
 
 # evaluators linear in their coefficient arrays jointly, so that the
@@ -315,7 +321,8 @@ def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegran
 
     Where the restriction runs depends on the evaluator.  ``constant`` and
     ``driver_linear`` are linear in their coefficients, so their
-    coefficients are restricted once, here, and stored as C-contiguous
+    coefficients (the value, or the stacked [c0; c1]) are restricted once,
+    here, on their trailing (dim_h, dim_u) axes, and stored as C-contiguous
     (..., n_modes, dim_h) arrays: the node values are a transposed view
     of (..., n_nodes, n_modes, dim_h) memory, whose Psi_lambda view is
     contiguous and reshapes into the kernels without a copy.
@@ -350,7 +357,7 @@ def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
         raise ConfigInvalid("build_integrand handles the grid family only")
     if seed_offset:
         cfg = replace(cfg, seed=cfg.seed + seed_offset)
-    shape = _value_shape(scenario, cfg.carrier)
+    shape = value_shape(scenario, cfg.carrier)
     inputs = scenario.n_modes if n_inputs is None else n_inputs
     return build_grid_integrand(cfg, shape, inputs)
 

@@ -11,10 +11,15 @@ Within a chunk, the statistic is computed a block of paths at a time:
 most ``width`` consecutive path indices, which never straddles a chunk
 boundary, and concatenates the rows it returns in path order; the row
 length is the number of statistics.  Each row depends only on its own
-path, so blocking changes no row and no chunk, and the reduction is the
-same as for one path at a time.  The width is :func:`block_paths` of the
-grid nodes a path is expected to hold, so a block holds about
-``BLOCK_CELLS`` cells whatever the scenario.
+path, but not bit for bit on the block: rows are padded to the block's
+longest grid, and a batched product may add in an order that depends on
+the block's shape, so another width can move a row at rounding level
+(widths of 2048 and 8192 cells moved report floats by up to about
+1e-15).  For a fixed width the rows, and so every chunk and the
+reduction, are bit-stable.  That is why the width depends only on the
+path law: it is :func:`block_paths` of the grid nodes a path is expected
+to hold, so a block holds about ``BLOCK_CELLS`` cells whatever the
+scenario.
 
 Several statistics can share one walk over the blocks, each reading the
 first paths of the walk: the callable then returns one row array per
@@ -41,6 +46,12 @@ CHUNK_SIZE = 4096
 # paths measured more calls per path than blocks of 16.
 BLOCK_CELLS = 4096
 MIN_BLOCK_PATHS = 16
+# The most bytes one per-node array of a block may take.  At the floor a
+# block grows with the nodes a path is expected to hold, and wide spaces
+# multiply the values per node: a 16-path block of configs/default.json at
+# space.J 2048 holds about 130000 nodes of 8192 operator entries, 7.9 GiB.
+# A check whose block would exceed this fails closed before it samples.
+MAX_BLOCK_BYTES = 1 << 28
 
 
 @dataclass

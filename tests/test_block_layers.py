@@ -145,6 +145,54 @@ def test_terminal_forms_are_the_running_kernels_last_node(specs, indices,
             _close(got[row], want[row])
 
 
+def _kernel_loop(vals, increments):
+    """integrate_cells written out: per cell, one component at a time."""
+    cells = np.zeros(vals.shape[:-2] + vals.shape[-1:])
+    for j in range(increments.shape[-2]):
+        cells += vals[..., :, j, :] * increments[..., j, :, None]
+    out = np.zeros(cells.shape[:-2] + (cells.shape[-2] + 1, cells.shape[-1]))
+    out[..., 1:, :] = np.cumsum(cells, axis=-2)
+    return out
+
+
+@DRIVERS
+@INDICES
+@pytest.mark.parametrize("layout", ["contiguous", "tail-slice"])
+def test_running_kernel_is_the_per_component_loop(specs, indices, layout):
+    block = _sampler(specs).sample_block(SEED, indices)
+    vals = cell_values(_integrands()["seq"], block)
+    inc = block.increments
+    if layout == "contiguous":
+        vals = np.ascontiguousarray(vals)
+    else:
+        vals, inc = vals[:, :, 2:], inc[:, 2:]
+    assert vals.flags.c_contiguous == (layout == "contiguous")
+    z = integrate_cells(vals, inc)
+    want = _kernel_loop(vals, inc)
+    for row in range(block.n_paths):
+        _close(z[row], want[row])
+        _keeps_terminal(z[row], int(block.n_nodes[row]))
+
+
+@DRIVERS
+@pytest.mark.parametrize("where", ["value", "increment"])
+def test_a_nan_reaches_every_later_node_of_its_row_only(specs, where):
+    block = _sampler(specs).sample_block(SEED, range(8))
+    vals = np.array(cell_values(_integrands()["seq"], block))
+    inc = np.array(block.increments)
+    row, cell, comp, d = 3, 10, 2, 1
+    if where == "value":
+        vals[row, cell, comp, d] = np.nan
+        cols = [d]
+    else:
+        inc[row, comp, cell] = np.nan
+        cols = list(range(DIM_H))
+    bad = np.isnan(integrate_cells(vals, inc))
+    assert bad[row, cell + 1:][:, cols].all()
+    assert np.count_nonzero(bad[row]) == (bad.shape[1] - cell - 1) * len(cols)
+    assert not np.delete(bad, row, axis=0).any()
+
+
 @DRIVERS
 @INDICES
 def test_transport_and_view_keep_the_block(specs, indices):
@@ -219,6 +267,51 @@ def test_restricted_affine_values_reach_the_kernels_without_a_copy(specs,
     cells = side_cells(seq, "left", 1)
     flat = cells.reshape(cells.shape[:1] + (-1, DIM_H))
     assert np.shares_memory(flat, node)
+
+
+_SHAPES = {"hvector": (DIM_H,), "seqh": (6, DIM_H), "operator": (DIM_H, 6)}
+
+
+def _explicit_affine(cfg, shape, increments):
+    """c0 + sum_m cum[m, k] c1[m] at every node k, drawn as the registry
+    draws them, with the cumulative values summed here."""
+    n_inputs = increments.shape[-2]
+    gen = rng.stream(cfg.seed, 0, 0, rng.INTEGRAND)
+    c0 = cfg.scale * gen.standard_normal(shape)
+    c1 = (cfg.scale / np.sqrt(n_inputs)) * gen.standard_normal(
+        (n_inputs,) + shape)
+    cum = np.concatenate([np.zeros(increments.shape[:-1] + (1,)),
+                          np.cumsum(increments, axis=-1)], axis=-1)
+    out = np.zeros(cum.shape[:-2] + cum.shape[-1:] + shape)
+    out += c0
+    for m in range(n_inputs):
+        out += np.multiply.outer(cum[..., m, :], c1[m])
+    return np.tanh(out) if cfg.evaluator == "driver_tanh" else out
+
+
+@DRIVERS
+@pytest.mark.parametrize("carrier",
+                         ["hvector", "seqh", "operator", "restricted"])
+@pytest.mark.parametrize("evaluator", ["driver_linear", "driver_tanh"])
+@pytest.mark.parametrize("one", [True, False], ids=["path", "block"])
+def test_affine_node_values_are_the_explicit_sum(specs, carrier, evaluator,
+                                                 one):
+    sampler = _sampler(specs)
+    path = (sampler.sample(SEED, 17) if one
+            else sampler.sample_block(SEED, BLOCKS[0]))
+    cfg = IntegrandConfig(evaluator=evaluator, seed=6)
+    if carrier == "restricted":
+        # an operator on a U wider than the modes, restricted
+        cov, raw = _restriction_case("rectangular", evaluator)
+        integrand = restrict_integrand(raw, cov)
+        want = restrict_bounded_operator(cov, _explicit_affine(
+            cfg, (DIM_H, cov.dim_u), path.increments))
+    else:
+        integrand = build_grid_integrand(cfg, _SHAPES[carrier], 6)
+        want = _explicit_affine(cfg, _SHAPES[carrier], path.increments)
+    got = node_values(integrand, path)
+    for g, w in ([(got, want)] if one else zip(got, want)):
+        _close(g, w)
 
 
 @DRIVERS

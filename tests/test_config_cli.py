@@ -495,6 +495,10 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         CHECK_BASE["space"], nScheduled=10 ** 18)), "space.nScheduled"),
     ("integrate", _edit(space=dict(BASE["space"], dH=10 ** 18)), "space.dH"),
     ("simulate", _edit(space=dict(BASE["space"], J=10 ** 18)), "space.J"),
+    # within the size bounds, but a block of a check would need gigabytes
+    ("check", lambda tmp_path: dict(
+        json.loads((CONFIG_DIR / "default.json").read_text()),
+        space={"dH": 4, "J": 2048, "T": 1.0, "nScheduled": 64}), "space.J"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
@@ -502,7 +506,8 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "infinite-horizon", "check-not-a-name", "nan-jump-size",
         "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",
-        "one-component-series", "huge-grid", "huge-h", "huge-j"])
+        "one-component-series", "huge-grid", "huge-h", "huge-j",
+        "huge-block"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
