@@ -18,7 +18,7 @@ Layered API, lowest first:
 from .checks import (BASE_SEED, CHECKS, CheckSpec, Report, default_suite,
                      fault_detected, negative_control_suite, reports_to_csv,
                      reports_to_json, run_check, run_suite, suite_passed)
-from .config import ExperimentConfig, config_to_dict, load_config, parse_config, save_config
+from .config import ExperimentConfig, load_config, parse_config
 from .errors import LevyintError
 from .integrators import ito_general, ito_h, ito_l2lambda, ito_seq
 

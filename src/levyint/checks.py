@@ -20,17 +20,21 @@ use a fixed chunked tree, so serialized outputs are byte-identical across
 runs, worker counts and the other checks selected.
 
 A check is its set-up and one function of a sampled
-:class:`levyint.processes.PathBlock`, handed to one of two drivers that
-own everything else:
+:class:`levyint.processes.PathBlock`, which computes both sides with the
+layers it certifies (:mod:`levyint.integrators`), one row per path.  It
+evaluates each integrand once per block and hands the node values to
+every layer that reads them, so an integral and its quadrature share one
+evaluation; where a side needs an integral only at the horizon, it takes
+the layer's terminal form.  One of two drivers owns everything else:
 
 * :func:`_statistical` takes ``stat(block) -> (lhs, rhs)``, where lhs is
-  (n_paths, n_cases) and rhs broadcasts to it.  It checks the path
-  count, lays out the rows [lhs..., rhs..., lhs - rhs...] and reports
-  the worst case of their accumulator.
+  (n_paths, n_cases) and rhs broadcasts to it, lays out the rows
+  [lhs..., rhs..., lhs - rhs...] and reports the worst case of their
+  accumulator.
 * :func:`_exact` takes ``per_block(block) -> (dev, ref)``, per path the
   largest deviation between the two computations and the magnitude of
-  the reference.  Its rows are the absolute and the relative deviation,
-  and :func:`_exact_loop` reports their maxima.
+  the reference, and :func:`_exact_loop` reports the maxima of the
+  absolute and the relative deviation.
 
 The suite runner owns the paths.  Checks whose paths have one law (driver
 specs, horizon, grid) and one seed read the same paths: the default suite
@@ -40,13 +44,8 @@ law's blocks once, with :func:`levyint.stats.accumulate_paths`, samples
 each block once and hands it to every check of the law; a check of n
 paths reads the first n, as the block it would sample alone.  Times at
 which a check reads the path (``_PROBES``) join its grid, so each is a
-node of every path, and on the desk they are scheduled nodes already.
-
-The block width depends only on the law (:func:`levyint.stats.block_paths`
-of the sampler's expected nodes).  A block costs one sampling call for
-all the checks of its law, one evaluation per integrand shared by the
-integrals and the quadrature, and one kernel call per route.  Checks that
-read an integral only at the horizon take the kernels' terminal forms.
+node of every path.  The block width depends only on the law
+(:func:`levyint.stats.block_paths` of the sampler's expected nodes).
 """
 from __future__ import annotations
 
@@ -63,18 +62,18 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigInvalid, UnknownCheck
-from .integrators import (cell_values, integrate_cells, integrate_in_basis,
-                          ito_h, node_values, side_cells, terminal_cells,
-                          terminal_terms, time_quadrature)
-from .processes import (SCHEDULED, SamplePath, TimeGrid, assemble_levy,
-                        coordinate_view, make_standard_specs,
-                        project_standard, transport_levy)
+from .integrators import (angle_bracket, cell_values, covariation_integral,
+                          integrate_in_basis, ito_general, ito_h,
+                          ito_l2lambda, ito_seq, node_values,
+                          quadrature_sq_norm, series_terms, terminal_terms)
+from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
+                        coordinate_view, make_standard_specs, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, build_simple_integrand, make_sampler,
                         path_law, resolve_covariance, restrict_integrand,
                         value_shape)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
-                     psi_lambda_apply, random_orthogonal)
+                     make_covariance, random_orthogonal)
 from .stats import MAX_BLOCK_BYTES, accumulate_paths, block_paths
 
 BASE_SEED = 20260816
@@ -152,43 +151,37 @@ def _need_modes(spec: CheckSpec, minimum: int) -> None:
             f"got {spec.scenario.n_modes}")
 
 
-def _need_block_memory(spec: CheckSpec, width: int, nodes: float) -> None:
-    """Fail closed where one per-node array of a block would outgrow memory.
-
-    A block holds ``width`` paths of ``nodes`` expected nodes each.  The
-    largest per-node arrays are the integrand's values and the node
-    inputs of the path.
-    """
-    sc = spec.scenario
-    per_node = max(sc.n_modes + 1,
-                   math.prod(value_shape(sc, sc.integrand.carrier)))
-    size = 8 * width * nodes * per_node
+def need_block_memory(sc: ScenarioConfig, width: int, nodes: float,
+                      what: str) -> None:
+    """Fail closed, before anything is allocated, where the largest array
+    of a block of ``width`` paths of ``nodes`` nodes (the integrand's
+    values or the path's node inputs) or the affine integrand's one plus
+    one per input coefficient arrays would outgrow memory."""
+    value = math.prod(value_shape(sc, sc.integrand.carrier))
+    per_node = max(sc.n_modes + 1, value)
+    inputs = 1 + max(sc.n_modes, sc.covariance.dim_u(sc.n_modes))
+    size = 8 * max(width * nodes * per_node, inputs * value)
     if size > MAX_BLOCK_BYTES:
         raise ConfigInvalid(
-            f"check {spec.name}: a block of {width} paths holds about "
-            f"{width * nodes:.0f} grid nodes of {per_node} values each, "
-            f"{size / 2**30:.3g} GiB per array; space.J, space.dH, space.T "
-            f"and the drivers' jump rates must keep it within "
+            f"{what}: a block of {width} paths holds about "
+            f"{width * nodes:.0f} grid nodes of {per_node} values each, the "
+            f"integrand {inputs} coefficient arrays of {value} values; the "
+            f"larger takes {size / 2**30:.3g} GiB, and space.J, space.dH, "
+            f"space.T and the drivers' jump rates must keep it within "
             f"{MAX_BLOCK_BYTES / 2**30:.3g} GiB")
 
 
 def _finish_statistical(spec: CheckSpec, acc) -> Report:
     """Reduce an accumulator laid out as [lhs..., rhs..., diff...]."""
-    n_cases = acc.mean.size // 3
-    mean = acc.mean
-    se = acc.se
-    margins = np.empty(n_cases)
-    for i in range(n_cases):
-        d = abs(float(mean[2 * n_cases + i]))
-        s = float(se[2 * n_cases + i])
-        if s == 0.0:
-            margins[i] = 0.0 if d == 0.0 else float("inf")
-        else:
-            margins[i] = d / (SIGMAS * s)
+    n = acc.mean.size // 3
+    mean, se = acc.mean, acc.se
+    margins = [(0.0 if d == 0.0 else math.inf) if s == 0.0
+               else d / (SIGMAS * s)
+               for d, s in zip(np.abs(mean[2 * n:]).tolist(),
+                               se[2 * n:].tolist())]
     w = int(np.argmax(margins))
-    margin = float(margins[w])
-    return Report(spec.name, float(mean[w]), float(mean[n_cases + w]),
-                  float(se[2 * n_cases + w]), margin, margin <= 1.0,
+    return Report(spec.name, float(mean[w]), float(mean[n + w]),
+                  float(se[2 * n + w]), margins[w], margins[w] <= 1.0,
                   spec.n_paths, spec.seed)
 
 
@@ -202,8 +195,9 @@ def _statistical(spec: CheckSpec, stat, finish=None) -> _Member:
 
     def rows(block):
         lhs, rhs = stat(block)
-        rhs = np.broadcast_to(rhs, lhs.shape)
-        return np.concatenate([lhs, rhs, lhs - rhs], axis=1)
+        out = np.empty(lhs.shape[:1] + (3, lhs.shape[1]))
+        out[:, 0], out[:, 1], out[:, 2] = lhs, rhs, lhs - rhs
+        return out.reshape(lhs.shape[0], -1)
 
     return _Member(spec, rows, finish or partial(_finish_statistical, spec))
 
@@ -233,14 +227,15 @@ def _exact(spec: CheckSpec, per_block) -> _Member:
     """The exact driver: ``per_block(block) -> (dev, ref)`` to a member."""
     def per_path(block):
         dev, ref = per_block(block)
-        return np.stack([dev, dev / np.maximum(1.0, ref)], axis=1)
+        return np.array([dev, dev / np.maximum(1.0, ref)]).T
 
     return _exact_loop(spec, per_path)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
     """Per path, the largest absolute entry (0 if none); NaN if any is NaN."""
-    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0)
+    return np.maximum.reduce(np.abs(a), axis=tuple(range(1, a.ndim)),
+                             initial=0.0)
 
 
 def _block_rotations_for(eigenvalues: np.ndarray,
@@ -265,27 +260,26 @@ def _check_isometry1(spec: CheckSpec) -> _Member:
 
     def stat(block):
         node = node_values(integrand, block)
-        vals = side_cells(node, side, 1)[:, :, None, :]
-        z = terminal_cells(vals, block.increments[:, :1])
+        z = ito_h(node, block, 0, sample_side=side, terminal=True)
         return _isometry_sides(z, node, block)
 
     return _statistical(spec, stat)
 
 
 def _isometry_sides(z: np.ndarray, node: np.ndarray, block) -> tuple:
-    """||z_T||^2 against the left-point quadrature of ||X||^2."""
-    left = side_cells(node, "left", 1)
+    """||z_T||^2 against the quadrature of ||X||^2, from one evaluation."""
     lhs = np.vecdot(z, z)
-    rhs = time_quadrature(left, left, block.grid.dt)
+    rhs = quadrature_sq_norm(node, block, terminal=True)
     return lhs[:, None], rhs[:, None]
 
 
 def _check_isometry2(spec: CheckSpec) -> _Member:
     """Isometry for a sequence integrand against the whole driver family.
 
-    ``spec.route`` picks the computation: "seq" integrates the sampled
-    family directly, "l2lambda" integrates against the standard
-    components that Phi_lambda projects out of the assembled path.
+    ``spec.route`` picks the layer: "seq" integrates the sampled family
+    directly (:func:`ito_seq`), "l2lambda" integrates against the standard
+    components that Phi_lambda projects out of the assembled path
+    (:func:`ito_l2lambda`).
     """
     sc = spec.scenario
     side = sc.sample_side
@@ -296,10 +290,12 @@ def _check_isometry2(spec: CheckSpec) -> _Member:
     cov = resolve_covariance(sc) if spec.route == "l2lambda" else None
 
     def stat(block):
-        inc = (block.increments if cov is None
-               else project_standard(assemble_levy(cov, block)))
         node = node_values(integrand, block)
-        z = terminal_cells(side_cells(node, side, 1), inc)
+        if cov is None:
+            z = ito_seq(node, block, sample_side=side, terminal=True)
+        else:
+            z = ito_l2lambda(node, assemble_levy(cov, block),
+                             sample_side=side, terminal=True)
         return _isometry_sides(z, node, block)
 
     return _statistical(spec, stat)
@@ -313,11 +309,10 @@ def _check_isometry4(spec: CheckSpec) -> _Member:
     restricted = restrict_integrand(build_integrand(sc), cov)
 
     def stat(block):
-        levy = assemble_levy(cov, block)
-        node = node_values(restricted, levy.driver)
-        seq = psi_lambda_apply(cov, side_cells(node, side, 1))
-        z = terminal_cells(seq, levy.driver.increments)
-        return _isometry_sides(z, node, levy.driver)
+        node = node_values(restricted, block)
+        z = ito_general(node, assemble_levy(cov, block), sample_side=side,
+                        terminal=True)
+        return _isometry_sides(z, node, block)
 
     return _statistical(spec, stat)
 
@@ -330,8 +325,8 @@ def _check_orthogonality(spec: CheckSpec) -> _Member:
     integrand = build_integrand(sc)
 
     def stat(block):
-        vals = side_cells(node_values(integrand, block), side, 1)
-        terms = terminal_terms(vals, block.increments)
+        terms = terminal_terms(cell_values(integrand, block, side),
+                               block.increments)
         return np.vecdot(terms[:, first], terms[:, second]), 0.0
 
     return _statistical(spec, stat)
@@ -350,17 +345,12 @@ def _check_covariance_recovery(spec: CheckSpec) -> _Member:
     clean = resolve_covariance(sc.with_fault(None))
     sim = resolve_covariance(sc)
     e = np.eye(clean.dim_u)
-    b0 = clean.eigenbasis[:, 0]
-    b1 = clean.eigenbasis[:, 1]
+    b0, b1 = clean.eigenbasis[:, 0], clean.eigenbasis[:, 1]
     quarter, half, h = _probes(spec)
-    cases = ((e[0], e[0], h, h),
-             (e[0], e[1], half, h),
-             (e[1], e[1], quarter, half),
-             (e[0], e[1], h, quarter),
-             (b0, b0, half, half),
-             (b0, b1, h, h),
-             (b1, b1, h, half),
-             (b0, b1, half, half))
+    cases = ((e[0], e[0], h, h), (e[0], e[1], half, h),
+             (e[1], e[1], quarter, half), (e[0], e[1], h, quarter),
+             (b0, b0, half, half), (b0, b1, h, h),
+             (b1, b1, h, half), (b0, b1, half, half))
     q = clean.eigenbasis @ np.diag(clean.eigenvalues) @ clean.eigenbasis.T
     targets = np.array([min(t, s) * float(u1 @ q @ u2)
                         for u1, u2, t, s in cases])
@@ -372,9 +362,8 @@ def _check_covariance_recovery(spec: CheckSpec) -> _Member:
         rows = np.arange(block.n_paths)
         at = {t: block.cumulative[rows, :, block.node_at(t)]
               for t in (quarter, half, h)}
-        lhs = np.stack([np.vecdot(at[t], w1) * np.vecdot(at[s], w2)
-                        for w1, w2, (_, _, t, s) in zip(w1s, w2s, cases)],
-                       axis=1)
+        lhs = np.array([np.vecdot(at[t], w1) * np.vecdot(at[s], w2)
+                        for w1, w2, (_, _, t, s) in zip(w1s, w2s, cases)]).T
         return lhs, targets
 
     return _statistical(spec, stat)
@@ -396,18 +385,18 @@ def _check_bracket(spec: CheckSpec) -> _Member:
 
     def stat(block):
         dm0, dm1 = block.increments[:, 0], block.increments[:, 1]
-        vx = side_cells(node_values(x, block), side, 1)
-        vy = side_cells(node_values(y, block), side, 1)
-        ip = np.einsum("...kd,...kd->...k", vx, vy)
-        # the bracket of a standard component is t; it is 0 across components
-        bracket_t = block.grid.times[:, -1]
-        ci = np.vecdot(ip, block.grid.dt)
-        zero = np.zeros(block.n_paths)
-        lhs = np.stack([np.vecdot(dm0, dm0), np.vecdot(dm1, dm1),
+        nx, ny = node_values(x, block), node_values(y, block)
+        ip = np.einsum("...kd,...kd->...k", cell_values(nx, block, side),
+                       cell_values(ny, block, side))
+        # realized brackets of M0, M1, of X . M0 with Y . M0 and with Y . M1
+        lhs = np.array([np.vecdot(dm0, dm0), np.vecdot(dm1, dm1),
                         np.vecdot(dm0, dm1), np.vecdot(ip, dm0 * dm0),
-                        np.vecdot(ip, dm0 * dm1)], axis=1)
-        rhs = np.stack([bracket_t, bracket_t, zero, ci, zero], axis=1)
-        return lhs, rhs
+                        np.vecdot(ip, dm0 * dm1)]).T
+        t = angle_bracket(block.grid, 0, 0, terminal=True)
+        zero = angle_bracket(block.grid, 0, 1, terminal=True)
+        ci = covariation_integral(nx, ny, block, 0, 0, sample_side=side,
+                                  terminal=True)
+        return lhs, np.array([t, t, zero, ci, zero]).T
 
     return _statistical(spec, stat)
 
@@ -420,8 +409,7 @@ def _check_martingale(spec: CheckSpec) -> _Member:
     integrand = build_integrand(sc)
 
     def stat(block):
-        vals = side_cells(node_values(integrand, block), side, 1)
-        z = integrate_cells(vals, block.increments)
+        z = ito_seq(integrand, block, sample_side=side)
         at_probe = z[np.arange(block.n_paths), block.node_at(probe)]
         lhs = np.concatenate([z[:, -1], at_probe, block.cumulative[:, :, -1]],
                              axis=1)
@@ -442,10 +430,8 @@ def _check_series_orthogonality(spec: CheckSpec) -> _Member:
     first, second = _component_pairs(spec)
 
     def stat(block):
-        levy = assemble_levy(cov, block)
-        node = node_values(restricted, levy.driver)
-        seq = psi_lambda_apply(cov, side_cells(node, side, 1))
-        tv = terminal_terms(seq, levy.driver.increments)
+        tv = series_terms(restricted, assemble_levy(cov, block),
+                          sample_side=side, terminal=True)
         total = tv.sum(axis=1)
         lhs = np.concatenate([np.vecdot(tv[:, first], tv[:, second]),
                               np.vecdot(total, total)[:, None]], axis=1)
@@ -476,11 +462,11 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
     restricted = restrict_integrand(raw, cov)
 
     # a constant integrand takes its value on any path, here a still one
-    still = SamplePath(TimeGrid(np.array([0.0, sc.horizon]),
-                                np.zeros(2, dtype=np.uint8)),
-                       np.zeros((sc.n_modes, 1)))
-    s0 = cell_values(restricted, still, "left")[0]
-    raw0 = cell_values(raw, still, "left")[0]
+    still = PathBlock(TimeGrid(np.array([[0.0, sc.horizon]]),
+                               np.zeros((1, 2), dtype=np.uint8)),
+                      np.zeros((1, sc.n_modes, 1)), np.array([2]))
+    s0 = cell_values(restricted, still)[0, 0]
+    raw0 = cell_values(raw, still)[0, 0]
     dropped = float(np.sum(s0[:, n_sub:] ** 2))
     # the SVD behind the operator norm fails on a non-finite probe value;
     # a NaN bound then fails the check below
@@ -489,12 +475,12 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
     bound = sc.horizon * (dropped + op_sq * cov.tail_mass)
 
     def stat(block):
-        vals = side_cells(node_values(restricted, block), side, 1)
-        tail = psi_lambda_apply(cov, vals)[:, :, n_sub:]
-        diff = terminal_cells(tail, block.increments[:, n_sub:])
-        lhs = np.vecdot(diff, diff)
-        rhs = time_quadrature(tail, tail, block.grid.dt)
-        return lhs[:, None], rhs[:, None]
+        node = node_values(restricted, block)
+        terms = series_terms(node, assemble_levy(cov, block),
+                             sample_side=side, terminal=True)
+        # the dropped terms against the quadrature of the dropped columns
+        return _isometry_sides(terms[:, n_sub:].sum(axis=1),
+                               node[..., n_sub:], block)
 
     def finish(acc):
         rep = _finish_statistical(spec, acc)
@@ -518,22 +504,38 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
 
 
 def _check_basis_invariance(spec: CheckSpec) -> _Member:
-    """The integral does not depend on the orthonormal basis used to expand it."""
+    """The integral does not depend on the orthonormal basis used to expand it.
+
+    Nor on the layer: an H-valued integrand is a one-column operator on a
+    one-mode U, whose series (:func:`series_terms`) has one term, the
+    integral against component 0.  The terminal forms of :func:`ito_h` and
+    of the series, which the statistical checks read through every layer,
+    must equal the last node of their running forms.
+    """
     sc = spec.scenario
     side = sc.sample_side
     integrand = build_integrand(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
-    q1 = random_orthogonal(sc.dim_h, gen)
-    q2 = random_orthogonal(sc.dim_h, gen)
+    q1, q2 = (random_orthogonal(sc.dim_h, gen) for _ in range(2))
+    one_mode = make_covariance((1.0,))
 
     def per_block(block):
-        vals = cell_values(integrand, block, side)
+        node = node_values(integrand, block)
+        vals = cell_values(node, block, side)
         dm = block.increments[:, 0]
-        z0 = integrate_cells(vals[:, :, None, :], dm[:, None, :])
+        z0 = ito_h(node, block, 0, sample_side=side)
         z1 = integrate_in_basis(vals, dm, q1)
         z2 = integrate_in_basis(vals, dm, q2)
-        dev = np.max([_row_max(z1 - z0), _row_max(z2 - z0),
-                      _row_max(z2 - z1)], axis=0)
+        levy = assemble_levy(one_mode, PathBlock(
+            block.grid, block.increments[:, :1], block.n_nodes))
+        terms = series_terms(node[..., None], levy, sample_side=side)
+        end = ito_h(node, block, 0, sample_side=side, terminal=True)
+        terms_end = series_terms(node[..., None], levy, sample_side=side,
+                                 terminal=True)
+        dev = np.maximum.reduce([_row_max(z1 - z0), _row_max(z2 - z0),
+                                 _row_max(z2 - z1), _row_max(terms[:, 0] - z0),
+                                 _row_max(end - z0[:, -1]),
+                                 _row_max(terms_end - terms[:, :, -1])])
         return dev, _row_max(z0)
 
     return _exact(spec, per_block)
@@ -555,7 +557,6 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     rotations = _block_rotations_for(cov.eigenvalues, gen)
     iso = build_eigen_isometry(cov, cov.eigenvalues, rotations)
-    cmap = iso.coord_map
     driver_specs = make_standard_specs(sc.n_modes, sc.drivers)
     integrand = build_integrand(sc)
     pure = [c for c, s in enumerate(driver_specs) if s.sigma == 0.0]
@@ -563,19 +564,19 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
                      for c in pure])[:, None]
 
     def per_block(driver):
-        vals = cell_values(integrand, driver, side)
-        z1 = integrate_cells(vals, driver.increments)
+        node = node_values(integrand, driver)
+        z1 = ito_seq(node, driver, sample_side=side)
         levy2 = transport_levy(assemble_levy(cov, driver), iso)
-        vals2 = cmap @ vals
-        z2 = integrate_cells(vals2, levy2.driver.increments)
-        q1 = time_quadrature(vals, vals, driver.grid.dt)
-        q2 = time_quadrature(vals2, vals2, driver.grid.dt)
+        node2 = iso.coord_map @ node
+        z2 = ito_seq(node2, levy2.driver, sample_side=side)
+        q1 = quadrature_sq_norm(node, driver, terminal=True)
+        q2 = quadrature_sq_norm(node2, driver, terminal=True)
         dt = driver.grid.dt[:, None]
         jumpless = driver.grid.kind[:, None, 1:] == SCHEDULED
         stray = (driver.increments[:, pure] + rate * dt) * jumpless
-        dev = np.max([_row_max(z1 - z2), np.abs(q1 - q2), _row_max(stray)],
-                     axis=0)
-        return dev, np.max([_row_max(z1), q1], axis=0)
+        dev = np.maximum.reduce([_row_max(z1 - z2), np.abs(q1 - q2),
+                                 _row_max(stray)])
+        return dev, np.maximum.reduce([_row_max(z1), q1])
 
     return _exact(spec, per_block)
 
@@ -607,18 +608,16 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
         view = coordinate_view(levy1)
         inc2 = cmap @ d1.increments
         levy2 = assemble_levy(cov2, replace(d1, increments=inc2))
-        # one integrand's cell values alive at a time
-        z1 = integrate_cells(
-            psi_lambda_apply(cov1, cell_values(r1, view, side)),
-            d1.increments)
-        z2 = integrate_cells(
-            psi_lambda_apply(cov2, cell_values(r2, view, side)), inc2)
+        # one integrand's node values alive at a time, evaluated on the
+        # observable path
+        z1 = ito_general(node_values(r1, view), levy1, sample_side=side)
+        z2 = ito_general(node_values(r2, view), levy2, sample_side=side)
         # A dL: column u of A integrates reference coordinate u
-        z3 = integrate_cells(cell_values(raw, view, side).swapaxes(-1, -2),
-                             view.increments)
-        dev = np.max([_row_max(z1 - z2), _row_max(z1 - z3),
-                      _row_max(levy1.coords - levy2.coords)], axis=0)
-        ref = np.max([_row_max(z1), _row_max(levy1.coords)], axis=0)
+        z3 = ito_seq(node_values(raw, view).swapaxes(-1, -2), view,
+                     sample_side=side)
+        dev = np.maximum.reduce([_row_max(z1 - z2), _row_max(z1 - z3),
+                                 _row_max(levy1.coords - levy2.coords)])
+        ref = np.maximum.reduce([_row_max(z1), _row_max(levy1.coords)])
         return dev, ref
 
     return _exact(spec, per_block)
@@ -637,8 +636,7 @@ def _check_simple_exact(spec: CheckSpec) -> _Member:
         cum = block.cumulative[:, 0]
         nodes = [block.node_at(t) for t in b]
         partial = np.zeros((block.n_paths, sc.dim_h))
-        dev = np.zeros(block.n_paths)
-        ref = np.zeros(block.n_paths)
+        dev = ref = np.zeros(block.n_paths)
         for i in range(values.shape[0]):
             step = cum[rows, nodes[i + 1]] - cum[rows, nodes[i]]
             partial = partial + values[i] * step[:, None]
@@ -709,7 +707,7 @@ def _run_pass(specs) -> list:
     nodes = sampler.expected_nodes
     width = block_paths(nodes)
     for spec in specs:
-        _need_block_memory(spec, width, nodes)
+        need_block_memory(spec.scenario, width, nodes, f"check {spec.name}")
     own = []
     members = []
     for spec in specs:

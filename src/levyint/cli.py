@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from .checks import (CHECKS, default_suite, fault_detected,
-                     negative_control_suite, reports_to_csv, reports_to_json,
-                     run_suite, suite_passed)
+                     need_block_memory, negative_control_suite,
+                     reports_to_csv, reports_to_json, run_suite, suite_passed)
 from .config import load_config
 from .errors import ConfigInvalid, ConfigNotFound, LevyintError, UnknownCheck
 from .integrators import ito_general, ito_h, ito_seq, series_terms
@@ -53,34 +53,47 @@ def _read_path_csv(path: str):
     return times, np.diff(cumulative, axis=1), kinds
 
 
-def _materialize_path(scenario: ScenarioConfig, seed: int, path_index: int):
-    """Sample the scenario drivers, or rebuild them from a replay."""
+def _materialize_path(scenario: ScenarioConfig, seed: int, path_index: int,
+                      integrating: bool = False):
+    """Sample the scenario drivers, or rebuild them from a replay, as a
+    block of one path.
+
+    When the scenario's integrand will run along the path, ``integrating``
+    fails closed first, before sampling, where its values on the path or
+    its coefficients would outgrow memory.
+    """
     drivers = scenario.drivers
-    if isinstance(drivers, dict):
-        source = drivers["replay"]
-        if isinstance(source, str):
-            times, increments, kinds = _read_path_csv(source)
-        elif isinstance(source, dict):
-            times = source.get("times")
-            increments = source.get("increments")
-            if times is None or increments is None:
-                raise ConfigInvalid(
-                    "an inline replay needs times and increments")
-            kinds = source.get("kinds")
-        else:
-            raise ConfigInvalid("drivers.replay must be a file path or an "
-                                "inline object")
-        path = replay_path(times, increments, kinds)
-        if path.n_components != scenario.n_modes:
+    if not isinstance(drivers, dict):
+        sampler = make_sampler(scenario)
+        if integrating:
+            need_block_memory(scenario, 1, sampler.expected_nodes,
+                              "integrate")
+        return sampler.sample(seed, path_index)
+    source = drivers["replay"]
+    if isinstance(source, str):
+        times, increments, kinds = _read_path_csv(source)
+    elif isinstance(source, dict):
+        times = source.get("times")
+        increments = source.get("increments")
+        if times is None or increments is None:
             raise ConfigInvalid(
-                f"replay carries {path.n_components} components, space.J "
-                f"is {scenario.n_modes}")
-        if path.grid.horizon != scenario.horizon:
-            raise ConfigInvalid(
-                f"replay horizon {path.grid.horizon} differs from space.T "
-                f"{scenario.horizon}")
-        return path
-    return make_sampler(scenario).sample(seed, path_index)
+                "an inline replay needs times and increments")
+        kinds = source.get("kinds")
+    else:
+        raise ConfigInvalid("drivers.replay must be a file path or an "
+                            "inline object")
+    path = replay_path(times, increments, kinds)
+    if path.n_components != scenario.n_modes:
+        raise ConfigInvalid(
+            f"replay carries {path.n_components} components, space.J "
+            f"is {scenario.n_modes}")
+    if path.grid.times[0, -1] != scenario.horizon:
+        raise ConfigInvalid(
+            f"replay horizon {path.grid.times[0, -1]} differs from "
+            f"space.T {scenario.horizon}")
+    if integrating:
+        need_block_memory(scenario, 1, path.grid.n_nodes, "integrate")
+    return path
 
 
 def _write_text(text: str, out) -> None:
@@ -92,14 +105,14 @@ def _write_text(text: str, out) -> None:
 
 
 def _table(grid, columns) -> str:
-    """CSV table with time and kind columns, floats via repr."""
+    """CSV table of a block of one: time and kind columns, floats via repr."""
     buf = io.StringIO()
     names = ["time", "kind"]
     for name, _ in columns:
         names.append(name)
     buf.write(",".join(names) + "\n")
     for k in range(grid.n_nodes):
-        row = [repr(float(grid.times[k])), KIND_NAMES[grid.kind[k]]]
+        row = [repr(float(grid.times[0, k])), KIND_NAMES[grid.kind[0, k]]]
         for _, values in columns:
             row.append(repr(float(values[k])))
         buf.write(",".join(row) + "\n")
@@ -107,15 +120,15 @@ def _table(grid, columns) -> str:
 
 
 def _grid_json(grid) -> dict:
-    return {"times": [float(t) for t in grid.times],
-            "kinds": [KIND_NAMES[k] for k in grid.kind]}
+    return {"times": [float(t) for t in grid.times[0]],
+            "kinds": [KIND_NAMES[k] for k in grid.kind[0]]}
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     path = _materialize_path(cfg.scenario, seed, args.path_index)
-    cum = path.cumulative
+    cum = path.cumulative[0]
     if args.format == "json":
         out = _grid_json(path.grid)
         out["components"] = [[float(x) for x in comp] for comp in cum]
@@ -131,10 +144,10 @@ def _json_dump(obj) -> str:
 
 
 def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
-    """Run the configured integrand along a path.
+    """Run the configured integrand along a block of one path.
 
-    Returns the integral (n_nodes, dim_h) and the series (n_modes, n_nodes,
-    dim_h) or None.
+    Returns the integral (1, n_nodes, dim_h) and the series (1, n_modes,
+    n_nodes, dim_h) or None.
     """
     side = scenario.sample_side
     if scenario.integrand.family == "simple":
@@ -164,8 +177,11 @@ def _cmd_integrate(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     scenario = cfg.scenario
-    path = _materialize_path(scenario, seed, args.path_index)
+    path = _materialize_path(scenario, seed, args.path_index,
+                             integrating=True)
     values, series = _integrate_scenario(scenario, path, args.dump_series)
+    values = values[0]
+    series = None if series is None else series[0]
     if args.format == "json":
         out = _grid_json(path.grid)
         out["integral"] = [[float(x) for x in row] for row in values]

@@ -1,4 +1,4 @@
-"""Experiment config files: strict parsing and a faithful round trip.
+"""Experiment config files: strict parsing.
 
 Configs are JSON with camelCase keys.  Top level:
 
@@ -232,46 +232,3 @@ def load_config(path: str) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}")
     return parse_config(data)
-
-
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    return value
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    sc = cfg.scenario
-    cov = sc.covariance
-    out = {
-        "space": {"dH": sc.dim_h, "J": sc.n_modes, "T": sc.horizon,
-                  "nScheduled": sc.n_scheduled},
-        "covariance": {"eigenvalues": _listify(cov.eigenvalues),
-                       "basis": _listify(cov.basis)},
-        "drivers": _listify(sc.drivers),
-        "integrand": {"family": sc.integrand.family,
-                      "carrier": sc.integrand.carrier,
-                      "evaluator": sc.integrand.evaluator,
-                      "seed": sc.integrand.seed,
-                      "scale": sc.integrand.scale},
-        "nPaths": cfg.n_paths,
-        "nExact": cfg.n_exact,
-        "seed": cfg.seed,
-    }
-    if cov.tail_mass is not None:
-        out["covariance"]["tailMass"] = cov.tail_mass
-    if sc.integrand.value is not None:
-        out["integrand"]["value"] = _listify(sc.integrand.value)
-    if sc.integrand.breakpoints is not None:
-        out["integrand"]["breakpoints"] = _listify(sc.integrand.breakpoints)
-    if sc.fault is not None:
-        out["fault"] = sc.fault
-    if cfg.checks is not None:
-        out["checks"] = list(cfg.checks)
-    return out
-
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")

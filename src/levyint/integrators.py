@@ -20,13 +20,24 @@ Layers (the maps are those of :mod:`levyint.spaces`):
   path: Psi_lambda turns its values into sequences of columns, which are
   summed, or returned term by term by :func:`series_terms`.  A bounded
   operator on U is restricted to Hilbert-Schmidt form first.
+* :func:`quadrature_sq_norm`, :func:`covariation_integral` and
+  :func:`angle_bracket`: the time quadratures and brackets the isometry
+  and covariation identities compare the integrals with.
 
-The integral is an H-valued process, and a layer returns it as a plain
-array: its running value at every grid node, (n_nodes, dim_h), with a
-zero first node, so ``z[-1]`` is the terminal value and
-``z[grid.node_at(t)]`` the value at time t.  :func:`series_terms` returns
-the series as (n_modes, n_nodes, dim_h), and the brackets
-:func:`angle_bracket` and :func:`covariation_integral` return (n_nodes,).
+Every layer takes a :class:`levyint.processes.PathBlock`, one path or
+many, and returns one row per path.  The integral is an H-valued process,
+and a layer returns it as a plain array: its running value at every grid
+node, (n_paths, n_nodes, dim_h), with a zero first node, so ``z[i, -1]``
+is the terminal value of path i and ``z[i, k]`` its value at node k.
+:func:`series_terms` returns the series as (n_paths, n_modes, n_nodes,
+dim_h), and the brackets and quadratures return (n_paths, n_nodes).  With
+``terminal=True`` each layer returns only the value at the horizon, the
+running form without its node axis, computed as one contraction.
+
+An integrand is a :class:`SimpleIntegrand`, a :class:`GridIntegrand`, or
+a grid integrand's values on the block at hand, as :func:`node_values`
+returns them.  Passing the values lets an integral and a quadrature share
+one evaluation, even when the integral samples the right cell end.
 
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
 (and its per-component form :func:`integrate_terms`, and the explicit
@@ -36,14 +47,10 @@ batched product contracts every cell's increments with its values over
 the components, and one cumsum accumulates the cells.  The order in which
 the product adds the components is the linear-algebra library's, so the
 running sums are deterministic for given shapes but equal to a
-component-by-component sum only up to rounding.  Where only the value at
-the horizon is wanted, the terminal forms :func:`terminal_cells` and
-:func:`terminal_terms` give the kernels' last node as one contraction,
-without the running sums; they agree with it up to rounding.  These
-take optional leading batch axes, and so do :func:`cell_values` and
-:func:`ito_h`: given a :class:`levyint.processes.PathBlock` they return
-one row per path with the same per-cell arithmetic as for a single path.
-That is how every check computes its rows, a block of paths per call.
+component-by-component sum only up to rounding.  The terminal forms
+:func:`terminal_cells` and :func:`terminal_terms` give the kernels' last
+node as one contraction, without the running sums; they agree with it up
+to rounding, which the ``basis_invariance`` check verifies on every path.
 """
 from __future__ import annotations
 
@@ -58,7 +65,7 @@ from .errors import (
     IndexOutOfRange,
     SpecMismatch,
 )
-from .processes import LevyPath, SamplePath, TimeGrid, project_standard
+from .processes import LevyPath, PathBlock, TimeGrid, project_standard
 from .spaces import psi_lambda_apply
 
 
@@ -94,69 +101,59 @@ class SimpleIntegrand:
 
 @dataclass(frozen=True)
 class GridIntegrand:
-    """Integrand evaluated at every grid node of a given path.
+    """Integrand evaluated at every grid node of a given block of paths.
 
-    ``evaluator(path)`` returns an array of per-node values with leading
-    dimension ``n_nodes``.  Row k may depend only on path data up to node
-    k; the registry evaluators in :mod:`levyint.scenarios` respect that
-    contract by construction.
+    ``evaluator(block)`` returns an array of per-node values, (n_paths,
+    n_nodes, *value_shape).  Node k of a path may depend only on its data
+    up to node k; the registry evaluators in :mod:`levyint.scenarios`
+    respect that contract by construction.
     """
 
-    evaluator: Callable[[SamplePath], np.ndarray]
+    evaluator: Callable[[PathBlock], np.ndarray]
 
 
-def node_values(integrand: GridIntegrand, path) -> np.ndarray:
-    """Per-node values of a grid integrand on a path or a block of paths.
-
-    The result has shape (n_nodes, *value_shape) for a path and
-    (n_paths, n_nodes, *value_shape) for a :class:`PathBlock`.
-    """
-    per_node = np.asarray(integrand.evaluator(path), dtype=float)
-    lead = path.increments.ndim - 2
-    if per_node.ndim <= lead or per_node.shape[lead] != path.grid.n_nodes:
-        rows = per_node.shape[lead] if per_node.ndim > lead else 0
+def node_values(integrand, path: PathBlock) -> np.ndarray:
+    """Per-node values of a grid integrand on a block, (n_paths, n_nodes,
+    *value_shape).  Values already evaluated on the block pass through."""
+    if isinstance(integrand, np.ndarray):
+        per_node = integrand
+    elif isinstance(integrand, GridIntegrand):
+        per_node = np.asarray(integrand.evaluator(path), dtype=float)
+    else:
+        raise DimensionMismatch(
+            f"unsupported integrand type {type(integrand)!r}")
+    if per_node.shape[:2] != path.grid.times.shape:
         raise GridMismatch(
-            f"evaluator returned {rows} rows for {path.grid.n_nodes} nodes")
+            f"integrand values of shape {per_node.shape} on a grid of "
+            f"shape {path.grid.times.shape}")
     return per_node
 
 
-def side_cells(per_node: np.ndarray, sample_side: str = "left",
-               lead: int = 0) -> np.ndarray:
-    """Cell values from node values: each cell takes its left node's value.
-
-    ``lead`` counts the batch axes in front of the node axis.  The
-    injectable right-point fault takes the right node's value instead.
-    """
-    cut = slice(None, -1) if sample_side == "left" else slice(1, None)
-    return per_node[(slice(None),) * lead + (cut,)]
-
-
-def cell_values(integrand, path, sample_side: str = "left") -> np.ndarray:
+def cell_values(integrand, path: PathBlock, sample_side: str = "left"
+                ) -> np.ndarray:
     """Integrand value per grid cell under the given sampling rule.
 
-    The result is (n_cells, *value_shape) for a path and (n_paths,
-    n_cells, *value_shape) for a :class:`PathBlock`, whose padding cells
-    take the value of the last interval or node.  A simple integrand
-    looks its values up row by row, and every breakpoint must be a node
-    of every row.
+    The result is (n_paths, n_cells, *value_shape); padding cells take
+    the value of the last interval or node.  A grid integrand's cell takes
+    its left node's value, or under the injectable right-point fault its
+    right node's.  A simple integrand looks its values up row by row, and
+    every breakpoint must be a node of every row.
     """
+    if not isinstance(integrand, SimpleIntegrand):
+        per_node = node_values(integrand, path)
+        return per_node[:, :-1] if sample_side == "left" else per_node[:, 1:]
     times = path.grid.times
-    if isinstance(integrand, SimpleIntegrand):
-        b = integrand.breakpoints
-        if np.any(times[..., -1] != b[-1]):
-            raise GridMismatch("breakpoints do not end at the horizon")
-        if not np.all(np.any(times[..., :, None] == b, axis=-2)):
-            raise GridMismatch(
-                "every breakpoint must be a grid node; pass breakpoints as "
-                "extra_times when sampling")
-        lookup = times[..., :-1] if sample_side == "left" else times[..., 1:]
-        idx = np.searchsorted(b, lookup, side="right") - 1
-        np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
-        return integrand.values[idx]
-    if isinstance(integrand, GridIntegrand):
-        return side_cells(node_values(integrand, path), sample_side,
-                          times.ndim - 1)
-    raise DimensionMismatch(f"unsupported integrand type {type(integrand)!r}")
+    b = integrand.breakpoints
+    if np.any(times[:, -1] != b[-1]):
+        raise GridMismatch("breakpoints do not end at the horizon")
+    if not np.all(np.any(times[:, :, None] == b, axis=1)):
+        raise GridMismatch(
+            "every breakpoint must be a grid node; pass breakpoints as "
+            "extra_times when sampling")
+    lookup = times[:, :-1] if sample_side == "left" else times[:, 1:]
+    idx = np.searchsorted(b, lookup, side="right") - 1
+    np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
+    return integrand.values[idx]
 
 
 def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -173,7 +170,7 @@ def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     cells = increments.mT[..., None, :] @ vals
     shape = vals.shape
     out = np.zeros(shape[:-3] + (shape[-3] + 1, shape[-1]))
-    np.cumsum(cells[..., 0, :], axis=-2, out=out[..., 1:, :])
+    cells[..., 0, :].cumsum(axis=-2, out=out[..., 1:, :])
     return out
 
 
@@ -187,7 +184,7 @@ def integrate_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     out = np.zeros(shape[:-3] + (shape[-2], shape[-3] + 1, shape[-1]))
     cells = out[..., 1:, :]
     np.multiply(np.swapaxes(vals, -2, -3), increments[..., None], out=cells)
-    np.cumsum(cells, axis=-2, out=cells)
+    cells.cumsum(axis=-2, out=cells)
     return out
 
 
@@ -229,148 +226,161 @@ def integrate_in_basis(vals: np.ndarray, increments: np.ndarray,
     cells = (coeff * increments[..., :, None]) @ basis.T
     shape = cells.shape
     out = np.zeros(shape[:-2] + (shape[-2] + 1, shape[-1]))
-    np.cumsum(cells, axis=-2, out=out[..., 1:, :])
+    cells.cumsum(axis=-2, out=out[..., 1:, :])
     return out
 
 
 def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
-                    dt: np.ndarray) -> np.ndarray:
+                    dt: np.ndarray, terminal: bool = True) -> np.ndarray:
     """Left-point quadrature of <x, y> against time over all cells.
 
     ``dt`` is (..., n_cells); the value axes of ``x_vals`` and ``y_vals``
-    after the cell axis are contracted as one inner product.
+    after the cell axis are contracted as one inner product.  The result
+    is the total, (...), or with ``terminal=False`` its running value at
+    every node, (..., n_nodes), with a zero first node.
     """
     axes = "abc"[:x_vals.ndim - dt.ndim]
     per_cell = np.einsum(f"...k{axes},...k{axes}->...k", x_vals, y_vals)
-    return np.vecdot(per_cell, dt)
+    if terminal:
+        return np.vecdot(per_cell, dt)
+    out = np.zeros(dt.shape[:-1] + (dt.shape[-1] + 1,))
+    (per_cell * dt).cumsum(axis=-1, out=out[..., 1:])
+    return out
 
 
-def ito_h(integrand, path, component: int, *, sample_side: str = "left"
-          ) -> np.ndarray:
+def ito_h(integrand, path: PathBlock, component: int, *,
+          sample_side: str = "left", terminal: bool = False) -> np.ndarray:
     """Integrate an H-valued integrand against one driver component.
 
-    Returns the running integral at every node, (n_nodes, dim_h) for a
-    path and (n_paths, n_nodes, dim_h) for a :class:`PathBlock`.
-    Cell values are multiplied by the component increments
-    coordinatewise.  The explicit route of :func:`integrate_in_basis`
-    first integrates each coefficient against an orthonormal basis as a
-    scalar and then recombines; the two routes agree up to rounding for
-    any orthonormal basis, which is exactly the basis-independence of the
-    construction.
+    Returns the running integral, (n_paths, n_nodes, dim_h), or its
+    terminal value, (n_paths, dim_h).  Cell values are multiplied by the
+    component increments coordinatewise.  The explicit route of
+    :func:`integrate_in_basis` first integrates each coefficient against
+    an orthonormal basis as a scalar and then recombines; the two routes
+    agree up to rounding for any orthonormal basis, which is exactly the
+    basis-independence of the construction.
     """
     if not 0 <= component < path.n_components:
         raise IndexOutOfRange(
             f"component {component} outside range(0, {path.n_components})")
     vals = cell_values(integrand, path, sample_side)
-    if vals.ndim != path.increments.ndim:
+    if vals.ndim != 3:
         raise DimensionMismatch("H-valued integrand must have vector values")
-    dm = path.increments[..., component, :]
-    return integrate_cells(vals[..., None, :], dm[..., None, :])
+    kernel = terminal_cells if terminal else integrate_cells
+    return kernel(vals[..., None, :], path.increments[:, component, None])
 
 
-def ito_seq(integrand, path: SamplePath, *, sample_side: str = "left"
-            ) -> np.ndarray:
+def ito_seq(integrand, path: PathBlock, *, sample_side: str = "left",
+            terminal: bool = False) -> np.ndarray:
     """Integrate a sequence-of-H integrand against the driver family.
 
     Each cell sums its components in one contraction, and the cells are
     accumulated in node order (:func:`integrate_cells`); the result is the
-    running integral, (n_nodes, dim_h).
+    running integral, (n_paths, n_nodes, dim_h), or its terminal value,
+    (n_paths, dim_h).
     """
     vals = cell_values(integrand, path, sample_side)
-    if vals.ndim != 3 or vals.shape[1] != path.n_components:
+    if vals.ndim != 4 or vals.shape[2] != path.n_components:
         raise DimensionMismatch(
             f"sequence integrand has shape {vals.shape}, need "
-            f"(cells, {path.n_components}, dim_h)")
-    return integrate_cells(vals, path.increments)
+            f"(paths, cells, {path.n_components}, dim_h)")
+    kernel = terminal_cells if terminal else integrate_cells
+    return kernel(vals, path.increments)
 
 
-def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left"
-                 ) -> np.ndarray:
+def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left",
+                 terminal: bool = False) -> np.ndarray:
     """Integrate a sequence-of-H integrand against an assembled path.
 
     :func:`ito_seq` on the standard components that Phi_lambda projects
-    out of the path (:func:`project_standard`), (n_nodes, dim_h).
+    out of the path (:func:`project_standard`).
     """
-    standard = SamplePath(path.grid, project_standard(path))
-    return ito_seq(integrand, standard, sample_side=sample_side)
+    standard = PathBlock(path.grid, project_standard(path),
+                         path.driver.n_nodes)
+    return ito_seq(integrand, standard, sample_side=sample_side,
+                   terminal=terminal)
 
 
 def _operator_cells(integrand, path: LevyPath, sample_side: str
                     ) -> np.ndarray:
     """Hilbert-Schmidt cell values as sequences, through Psi_lambda."""
     vals = cell_values(integrand, path.driver, sample_side)
-    if vals.ndim != 3:
+    if vals.ndim != 4:
         raise SpecMismatch(
             f"operator integrand has shape {vals.shape}, need "
-            f"(cells, dim_h, {path.spec.n_modes})")
+            f"(paths, cells, dim_h, {path.spec.n_modes})")
     return psi_lambda_apply(path.spec, vals)
 
 
-def ito_general(integrand, path: LevyPath, *, sample_side: str = "left"
-                ) -> np.ndarray:
+def ito_general(integrand, path: LevyPath, *, sample_side: str = "left",
+                terminal: bool = False) -> np.ndarray:
     """Integrate a Hilbert-Schmidt integrand against an assembled path.
 
     Cell values are (dim_h, n_modes) operators in the weighted-column
     convention of :mod:`levyint.spaces`; Psi_lambda turns them into the
     sequence picture, which is then integrated component by component.
-    The result is the running integral, (n_nodes, dim_h).
+    The result is the running integral, (n_paths, n_nodes, dim_h), or its
+    terminal value, (n_paths, dim_h).
     """
     seq_vals = _operator_cells(integrand, path, sample_side)
-    return integrate_cells(seq_vals, path.driver.increments)
+    kernel = terminal_cells if terminal else integrate_cells
+    return kernel(seq_vals, path.driver.increments)
 
 
-def series_terms(integrand, path: LevyPath, *, sample_side: str = "left"
-                 ) -> np.ndarray:
+def series_terms(integrand, path: LevyPath, *, sample_side: str = "left",
+                 terminal: bool = False) -> np.ndarray:
     """Per-mode integrals whose fixed-order sum is the full integral.
 
-    Term j, row j of the (n_modes, n_nodes, dim_h) result, integrates the
-    j-th operator column against standard component j; the terms are
-    pairwise orthogonal in mean square, which the harness verifies.
+    Term j, (n_paths, n_modes, n_nodes, dim_h)[:, j], integrates the j-th
+    operator column against standard component j; the terminal form is
+    (n_paths, n_modes, dim_h).  The terms are pairwise orthogonal in mean
+    square, which the harness verifies.
     """
     seq_vals = _operator_cells(integrand, path, sample_side)
-    return integrate_terms(seq_vals, path.driver.increments)
+    kernel = terminal_terms if terminal else integrate_terms
+    return kernel(seq_vals, path.driver.increments)
 
 
-def angle_bracket(grid: TimeGrid, j: int, k: int) -> np.ndarray:
+def angle_bracket(grid: TimeGrid, j: int, k: int, *, terminal: bool = False
+                  ) -> np.ndarray:
     """Predictable bracket of standard components j and k at every node.
 
-    It is t when j == k and 0 otherwise, (n_nodes,).
+    It is t when j == k and 0 otherwise, (n_paths, n_nodes), or at the
+    horizon, (n_paths,).
     """
     if j < 0 or k < 0:
         raise IndexOutOfRange("component indices must be nonnegative")
-    if j == k:
-        return grid.times.copy()
-    return np.zeros(grid.n_nodes)
+    times = grid.times[:, -1] if terminal else grid.times
+    return times.copy() if j == k else np.zeros(times.shape)
 
 
-def covariation_integral(x_integrand, y_integrand, path: SamplePath,
-                         j: int, k: int, *, sample_side: str = "left"
-                         ) -> np.ndarray:
+def covariation_integral(x_integrand, y_integrand, path: PathBlock,
+                         j: int, k: int, *, sample_side: str = "left",
+                         terminal: bool = False) -> np.ndarray:
     """Pathwise integral of <X, Y> against the bracket of components j, k.
 
     The bracket of standard components is delta_{jk} t, so the result,
-    (n_nodes,), is the running left-point quadrature of the H inner
-    product of the two integrands when j == k and identically zero
-    otherwise.
+    (n_paths, n_nodes), or (n_paths,) at the horizon, is the running
+    left-point quadrature of the H inner product of the two integrands
+    when j == k and identically zero otherwise.
     """
     if j != k:
-        return np.zeros(path.grid.n_nodes)
+        return angle_bracket(path.grid, j, k, terminal=terminal)
     vx = cell_values(x_integrand, path, sample_side)
     vy = cell_values(y_integrand, path, sample_side)
     if vx.shape != vy.shape:
         raise DimensionMismatch(
             f"integrand shapes {vx.shape} and {vy.shape} differ")
-    prod = np.einsum("kd,kd->k", vx, vy)
-    values = np.zeros(path.grid.n_nodes)
-    np.cumsum(prod * path.grid.dt, out=values[1:])
-    return values
+    return time_quadrature(vx, vy, path.grid.dt, terminal)
 
 
-def quadrature_sq_norm(integrand, path: SamplePath) -> float:
+def quadrature_sq_norm(integrand, path: PathBlock, *, terminal: bool = False
+                       ) -> np.ndarray:
     """Left-point quadrature of the squared integrand norm against time.
 
     H vectors, sequences of H vectors and Hilbert-Schmidt values all
-    reduce to a sum of squares per cell.
+    reduce to a sum of squares per cell.  The result is the running
+    quadrature, (n_paths, n_nodes), or its total, (n_paths,).
     """
     vals = cell_values(integrand, path, "left")
-    return float(time_quadrature(vals, vals, path.grid.dt))
+    return time_quadrature(vals, vals, path.grid.dt, terminal)

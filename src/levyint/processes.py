@@ -13,40 +13,38 @@ per refined cell, and each cell subtracts the compensator ``a * nu * dt``.
 Pathwise identities for piecewise-constant integrands are therefore exact
 up to float rounding, not discretization error.
 
-Parameters
-----------
-Grids store node times and a per-node kind flag (scheduled or jump).
-A path is a grid and per-component increments over its cells, nothing
-more: the jump draws are not kept, their times are the JUMP nodes and
-their sizes are in the increments.  Cumulative values carry a leading
-zero column so index k is the value at node k; they are a transposed view
-of the node inputs, node-major rows of a one and every component's value,
+Paths
+-----
+There is one path type, :class:`PathBlock`: paths sampled together, with
+a leading path axis on every array.  A single path is a block of one:
+:meth:`PathSampler.sample` and :func:`replay_path` return one, and the
+integral layers return one row per path of whatever block they are given.
+Grids store node times and a per-node kind flag (scheduled or jump).  A
+path is a grid and per-component increments over its cells, nothing more:
+the jump draws are not kept, their times are the JUMP nodes and their
+sizes are in the increments.  Cumulative values carry a leading zero
+column so index k is the value at node k; they are a transposed view of
+the node inputs, node-major rows of a one and every component's value,
 so that one cumsum serves both.
+
+Each row of a block is padded to the block's longest grid with nodes at
+the horizon: padding cells have zero length and zero increments, so they
+add nothing to any increment, cumulative sum or quadrature.  Sampling a
+block is a fixed number of array operations, whatever its size: every
+draw is a counter-based word addressed by (seed, path, component,
+purpose, draw index), as :mod:`levyint.rng` lays out, so each kind of
+draw (jump counts, jump times, normals) is one hash over the block's
+addresses.  A path's bits are therefore the same whether it is sampled
+alone or in any block, and :meth:`PathBlock.head` cuts a block's first
+paths to the block that sampling them alone gives.  Several checks read
+one sampled block, so its arrays are read-only.
 
 Assembled paths
 ---------------
-A :class:`LevyPath` stores a U-valued path through its standard
+A :class:`LevyPath` stores a U-valued block through its standard
 components, the driver.  Its reference coordinates are their image under
 Phi_lambda^-1, and :func:`project_standard` takes the path back through
 Phi_lambda (both maps from :mod:`levyint.spaces`).
-
-Blocks
-------
-:meth:`PathSampler.sample_block` samples several paths at once into a
-:class:`PathBlock`, whose arrays carry a leading path axis.  Each row is
-padded to the block's longest grid with nodes at the horizon: padding
-cells have zero length and zero increments, so they add nothing to any
-increment, cumulative sum or quadrature.  Sampling a block is a fixed
-number of array operations, whatever its size: every draw is a
-counter-based word addressed by (seed, path, component, purpose, draw
-index), as :mod:`levyint.rng` lays out, so each kind of draw (jump
-counts, jump times, normals) is one hash over the block's addresses.  A
-path's bits are therefore the same whether it is sampled alone, with
-:meth:`PathSampler.sample`, or in any block, and :meth:`PathBlock.head`
-cuts a block's first paths to the block that sampling them alone gives.
-A block assembles, projects, transports and views like a path, with the
-path axis in front.  Several checks read one sampled block, so its
-arrays are read-only.
 """
 from __future__ import annotations
 
@@ -212,32 +210,21 @@ def make_standard_specs(n: int, recipe) -> tuple:
 
 @dataclass
 class TimeGrid:
-    """Strictly increasing node times from 0 to the horizon with kind flags.
-
-    A block of paths stores one padded grid per row: ``times`` and ``kind``
-    are then (n_paths, n_nodes), and node counts refer to the last axis.
+    """Per path, strictly increasing node times from 0 to the horizon with
+    kind flags: ``times`` and ``kind`` are (n_paths, n_nodes), one padded
+    row per path of a block, and node counts refer to the last axis.
     """
 
-    times: np.ndarray                # (n_nodes,) or (n_paths, n_nodes)
+    times: np.ndarray                # (n_paths, n_nodes)
     kind: np.ndarray                 # same shape, uint8, SCHEDULED or JUMP
 
     @property
     def n_nodes(self) -> int:
         return self.times.shape[-1]
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     @cached_property
     def dt(self) -> np.ndarray:
         return _frozen(np.diff(self.times))
-
-    def node_at(self, t: float) -> int:
-        """Index of the last node not after t (step-function semantics)."""
-        if t < self.times[0] or t > self.times[-1]:
-            raise IndexOutOfRange(f"time {t} outside [0, {self.horizon}]")
-        return int(np.searchsorted(self.times, t, side="right") - 1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -256,50 +243,24 @@ def _node_inputs(increments: np.ndarray) -> np.ndarray:
     out = np.empty(shape[:-2] + (shape[-1] + 1, shape[-2] + 1))
     out[..., 0] = 1.0
     out[..., 0, 1:] = 0.0
-    np.cumsum(increments.mT, axis=-2, out=out[..., 1:, 1:])
+    increments.mT.cumsum(axis=-2, out=out[..., 1:, 1:])
     return out
 
 
 @dataclass
-class SamplePath:
-    """Realized driver components on a shared refined grid.
-
-    ``increments[c, k]`` is the increment of component c over the cell
-    ending at node k+1; a jump at a node belongs to the cell that ends
-    there, and its time is a JUMP node of the grid.  The grid and the
-    increments are the whole path: sampled, replayed and derived paths
-    look alike.
-    """
-
-    grid: TimeGrid
-    increments: np.ndarray           # (n_components, n_cells)
-
-    @property
-    def n_components(self) -> int:
-        return self.increments.shape[0]
-
-    @cached_property
-    def node_inputs(self) -> np.ndarray:
-        """(n_nodes, 1 + n_components): at node k a one, then the value of
-        every component; the affine evaluators contract it at once."""
-        return _node_inputs(self.increments)
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """(n_components, n_nodes), a transposed view of ``node_inputs``."""
-        return self.node_inputs[..., 1:].mT
-
-
-@dataclass
 class PathBlock:
-    """Paths sampled together, each padded to the block's longest grid.
+    """A block of paths, each padded to the block's longest grid; a single
+    path is a block of one.
 
-    Row i holds the i-th sampled path: its grid is
+    Row i holds the i-th path: its grid is
     ``grid.times[i, :n_nodes[i]]`` and its increments are
-    ``increments[i, :, :n_nodes[i] - 1]``.  Padding nodes repeat the
-    horizon, so padding cells have zero length and zero increments: they
-    add nothing to any increment, cumulative sum or quadrature, and every
-    running value past a path's last node stays at its terminal value.
+    ``increments[i, :, :n_nodes[i] - 1]``, where ``increments[i, c, k]``
+    is the increment of component c over the cell ending at node k + 1;
+    a jump at a node belongs to the cell that ends there, and its time is
+    a JUMP node of the grid.  Padding nodes repeat the horizon, so padding
+    cells have zero length and zero increments: they add nothing to any
+    increment, cumulative sum or quadrature, and every running value past
+    a path's last node stays at its terminal value.
 
     A sampled block is read by every check on its path law, so its arrays,
     and the ``dt``, ``node_inputs`` and ``cumulative`` derived from them,
@@ -320,7 +281,9 @@ class PathBlock:
 
     @cached_property
     def node_inputs(self) -> np.ndarray:
-        """(n_paths, n_nodes, 1 + n_components), as for a path."""
+        """(n_paths, n_nodes, 1 + n_components): at node k a one, then the
+        value of every component; the affine evaluators contract it at
+        once."""
         return _frozen(_node_inputs(self.increments))
 
     @cached_property
@@ -354,11 +317,10 @@ class PathBlock:
                                   f"{self.grid.times[0, -1]}]")
         return np.count_nonzero(self.grid.times <= t, axis=1) - 1
 
-    def path(self, i: int) -> SamplePath:
-        """Row i as an unpadded path."""
-        n = int(self.n_nodes[i])
-        grid = TimeGrid(self.grid.times[i, :n], self.grid.kind[i, :n])
-        return SamplePath(grid, self.increments[i, :, :n - 1])
+
+# ``perfbench/layers.py`` wraps ``SamplePath.cumulative`` by this name; only
+# a change to the benchmark may retarget it to ``PathBlock.cumulative``.
+SamplePath = PathBlock
 
 
 def scheduled_nodes(horizon: float, n_scheduled: int,
@@ -453,8 +415,9 @@ class PathSampler:
         rate = sum(nu for s in self.specs for _, nu in s.jumps)
         return self._base_times.size + rate * self.horizon
 
-    def sample(self, seed: int, path_index: int) -> SamplePath:
-        return self.sample_block(seed, (path_index,)).path(0)
+    def sample(self, seed: int, path_index: int) -> PathBlock:
+        """Path ``path_index`` of the seeded family, as a block of one."""
+        return self.sample_block(seed, (path_index,))
 
     def sample_block(self, seed: int, indices) -> PathBlock:
         """Sample the paths ``indices`` of the seeded family as one block.
@@ -543,12 +506,12 @@ class PathSampler:
         return PathBlock(grid, _frozen(inc), _frozen(n_nodes))
 
 
-def replay_path(times, increments, kinds=None) -> SamplePath:
+def replay_path(times, increments, kinds=None) -> PathBlock:
     """Rebuild a driver path from recorded node times and increments.
 
     Accepts kind flags as the names in KIND_NAMES or their indices; without
-    them every node counts as scheduled.  A replayed path is its grid and
-    increments, like a sampled one.
+    them every node counts as scheduled.  A replayed path is a block of
+    one, its grid and increments, like a sampled one.
     """
     try:
         times = np.asarray(times, dtype=float)
@@ -574,21 +537,22 @@ def replay_path(times, increments, kinds=None) -> SamplePath:
                                f"or their indices, got {kinds!r}")
         if kind.size != times.size:
             raise GridMismatch("replay kinds must match node count")
-    return SamplePath(TimeGrid(times, kind), increments)
+    return PathBlock(TimeGrid(times[None], kind[None]), increments[None],
+                     np.array([times.size]))
 
 
 @dataclass
 class LevyPath:
-    """A spectrally assembled path with values in U, or a block of them.
+    """A block of spectrally assembled paths with values in U.
 
-    The path is stored through its standard components, the driver (a
-    :class:`SamplePath` or a :class:`PathBlock`): component j scaled by
-    ``sqrt(eigenvalues[j])`` rides the j-th unit eigenvector, which is
-    Phi_lambda^-1; :func:`project_standard` goes back through Phi_lambda.
+    The block is stored through its standard components, the driver
+    :class:`PathBlock`: component j scaled by ``sqrt(eigenvalues[j])``
+    rides the j-th unit eigenvector, which is Phi_lambda^-1;
+    :func:`project_standard` goes back through Phi_lambda.
     """
 
     spec: CovarianceSpec
-    driver: SamplePath
+    driver: PathBlock
 
     def __post_init__(self):
         if self.driver.n_components != self.spec.n_modes:
@@ -602,17 +566,19 @@ class LevyPath:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Reference coordinates in U at every node, shape (dim_u, n_nodes)."""
+        """Reference coordinates in U at every node, (n_paths, dim_u,
+        n_nodes)."""
         return phi_lambda_invert(self.spec, self.driver.cumulative)
 
 
-def assemble_levy(spec: CovarianceSpec, driver: SamplePath) -> LevyPath:
-    """Assemble the U-valued path carried by a driver under a covariance spec."""
+def assemble_levy(spec: CovarianceSpec, driver: PathBlock) -> LevyPath:
+    """Assemble the U-valued paths a driver block carries under a covariance
+    spec."""
     return LevyPath(spec, driver)
 
 
 def project_standard(path: LevyPath) -> np.ndarray:
-    """Increments of all standard components of an assembled path or block.
+    """Increments of all standard components of an assembled block.
 
     Phi_lambda of its reference-coordinate increments; with the identity
     basis, the stored driver increments themselves.
@@ -624,25 +590,24 @@ def project_standard(path: LevyPath) -> np.ndarray:
 
 
 def coordinate_view(path: LevyPath):
-    """Reference-coordinate increments of the assembled path or block.
+    """Reference-coordinate increments of the assembled block.
 
-    Packages the U coordinates as a plain component path, of the driver's
-    kind (a :class:`SamplePath` or a :class:`PathBlock` on the same
-    grid), so adapted integrand evaluators can consume the observable
-    path itself rather than a specific spectral decomposition of it.
+    Packages the U coordinates as a plain component block on the same
+    grid, so adapted integrand evaluators can consume the observable path
+    itself rather than a specific spectral decomposition of it.
     """
     return replace(path.driver, increments=phi_lambda_invert(
         path.spec, path.driver.increments))
 
 
 def transport_levy(path: LevyPath, iso) -> LevyPath:
-    """Carry a path, or a block of paths, through a weighted-sequence isometry.
+    """Carry a block of paths through a weighted-sequence isometry.
 
-    The transported path lives in the target weighted picture (identity
-    eigenbasis, target eigenvalue order) on the same grid, and its driver
-    is of the source driver's kind.  Because the isometry is supported on
-    equal-eigenvalue blocks, the standard components of the image are
-    plain orthogonal mixes of the source components: its increments are
+    The transported block lives in the target weighted picture (identity
+    eigenbasis, target eigenvalue order) on the same grid.  Because the
+    isometry is supported on equal-eigenvalue blocks, the standard
+    components of the image are plain orthogonal mixes of the source
+    components: its increments are
     ``coord_map @ increments``.
     """
     if not np.array_equal(iso.source_eigenvalues, path.spec.eigenvalues):

@@ -5,13 +5,12 @@ and integrands: space dimensions, covariance spectrum, driver recipe and
 an integrand description.  Scenarios are plain data so they serialize to
 the config format and pickle cleanly across worker processes.
 
-Integrand evaluators are registered by name.  Each evaluator receives the
-sampled path and returns one value per grid node, where the value at node
-k is computed from path data up to node k only.  That convention is what
-makes left-point sampling predictable; the injectable right-point fault
-deliberately breaks it.  Given a block of padded paths
-(:class:`levyint.processes.PathBlock`) the evaluators return the same
-values with a leading path axis.
+Integrand evaluators are registered by name.  Each evaluator receives a
+block of sampled paths (:class:`levyint.processes.PathBlock`, a single
+path being a block of one) and returns one value per path and grid node,
+where the value at node k is computed from path data up to node k only.
+That convention is what makes left-point sampling predictable; the
+injectable right-point fault deliberately breaks it.
 
 Evaluators:
 

@@ -21,8 +21,8 @@ path law: it is :func:`block_paths` of the grid nodes a path is expected
 to hold, so a block holds about ``BLOCK_CELLS`` cells whatever the
 scenario.
 
-Several statistics can share one walk over the blocks, each reading the
-first paths of the walk: the callable then returns one row array per
+Several statistics share one walk over the blocks, each reading the
+first paths of the walk: the callable returns one row array per
 statistic, and each statistic gets its own accumulator per chunk and its
 own merge, exactly those of a walk over its paths alone.
 :func:`levyint.checks.run_suite` walks once per path law this way: its
@@ -127,31 +127,27 @@ def path_blocks(n_paths: int, width: int, chunk_size: int = CHUNK_SIZE):
 
 
 def accumulate_paths(n_paths: int, stat_fn, width: int,
-                     chunk_size: int = CHUNK_SIZE):
-    """Evaluate ``stat_fn(paths) -> (len(paths), n_stats)`` over all paths.
+                     chunk_size: int = CHUNK_SIZE) -> tuple:
+    """Accumulate the statistics that share a walk over all paths.
 
-    ``paths`` is a range of :func:`path_blocks` of the given ``width``.
-    Chunking is by path index with a fixed chunk size, so the reduction
-    tree, and therefore every output bit, is independent of how the work
-    is scheduled.
-
-    Statistics that share the walk: ``stat_fn`` returns a tuple with one
-    entry per statistic, the rows of the first paths of the range that
-    the statistic reads, or None when it reads none of them.  The result
-    is then a tuple with one accumulator per statistic.  A statistic that
-    reads the first m paths gets the chunk accumulators and the tree of
-    ``accumulate_paths(m, ...)``: its rows alone make each of them.
+    ``stat_fn(paths)`` gets a range of :func:`path_blocks` of the given
+    ``width`` and returns a tuple with one entry per statistic: the rows,
+    (n, n_stats), of the first n paths of the range that the statistic
+    reads, or None when it reads none of them.  The result is a tuple
+    with one accumulator per statistic.  Chunking is by path index with a
+    fixed chunk size, so the reduction tree, and therefore every output
+    bit, is independent of how the work is scheduled.  A statistic that
+    reads the first m paths gets the chunk accumulators and the tree of a
+    walk over m paths: its rows alone make each of them.
     """
     chunks = []
     for blocks in path_blocks(n_paths, width, chunk_size):
         outs = [stat_fn(paths) for paths in blocks]
-        shared = isinstance(outs[0], tuple)
-        per_stat = zip(*outs) if shared else [outs]
         chunks.append([MomentAccumulator.from_samples(np.concatenate(rows))
                        if rows else None for rows in
-                       ([r for r in col if r is not None] for col in per_stat)])
+                       ([r for r in col if r is not None]
+                        for col in zip(*outs))])
     if not chunks:
         raise ValueError("no paths to accumulate")
-    merged = tuple(pairwise_merge(acc for acc in col if acc is not None)
-                   for col in zip(*chunks))
-    return merged if shared else merged[0]
+    return tuple(pairwise_merge(acc for acc in col if acc is not None)
+                 for col in zip(*chunks))

@@ -101,8 +101,8 @@ def test_c01_simple_process_exactness():
         else:
             spec = make_covariance(tuple(0.5 ** np.arange(1, n_modes + 1)))
             z = ito_general(integrand, assemble_levy(spec, path))
-        cum = path.cumulative
-        nodes = [path.grid.node_at(t) for t in breaks]
+        z, cum = z[0], path.cumulative[0]
+        nodes = [path.node_at(t)[0] for t in breaks]
         partial = np.zeros(dim_h)
         for i in range(values.shape[0]):
             dcum = cum[:, nodes[i + 1]] - cum[:, nodes[i]]
@@ -148,7 +148,7 @@ def test_c03_basis_independence():
         ref = max(1.0, float(np.max(np.abs(plain))))
         for q in rotations:
             routed = integrate_in_basis(cell_values(integrand, path),
-                                        path.increments[0], q)
+                                        path.increments[:, 0], q)
             dev = float(np.max(np.abs(routed - plain)))
             worst = max(worst, dev / ref)
     _criterion(3, worst <= 1e-12,
@@ -195,10 +195,11 @@ def test_c06_covariance_recovery():
         block = sampler.sample_block(BASE_SEED + 601, paths)
         rows = np.arange(block.n_paths)
         at = {t: block.cumulative[rows, :, block.node_at(t)] for t in times}
-        return np.stack([(at[t] @ w[i]) * (at[s] @ w[j])
-                         for (i, j, t, s) in combos], axis=1)
+        return (np.stack([(at[t] @ w[i]) * (at[s] @ w[j])
+                          for (i, j, t, s) in combos], axis=1),)
 
-    acc = accumulate_paths(N_PATHS, stat, block_paths(sampler.expected_nodes))
+    acc, = accumulate_paths(N_PATHS, stat,
+                            block_paths(sampler.expected_nodes))
     worst = 0.0
     for k, (i, j, t, s) in enumerate(combos):
         target = min(t, s) * float(spec.eigenvalues[i]) if i == j else 0.0
@@ -214,11 +215,12 @@ def test_c07_bracket_normalization():
 
     def stat(paths):
         m = sampler.sample_block(BASE_SEED + 701, paths).cumulative[:, :, -1]
-        return np.stack([m[:, 0] * m[:, 0], m[:, 1] * m[:, 1],
-                         m[:, 2] * m[:, 2], m[:, 0] * m[:, 1],
-                         m[:, 0] * m[:, 2], m[:, 1] * m[:, 2]], axis=1)
+        return (np.stack([m[:, 0] * m[:, 0], m[:, 1] * m[:, 1],
+                          m[:, 2] * m[:, 2], m[:, 0] * m[:, 1],
+                          m[:, 0] * m[:, 2], m[:, 1] * m[:, 2]], axis=1),)
 
-    acc = accumulate_paths(N_PATHS, stat, block_paths(sampler.expected_nodes))
+    acc, = accumulate_paths(N_PATHS, stat,
+                            block_paths(sampler.expected_nodes))
     targets = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     worst = max(_stat_margin(float(acc.mean[k]), targets[k],
                              float(acc.se[k])) for k in range(6))
@@ -245,9 +247,10 @@ def test_c08_quadratic_variation():
         # the bracket of the one standard component is t
         own = np.vecdot(zx, zx) - time_quadrature(vx, vx, block.grid.dt)
         cross = np.vecdot(zx, zy) - time_quadrature(vx, vy, block.grid.dt)
-        return np.stack([own, cross], axis=1)
+        return (np.stack([own, cross], axis=1),)
 
-    acc = accumulate_paths(N_PATHS, stat, block_paths(sampler.expected_nodes))
+    acc, = accumulate_paths(N_PATHS, stat,
+                            block_paths(sampler.expected_nodes))
     margins = [_stat_margin(float(acc.mean[k]), 0.0, float(acc.se[k]))
                for k in range(2)]
     _criterion(8, max(margins) <= 1.0,

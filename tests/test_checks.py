@@ -1,5 +1,7 @@
 """Check harness: accumulators, registry, suites, fault detection, reports."""
 
+import functools
+import itertools
 import json
 from dataclasses import replace
 
@@ -88,11 +90,12 @@ def test_pairwise_merge_tree():
 
 def test_accumulate_paths_chunking_and_determinism():
     def stat(paths):
-        return np.stack([rng.stream(9, p).standard_normal(3) for p in paths])
+        return (np.stack([rng.stream(9, p).standard_normal(3)
+                          for p in paths]),)
 
-    small = accumulate_paths(23, stat, 4, chunk_size=7)
-    big = accumulate_paths(23, stat, 4, chunk_size=1000)
-    again = accumulate_paths(23, stat, 4, chunk_size=7)
+    small, = accumulate_paths(23, stat, 4, chunk_size=7)
+    big, = accumulate_paths(23, stat, 4, chunk_size=1000)
+    again, = accumulate_paths(23, stat, 4, chunk_size=7)
     assert small.count == big.count == 23
     assert np.max(np.abs(small.mean - big.mean)) <= 1e-12
     assert np.array_equal(small.mean, again.mean)
@@ -344,6 +347,91 @@ def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
     assert report.margin > 1e6
 
 
+def _lagged(kernel):
+    """``kernel`` reading the value of cell k - 1 against the increment of
+    cell k: a one-cell lag."""
+    def lagged(vals, increments):
+        return kernel(vals[..., :-1, :, :], increments[..., 1:])
+    return lagged
+
+
+@pytest.mark.parametrize("form", ["terminal_cells", "terminal_terms"])
+def test_a_one_cell_lag_in_a_terminal_form_fails_the_suite(form, monkeypatch):
+    # the statistical checks read the terminal forms, where a lag biases
+    # nothing they can see: the exact comparison with the running form can
+    from levyint import integrators
+
+    monkeypatch.setattr(integrators, form, _lagged(getattr(integrators, form)))
+    reports = run_suite(default_suite(4096, 64))
+    assert not suite_passed(reports)
+    assert "basis_invariance" in [r.name for r in reports if not r.passed]
+
+
+LAYERS = ("ito_h", "ito_seq", "ito_l2lambda", "ito_general", "series_terms",
+          "quadrature_sq_norm", "covariation_integral", "angle_bracket")
+EVALUATORS = ("_eval_constant", "_eval_driver_linear", "_eval_driver_tanh")
+
+
+def test_every_layer_is_reached_on_blocks_with_one_evaluation_each(
+        monkeypatch):
+    from levyint import checks, integrators, scenarios
+    from levyint.processes import TimeGrid
+
+    blocks = {name: [] for name in LAYERS}
+    for name in LAYERS:
+        def counted(*args, _name=name, _layer=getattr(integrators, name),
+                    **kwargs):
+            # the grid of the block or assembled path, or the grid itself
+            grid = next(a if isinstance(a, TimeGrid) else a.grid
+                        for a in args
+                        if isinstance(a, TimeGrid) or hasattr(a, "grid"))
+            blocks[_name].append(grid.times.shape)
+            return _layer(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+
+    # every raw evaluation inside a check's block statistic, keyed by the
+    # statistic call and the integrand's coefficients
+    current = [None]
+    evaluations = []
+    for name in EVALUATORS:
+        evaluator = getattr(scenarios, name)
+
+        @functools.wraps(evaluator)
+        def recorded(path, _evaluator=evaluator, **coeffs):
+            if current[0] is not None:
+                key, = (id(c) for c in coeffs.values())
+                evaluations.append((current[0], key))
+            return _evaluator(path, **coeffs)
+
+        monkeypatch.setattr(scenarios, name, recorded)
+    calls = itertools.count()
+    for name, build in list(checks.CHECKS.items()):
+        def built(spec, _build=build):
+            member = _build(spec)
+            rows = member.rows
+
+            def statistic(block):
+                current[0] = (spec.name, spec.route, next(calls))
+                try:
+                    return rows(block)
+                finally:
+                    current[0] = None
+
+            member.rows = statistic
+            return member
+
+        monkeypatch.setitem(checks.CHECKS, name, built)
+
+    assert suite_passed(run_suite(default_suite(64, 4)))
+    for name, shapes in blocks.items():
+        assert shapes, f"no check reaches {name}"
+        # a block of several paths, never a path at a time
+        assert all(len(shape) == 2 and shape[0] > 1 for shape in shapes), name
+    assert evaluations
+    assert len(evaluations) == len(set(evaluations))
+
+
 # ---------------------------------------------------------------------------
 # helpers and serialization
 
@@ -431,92 +519,45 @@ def test_csv_report_shape():
 
 
 def _reference_rows(spec, paths):
-    """Statistic rows of ``spec`` path by path, from the public layers."""
-    from levyint import checks
-    from levyint.integrators import (angle_bracket, cell_values,
-                                     covariation_integral, ito_general, ito_h,
-                                     ito_l2lambda, ito_seq, quadrature_sq_norm,
-                                     series_terms)
-    from levyint.processes import assemble_levy
+    """Rows of orthogonality and truncation_tail path by path, each term
+    integrated alone by ``ito_h``: a second computation of the terms that
+    the checks take from ``terminal_terms`` and ``series_terms``."""
+    from levyint.integrators import cell_values, ito_h, quadrature_sq_norm
     from levyint.scenarios import (build_integrand, resolve_covariance,
                                    restrict_integrand)
 
     sc = spec.scenario
     side = sc.sample_side
     sampler = make_sampler(sc)
-    cov = resolve_covariance(sc)
     integrand = build_integrand(sc)
-    restricted = (restrict_integrand(integrand, cov)
-                  if sc.integrand.carrier == "operator" else None)
-    pairs = checks._default_pairs(sc.n_modes)
-
-    def iso(z, q):
-        return [z @ z, q, z @ z - q]
-
-    def row(p):
+    out = []
+    for p in paths:
         path = sampler.sample(spec.path_seed, p)
-        levy = assemble_levy(cov, path)
-        if spec.name == "isometry1":
-            z = ito_h(integrand, path, 0, sample_side=side)[-1]
-            return iso(z, quadrature_sq_norm(integrand, path))
-        if spec.name == "isometry2":
-            if spec.route == "seq":
-                z = ito_seq(integrand, path, sample_side=side)[-1]
-            else:
-                z = ito_l2lambda(integrand, levy, sample_side=side)[-1]
-            return iso(z, quadrature_sq_norm(integrand, path))
-        if spec.name == "isometry4":
-            z = ito_general(restricted, levy, sample_side=side)[-1]
-            return iso(z, quadrature_sq_norm(restricted, path))
         if spec.name == "orthogonality":
-            vals = cell_values(integrand, path, side)
-            terms = [ito_h(_cells_integrand(vals[:, j]), path, j)[-1]
+            vals = cell_values(integrand, path, side)[0]
+            terms = [ito_h(_cells_integrand(vals[:, j]), path, j)[0, -1]
                      for j in range(sc.n_modes)]
-            dots = [terms[a] @ terms[b] for a, b in pairs]
-            return dots + [0.0] * len(dots) + dots
-        if spec.name == "bracket":
-            x = integrand
-            y = build_integrand(sc, seed_offset=1000)
-            dm = path.increments
-            ip = np.einsum("kd,kd->k", cell_values(x, path, side),
-                           cell_values(y, path, side))
-            t = angle_bracket(path.grid, 0, 0)[-1]
-            ci = covariation_integral(x, y, path, 0, 0,
-                                      sample_side=side)[-1]
-            lhs = [dm[0] @ dm[0], dm[1] @ dm[1], dm[0] @ dm[1],
-                   ip @ (dm[0] * dm[0]), ip @ (dm[0] * dm[1])]
-            rhs = [t, t, 0.0, ci, 0.0]
-            return lhs + rhs + [a - b for a, b in zip(lhs, rhs)]
-        if spec.name == "martingale":
-            z = ito_seq(integrand, path, sample_side=side)
-            lhs = list(z[-1]) + list(z[path.grid.node_at(sc.horizon / 2)]) \
-                + list(path.cumulative[:, -1])
-            return lhs + [0.0] * len(lhs) + lhs
-        if spec.name == "series_orthogonality":
-            tv = list(series_terms(restricted, levy, sample_side=side)[:, -1])
-            total = sum(tv[1:], tv[0])
-            lhs = [tv[a] @ tv[b] for a, b in pairs] + [total @ total]
-            rhs = [0.0] * len(pairs) + [sum(t @ t for t in tv)]
-            return lhs + rhs + [a - b for a, b in zip(lhs, rhs)]
-        if spec.name == "truncation_tail":
-            n_sub = min(3, sc.n_modes - 1)
-            vals = cell_values(restricted, path, side)
-            tail = [ito_h(_cells_integrand(vals[:, :, j]), path, j)[-1]
-                    for j in range(n_sub, sc.n_modes)]
-            diff = sum(tail[1:], tail[0])
-            q = sum(quadrature_sq_norm(_cells_integrand(vals[:, :, j]), path)
-                    for j in range(n_sub, sc.n_modes))
-            return iso(diff, q)
-        raise AssertionError(spec.name)
-
-    return np.array([row(p) for p in paths], dtype=float)
+            dots = [terms[a] @ terms[b] for a, b in _default_pairs(sc.n_modes)]
+            out.append(dots + [0.0] * len(dots) + dots)
+            continue
+        restricted = restrict_integrand(integrand, resolve_covariance(sc))
+        vals = cell_values(restricted, path, side)[0]
+        tail = [_cells_integrand(vals[:, :, j])
+                for j in range(min(3, sc.n_modes - 1), sc.n_modes)]
+        diff = sum(ito_h(x, path, j)[0, -1]
+                   for j, x in enumerate(tail, sc.n_modes - len(tail)))
+        q = sum(quadrature_sq_norm(x, path, terminal=True)[0] for x in tail)
+        out.append([diff @ diff, q, diff @ diff - q])
+    return np.array(out, dtype=float)
 
 
 def _cells_integrand(cells):
-    """A grid integrand whose left-point cell values are ``cells``."""
+    """A grid integrand whose left-point cell values on a block of one are
+    ``cells``."""
     from levyint.integrators import GridIntegrand
 
-    return GridIntegrand(lambda path: np.concatenate([cells, cells[-1:]]))
+    return GridIntegrand(
+        lambda path: np.concatenate([cells, cells[-1:]])[None])
 
 
 class _Captured(Exception):
@@ -634,13 +675,16 @@ def test_block_rows_match_per_path_layers(spec, monkeypatch):
     stat_fn, _ = _block_statistic(spec, monkeypatch)
     paths = range(4090, 4103)            # one odd-sized block
     rows = stat_fn(paths)
+    # each row is the statistic on its path alone, a block of one
+    refs = [np.concatenate([stat_fn(range(p, p + 1)) for p in paths])]
     if spec.name == "covariance_recovery":
-        ref = _covariance_rows(spec, paths)
-    else:
-        ref = _reference_rows(spec, paths)
-    assert rows.shape == ref.shape
-    scale = np.max(np.abs(ref), axis=1, keepdims=True)
-    assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
+        refs.append(_covariance_rows(spec, paths))
+    elif spec.name in ("orthogonality", "truncation_tail"):
+        refs.append(_reference_rows(spec, paths))
+    for ref in refs:
+        assert rows.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
 
 
 def _covariance_rows(spec, paths):
@@ -661,9 +705,9 @@ def _covariance_rows(spec, paths):
     target = [min(t, s) * (u1 @ q @ u2) for u1, u2, t, s in cases]
     out = []
     for p in paths:
-        levy = assemble_levy(resolve_covariance(sc),
-                             sampler.sample(spec.path_seed, p))
-        at = {t: levy.coords[:, levy.grid.node_at(t)] for t in (0.25, 0.5, 1.0)}
+        path = sampler.sample(spec.path_seed, p)
+        coords = assemble_levy(resolve_covariance(sc), path).coords[0]
+        at = {t: coords[:, path.node_at(t)[0]] for t in (0.25, 0.5, 1.0)}
         lhs = [(u1 @ at[t]) * (u2 @ at[s]) for u1, u2, t, s in cases]
         out.append(lhs + target + [a - b for a, b in zip(lhs, target)])
     return np.array(out)

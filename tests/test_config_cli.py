@@ -1,21 +1,20 @@
-"""JSON config round trips and the command line surface."""
+"""JSON config parsing and the command line surface."""
 
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from levyint import rng
 from levyint.cli import main
-from levyint.config import (
-    ExperimentConfig,
-    config_to_dict,
-    load_config,
-    parse_config,
-    save_config,
-)
+from levyint.config import ExperimentConfig, load_config, parse_config
 from levyint.errors import ConfigInvalid, ConfigNotFound
+from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
+from levyint.stats import MAX_BLOCK_BYTES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,29 +63,49 @@ def run_cli_capturing(*argv):
 # config parsing
 
 
-def test_default_config_round_trips_exactly():
+def test_default_config_parses_every_field():
     raw = json.loads((CONFIG_DIR / "default.json").read_text())
     cfg = load_config(str(CONFIG_DIR / "default.json"))
-    assert config_to_dict(cfg) == raw
+    assert cfg == ExperimentConfig(
+        scenario=ScenarioConfig(
+            dim_h=4, n_modes=6, horizon=1.0, n_scheduled=64,
+            covariance=CovarianceConfig(
+                {"kind": "geometric", "c": 0.5, "r": 0.5}, "identity"),
+            drivers=tuple(raw["drivers"]),
+            integrand=IntegrandConfig(family="grid", carrier="operator",
+                                      evaluator="driver_linear", seed=0,
+                                      scale=1.0)),
+        n_paths=100_000, n_exact=64, seed=20260816)
 
 
-def test_worked_example_round_trip_adds_defaults():
+def test_worked_example_parses_with_defaults():
     raw = json.loads((CONFIG_DIR / "worked_example.json").read_text())
     cfg = load_config(str(CONFIG_DIR / "worked_example.json"))
-    out = config_to_dict(cfg)
-    expected = dict(raw)
-    expected["nExact"] = 64
-    expected["integrand"] = dict(raw["integrand"], seed=0, scale=1.0)
-    assert out == expected
-    assert config_to_dict(parse_config(out)) == out
+    # nExact and the integrand's seed and scale take their defaults
+    assert cfg == ExperimentConfig(
+        scenario=ScenarioConfig(
+            dim_h=1, n_modes=2, horizon=1.0, n_scheduled=2,
+            covariance=CovarianceConfig((0.5, 0.25), "identity"),
+            drivers=raw["drivers"],
+            integrand=IntegrandConfig(carrier="operator",
+                                      evaluator="constant",
+                                      value=[[1.0, 3.0]])),
+        n_paths=2, n_exact=64, seed=1)
+    assert (cfg.scenario.integrand.seed, cfg.scenario.integrand.scale) == (
+        0, 1.0)
 
 
-def test_save_and_load_round_trip(tmp_path):
+def test_base_config_parses_every_field():
     cfg = parse_config(BASE)
-    assert isinstance(cfg, ExperimentConfig)
-    target = tmp_path / "saved.json"
-    save_config(cfg, str(target))
-    assert config_to_dict(load_config(str(target))) == config_to_dict(cfg)
+    assert cfg == ExperimentConfig(
+        scenario=ScenarioConfig(
+            dim_h=2, n_modes=1, horizon=1.0, n_scheduled=8,
+            covariance=CovarianceConfig((1.0,), "identity"),
+            drivers="brownian",
+            integrand=IntegrandConfig(family="grid", carrier="hvector",
+                                      evaluator="driver_linear", seed=3,
+                                      scale=1.0)),
+        n_paths=64, n_exact=4, seed=11)
 
 
 def test_unknown_keys_are_named():
@@ -258,8 +277,6 @@ def test_integrate_with_a_rectangular_basis_is_the_a_dl_route(tmp_path,
                                                               evaluator):
     # U has a third direction that carries no variance: the raw operator
     # acts on the three coordinates of U, the series runs over two modes
-    import numpy as np
-
     from levyint.integrators import cell_values, integrate_cells
     from levyint.processes import assemble_levy, coordinate_view
     from levyint.scenarios import (build_integrand, make_sampler,
@@ -281,9 +298,9 @@ def test_integrate_with_a_rectangular_basis_is_the_a_dl_route(tmp_path,
     path = make_sampler(sc).sample(BASE["seed"], 0)
     view = coordinate_view(assemble_levy(resolve_covariance(sc), path))
     raw = cell_values(build_integrand(sc), path)
-    assert raw.shape[1:] == (2, 3)
+    assert raw.shape[2:] == (2, 3)
     # A dL: column u of A integrates reference coordinate u
-    reference = integrate_cells(raw.swapaxes(-1, -2), view.increments)
+    reference = integrate_cells(raw.swapaxes(-1, -2), view.increments)[0]
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert z.shape == reference.shape
     assert np.max(np.abs(z - reference)) <= 1e-12 * scale
@@ -428,6 +445,22 @@ def _edit(**changes):
     return lambda tmp_path: dict(BASE, **changes)
 
 
+class _BoundedDraws:
+    """A generator whose normal draws above the block memory bound fail
+    the test instead of allocating."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def standard_normal(self, size=None):
+        values = math.prod(np.atleast_1d(1 if size is None else size))
+        assert 8 * values <= MAX_BLOCK_BYTES, f"a draw of shape {size}"
+        return self._gen.standard_normal(size)
+
+
 _POISSON_NO_SIZE = dict(BASE, space=dict(BASE["space"], J=2),
                         covariance={"eigenvalues": [0.5, 0.25]},
                         integrand=dict(BASE["integrand"], carrier="seqh"),
@@ -499,6 +532,15 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     ("check", lambda tmp_path: dict(
         json.loads((CONFIG_DIR / "default.json").read_text()),
         space={"dH": 4, "J": 2048, "T": 1.0, "nScheduled": 64}), "space.J"),
+    # and so would the values of the integrand along one path
+    ("integrate", lambda tmp_path: dict(
+        json.loads((CONFIG_DIR / "default.json").read_text()),
+        space={"dH": 1024, "J": 2048, "T": 1.0, "nScheduled": 64}), "space.J"),
+    # or the coefficients of an affine integrand, on a path of two nodes
+    ("integrate", lambda tmp_path: dict(
+        json.loads((CONFIG_DIR / "default.json").read_text()),
+        space={"dH": 1024, "J": 2048, "T": 1.0, "nScheduled": 1},
+        drivers="brownian"), "space.J"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "basis-row", "breakpoints",
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
@@ -507,8 +549,13 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",
         "one-component-series", "huge-grid", "huge-h", "huge-j",
-        "huge-block"])
-def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key):
+        "huge-block", "integrate-huge-path", "integrate-huge-coefficients"])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
+                                                 monkeypatch):
+    # a rejected size must be rejected before it is drawn
+    stream = rng.stream
+    monkeypatch.setattr(rng, "stream",
+                        lambda *args: _BoundedDraws(stream(*args)))
     cfg = write_config(tmp_path, make(tmp_path))
     code, err = run_cli_capturing(command, "--config", cfg,
                                   "--out", str(tmp_path / "out.csv"))

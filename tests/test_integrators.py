@@ -1,4 +1,7 @@
-"""Pathwise behavior of the integral layers against hand-computed sums."""
+"""Pathwise behavior of the integral layers against hand-computed sums.
+
+A path is a block of one, so every layer returns one row, row 0.
+"""
 
 import math
 
@@ -42,8 +45,14 @@ TWO_CELL = replay_path([0.0, 0.5, 1.0], [[10.0, 20.0]])
 
 def constant_integrand(value) -> GridIntegrand:
     value = np.asarray(value, dtype=float)
+    return GridIntegrand(lambda path: np.broadcast_to(
+        value, path.grid.times.shape + value.shape))
+
+
+def node_rows() -> GridIntegrand:
+    """The value k at node k, as a one-dimensional H vector."""
     return GridIntegrand(
-        lambda path: np.broadcast_to(value, (path.grid.n_nodes,) + value.shape))
+        lambda p: np.arange(p.grid.n_nodes, dtype=float)[None, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +90,20 @@ def test_cell_values_requires_breakpoints_on_the_grid():
 
 
 def test_cell_values_grid_integrand_slicing():
-    rows = GridIntegrand(
-        lambda path: np.arange(path.grid.n_nodes, dtype=float)[:, None])
+    rows = node_rows()
     assert cell_values(rows, TWO_CELL, "left").ravel().tolist() == [0.0, 1.0]
     assert cell_values(rows, TWO_CELL, "right").ravel().tolist() == [1.0, 2.0]
-    bad = GridIntegrand(lambda path: np.zeros((path.grid.n_nodes + 1, 1)))
+    # node values evaluated beforehand are cut the same way
+    node = rows.evaluator(TWO_CELL)
+    assert cell_values(node, TWO_CELL, "right").ravel().tolist() == [1.0, 2.0]
+    bad = GridIntegrand(lambda path: np.zeros((1, path.grid.n_nodes + 1, 1)))
     with pytest.raises(GridMismatch):
         cell_values(bad, TWO_CELL)
+    # values without their path axis
+    with pytest.raises(GridMismatch):
+        cell_values(np.zeros((3, 1)), TWO_CELL)
     with pytest.raises(DimensionMismatch):
-        cell_values(np.zeros(3), TWO_CELL)
+        cell_values([0.0, 1.0, 2.0], TWO_CELL)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +113,9 @@ def test_cell_values_grid_integrand_slicing():
 def test_ito_h_frozen_case():
     driver = replay_path([0.0, 0.5, 1.0], [[0.5, -1.5]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[2.0, 3.0]]))
-    z = ito_h(si, driver, 0)
+    z = ito_h(si, driver, 0)[0]
     assert z[0].tolist() == [0.0, 0.0]
-    assert z[driver.grid.node_at(0.5)].tolist() == [1.0, 1.5]
+    assert z[driver.node_at(0.5)[0]].tolist() == [1.0, 1.5]
     assert z[-1].tolist() == [-2.0, -3.0]
 
 
@@ -109,14 +123,15 @@ def test_ito_h_left_vs_right_attribution():
     si = SimpleIntegrand(np.array([0.0, 0.5, 1.0]), np.array([[2.0], [3.0]]))
     left = ito_h(si, TWO_CELL, 0)
     right = ito_h(si, TWO_CELL, 0, sample_side="right")
-    assert left[-1, 0] == 80.0
-    assert right[-1, 0] == 90.0
+    assert left[0, -1, 0] == 80.0
+    assert right[0, -1, 0] == 90.0
+    assert ito_h(si, TWO_CELL, 0, terminal=True).tolist() == [[80.0]]
 
 
 def test_ito_h_component_selection_and_bounds():
     driver = replay_path([0.0, 1.0], [[1.0], [-2.0]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[1.0, 1.0]]))
-    assert ito_h(si, driver, 1)[-1].tolist() == [-2.0, -2.0]
+    assert ito_h(si, driver, 1)[0, -1].tolist() == [-2.0, -2.0]
     with pytest.raises(IndexOutOfRange):
         ito_h(si, driver, 2)
     seq_shaped = constant_integrand(np.ones((2, 2)))
@@ -128,11 +143,11 @@ def test_projection_route_identity_basis_is_bit_exact():
     sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 8)
     path = sampler.sample(4, 0)
     gen = rng.stream(4, 0, 0, rng.INTEGRAND)
-    vals = gen.standard_normal((path.grid.n_nodes, 3))
+    vals = gen.standard_normal((1, path.grid.n_nodes, 3))
     integrand = GridIntegrand(lambda p: vals)
     plain = ito_h(integrand, path, 0)
     routed = integrate_in_basis(cell_values(integrand, path),
-                                path.increments[0], np.eye(3))
+                                path.increments[:, 0], np.eye(3))
     assert np.array_equal(plain, routed)
 
 
@@ -140,13 +155,13 @@ def test_projection_route_any_orthonormal_basis_agrees():
     sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 16)
     path = sampler.sample(5, 0)
     gen = rng.stream(5, 0, 0, rng.INTEGRAND)
-    vals = gen.standard_normal((path.grid.n_nodes, 4))
+    vals = gen.standard_normal((1, path.grid.n_nodes, 4))
     integrand = GridIntegrand(lambda p: vals)
     plain = ito_h(integrand, path, 0)
     for seed in range(3):
         q = random_orthogonal(4, rng.stream(seed, 0, 0, rng.BASIS))
         routed = integrate_in_basis(cell_values(integrand, path),
-                                    path.increments[0], q)
+                                    path.increments[:, 0], q)
         dev = np.max(np.abs(routed - plain))
         assert dev <= 1e-12 * max(1.0, np.max(np.abs(plain)))
 
@@ -158,8 +173,8 @@ def test_projection_route_any_orthonormal_basis_agrees():
 def test_ito_seq_frozen_case():
     driver = replay_path([0.0, 0.5, 1.0], [[0.5, 0.5], [1.0, -1.0]])
     value = np.array([[1.0, 0.0], [0.0, 2.0]])   # rows: one H vector per component
-    z = ito_seq(constant_integrand(value), driver)
-    assert z[driver.grid.node_at(0.5)].tolist() == [0.5, 2.0]
+    z = ito_seq(constant_integrand(value), driver)[0]
+    assert z[driver.node_at(0.5)[0]].tolist() == [0.5, 2.0]
     assert z[-1].tolist() == [1.0, 0.0]
 
 
@@ -174,8 +189,8 @@ def test_ito_seq_rejects_wrong_shapes():
 def _permuted(integrand, path, perm):
     """The integrand values and driver components of ``path`` reordered."""
     node = integrand.evaluator(path)
-    moved = replay_path(path.grid.times, path.increments[perm])
-    return GridIntegrand(lambda p: node[:, perm]), moved
+    moved = replay_path(path.grid.times[0], path.increments[0, perm])
+    return GridIntegrand(lambda p: node[:, :, perm]), moved
 
 
 def test_summation_order_does_not_matter():
@@ -224,13 +239,18 @@ def test_ito_general_worked_example():
     levy = assemble_levy(spec, driver)
     raw = constant_integrand(np.array([[1.0, 3.0]]))
     restricted = restrict_integrand(raw, spec)
-    z = ito_general(restricted, levy)
+    z = ito_general(restricted, levy)[0]
     assert abs(z[-1, 0] - 3.7071067811865475) <= 1e-12
-    terms = series_terms(restricted, levy)
+    terms = series_terms(restricted, levy)[0]
     assert terms.shape == (2,) + z.shape
     assert abs(terms[0, -1, 0] - math.sqrt(0.5)) <= 1e-15
     assert terms[1, -1, 0] == 3.0
     assert np.max(np.abs(terms[0] + terms[1] - z)) <= 1e-12
+    # the terminal forms are the last nodes
+    assert np.max(np.abs(ito_general(restricted, levy, terminal=True)[0]
+                         - z[-1])) <= 1e-12
+    assert np.max(np.abs(series_terms(restricted, levy, terminal=True)[0]
+                         - terms[:, -1])) <= 1e-15
 
 
 def test_ito_general_order_and_shape_checks():
@@ -258,8 +278,8 @@ def test_constant_operator_integral_telescopes():
     driver = sampler.sample(8, 0)
     levy = assemble_levy(spec, driver)
     s = np.array([[1.0, 3.0], [0.5, -2.0]])
-    z = ito_general(constant_integrand(s), levy)
-    oracle = s @ driver.cumulative[:, -1]
+    z = ito_general(constant_integrand(s), levy)[0]
+    oracle = s @ driver.cumulative[0, :, -1]
     assert np.max(np.abs(z[-1] - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
@@ -271,9 +291,10 @@ def test_angle_bracket_values():
     grid = TWO_CELL.grid
     same = angle_bracket(grid, 1, 1)
     assert np.array_equal(same, grid.times)
-    assert same[-1] == 1.0
+    assert angle_bracket(grid, 1, 1, terminal=True).tolist() == [1.0]
     cross = angle_bracket(grid, 0, 1)
-    assert cross.shape == (grid.n_nodes,) and np.all(cross == 0.0)
+    assert cross.shape == (1, grid.n_nodes) and np.all(cross == 0.0)
+    assert angle_bracket(grid, 0, 1, terminal=True).tolist() == [0.0]
     with pytest.raises(IndexOutOfRange):
         angle_bracket(grid, -1, 0)
 
@@ -282,9 +303,11 @@ def test_covariation_integral_frozen_case():
     x = constant_integrand(np.array([1.0, 0.0]))
     y = constant_integrand(np.array([3.0, 4.0]))
     ci = covariation_integral(x, y, TWO_CELL, 0, 0)
-    assert ci.tolist() == [0.0, 1.5, 3.0]
+    assert ci.tolist() == [[0.0, 1.5, 3.0]]
+    assert covariation_integral(x, y, TWO_CELL, 0, 0,
+                                terminal=True).tolist() == [3.0]
     off = covariation_integral(x, y, TWO_CELL, 0, 1)
-    assert off.shape == (3,) and np.all(off == 0.0)
+    assert off.shape == (1, 3) and np.all(off == 0.0)
     mismatched = constant_integrand(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         covariation_integral(x, mismatched, TWO_CELL, 0, 0)
@@ -292,26 +315,28 @@ def test_covariation_integral_frozen_case():
 
 def test_quadrature_sq_norm_frozen_cases():
     v = constant_integrand(np.array([2.0, 3.0]))
-    assert abs(quadrature_sq_norm(v, TWO_CELL) - 13.0) <= 1e-12
+    total = quadrature_sq_norm(v, TWO_CELL, terminal=True)
+    assert total.shape == (1,) and abs(total[0] - 13.0) <= 1e-12
+    assert quadrature_sq_norm(v, TWO_CELL).tolist() == [[0.0, 6.5, 13.0]]
     op = constant_integrand(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert abs(quadrature_sq_norm(op, TWO_CELL) - 30.0) <= 1e-12
+    assert abs(quadrature_sq_norm(op, TWO_CELL, terminal=True)[0]
+               - 30.0) <= 1e-12
     fsum_oracle = math.fsum([4.0 * 0.5, 9.0 * 0.5, 4.0 * 0.5, 9.0 * 0.5])
-    assert abs(quadrature_sq_norm(v, TWO_CELL) - fsum_oracle) <= 1e-12
+    assert abs(total[0] - fsum_oracle) <= 1e-12
 
 
 def test_quadrature_uses_left_sampling_always():
-    rows = GridIntegrand(
-        lambda path: np.arange(path.grid.n_nodes, dtype=float)[:, None])
     # values at the left nodes are 0 and 1, so the quadrature is 0.5
-    assert quadrature_sq_norm(rows, TWO_CELL) == 0.5
+    assert quadrature_sq_norm(node_rows(), TWO_CELL,
+                              terminal=True).tolist() == [0.5]
 
 
 def test_integral_path_accessors():
     driver = replay_path([0.0, 0.5, 1.0], [[1.0, 1.0]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[1.0]]))
     z = ito_h(si, driver, 0)
-    assert z.shape == (3, 1)
-    assert z[driver.grid.node_at(0.75)][0] == z[1][0]
-    assert z[-1][0] == 2.0
+    assert z.shape == (1, 3, 1)
+    assert z[0, driver.node_at(0.75)[0]][0] == z[0, 1][0]
+    assert z[0, -1][0] == 2.0
     with pytest.raises(IndexOutOfRange):
-        z[driver.grid.node_at(2.0)]
+        driver.node_at(2.0)

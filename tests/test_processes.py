@@ -20,6 +20,7 @@ from levyint.processes import (
     JUMP,
     KIND_NAMES,
     SCHEDULED,
+    PathBlock,
     PathSampler,
     StandardLevySpec,
     TimeGrid,
@@ -130,11 +131,13 @@ def test_normalization_always_hits_unit_rate(sigma, jumps):
 def test_brownian_only_grid_is_the_scheduled_grid():
     sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 8)
     path = sampler.sample(1, 0)
-    assert np.array_equal(path.grid.times, np.linspace(0.0, 1.0, 9))
+    assert np.array_equal(path.grid.times, np.linspace(0.0, 1.0, 9)[None])
     assert np.all(path.grid.kind == SCHEDULED)
-    assert path.increments.shape == (1, 8)
-    assert path.cumulative[0, 0] == 0.0
-    assert abs(path.cumulative[0, -1] - path.increments[0].sum()) <= 1e-12
+    assert path.increments.shape == (1, 1, 8)
+    assert path.n_nodes.tolist() == [9]
+    assert path.cumulative[0, 0, 0] == 0.0
+    assert abs(path.cumulative[0, 0, -1]
+               - path.increments[0, 0].sum()) <= 1e-12
 
 
 def test_sampling_is_deterministic_per_address():
@@ -153,7 +156,7 @@ def test_jump_grid_structure_and_compensation():
     sampler = PathSampler(make_standard_specs(1, {"preset": "poisson", "a": 0.5}),
                           1.0, 8)
     path = sampler.sample(11, 2)
-    times = path.grid.times
+    times = path.grid.times[0]
     assert times[0] == 0.0 and times[-1] == 1.0
     assert np.all(np.diff(times) > 0)
     # redraw the jumps in the documented order: draw 0 of the component's
@@ -165,14 +168,15 @@ def test_jump_grid_structure_and_compensation():
     drawn = np.sort(1.0 * rng.uniforms(
         rng.words(key, np.arange(1, n_jumps + 1, dtype=np.uint64))))
     assert n_jumps > 0
-    assert np.array_equal(times[path.grid.kind == JUMP], drawn)
+    assert np.array_equal(times[path.grid.kind[0] == JUMP], drawn)
     # compensated sum: a * N_T - a * nu * T
-    assert abs(path.cumulative[0, -1] - (0.5 * n_jumps - 0.5 * 4.0 * 1.0)) <= 1e-10
+    assert abs(path.cumulative[0, 0, -1]
+               - (0.5 * n_jumps - 0.5 * 4.0 * 1.0)) <= 1e-10
     # the increments are exactly compensator plus a at the jump nodes
-    oracle = -0.5 * 4.0 * path.grid.dt
+    oracle = -0.5 * 4.0 * path.grid.dt[0]
     for t in drawn:
-        oracle[path.grid.node_at(t) - 1] += 0.5
-    assert np.max(np.abs(path.increments[0] - oracle)) <= 1e-12
+        oracle[path.node_at(t)[0] - 1] += 0.5
+    assert np.max(np.abs(path.increments[0, 0] - oracle)) <= 1e-12
 
 
 def test_extra_times_join_the_grid():
@@ -188,24 +192,29 @@ def test_extra_times_join_the_grid():
 
 
 def test_node_lookup_semantics():
-    grid = TimeGrid(np.array([0.0, 0.25, 0.5, 1.0]),
-                    np.zeros(4, dtype=np.uint8))
-    assert grid.n_nodes == 4 and grid.horizon == 1.0
-    assert np.array_equal(grid.dt, np.array([0.25, 0.25, 0.5]))
-    for k, t in enumerate(grid.times):
-        assert grid.node_at(float(t)) == k
-    assert grid.node_at(0.3) == 1
+    # two paths, the second padded with a repeated horizon
+    grid = TimeGrid(np.array([[0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 1.0, 1.0]]),
+                    np.zeros((2, 4), dtype=np.uint8))
+    path = PathBlock(grid, np.zeros((2, 1, 3)), np.array([4, 3]))
+    assert grid.n_nodes == 4
+    assert np.array_equal(grid.dt, np.array([[0.25, 0.25, 0.5],
+                                             [0.5, 0.5, 0.0]]))
+    for k, t in enumerate(grid.times[0]):
+        assert path.node_at(float(t))[0] == k
+    assert path.node_at(0.3).tolist() == [1, 0]
+    assert path.node_at(0.5).tolist() == [2, 1]
     with pytest.raises(IndexOutOfRange):
-        grid.node_at(-0.1)
+        path.node_at(-0.1)
     with pytest.raises(IndexOutOfRange):
-        grid.node_at(1.1)
+        path.node_at(1.1)
 
 
 def test_replay_round_trip_is_exact():
     sampler = PathSampler(make_standard_specs(2, ("brownian", MIXED)), 1.0, 8)
     path = sampler.sample(3, 5)
-    names = [KIND_NAMES[k] for k in path.grid.kind]
-    back = replay_path(path.grid.times, path.increments, names)
+    names = [KIND_NAMES[k] for k in path.grid.kind[0]]
+    back = replay_path(path.grid.times[0], path.increments[0], names)
+    assert back.n_nodes.tolist() == path.n_nodes.tolist()
     assert np.array_equal(back.grid.times, path.grid.times)
     assert np.array_equal(back.grid.kind, path.grid.kind)
     assert np.array_equal(back.increments, path.increments)
@@ -225,7 +234,7 @@ def test_replay_validation():
         replay_path([0.0, 1.0], [[1.0]], kinds=["scheduled"])
     # kinds are names of KIND_NAMES or their indices, nothing else
     assert replay_path([0.0, 1.0], [[1.0]], kinds=[0, "jump"]).grid.kind.tolist() \
-        == [SCHEDULED, JUMP]
+        == [[SCHEDULED, JUMP]]
     for kinds in (["scheduled", "bogus"], [0, 7], [0, [1]], 3):
         with pytest.raises(GridMismatch, match="kinds"):
             replay_path([0.0, 1.0], [[1.0]], kinds=kinds)
@@ -239,10 +248,10 @@ def test_assembled_path_coordinates_frozen_case():
     spec = make_covariance((0.5, 0.25))
     driver = replay_path([0.0, 0.5, 1.0], [[0.6, 0.4], [1.5, 0.5]])
     levy = assemble_levy(spec, driver)
-    half = levy.coords[:, levy.grid.node_at(0.5)]
+    half = levy.coords[0, :, driver.node_at(0.5)[0]]
     assert half[0] == math.sqrt(0.5) * 0.6
     assert half[1] == 0.75
-    end = levy.coords[:, -1]
+    end = levy.coords[0, :, -1]
     assert end[0] == math.sqrt(0.5)
     assert end[1] == 1.0
     with pytest.raises(DimensionMismatch):
@@ -270,11 +279,11 @@ def test_project_standard_recovers_components_under_rotation():
     for i in range(5):
         single = project_standard(assemble_levy(spec, sampler.sample(2, i)))
         n = int(block.n_nodes[i]) - 1
-        assert np.max(np.abs(rows[i, :, :n] - single)) <= 1e-15
+        assert np.max(np.abs(rows[i, :, :n] - single[0])) <= 1e-15
         assert np.all(rows[i, :, n:] == 0.0)
     view = coordinate_view(levy)
-    dev = np.max(np.abs(np.cumsum(view.increments, axis=1)
-                        - levy.coords[:, 1:]))
+    dev = np.max(np.abs(np.cumsum(view.increments, axis=-1)
+                        - levy.coords[..., 1:]))
     assert dev <= 1e-12
 
 
@@ -282,6 +291,7 @@ def test_coordinate_view_identity_basis_is_exact():
     spec = make_covariance((0.25, 0.0625))
     driver = replay_path([0.0, 0.5, 1.0], [[0.6, 0.4], [1.5, 0.5]])
     view = coordinate_view(assemble_levy(spec, driver))
+    assert isinstance(view, PathBlock)
     assert np.array_equal(view.increments,
                           spec.sqrt_eigenvalues[:, None] * driver.increments)
 
@@ -326,7 +336,8 @@ def test_transport_swaps_components_exactly():
                                       {"preset": "poisson", "a": 1.0}))
     driver = PathSampler(drivers, 1.0, 8).sample(13, 1)
     moved = transport_levy(assemble_levy(spec, driver), iso)
-    assert np.array_equal(moved.driver.increments, driver.increments[::-1])
+    assert np.array_equal(moved.driver.increments,
+                          driver.increments[:, ::-1])
     assert moved.spec.identity_basis
 
 
@@ -365,17 +376,21 @@ def test_block_rows_equal_single_path_samples(specs):
         assert width == int(block.n_nodes.max())
         for row, p in enumerate(indices):
             single = sampler.sample(20260816, p)
-            path = block.path(row)
-            assert np.array_equal(path.grid.times, single.grid.times)
-            assert np.array_equal(path.grid.kind, single.grid.kind)
-            assert np.array_equal(path.increments, single.increments)
-            # padding: the horizon repeated, zero-length cells, no increments
             n = int(block.n_nodes[row])
+            assert single.n_nodes.tolist() == [n]
+            assert single.grid.n_nodes == n
+            assert np.array_equal(block.grid.times[row, :n],
+                                  single.grid.times[0])
+            assert np.array_equal(block.grid.kind[row, :n],
+                                  single.grid.kind[0])
+            assert np.array_equal(block.increments[row, :, :n - 1],
+                                  single.increments[0])
+            # padding: the horizon repeated, zero-length cells, no increments
             assert np.all(block.grid.times[row, n:] == 1.0)
             assert np.all(block.grid.dt[row, n - 1:] == 0.0)
             assert np.all(block.increments[row, :, n - 1:] == 0.0)
             assert np.array_equal(block.cumulative[row, :, n - 1:],
-                                  np.repeat(single.cumulative[:, -1:],
+                                  np.repeat(single.cumulative[0, :, -1:],
                                             width - n + 1, axis=1))
 
 

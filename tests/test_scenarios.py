@@ -141,7 +141,7 @@ def test_constant_evaluator_broadcasts_explicit_value():
     integrand = build_grid_integrand(cfg, (2,), 1)
     path = replay_path([0.0, 0.5, 1.0], [[1.0, 1.0]])
     vals = cell_values(integrand, path, "left")
-    assert vals.tolist() == [[1.0, -2.0], [1.0, -2.0]]
+    assert vals.tolist() == [[[1.0, -2.0], [1.0, -2.0]]]
 
 
 def test_constant_evaluator_rejects_wrong_shape():
@@ -162,8 +162,8 @@ def test_driver_linear_values_depend_only_on_the_path_so_far():
     integrand = build_grid_integrand(cfg, (2,), 1)
     a = replay_path([0.0, 0.5, 1.0], [[1.0, 2.0]])
     b = replay_path([0.0, 0.5, 1.0], [[1.0, -3.0]])
-    va = integrand.evaluator(a)
-    vb = integrand.evaluator(b)
+    va = integrand.evaluator(a)[0]
+    vb = integrand.evaluator(b)[0]
     assert np.array_equal(va[0], vb[0])
     assert np.array_equal(va[1], vb[1])
     assert not np.array_equal(va[2], vb[2])
@@ -175,7 +175,7 @@ def test_driver_linear_offset_is_the_value_at_time_zero():
     flat = replay_path([0.0, 1.0], [[0.0], [0.0]])
     gen = rng.stream(5, 0, 0, rng.INTEGRAND)
     c0 = gen.standard_normal(3)
-    assert np.max(np.abs(integrand.evaluator(flat)[0] - c0)) <= 1e-15
+    assert np.max(np.abs(integrand.evaluator(flat)[0, 0] - c0)) <= 1e-15
 
 
 def test_driver_tanh_values_are_bounded():
@@ -198,7 +198,8 @@ def test_build_integrand_shapes_follow_the_carrier():
             n_scheduled=4,
             integrand=IntegrandConfig(carrier=carrier, evaluator="driver_linear"))
         integrand = build_integrand(scenario)
-        assert integrand.evaluator(path).shape == (path.grid.n_nodes,) + shape
+        assert integrand.evaluator(path).shape == (
+            (1, path.grid.n_nodes) + shape)
 
 
 def test_build_integrand_rejects_simple_family():

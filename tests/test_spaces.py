@@ -268,7 +268,7 @@ def test_seqh_transport_matches_coordinate_map():
 
     def constant(value):
         return GridIntegrand(lambda p: np.broadcast_to(
-            value, (p.grid.n_nodes,) + value.shape))
+            value, p.grid.times.shape + value.shape))
 
     # the coordinate map mixes sequence entries as the transport mixes
     # the components, so the integral does not move
