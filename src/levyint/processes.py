@@ -527,6 +527,8 @@ def replay_path(times, increments, kinds=None) -> PathBlock:
         raise GridMismatch(
             f"replay increments have {increments.shape[1]} cells for "
             f"{times.size - 1} grid cells")
+    if not np.all(np.isfinite(increments)):
+        raise GridMismatch("replay increments must be finite")
     if kinds is None:
         kind = np.zeros(times.size, dtype=np.uint8)
     else:
