@@ -256,12 +256,11 @@ def _block_rotations_for(eigenvalues: np.ndarray,
 
 def _check_isometry1(spec: CheckSpec) -> _Member:
     """E ||(X . M)_T||^2 equals E of the squared-norm quadrature (one driver)."""
-    side = spec.scenario.sample_side
     integrand = build_integrand(spec.scenario)
 
     def stat(block):
         node = node_values(integrand, block)
-        z = ito_h(node, block, 0, sample_side=side, terminal=True)
+        z = ito_h(node, block, 0, terminal=True)
         return _isometry_sides(z, node, block)
 
     return _statistical(spec, stat)
@@ -283,7 +282,6 @@ def _check_isometry2(spec: CheckSpec) -> _Member:
     (:func:`ito_l2lambda`).
     """
     sc = spec.scenario
-    side = sc.sample_side
     if spec.route not in ("seq", "l2lambda"):
         raise ConfigInvalid(
             f"isometry2 route {spec.route!r} not one of seq, l2lambda")
@@ -293,10 +291,9 @@ def _check_isometry2(spec: CheckSpec) -> _Member:
     def stat(block):
         node = node_values(integrand, block)
         if cov is None:
-            z = ito_seq(node, block, sample_side=side, terminal=True)
+            z = ito_seq(node, block, terminal=True)
         else:
-            z = ito_l2lambda(node, assemble_levy(cov, block),
-                             sample_side=side, terminal=True)
+            z = ito_l2lambda(node, assemble_levy(cov, block), terminal=True)
         return _isometry_sides(z, node, block)
 
     return _statistical(spec, stat)
@@ -305,14 +302,12 @@ def _check_isometry2(spec: CheckSpec) -> _Member:
 def _check_isometry4(spec: CheckSpec) -> _Member:
     """Isometry for an operator integrand against an assembled path."""
     sc = spec.scenario
-    side = sc.sample_side
     cov = resolve_covariance(sc)
     restricted = restrict_integrand(build_integrand(sc), cov)
 
     def stat(block):
         node = node_values(restricted, block)
-        z = ito_general(node, assemble_levy(cov, block), sample_side=side,
-                        terminal=True)
+        z = ito_general(node, assemble_levy(cov, block), terminal=True)
         return _isometry_sides(z, node, block)
 
     return _statistical(spec, stat)
@@ -321,12 +316,11 @@ def _check_isometry4(spec: CheckSpec) -> _Member:
 def _check_orthogonality(spec: CheckSpec) -> _Member:
     """Integrals against distinct components are orthogonal in mean square."""
     sc = spec.scenario
-    side = sc.sample_side
     first, second = _component_pairs(spec)
     integrand = build_integrand(sc)
 
     def stat(block):
-        terms = terminal_terms(cell_values(integrand, block, side),
+        terms = terminal_terms(cell_values(integrand, block),
                                block.increments)
         return np.vecdot(terms[:, first], terms[:, second]), 0.0
 
@@ -380,23 +374,21 @@ def _check_bracket(spec: CheckSpec) -> _Member:
     """
     _need_modes(spec, 2)
     sc = spec.scenario
-    side = sc.sample_side
     x = build_integrand(sc)
     y = build_integrand(sc, seed_offset=1000)
 
     def stat(block):
         dm0, dm1 = block.increments[:, 0], block.increments[:, 1]
         nx, ny = node_values(x, block), node_values(y, block)
-        ip = np.einsum("...kd,...kd->...k", cell_values(nx, block, side),
-                       cell_values(ny, block, side))
+        ip = np.einsum("...kd,...kd->...k", cell_values(nx, block),
+                       cell_values(ny, block))
         # realized brackets of M0, M1, of X . M0 with Y . M0 and with Y . M1
         lhs = np.array([np.vecdot(dm0, dm0), np.vecdot(dm1, dm1),
                         np.vecdot(dm0, dm1), np.vecdot(ip, dm0 * dm0),
                         np.vecdot(ip, dm0 * dm1)]).T
         t = angle_bracket(block.grid, 0, 0, terminal=True)
         zero = angle_bracket(block.grid, 0, 1, terminal=True)
-        ci = covariation_integral(nx, ny, block, 0, 0, sample_side=side,
-                                  terminal=True)
+        ci = covariation_integral(nx, ny, block, 0, 0, terminal=True)
         return lhs, np.array([t, t, zero, ci, zero]).T
 
     return _statistical(spec, stat)
@@ -405,12 +397,11 @@ def _check_bracket(spec: CheckSpec) -> _Member:
 def _check_martingale(spec: CheckSpec) -> _Member:
     """Zero mean of the integral at the horizon and at an interior time."""
     sc = spec.scenario
-    side = sc.sample_side
     probe, = _probes(spec)
     integrand = build_integrand(sc)
 
     def stat(block):
-        z = ito_seq(integrand, block, sample_side=side)
+        z = ito_seq(integrand, block)
         at_probe = z[np.arange(block.n_paths), block.node_at(probe)]
         lhs = np.concatenate([z[:, -1], at_probe, block.cumulative[:, :, -1]],
                              axis=1)
@@ -425,14 +416,12 @@ def _check_series_orthogonality(spec: CheckSpec) -> _Member:
     Includes the resulting additivity of squared norms across the series.
     """
     sc = spec.scenario
-    side = sc.sample_side
     cov = resolve_covariance(sc)
     restricted = restrict_integrand(build_integrand(sc), cov)
     first, second = _component_pairs(spec)
 
     def stat(block):
-        tv = series_terms(restricted, assemble_levy(cov, block),
-                          sample_side=side, terminal=True)
+        tv = series_terms(restricted, assemble_levy(cov, block), terminal=True)
         total = tv.sum(axis=1)
         lhs = np.concatenate([np.vecdot(tv[:, first], tv[:, second]),
                               np.vecdot(total, total)[:, None]], axis=1)
@@ -457,7 +446,6 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
         raise ConfigInvalid("truncation_tail needs a constant integrand")
     _need_modes(spec, 2)
     n_sub = min(3, sc.n_modes - 1)
-    side = sc.sample_side
     cov = resolve_covariance(sc)
     raw = build_integrand(sc)
     restricted = restrict_integrand(raw, cov)
@@ -477,8 +465,7 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
 
     def stat(block):
         node = node_values(restricted, block)
-        terms = series_terms(node, assemble_levy(cov, block),
-                             sample_side=side, terminal=True)
+        terms = series_terms(node, assemble_levy(cov, block), terminal=True)
         # the dropped terms against the quadrature of the dropped columns
         return _isometry_sides(terms[:, n_sub:].sum(axis=1),
                                node[..., n_sub:], block)
@@ -514,7 +501,6 @@ def _check_basis_invariance(spec: CheckSpec) -> _Member:
     must equal the last node of their running forms.
     """
     sc = spec.scenario
-    side = sc.sample_side
     integrand = build_integrand(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     q1, q2 = (random_orthogonal(sc.dim_h, gen) for _ in range(2))
@@ -522,17 +508,16 @@ def _check_basis_invariance(spec: CheckSpec) -> _Member:
 
     def per_block(block):
         node = node_values(integrand, block)
-        vals = cell_values(node, block, side)
+        vals = cell_values(node, block)
         dm = block.increments[:, 0]
-        z0 = ito_h(node, block, 0, sample_side=side)
+        z0 = ito_h(node, block, 0)
         z1 = integrate_in_basis(vals, dm, q1)
         z2 = integrate_in_basis(vals, dm, q2)
         levy = assemble_levy(one_mode, PathBlock(
             block.grid, block.increments[:, :1], block.n_nodes))
-        terms = series_terms(node[..., None], levy, sample_side=side)
-        end = ito_h(node, block, 0, sample_side=side, terminal=True)
-        terms_end = series_terms(node[..., None], levy, sample_side=side,
-                                 terminal=True)
+        terms = series_terms(node[..., None], levy)
+        end = ito_h(node, block, 0, terminal=True)
+        terms_end = series_terms(node[..., None], levy, terminal=True)
         dev = np.maximum.reduce([_row_max(z1 - z0), _row_max(z2 - z0),
                                  _row_max(z2 - z1), _row_max(terms[:, 0] - z0),
                                  _row_max(end - z0[:, -1]),
@@ -553,7 +538,6 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
     compensator ``sum(a * nu) * dt``.
     """
     sc = spec.scenario
-    side = sc.sample_side
     cov = resolve_covariance(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     rotations = _block_rotations_for(cov.eigenvalues, gen)
@@ -566,10 +550,10 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
 
     def per_block(driver):
         node = node_values(integrand, driver)
-        z1 = ito_seq(node, driver, sample_side=side)
+        z1 = ito_seq(node, driver)
         levy2 = transport_levy(assemble_levy(cov, driver), iso)
         node2 = iso.coord_map @ node
-        z2 = ito_seq(node2, levy2.driver, sample_side=side)
+        z2 = ito_seq(node2, levy2.driver)
         q1 = quadrature_sq_norm(node, driver, terminal=True)
         q2 = quadrature_sq_norm(node2, driver, terminal=True)
         dt = driver.grid.dt[:, None]
@@ -593,7 +577,6 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
     against the reference-coordinate increments dL at every node.
     """
     sc = spec.scenario
-    side = sc.sample_side
     cov1 = resolve_covariance(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     rotations = _block_rotations_for(cov1.eigenvalues, gen)
@@ -611,11 +594,10 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
         levy2 = assemble_levy(cov2, replace(d1, increments=inc2))
         # one integrand's node values alive at a time, evaluated on the
         # observable path
-        z1 = ito_general(node_values(r1, view), levy1, sample_side=side)
-        z2 = ito_general(node_values(r2, view), levy2, sample_side=side)
+        z1 = ito_general(node_values(r1, view), levy1)
+        z2 = ito_general(node_values(r2, view), levy2)
         # A dL: column u of A integrates reference coordinate u
-        z3 = ito_seq(node_values(raw, view).swapaxes(-1, -2), view,
-                     sample_side=side)
+        z3 = ito_seq(node_values(raw, view).swapaxes(-1, -2), view)
         dev = np.maximum.reduce([_row_max(z1 - z2), _row_max(z1 - z3),
                                  _row_max(levy1.coords - levy2.coords)])
         ref = np.maximum.reduce([_row_max(z1), _row_max(levy1.coords)])
@@ -625,14 +607,15 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
 
 
 def _check_simple_exact(spec: CheckSpec) -> _Member:
-    """Integrating a piecewise constant integrand telescopes exactly."""
+    """Integrating a piecewise constant integrand telescopes exactly; the
+    sum reads the clean intervals, so an injected fault is a deviation."""
     sc = spec.scenario
-    side = sc.sample_side
     integrand = build_simple_integrand(sc)
-    b, values = integrand.breakpoints, integrand.values
+    clean = build_simple_integrand(sc.with_fault(None))
+    b, values = clean.breakpoints, clean.values
 
     def per_block(block):
-        z = ito_h(integrand, block, 0, sample_side=side)
+        z = ito_h(integrand, block, 0)
         rows = np.arange(block.n_paths)
         cum = block.cumulative[:, 0]
         nodes = [block.node_at(t) for t in b]

@@ -149,28 +149,27 @@ def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
     Returns the integral (1, n_nodes, dim_h) and the series (1, n_modes,
     n_nodes, dim_h) or None.
     """
-    side = scenario.sample_side
     if scenario.integrand.family == "simple":
         if scenario.integrand.carrier != "hvector":
             raise ConfigInvalid("simple integrands integrate as hvector "
                                 "against component 0")
         integrand = build_simple_integrand(scenario)
-        return ito_h(integrand, path, 0, sample_side=side), None
+        return ito_h(integrand, path, 0), None
     carrier = scenario.integrand.carrier
     if want_series and carrier != "operator":
         raise ConfigInvalid("series dump needs an operator integrand")
     integrand = build_integrand(scenario)
     if carrier == "hvector":
-        return ito_h(integrand, path, 0, sample_side=side), None
+        return ito_h(integrand, path, 0), None
     if carrier == "seqh":
-        return ito_seq(integrand, path, sample_side=side), None
+        return ito_seq(integrand, path), None
     cov = resolve_covariance(scenario)
     levy = assemble_levy(cov, path)
     restricted = restrict_integrand(integrand, cov)
-    z = ito_general(restricted, levy, sample_side=side)
+    z = ito_general(restricted, levy)
     if not want_series:
         return z, None
-    return z, series_terms(restricted, levy, sample_side=side)
+    return z, series_terms(restricted, levy)
 
 
 def _cmd_integrate(args) -> int:

@@ -3,9 +3,9 @@
 All integrals are left-point Riemann-Stieltjes sums over grid cells.  The
 integrand value attached to the cell (t_k, t_{k+1}] is the value of the
 (left-continuous) integrand process just after t_k, so predictability is
-built into the sampling rule.  ``sample_side="right"`` flips that rule;
-it exists only as an injectable fault for the verification harness and
-must never be used for real computations.
+built into the sampling rule, the only one.  The harness's right-point
+fault lives in the integrand: :mod:`levyint.scenarios` builds it so that
+node k holds node k + 1's value.
 
 Layers (the maps are those of :mod:`levyint.spaces`):
 
@@ -37,7 +37,7 @@ running form without its node axis, computed as one contraction.
 An integrand is a :class:`SimpleIntegrand`, a :class:`GridIntegrand`, or
 a grid integrand's values on the block at hand, as :func:`node_values`
 returns them.  Passing the values lets an integral and a quadrature share
-one evaluation, even when the integral samples the right cell end.
+one evaluation.
 
 Every layer is a shape adapter around one kernel, :func:`integrate_cells`
 (and its per-component form :func:`integrate_terms`, and the explicit
@@ -113,8 +113,24 @@ class GridIntegrand:
 
 
 def node_values(integrand, path: PathBlock) -> np.ndarray:
-    """Per-node values of a grid integrand on a block, (n_paths, n_nodes,
-    *value_shape).  Values already evaluated on the block pass through."""
+    """Per-node values of an integrand on a block, (n_paths, n_nodes,
+    *value_shape); values already evaluated on the block pass through.
+
+    A simple integrand takes at each node its value on the interval that
+    follows, and every breakpoint must be a node of every row.
+    """
+    if isinstance(integrand, SimpleIntegrand):
+        times = path.grid.times
+        b = integrand.breakpoints
+        if np.any(times[:, -1] != b[-1]):
+            raise GridMismatch("breakpoints do not end at the horizon")
+        if not np.all(np.any(times[:, :, None] == b, axis=1)):
+            raise GridMismatch(
+                "every breakpoint must be a grid node; pass breakpoints as "
+                "extra_times when sampling")
+        idx = np.searchsorted(b, times, side="right") - 1
+        np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
+        return integrand.values[idx]
     if isinstance(integrand, np.ndarray):
         per_node = integrand
     elif isinstance(integrand, GridIntegrand):
@@ -129,31 +145,13 @@ def node_values(integrand, path: PathBlock) -> np.ndarray:
     return per_node
 
 
-def cell_values(integrand, path: PathBlock, sample_side: str = "left"
-                ) -> np.ndarray:
-    """Integrand value per grid cell under the given sampling rule.
+def cell_values(integrand, path: PathBlock) -> np.ndarray:
+    """Integrand value per grid cell, (n_paths, n_cells, *value_shape).
 
-    The result is (n_paths, n_cells, *value_shape); padding cells take
-    the value of the last interval or node.  A grid integrand's cell takes
-    its left node's value, or under the injectable right-point fault its
-    right node's.  A simple integrand looks its values up row by row, and
-    every breakpoint must be a node of every row.
+    A cell takes its left node's value (:func:`node_values`), so padding
+    cells take the value of the last node.
     """
-    if not isinstance(integrand, SimpleIntegrand):
-        per_node = node_values(integrand, path)
-        return per_node[:, :-1] if sample_side == "left" else per_node[:, 1:]
-    times = path.grid.times
-    b = integrand.breakpoints
-    if np.any(times[:, -1] != b[-1]):
-        raise GridMismatch("breakpoints do not end at the horizon")
-    if not np.all(np.any(times[:, :, None] == b, axis=1)):
-        raise GridMismatch(
-            "every breakpoint must be a grid node; pass breakpoints as "
-            "extra_times when sampling")
-    lookup = times[:, :-1] if sample_side == "left" else times[:, 1:]
-    idx = np.searchsorted(b, lookup, side="right") - 1
-    np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
-    return integrand.values[idx]
+    return node_values(integrand, path)[:, :-1]
 
 
 def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -249,7 +247,7 @@ def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
 
 
 def ito_h(integrand, path: PathBlock, component: int, *,
-          sample_side: str = "left", terminal: bool = False) -> np.ndarray:
+          terminal: bool = False) -> np.ndarray:
     """Integrate an H-valued integrand against one driver component.
 
     Returns the running integral, (n_paths, n_nodes, dim_h), or its
@@ -263,15 +261,15 @@ def ito_h(integrand, path: PathBlock, component: int, *,
     if not 0 <= component < path.n_components:
         raise IndexOutOfRange(
             f"component {component} outside range(0, {path.n_components})")
-    vals = cell_values(integrand, path, sample_side)
+    vals = cell_values(integrand, path)
     if vals.ndim != 3:
         raise DimensionMismatch("H-valued integrand must have vector values")
     kernel = terminal_cells if terminal else integrate_cells
     return kernel(vals[..., None, :], path.increments[:, component, None])
 
 
-def ito_seq(integrand, path: PathBlock, *, sample_side: str = "left",
-            terminal: bool = False) -> np.ndarray:
+def ito_seq(integrand, path: PathBlock, *, terminal: bool = False
+            ) -> np.ndarray:
     """Integrate a sequence-of-H integrand against the driver family.
 
     Each cell sums its components in one contraction, and the cells are
@@ -279,7 +277,7 @@ def ito_seq(integrand, path: PathBlock, *, sample_side: str = "left",
     running integral, (n_paths, n_nodes, dim_h), or its terminal value,
     (n_paths, dim_h).
     """
-    vals = cell_values(integrand, path, sample_side)
+    vals = cell_values(integrand, path)
     if vals.ndim != 4 or vals.shape[2] != path.n_components:
         raise DimensionMismatch(
             f"sequence integrand has shape {vals.shape}, need "
@@ -288,8 +286,8 @@ def ito_seq(integrand, path: PathBlock, *, sample_side: str = "left",
     return kernel(vals, path.increments)
 
 
-def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left",
-                 terminal: bool = False) -> np.ndarray:
+def ito_l2lambda(integrand, path: LevyPath, *, terminal: bool = False
+                 ) -> np.ndarray:
     """Integrate a sequence-of-H integrand against an assembled path.
 
     :func:`ito_seq` on the standard components that Phi_lambda projects
@@ -297,14 +295,12 @@ def ito_l2lambda(integrand, path: LevyPath, *, sample_side: str = "left",
     """
     standard = PathBlock(path.grid, project_standard(path),
                          path.driver.n_nodes)
-    return ito_seq(integrand, standard, sample_side=sample_side,
-                   terminal=terminal)
+    return ito_seq(integrand, standard, terminal=terminal)
 
 
-def _operator_cells(integrand, path: LevyPath, sample_side: str
-                    ) -> np.ndarray:
+def _operator_cells(integrand, path: LevyPath) -> np.ndarray:
     """Hilbert-Schmidt cell values as sequences, through Psi_lambda."""
-    vals = cell_values(integrand, path.driver, sample_side)
+    vals = cell_values(integrand, path.driver)
     if vals.ndim != 4:
         raise SpecMismatch(
             f"operator integrand has shape {vals.shape}, need "
@@ -312,8 +308,7 @@ def _operator_cells(integrand, path: LevyPath, sample_side: str
     return psi_lambda_apply(path.spec, vals)
 
 
-def ito_general(integrand, path: LevyPath, *, sample_side: str = "left",
-                terminal: bool = False) -> np.ndarray:
+def ito_general(integrand, path: LevyPath, *, terminal: bool = False) -> np.ndarray:
     """Integrate a Hilbert-Schmidt integrand against an assembled path.
 
     Cell values are (dim_h, n_modes) operators in the weighted-column
@@ -322,13 +317,12 @@ def ito_general(integrand, path: LevyPath, *, sample_side: str = "left",
     The result is the running integral, (n_paths, n_nodes, dim_h), or its
     terminal value, (n_paths, dim_h).
     """
-    seq_vals = _operator_cells(integrand, path, sample_side)
+    seq_vals = _operator_cells(integrand, path)
     kernel = terminal_cells if terminal else integrate_cells
     return kernel(seq_vals, path.driver.increments)
 
 
-def series_terms(integrand, path: LevyPath, *, sample_side: str = "left",
-                 terminal: bool = False) -> np.ndarray:
+def series_terms(integrand, path: LevyPath, *, terminal: bool = False) -> np.ndarray:
     """Per-mode integrals whose fixed-order sum is the full integral.
 
     Term j, (n_paths, n_modes, n_nodes, dim_h)[:, j], integrates the j-th
@@ -336,7 +330,7 @@ def series_terms(integrand, path: LevyPath, *, sample_side: str = "left",
     (n_paths, n_modes, dim_h).  The terms are pairwise orthogonal in mean
     square, which the harness verifies.
     """
-    seq_vals = _operator_cells(integrand, path, sample_side)
+    seq_vals = _operator_cells(integrand, path)
     kernel = terminal_terms if terminal else integrate_terms
     return kernel(seq_vals, path.driver.increments)
 
@@ -355,8 +349,7 @@ def angle_bracket(grid: TimeGrid, j: int, k: int, *, terminal: bool = False
 
 
 def covariation_integral(x_integrand, y_integrand, path: PathBlock,
-                         j: int, k: int, *, sample_side: str = "left",
-                         terminal: bool = False) -> np.ndarray:
+                         j: int, k: int, *, terminal: bool = False) -> np.ndarray:
     """Pathwise integral of <X, Y> against the bracket of components j, k.
 
     The bracket of standard components is delta_{jk} t, so the result,
@@ -366,8 +359,8 @@ def covariation_integral(x_integrand, y_integrand, path: PathBlock,
     """
     if j != k:
         return angle_bracket(path.grid, j, k, terminal=terminal)
-    vx = cell_values(x_integrand, path, sample_side)
-    vy = cell_values(y_integrand, path, sample_side)
+    vx = cell_values(x_integrand, path)
+    vy = cell_values(y_integrand, path)
     if vx.shape != vy.shape:
         raise DimensionMismatch(
             f"integrand shapes {vx.shape} and {vy.shape} differ")
@@ -382,5 +375,5 @@ def quadrature_sq_norm(integrand, path: PathBlock, *, terminal: bool = False
     reduce to a sum of squares per cell.  The result is the running
     quadrature, (n_paths, n_nodes), or its total, (n_paths,).
     """
-    vals = cell_values(integrand, path, "left")
+    vals = cell_values(integrand, path)
     return time_quadrature(vals, vals, path.grid.dt, terminal)

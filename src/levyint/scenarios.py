@@ -9,8 +9,9 @@ Integrand evaluators are registered by name.  Each evaluator receives a
 block of sampled paths (:class:`levyint.processes.PathBlock`, a single
 path being a block of one) and returns one value per path and grid node,
 where the value at node k is computed from path data up to node k only.
-That convention is what makes left-point sampling predictable; the
-injectable right-point fault deliberately breaks it.
+That convention is what makes left-point sampling predictable.  The
+right-point fault is injected where a scenario's integrand is built:
+node k takes node k + 1's value, so the layers read each cell's right end.
 
 Evaluators:
 
@@ -40,7 +41,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
                      NonPositiveEigenvalue, expect_number)
-from .integrators import GridIntegrand, SimpleIntegrand
+from .integrators import GridIntegrand, SimpleIntegrand, node_values
 from .processes import PathSampler, make_standard_specs, scheduled_nodes
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
 
@@ -162,10 +163,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.fault is not None and self.fault not in FAULTS:
             raise ConfigInvalid(f"fault {self.fault!r} not one of {FAULTS}")
-
-    @property
-    def sample_side(self) -> str:
-        return "right" if self.fault == "right_point" else "left"
 
     def with_fault(self, fault: Optional[str]) -> "ScenarioConfig":
         return replace(self, fault=fault)
@@ -310,6 +307,25 @@ def _eval_folded(path, raw_eval) -> np.ndarray:
     return raw_eval(path).swapaxes(-1, -2)
 
 
+def _eval_right_point(path, integrand) -> np.ndarray:
+    """The right-point fault: node k takes node k + 1's value and the last
+    node keeps its own, in the same memory layout; values constant along
+    the nodes (stride 0) are their own shift."""
+    v = node_values(integrand, path)
+    if v.strides[1] == 0:
+        return v
+    out = np.empty_like(v)
+    out[:, :-1], out[:, -1] = v[:, 1:], v[:, -1]
+    return out
+
+
+def _with_fault(scenario: ScenarioConfig, integrand):
+    """The integrand, or under the right-point fault its shifted grid form."""
+    if scenario.fault != "right_point":
+        return integrand
+    return GridIntegrand(partial(_eval_right_point, integrand=integrand))
+
+
 def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegrand:
     """Turn a reference-coordinate operator integrand into Hilbert-Schmidt form.
 
@@ -330,6 +346,10 @@ def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegran
     restricts every node value of every path instead.
     """
     ev = raw.evaluator
+    if isinstance(ev, partial) and ev.func is _eval_right_point:
+        # the restriction acts node by node, so it commutes with the fault
+        inner = restrict_integrand(ev.keywords["integrand"], spec)
+        return GridIntegrand(partial(_eval_right_point, integrand=inner))
     if (isinstance(ev, partial)
             and getattr(ev.func, "__name__", None) in _LINEAR_IN_COEFFICIENTS):
         coeffs = {}
@@ -358,15 +378,16 @@ def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
         cfg = replace(cfg, seed=cfg.seed + seed_offset)
     shape = value_shape(scenario, cfg.carrier)
     inputs = scenario.n_modes if n_inputs is None else n_inputs
-    return build_grid_integrand(cfg, shape, inputs)
+    return _with_fault(scenario, build_grid_integrand(cfg, shape, inputs))
 
 
-def build_simple_integrand(scenario: ScenarioConfig) -> SimpleIntegrand:
+def build_simple_integrand(scenario: ScenarioConfig):
     """Materialize the scenario's simple integrand.
 
     Without an explicit ``value`` the interval values are drawn once per
     scenario, like the ``constant`` evaluator's: ``scale`` times standard
-    normals of shape (intervals, dim_h) from the integrand seed.
+    normals of shape (intervals, dim_h) from the integrand seed.  Under
+    the right-point fault node k holds the value at node k + 1's time.
     """
     cfg = scenario.integrand
     if cfg.family != "simple":
@@ -380,4 +401,4 @@ def build_simple_integrand(scenario: ScenarioConfig) -> SimpleIntegrand:
     else:
         gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
         values = cfg.scale * gen.standard_normal((b.size - 1, scenario.dim_h))
-    return SimpleIntegrand(b, values)
+    return _with_fault(scenario, SimpleIntegrand(b, values))

@@ -30,8 +30,10 @@ from levyint.processes import (
     make_standard_specs,
     transport_levy,
 )
-from levyint.scenarios import (IntegrandConfig, build_grid_integrand,
-                               restrict_integrand)
+from levyint.scenarios import (IntegrandConfig, ScenarioConfig, _with_fault,
+                               build_grid_integrand, build_integrand,
+                               build_simple_integrand, make_sampler,
+                               resolve_covariance, restrict_integrand)
 from levyint.spaces import (build_eigen_isometry, make_covariance,
                             psi_lambda_apply, random_orthogonal,
                             restrict_bounded_operator)
@@ -92,15 +94,48 @@ def _keeps_terminal(values, n_nodes):
 @pytest.mark.parametrize("kind", ["simple", "grid", "seq"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cell_values_rows_are_the_per_path_values(specs, indices, kind, side):
+    """Left-point cell values, and right-point ones through the faulted
+    integrand."""
     sampler = _sampler(specs)
     integrand = _integrands()[kind]
+    if side == "right":
+        integrand = _with_fault(ScenarioConfig(fault="right_point"), integrand)
     block = sampler.sample_block(SEED, indices)
-    vals = cell_values(integrand, block, side)
+    vals = cell_values(integrand, block)
     assert vals.shape[:2] == (block.n_paths, block.grid.n_nodes - 1)
     for row, p in enumerate(indices):
         n = int(block.n_nodes[row])
-        want = cell_values(integrand, sampler.sample(SEED, p), side)
+        want = cell_values(integrand, sampler.sample(SEED, p))
         _close(vals[row, :n - 1], want[0])
+
+
+@pytest.mark.parametrize("kind", ["driver_linear", "operator", "simple"])
+def test_right_point_fault_takes_the_next_nodes_value(kind):
+    """Under the fault, node k of the scenario's integrand holds node k + 1
+    of the clean one, and the last node, padding included, repeats."""
+    if kind == "simple":
+        cfg = IntegrandConfig(family="simple", carrier="hvector",
+                              evaluator="constant", breakpoints=BREAKS)
+    else:
+        cfg = IntegrandConfig(
+            carrier="seqh" if kind == "driver_linear" else "operator")
+    sc = ScenarioConfig(dim_h=DIM_H, integrand=cfg)
+    block = make_sampler(sc).sample_block(SEED, range(40))
+    assert len(set(block.n_nodes.tolist())) > 1
+
+    def values(scenario):
+        if kind == "simple":
+            return node_values(build_simple_integrand(scenario), block)
+        integrand = build_integrand(scenario)
+        if kind == "operator":
+            integrand = restrict_integrand(integrand,
+                                           resolve_covariance(scenario))
+        return node_values(integrand, block)
+
+    clean, faulted = values(sc), values(sc.with_fault("right_point"))
+    assert np.array_equal(faulted[:, :-1], clean[:, 1:])
+    for row, n in enumerate(block.n_nodes.tolist()):
+        assert np.all(faulted[row, n - 1:] == clean[row, n - 1])
 
 
 @DRIVERS

@@ -527,21 +527,20 @@ def _reference_rows(spec, paths):
                                    restrict_integrand)
 
     sc = spec.scenario
-    side = sc.sample_side
     sampler = make_sampler(sc)
     integrand = build_integrand(sc)
     out = []
     for p in paths:
         path = sampler.sample(spec.path_seed, p)
         if spec.name == "orthogonality":
-            vals = cell_values(integrand, path, side)[0]
+            vals = cell_values(integrand, path)[0]
             terms = [ito_h(_cells_integrand(vals[:, j]), path, j)[0, -1]
                      for j in range(sc.n_modes)]
             dots = [terms[a] @ terms[b] for a, b in _default_pairs(sc.n_modes)]
             out.append(dots + [0.0] * len(dots) + dots)
             continue
         restricted = restrict_integrand(integrand, resolve_covariance(sc))
-        vals = cell_values(restricted, path, side)[0]
+        vals = cell_values(restricted, path)[0]
         tail = [_cells_integrand(vals[:, :, j])
                 for j in range(min(3, sc.n_modes - 1), sc.n_modes)]
         diff = sum(ito_h(x, path, j)[0, -1]

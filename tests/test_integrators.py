@@ -35,6 +35,7 @@ from levyint.scenarios import (
     IntegrandConfig,
     ScenarioConfig,
     build_integrand,
+    build_simple_integrand,
     make_sampler,
     restrict_integrand,
 )
@@ -70,32 +71,42 @@ def test_simple_integrand_validation():
         SimpleIntegrand(np.array([0.0, 0.5, 1.0]), np.zeros((1, 1)))
 
 
+def _two_step(fault=None, breakpoints=(0.0, 0.5, 1.0)):
+    """A scenario's simple integrand, 2 on (0, 0.5] and 3 on (0.5, 1]."""
+    return build_simple_integrand(ScenarioConfig(
+        dim_h=1, n_modes=1, fault=fault, integrand=IntegrandConfig(
+            family="simple", carrier="hvector", evaluator="constant",
+            breakpoints=breakpoints, value=((2.0,), (3.0,)))))
+
+
 def test_cell_values_simple_left_right():
-    si = SimpleIntegrand(np.array([0.0, 0.5, 1.0]), np.array([[2.0], [3.0]]))
+    si = _two_step()
     grid4 = replay_path([0.0, 0.25, 0.5, 0.75, 1.0], [[1.0, 1.0, 1.0, 1.0]])
-    left = cell_values(si, grid4, "left")
-    right = cell_values(si, grid4, "right")
+    left = cell_values(si, grid4)
+    right = cell_values(_two_step("right_point"), grid4)
     assert left.ravel().tolist() == [2.0, 2.0, 3.0, 3.0]
-    # right sampling pulls the value across the breakpoint: the fault is visible
+    # the right-point fault pulls the value across the breakpoint
     assert right.ravel().tolist() == [2.0, 3.0, 3.0, 3.0]
 
 
 def test_cell_values_requires_breakpoints_on_the_grid():
     si = SimpleIntegrand(np.array([0.0, 0.3, 1.0]), np.array([[2.0], [3.0]]))
     with pytest.raises(GridMismatch):
-        cell_values(si, TWO_CELL, "left")
+        cell_values(si, TWO_CELL)
     short = SimpleIntegrand(np.array([0.0, 0.5]), np.array([[2.0]]))
     with pytest.raises(GridMismatch):
-        cell_values(short, TWO_CELL, "left")
+        cell_values(short, TWO_CELL)
+    # the faulted integrand keeps the check
+    with pytest.raises(GridMismatch):
+        cell_values(_two_step("right_point", (0.0, 0.3, 1.0)), TWO_CELL)
 
 
 def test_cell_values_grid_integrand_slicing():
     rows = node_rows()
-    assert cell_values(rows, TWO_CELL, "left").ravel().tolist() == [0.0, 1.0]
-    assert cell_values(rows, TWO_CELL, "right").ravel().tolist() == [1.0, 2.0]
+    assert cell_values(rows, TWO_CELL).ravel().tolist() == [0.0, 1.0]
     # node values evaluated beforehand are cut the same way
     node = rows.evaluator(TWO_CELL)
-    assert cell_values(node, TWO_CELL, "right").ravel().tolist() == [1.0, 2.0]
+    assert cell_values(node, TWO_CELL).ravel().tolist() == [0.0, 1.0]
     bad = GridIntegrand(lambda path: np.zeros((1, path.grid.n_nodes + 1, 1)))
     with pytest.raises(GridMismatch):
         cell_values(bad, TWO_CELL)
@@ -120,12 +131,12 @@ def test_ito_h_frozen_case():
 
 
 def test_ito_h_left_vs_right_attribution():
-    si = SimpleIntegrand(np.array([0.0, 0.5, 1.0]), np.array([[2.0], [3.0]]))
-    left = ito_h(si, TWO_CELL, 0)
-    right = ito_h(si, TWO_CELL, 0, sample_side="right")
+    left = ito_h(_two_step(), TWO_CELL, 0)
+    # left-point integration of the faulted integrand samples the right end
+    right = ito_h(_two_step("right_point"), TWO_CELL, 0)
     assert left[0, -1, 0] == 80.0
     assert right[0, -1, 0] == 90.0
-    assert ito_h(si, TWO_CELL, 0, terminal=True).tolist() == [[80.0]]
+    assert ito_h(_two_step(), TWO_CELL, 0, terminal=True).tolist() == [[80.0]]
 
 
 def test_ito_h_component_selection_and_bounds():

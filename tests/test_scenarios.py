@@ -72,11 +72,11 @@ def test_scenario_validation_and_fault_helpers():
     with pytest.raises(ConfigInvalid):
         ScenarioConfig(fault="slow_clock")
     base = ScenarioConfig()
-    assert base.fault is None and base.sample_side == "left"
+    assert base.fault is None
     faulted = base.with_fault("right_point")
-    assert faulted.sample_side == "right"
+    assert faulted.fault == "right_point"
     assert faulted.with_fault(None).fault is None
-    assert base.sample_side == "left"   # with_fault does not mutate
+    assert base.fault is None   # with_fault does not mutate
 
 
 def test_integrand_config_validation():
@@ -140,7 +140,7 @@ def test_constant_evaluator_broadcasts_explicit_value():
                           value=(1.0, -2.0))
     integrand = build_grid_integrand(cfg, (2,), 1)
     path = replay_path([0.0, 0.5, 1.0], [[1.0, 1.0]])
-    vals = cell_values(integrand, path, "left")
+    vals = cell_values(integrand, path)
     assert vals.tolist() == [[[1.0, -2.0], [1.0, -2.0]]]
 
 
