@@ -11,7 +11,7 @@ must satisfy and reduces the outcome to one report row.  Two regimes:
 * Exact checks compare two computations of the same pathwise quantity
   and pass when the worst relative deviation stays below ``REL_TOL``
   (margin is deviation / REL_TOL, again 1.0 at the edge).  Relative
-  means against max(1, magnitude of the reference path).
+  means against the magnitude of the computation the term deviates from.
 
 Reports from multi-statistic checks carry the worst case.  A check's
 report is a deterministic function of its own spec (scenario, seeds,
@@ -31,10 +31,10 @@ the layer's terminal form.  One of two drivers owns everything else:
   (n_paths, n_cases) and rhs broadcasts to it, lays out the rows
   [lhs..., rhs..., lhs - rhs...] and reports the worst case of their
   accumulator.
-* :func:`_exact` takes ``per_block(block) -> (dev, ref)``, per path the
-  largest deviation between the two computations and the magnitude of
-  the reference, and :func:`_exact_loop` reports the maxima of the
-  absolute and the relative deviation.
+* :func:`_exact` takes ``per_block(block) -> [(dev, ref), ...]``, per
+  term and path the largest deviation between two computations and the
+  magnitude of the reference, and :func:`_exact_loop` reports the maxima
+  of the absolute and the relative deviation.
 
 The suite runner owns the paths.  Checks whose paths have one law (driver
 specs, horizon, grid) and one seed read the same paths: the default suite
@@ -80,6 +80,7 @@ from .stats import MAX_BLOCK_BYTES, accumulate_paths, block_paths
 BASE_SEED = 20260816
 SIGMAS = 4.0
 REL_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 def _default_pairs(n_modes: int) -> tuple:
     """Adjacent component pairs plus the extreme pair; touches every component."""
@@ -225,10 +226,23 @@ def _exact_loop(spec: CheckSpec, per_path) -> _Member:
 
 
 def _exact(spec: CheckSpec, per_block) -> _Member:
-    """The exact driver: ``per_block(block) -> (dev, ref)`` to a member."""
+    """The exact driver: ``per_block(block) -> [(dev, ref), ...]`` to a member.
+
+    Each term's deviation is divided by its own reference, the magnitude
+    of the computation it deviates from, because rounding scales with
+    that computation: an integral deviates against the integral, a
+    driver quantity against the driver.  So a margin does not depend on
+    the integrand's scale, and a fault at any scale stays a deviation far
+    above rounding.  The reference is floored at the smallest normal
+    float: a zero deviation on a zero reference (a zero integrand, say)
+    passes, but zeros round to zeros, so a non-zero deviation from an
+    exact zero is no rounding, and fails.
+    """
     def per_path(block):
-        dev, ref = per_block(block)
-        return np.array([dev, dev / np.maximum(1.0, ref)]).T
+        terms = per_block(block)
+        dev = np.maximum.reduce([d for d, _ in terms])
+        rel = np.maximum.reduce([d / np.maximum(r, _TINY) for d, r in terms])
+        return np.array([dev, rel]).T
 
     return _exact_loop(spec, per_path)
 
@@ -522,7 +536,7 @@ def _check_basis_invariance(spec: CheckSpec) -> _Member:
                                  _row_max(z2 - z1), _row_max(terms[:, 0] - z0),
                                  _row_max(end - z0[:, -1]),
                                  _row_max(terms_end - terms[:, :, -1])])
-        return dev, _row_max(z0)
+        return [(dev, _row_max(z0))]
 
     return _exact(spec, per_block)
 
@@ -558,10 +572,10 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
         q2 = quadrature_sq_norm(node2, driver, terminal=True)
         dt = driver.grid.dt[:, None]
         jumpless = driver.grid.kind[:, None, 1:] == SCHEDULED
-        stray = (driver.increments[:, pure] + rate * dt) * jumpless
-        dev = np.maximum.reduce([_row_max(z1 - z2), np.abs(q1 - q2),
-                                 _row_max(stray)])
-        return dev, np.maximum.reduce([_row_max(z1), q1])
+        compensator = rate * dt
+        stray = (driver.increments[:, pure] + compensator) * jumpless
+        return [(_row_max(z1 - z2), _row_max(z1)), (np.abs(q1 - q2), q1),
+                (_row_max(stray), _row_max(compensator))]
 
     return _exact(spec, per_block)
 
@@ -598,10 +612,9 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
         z2 = ito_general(node_values(r2, view), levy2)
         # A dL: column u of A integrates reference coordinate u
         z3 = ito_seq(node_values(raw, view).swapaxes(-1, -2), view)
-        dev = np.maximum.reduce([_row_max(z1 - z2), _row_max(z1 - z3),
-                                 _row_max(levy1.coords - levy2.coords)])
-        ref = np.maximum.reduce([_row_max(z1), _row_max(levy1.coords)])
-        return dev, ref
+        dev = np.maximum(_row_max(z1 - z2), _row_max(z1 - z3))
+        return [(dev, _row_max(z1)),
+                (_row_max(levy1.coords - levy2.coords), _row_max(levy1.coords))]
 
     return _exact(spec, per_block)
 
@@ -626,7 +639,7 @@ def _check_simple_exact(spec: CheckSpec) -> _Member:
             partial = partial + values[i] * step[:, None]
             dev = np.maximum(dev, _row_max(z[rows, nodes[i + 1]] - partial))
             ref = np.maximum(ref, _row_max(partial))
-        return dev, ref
+        return [(dev, ref)]
 
     return _exact(spec, per_block)
 
@@ -651,9 +664,9 @@ CHECKS = {
     "truncation_tail": _check_truncation_tail,
 }
 
-# checks that must catch each injected fault: the sampling-side fault
-# biases adapted integrands and breaks the telescoping identity; the
-# basis fault changes what covariance is actually sampled
+# checks that must catch each injected fault: the right-point fault, built
+# into the integrand, biases adapted integrands and breaks the telescoping
+# identity; the basis fault changes what covariance is actually sampled
 FAULT_CHECKS = {
     "right_point": ("simple_exact", "martingale", "isometry2"),
     "nonorthogonal_basis": ("covariance_recovery",),

@@ -710,3 +710,56 @@ def _covariance_rows(spec, paths):
         lhs = [(u1 @ at[t]) * (u2 @ at[s]) for u1, u2, t, s in cases]
         out.append(lhs + target + [a - b for a, b in zip(lhs, target)])
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# exact checks at any integrand scale
+
+EXACT = ("basis_invariance", "isometry_invariance", "well_defined",
+         "simple_exact")
+SCALES = pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+
+
+def _scaled(desk: ScenarioConfig, scale: float) -> ScenarioConfig:
+    return replace(desk, integrand=replace(desk.integrand, scale=scale))
+
+
+def test_exact_terms_deviate_against_their_own_reference():
+    from levyint.checks import REL_TOL, _exact
+
+    terms = [(np.array([0.0, 1e-300, 1e-20, 0.0]),
+              np.array([0.0, 0.0, 1.0, 1e-13])),
+             (np.array([0.0, 0.0, 0.0, 1e-26]),
+              np.array([1.0, 1.0, 1.0, 1e-13]))]
+    rows = _exact(default_suite(2, 4)[5], lambda block: terms).rows(None)
+    assert rows[:, 0].tolist() == [0.0, 1e-300, 1e-20, 1e-26]
+    rel = rows[:, 1]
+    # zero on a zero reference passes; anything else on one fails
+    assert rel[0] == 0.0 and rel[1] > REL_TOL
+    # a small reference is no excuse for a small deviation
+    assert rel[2] == 1e-20 and rel[3] == pytest.approx(1e-13)
+
+
+@SCALES
+def test_right_point_fails_simple_exact_at_any_scale(scale):
+    desk = _scaled(ScenarioConfig(drivers=DESK_DRIVERS), scale)
+    spec, = [s for s in negative_control_suite("right_point", 2, 64,
+                                               desk=desk)
+             if s.name == "simple_exact"]
+    report = run_check(spec)
+    assert not report.passed and report.margin > 1e6
+
+
+@SCALES
+@pytest.mark.parametrize("desk, n_exact", [
+    (ScenarioConfig(drivers=DESK_DRIVERS), 64),
+    (ScenarioConfig(drivers=JUMP_DENSE_DRIVERS), 64),
+    (ScenarioConfig(dim_h=32, n_modes=24, n_scheduled=512,
+                    drivers=DESK_DRIVERS), 16)],
+    ids=["desk", "jump_dense", "wide"])
+def test_clean_exact_checks_pass_at_any_scale(desk, n_exact, scale):
+    specs = [s for s in default_suite(2, n_exact, desk=_scaled(desk, scale))
+             if s.name in EXACT]
+    reports = run_suite(specs)
+    assert [r.name for r in reports] == list(EXACT)
+    assert all(r.passed for r in reports), [r.margin for r in reports]
