@@ -228,15 +228,11 @@ def _exact_loop(spec: CheckSpec, per_path) -> _Member:
 def _exact(spec: CheckSpec, per_block) -> _Member:
     """The exact driver: ``per_block(block) -> [(dev, ref), ...]`` to a member.
 
-    Each term's deviation is divided by its own reference, the magnitude
-    of the computation it deviates from, because rounding scales with
-    that computation: an integral deviates against the integral, a
-    driver quantity against the driver.  So a margin does not depend on
-    the integrand's scale, and a fault at any scale stays a deviation far
-    above rounding.  The reference is floored at the smallest normal
-    float: a zero deviation on a zero reference (a zero integrand, say)
-    passes, but zeros round to zeros, so a non-zero deviation from an
-    exact zero is no rounding, and fails.
+    Rounding scales with the computation, so each term deviates against
+    its own reference, the magnitude of what it deviates from, and no
+    margin depends on the integrand's scale.  The floor at the smallest
+    normal float passes a zero deviation on a zero reference and fails
+    any other: zeros round to zeros, so that deviation is no rounding.
     """
     def per_path(block):
         terms = per_block(block)
