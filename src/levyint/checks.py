@@ -235,10 +235,10 @@ def _exact(spec: CheckSpec, per_block) -> _Member:
     any other: zeros round to zeros, so that deviation is no rounding.
     """
     def per_path(block):
-        terms = per_block(block)
-        dev = np.maximum.reduce([d for d, _ in terms])
-        rel = np.maximum.reduce([d / np.maximum(r, _TINY) for d, r in terms])
-        return np.array([dev, rel]).T
+        terms = np.array(per_block(block))       # (n_terms, 2, n_paths)
+        # each term's reference becomes its relative deviation
+        terms[:, 1] = terms[:, 0] / np.maximum(terms[:, 1], _TINY)
+        return np.maximum.reduce(terms).T
 
     return _exact_loop(spec, per_path)
 

@@ -119,7 +119,11 @@ def node_values(integrand, path: PathBlock) -> np.ndarray:
     A simple integrand takes at each node its value on the interval that
     follows, and every breakpoint must be a node of every row.
     """
-    if isinstance(integrand, SimpleIntegrand):
+    if isinstance(integrand, np.ndarray):
+        per_node = integrand
+    elif isinstance(integrand, GridIntegrand):
+        per_node = np.asarray(integrand.evaluator(path), dtype=float)
+    elif isinstance(integrand, SimpleIntegrand):
         times = path.grid.times
         b = integrand.breakpoints
         if np.any(times[:, -1] != b[-1]):
@@ -131,10 +135,6 @@ def node_values(integrand, path: PathBlock) -> np.ndarray:
         idx = np.searchsorted(b, times, side="right") - 1
         np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
         return integrand.values[idx]
-    if isinstance(integrand, np.ndarray):
-        per_node = integrand
-    elif isinstance(integrand, GridIntegrand):
-        per_node = np.asarray(integrand.evaluator(path), dtype=float)
     else:
         raise DimensionMismatch(
             f"unsupported integrand type {type(integrand)!r}")
