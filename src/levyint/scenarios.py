@@ -309,8 +309,8 @@ def _eval_folded(path, raw_eval) -> np.ndarray:
 
 def _eval_right_point(path, integrand) -> np.ndarray:
     """The right-point fault: node k takes node k + 1's value and the last
-    node keeps its own, in the same memory layout; values constant along
-    the nodes (stride 0) are their own shift."""
+    node keeps its own, in the memory layout the kernels' rounding depends
+    on; values constant along the nodes (stride 0) are their own shift."""
     v = node_values(integrand, path)
     if v.strides[1] == 0:
         return v
