@@ -34,6 +34,7 @@ from levyint.processes import (PathSampler, assemble_levy, make_standard_specs,
 from levyint.scenarios import (
     IntegrandConfig,
     ScenarioConfig,
+    _with_fault,
     build_integrand,
     build_simple_integrand,
     make_sampler,
@@ -104,6 +105,8 @@ def test_cell_values_requires_breakpoints_on_the_grid():
 def test_cell_values_grid_integrand_slicing():
     rows = node_rows()
     assert cell_values(rows, TWO_CELL).ravel().tolist() == [0.0, 1.0]
+    right = _with_fault(ScenarioConfig(fault="right_point"), rows)
+    assert cell_values(right, TWO_CELL).ravel().tolist() == [1.0, 2.0]
     # node values evaluated beforehand are cut the same way
     node = rows.evaluator(TWO_CELL)
     assert cell_values(node, TWO_CELL).ravel().tolist() == [0.0, 1.0]
