@@ -360,8 +360,8 @@ def _check_covariance_recovery(spec: CheckSpec) -> _Member:
     targets = np.array([min(t, s) * float(u1 @ q @ u2)
                         for u1, u2, t, s in cases])
     # per-probe driver weights under the covariance actually sampled
-    w1s = [(sim.eigenbasis.T @ u1) * sim.sqrt_eigenvalues for u1, _, _, _ in cases]
-    w2s = [(sim.eigenbasis.T @ u2) * sim.sqrt_eigenvalues for _, u2, _, _ in cases]
+    w1s = [u1 @ sim.synthesis for u1, _, _, _ in cases]
+    w2s = [u2 @ sim.synthesis for _, u2, _, _ in cases]
 
     def stat(block):
         rows = np.arange(block.n_paths)
@@ -551,7 +551,7 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
     cov = resolve_covariance(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     rotations = _block_rotations_for(cov.eigenvalues, gen)
-    iso = build_eigen_isometry(cov, cov.eigenvalues, rotations)
+    iso = build_eigen_isometry(cov, rotations)
     driver_specs = make_standard_specs(sc.n_modes, sc.drivers)
     integrand = build_integrand(sc)
     pure = [c for c, s in enumerate(driver_specs) if s.sigma == 0.0]
@@ -590,7 +590,7 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
     cov1 = resolve_covariance(sc)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     rotations = _block_rotations_for(cov1.eigenvalues, gen)
-    iso = build_eigen_isometry(cov1, cov1.eigenvalues, rotations)
+    iso = build_eigen_isometry(cov1, rotations)
     cov2 = alternate_decomposition(cov1, iso)
     cmap = iso.coord_map
     raw = build_integrand(sc, n_inputs=cov1.dim_u)

@@ -102,6 +102,10 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     basis = section.get("basis", "identity")
     if isinstance(basis, dict):
         _reject_unknown(basis, {"seed"}, "covariance.basis")
+        seed = basis.get("seed")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigInvalid(f"covariance.basis.seed must be an integer, "
+                                f"got {seed!r}")
     elif isinstance(basis, list):
         if not all(isinstance(row, (list, tuple)) for row in basis):
             raise ConfigInvalid("covariance.basis rows must be lists of "

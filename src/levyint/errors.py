@@ -17,10 +17,6 @@ class NonOrthogonalBasis(LevyintError):
     """Basis columns fail the orthonormality tolerance."""
 
 
-class MultisetMismatch(LevyintError):
-    """Target eigenvalues are not a permutation of the source eigenvalues."""
-
-
 class BlockShapeMismatch(LevyintError):
     """A block rotation does not match its eigenvalue block."""
 

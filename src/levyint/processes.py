@@ -605,17 +605,15 @@ def coordinate_view(path: LevyPath):
 def transport_levy(path: LevyPath, iso) -> LevyPath:
     """Carry a block of paths through a weighted-sequence isometry.
 
-    The transported block lives in the target weighted picture (identity
-    eigenbasis, target eigenvalue order) on the same grid.  Because the
+    The transported block lives in the weighted picture itself (identity
+    eigenbasis, the same eigenvalues) on the same grid.  Because the
     isometry is supported on equal-eigenvalue blocks, the standard
     components of the image are plain orthogonal mixes of the source
-    components: its increments are
-    ``coord_map @ increments``.
+    components: its increments are ``coord_map @ increments``.
     """
-    if not np.array_equal(iso.source_eigenvalues, path.spec.eigenvalues):
+    lam = path.spec.eigenvalues
+    if not np.array_equal(iso.eigenvalues, lam):
         raise SpecMismatch("isometry source does not match the path spec")
-    target = CovarianceSpec(iso.target_eigenvalues,
-                            np.eye(iso.target_eigenvalues.size),
-                            path.spec.tail_mass)
+    target = CovarianceSpec(lam, np.eye(lam.size), path.spec.tail_mass)
     return LevyPath(target, replace(
         path.driver, increments=iso.coord_map @ path.driver.increments))

@@ -21,23 +21,26 @@ Conventions used throughout the package:
   ``sqrt(eigenvalues[j])`` times the unit eigenvector.  The squared
   Hilbert-Schmidt norm is then the squared Frobenius norm.
 
-The maps of the construction live here and nowhere else:
+The maps of the construction live here and nowhere else, and
+sqrt(lambda) enters them through two matrices that ``CovarianceSpec``
+builds once; each map is one product with one of them:
 
-* Phi_lambda (analysis) takes U to l2_lambda, u -> (<u, e_j> /
-  sqrt(lambda_j))_j; a path's standard components are its image.
-* Phi_lambda^-1 (synthesis) scales entry j by sqrt(lambda_j) and applies
-  the eigenbasis; it assembles the U-valued path from its components.
+* Phi_lambda is ``analysis``, the transposed eigenbasis with row j divided
+  by sqrt(lambda_j): u -> (<u, e_j> / sqrt(lambda_j))_j takes U to
+  l2_lambda, and a path's standard components are its image.
+* Phi_lambda^-1 is ``synthesis``, the eigenbasis with column j scaled by
+  sqrt(lambda_j); it assembles the U-valued path from its components.
 * The restriction makes a bounded operator on U Hilbert-Schmidt: the
-  operator times the eigenbasis, column j scaled by sqrt(lambda_j).  It is
-  linear in the operator, so an integrand affine in its coefficients is
-  restricted once, coefficient by coefficient, and any other integrand
-  node by node (:func:`levyint.scenarios.restrict_integrand`).
+  operator times ``synthesis``.  It is linear in the operator, so an
+  integrand affine in its coefficients is restricted once, coefficient by
+  coefficient, and any other integrand node by node
+  (:func:`levyint.scenarios.restrict_integrand`).
 * Psi_lambda turns a Hilbert-Schmidt operator into its sequence of
   columns, which the series integral sums term by term.
 
 Phi_lambda and its inverse act on axis -2 (a path is one column per
 node), the restriction and Psi_lambda on the last two axes; leading axes
-are batch axes.  With the identity eigenbasis the maps skip the rotation.
+are batch axes.
 """
 from __future__ import annotations
 
@@ -48,7 +51,6 @@ import numpy as np
 from .errors import (
     BlockShapeMismatch,
     DimensionMismatch,
-    MultisetMismatch,
     NonOrthogonalBasis,
     NonOrthogonalRotation,
     NonPositiveEigenvalue,
@@ -81,7 +83,8 @@ class CovarianceSpec:
     eigenvalues: np.ndarray          # (n_modes,), strictly positive
     eigenbasis: np.ndarray           # (dim_u, n_modes), orthonormal columns
     tail_mass: float = 0.0           # declared spectral mass beyond the truncation
-    sqrt_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    synthesis: np.ndarray = field(init=False, repr=False, compare=False)
+    analysis: np.ndarray = field(init=False, repr=False, compare=False)
     identity_basis: bool = field(init=False, repr=False, compare=False)
     n_modes: int = field(init=False, repr=False, compare=False)
     dim_u: int = field(init=False, repr=False, compare=False)
@@ -100,7 +103,9 @@ class CovarianceSpec:
             raise NonPositiveEigenvalue("tail_mass must be >= 0")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenbasis", basis)
-        object.__setattr__(self, "sqrt_eigenvalues", _freeze(np.sqrt(lam)))
+        root = np.sqrt(lam)
+        object.__setattr__(self, "synthesis", _freeze(basis * root))
+        object.__setattr__(self, "analysis", _freeze(basis.T / root[:, None]))
         object.__setattr__(self, "n_modes", lam.size)
         object.__setattr__(self, "dim_u", basis.shape[0])
         object.__setattr__(
@@ -169,8 +174,7 @@ def phi_lambda_apply(spec: CovarianceSpec, u: np.ndarray) -> np.ndarray:
     if u.ndim < 2 or u.shape[-2] != spec.dim_u:
         raise DimensionMismatch(
             f"expected {spec.dim_u} U coordinates on axis -2, got {u.shape}")
-    coords = u if spec.identity_basis else spec.eigenbasis.T @ u
-    return coords / spec.sqrt_eigenvalues[:, None]
+    return spec.analysis @ u
 
 
 def phi_lambda_invert(spec: CovarianceSpec, w: np.ndarray) -> np.ndarray:
@@ -178,8 +182,7 @@ def phi_lambda_invert(spec: CovarianceSpec, w: np.ndarray) -> np.ndarray:
     if w.ndim < 2 or w.shape[-2] != spec.n_modes:
         raise DimensionMismatch(
             f"expected {spec.n_modes} modes on axis -2, got {w.shape}")
-    scaled = spec.sqrt_eigenvalues[:, None] * w
-    return scaled if spec.identity_basis else spec.eigenbasis @ scaled
+    return spec.synthesis @ w
 
 
 def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray:
@@ -193,13 +196,9 @@ def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray
     if a.ndim < 2 or a.shape[-1] != spec.dim_u:
         raise DimensionMismatch(
             f"operator must have {spec.dim_u} columns, got {a.shape}")
-    if spec.identity_basis:
-        return a * spec.sqrt_eigenvalues
     # one product over every leading axis, not one per operator
-    out = a.reshape(-1, spec.dim_u) @ spec.eigenbasis
-    out = out.reshape(a.shape[:-1] + (spec.n_modes,))
-    out *= spec.sqrt_eigenvalues
-    return out
+    out = a.reshape(-1, spec.dim_u) @ spec.synthesis
+    return out.reshape(a.shape[:-1] + (spec.n_modes,))
 
 
 def psi_lambda_apply(spec: CovarianceSpec, op: np.ndarray) -> np.ndarray:
@@ -216,65 +215,53 @@ def psi_lambda_apply(spec: CovarianceSpec, op: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BasisIsometry:
-    """Norm-preserving map between two weighted sequence spaces.
+    """Norm-preserving map of a weighted sequence space onto itself.
 
     ``coord_map`` acts directly on plain coordinate vectors; it is an
     orthogonal matrix supported on equal-eigenvalue blocks, which makes
-    the map isometric for the weighted inner products on both sides and
-    keeps eigenvectors of distinct eigenvalues orthogonal.
+    the map isometric for the weighted inner product and keeps
+    eigenvectors of distinct eigenvalues orthogonal.
     """
 
-    source_eigenvalues: np.ndarray
-    target_eigenvalues: np.ndarray
+    eigenvalues: np.ndarray
     coord_map: np.ndarray            # (n, n) orthogonal, block-supported
 
     def __post_init__(self):
-        object.__setattr__(self, "source_eigenvalues", _freeze(self.source_eigenvalues))
-        object.__setattr__(self, "target_eigenvalues", _freeze(self.target_eigenvalues))
+        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues))
         object.__setattr__(self, "coord_map", _freeze(self.coord_map))
 
 
-def build_eigen_isometry(source: CovarianceSpec, target_eigenvalues,
+def build_eigen_isometry(source: CovarianceSpec,
                          block_rotations=None) -> BasisIsometry:
-    """Isometry between the weighted pictures of two eigenvalue orderings.
+    """Isometry of the weighted picture that mixes equal eigenvalues.
 
-    ``target_eigenvalues`` must be a permutation (with multiplicity) of
-    the source eigenvalues; equality of eigenvalues is exact, matching
-    how repeated blocks are constructed.  ``block_rotations`` optionally
-    maps an eigenvalue to an orthogonal matrix mixing the positions of
-    that eigenvalue; omitted blocks use the identity, so the default is
-    the pure sorting permutation.
+    ``block_rotations`` optionally maps an eigenvalue to an orthogonal
+    matrix mixing the positions of that eigenvalue; equality of
+    eigenvalues is exact, matching how repeated blocks are constructed.
+    Omitted blocks use the identity, so the default is the identity map.
+    Every position keeps its eigenvalue: on a truncation, reordering the
+    eigenvalues would only reorder a finite sum.
     """
     lam = source.eigenvalues
-    mu = np.asarray(target_eigenvalues, dtype=float)
-    if mu.shape != lam.shape:
-        raise MultisetMismatch("target eigenvalue count differs from source")
-    if not np.array_equal(np.sort(lam), np.sort(mu)):
-        raise MultisetMismatch(
-            "target eigenvalues are not a permutation of the source eigenvalues")
     block_rotations = dict(block_rotations or {})
-    n = lam.size
-    cmap = np.zeros((n, n))
+    cmap = np.zeros((lam.size, lam.size))
     for value in sorted(set(lam.tolist())):
-        src_idx = np.flatnonzero(lam == value)
-        tgt_idx = np.flatnonzero(mu == value)
-        rot = block_rotations.pop(value, None)
-        if rot is None:
-            rot = np.eye(src_idx.size)
-        rot = np.asarray(rot, dtype=float)
-        if rot.shape != (tgt_idx.size, src_idx.size):
+        idx = np.flatnonzero(lam == value)
+        rot = np.asarray(block_rotations.pop(value, np.eye(idx.size)),
+                         dtype=float)
+        if rot.shape != (idx.size, idx.size):
             raise BlockShapeMismatch(
                 f"rotation for eigenvalue {value} has shape {rot.shape}, "
-                f"block needs {(tgt_idx.size, src_idx.size)}")
-        defect = float(np.max(np.abs(rot.T @ rot - np.eye(src_idx.size))))
+                f"block needs {(idx.size, idx.size)}")
+        defect = float(np.max(np.abs(rot.T @ rot - np.eye(idx.size))))
         if defect > GRAM_TOL:
             raise NonOrthogonalRotation(
                 f"rotation for eigenvalue {value} has Gram defect {defect:.3e}")
-        cmap[np.ix_(tgt_idx, src_idx)] = rot
+        cmap[np.ix_(idx, idx)] = rot
     if block_rotations:
         raise BlockShapeMismatch(
             f"rotations given for absent eigenvalues: {sorted(block_rotations)}")
-    return BasisIsometry(lam, mu, cmap)
+    return BasisIsometry(lam, cmap)
 
 
 def alternate_decomposition(spec: CovarianceSpec, iso: BasisIsometry
@@ -285,7 +272,7 @@ def alternate_decomposition(spec: CovarianceSpec, iso: BasisIsometry
     in ``iso``; the returned spec describes the identical operator, which
     is what the well-definedness checks integrate against.
     """
-    if not np.array_equal(iso.source_eigenvalues, spec.eigenvalues):
+    if not np.array_equal(iso.eigenvalues, spec.eigenvalues):
         raise SpecMismatch("isometry source does not match the covariance spec")
     basis = spec.eigenbasis @ iso.coord_map.T
-    return CovarianceSpec(iso.target_eigenvalues, basis, spec.tail_mass)
+    return CovarianceSpec(spec.eigenvalues, basis, spec.tail_mass)

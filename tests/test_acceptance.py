@@ -186,7 +186,7 @@ def test_c06_covariance_recovery():
     spec = resolve_covariance(sc)
     sampler = make_sampler(sc)
     basis = spec.eigenbasis
-    w = [(basis.T @ basis[:, i]) * spec.sqrt_eigenvalues for i in range(2)]
+    w = [(basis.T @ basis[:, i]) * np.sqrt(spec.eigenvalues) for i in range(2)]
     times = (0.25, 0.5, 1.0)
     combos = [(i, j, t, s) for (i, j) in ((0, 0), (1, 1), (0, 1))
               for t in times for s in times]

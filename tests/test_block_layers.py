@@ -235,8 +235,8 @@ def test_transport_and_view_keep_the_block(specs, indices):
     lam = (0.25, 0.125, 0.125, 0.0625, 0.0625, 0.03125)
     cov = make_covariance(lam, {"seed": 7})
     gen = rng.stream(1, 0, 0, rng.BASIS)
-    iso = build_eigen_isometry(cov, lam, {0.125: random_orthogonal(2, gen),
-                                          0.0625: random_orthogonal(2, gen)})
+    iso = build_eigen_isometry(cov, {0.125: random_orthogonal(2, gen),
+                                     0.0625: random_orthogonal(2, gen)})
     block = sampler.sample_block(SEED, indices)
     levy = assemble_levy(cov, block)
     moved = transport_levy(levy, iso)

@@ -37,6 +37,12 @@ from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
 ONE_MODE = ScenarioConfig(
     n_modes=1, drivers=("brownian",), covariance=CovarianceConfig((1.0,)),
     integrand=IntegrandConfig(carrier="hvector", evaluator="driver_linear"))
+# integrand scales at which an exact check must still see its faults
+SCALES = pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+
+
+def _scaled(desk: ScenarioConfig, scale: float) -> ScenarioConfig:
+    return replace(desk, integrand=replace(desk.integrand, scale=scale))
 
 
 def _samples(seed: int, n: int, k: int) -> np.ndarray:
@@ -299,13 +305,17 @@ def test_nonorthogonal_basis_fault_is_detected():
     assert not suite_passed(reports)
 
 
-def test_well_defined_sees_a_restriction_without_sqrt_lambda(monkeypatch):
+@SCALES
+def test_well_defined_sees_a_restriction_without_sqrt_lambda(scale,
+                                                             monkeypatch):
     # both decompositions share a restriction that drops sqrt(lambda_j);
     # only the route through the raw integrand and the reference
     # coordinates of the path can tell
     from levyint import scenarios
 
-    spec, = [s for s in default_suite(64, 64) if s.name == "well_defined"]
+    spec, = [s for s in default_suite(64, 64,
+                                      desk=_scaled(ScenarioConfig(), scale))
+             if s.name == "well_defined"]
     assert run_check(spec).passed
     monkeypatch.setattr(scenarios, "restrict_bounded_operator",
                         lambda cov, a: a @ cov.eigenbasis)
@@ -314,7 +324,8 @@ def test_well_defined_sees_a_restriction_without_sqrt_lambda(monkeypatch):
     assert report.margin > 1e6
 
 
-def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
+@SCALES
+def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(scale, monkeypatch):
     # a mutant sampler credits each pure-jump component's jumps to the cell
     # after their node (ev_node instead of ev_node - 1): the path is still a
     # compensated martingale under a predictable integrand, so only the
@@ -337,7 +348,8 @@ def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
                 inc[:, c, 1:] += move
         return replace(block, increments=inc)
 
-    spec, = [s for s in default_suite(64, 64)
+    spec, = [s for s in default_suite(64, 64,
+                                      desk=_scaled(ScenarioConfig(), scale))
              if s.name == "isometry_invariance"]
     assert {"preset": "poisson", "a": 0.5} in spec.scenario.drivers
     assert run_check(spec).passed
@@ -345,6 +357,32 @@ def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(monkeypatch):
     report = run_check(spec)
     assert not report.passed
     assert report.margin > 1e6
+
+
+def test_well_defined_sees_a_swap_across_eigenvalues(monkeypatch):
+    # a mutant isometry swaps two positions of distinct eigenvalues, so
+    # the second decomposition describes another covariance operator.
+    # isometry_invariance cannot see it: permuting the components together
+    # with the integrand coordinates is always a sequence isometry, and that
+    # check passes the mutant at rounding level
+    from levyint import checks
+    from levyint.spaces import BasisIsometry
+
+    def swap(cov, rotations=None):
+        lam = cov.eigenvalues
+        i, j = 0, int(np.flatnonzero(lam != lam[0])[0])
+        cmap = np.eye(lam.size)
+        cmap[[i, j]] = cmap[[j, i]]
+        return BasisIsometry(lam, cmap)
+
+    specs = {s.name: s for s in default_suite(64, 64)
+             if s.name in ("well_defined", "isometry_invariance")}
+    assert run_check(specs["well_defined"]).passed
+    monkeypatch.setattr(checks, "build_eigen_isometry", swap)
+    report = run_check(specs["well_defined"])
+    assert not report.passed
+    assert report.margin > 1e6
+    assert run_check(specs["isometry_invariance"]).passed
 
 
 def _lagged(kernel):
@@ -717,11 +755,6 @@ def _covariance_rows(spec, paths):
 
 EXACT = ("basis_invariance", "isometry_invariance", "well_defined",
          "simple_exact")
-SCALES = pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
-
-
-def _scaled(desk: ScenarioConfig, scale: float) -> ScenarioConfig:
-    return replace(desk, integrand=replace(desk.integrand, scale=scale))
 
 
 def test_exact_terms_deviate_against_their_own_reference():

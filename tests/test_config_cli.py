@@ -574,6 +574,20 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     ("integrate", _edit(covariance={"eigenvalues": [1.0], "basis": [[2.0]]},
                         integrand=dict(BASE["integrand"], carrier="operator")),
      "covariance.basis"),
+    # a basis seed is an integer, not truncated to one or left for later
+    ("integrate", _edit(covariance={"eigenvalues": [1.0],
+                                    "basis": {"seed": "abc"}}),
+     "covariance.basis"),
+    ("integrate", _edit(covariance={"eigenvalues": [1.0],
+                                    "basis": {"seed": None}}),
+     "covariance.basis"),
+    ("simulate", _edit(covariance={"eigenvalues": [1.0],
+                                   "basis": {"seed": 1.7}}),
+     "covariance.basis"),
+    ("check", lambda tmp_path: dict(CHECK_BASE, covariance=dict(
+        CHECK_BASE["covariance"], basis={"seed": True})), "covariance.basis"),
+    ("check", lambda tmp_path: dict(CHECK_BASE, covariance=dict(
+        CHECK_BASE["covariance"], basis={})), "covariance.basis"),
     # found by tests/test_config_fuzz.py
     ("simulate", _edit(space=3), "space"),
     ("simulate", _edit(space=dict(BASE["space"], T=float("inf"))), "space.T"),
@@ -621,7 +635,9 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "integrate-replay-csv-nan-value", "check-replay", "basis-row",
         "breakpoints",
         "eigenvalue-count", "replay-kind-name", "replay-kind-index",
-        "integrand-value", "basis-not-orthonormal", "space-not-object",
+        "integrand-value", "basis-not-orthonormal", "basis-seed-text",
+        "basis-seed-null", "basis-seed-fraction", "check-basis-seed-bool",
+        "check-basis-no-seed", "space-not-object",
         "infinite-horizon", "check-not-a-name", "nan-jump-size",
         "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",

@@ -293,7 +293,7 @@ def test_coordinate_view_identity_basis_is_exact():
     view = coordinate_view(assemble_levy(spec, driver))
     assert isinstance(view, PathBlock)
     assert np.array_equal(view.increments,
-                          spec.sqrt_eigenvalues[:, None] * driver.increments)
+                          np.sqrt(spec.eigenvalues)[:, None] * driver.increments)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_transport_swaps_components_exactly():
     lam = (0.25, 0.25)
     spec = make_covariance(lam)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    iso = build_eigen_isometry(spec, lam, {0.25: swap})
+    iso = build_eigen_isometry(spec, {0.25: swap})
     drivers = make_standard_specs(2, ({"preset": "poisson", "a": 0.5},
                                       {"preset": "poisson", "a": 1.0}))
     driver = PathSampler(drivers, 1.0, 8).sample(13, 1)
@@ -343,7 +343,7 @@ def test_transport_swaps_components_exactly():
 
 def test_transport_rejects_wrong_source():
     spec = make_covariance((0.5, 0.25))
-    iso = build_eigen_isometry(spec, (0.5, 0.25))
+    iso = build_eigen_isometry(spec)
     other = make_covariance((0.25, 0.25))
     driver = replay_path([0.0, 1.0], [[1.0], [2.0]])
     with pytest.raises(SpecMismatch):

@@ -264,7 +264,7 @@ def test_restrict_integrand_composes_basis_then_weights():
         raw_vals, (p.grid.n_nodes, 3, 4)))
     spec = make_covariance((0.5, 0.25, 0.125, 0.0625), {"seed": 3})
     vals = restrict_integrand(raw, spec).evaluator(path)
-    expected = (raw_vals @ spec.eigenbasis) * spec.sqrt_eigenvalues
+    expected = (raw_vals @ spec.eigenbasis) * np.sqrt(spec.eigenvalues)
     assert vals.shape == (3, 3, 4)
     assert np.max(np.abs(vals - expected[None])) <= 1e-13
 
