@@ -66,7 +66,7 @@ from .errors import ConfigInvalid, UnknownCheck
 from .integrators import (angle_bracket, cell_values, covariation_integral,
                           integrate_in_basis, ito_general, ito_h,
                           ito_l2lambda, ito_seq, node_values,
-                          quadrature_sq_norm, series_terms, terminal_terms)
+                          quadrature_sq_norm, series_terms, terminal_cells)
 from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
                         coordinate_view, make_standard_specs, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
@@ -279,7 +279,7 @@ def _check_isometry1(spec: CheckSpec) -> _Member:
 def _isometry_sides(z: np.ndarray, node: np.ndarray, block) -> tuple:
     """||z_T||^2 against the quadrature of ||X||^2, from one evaluation."""
     lhs = np.vecdot(z, z)
-    rhs = quadrature_sq_norm(node, block, terminal=True)
+    rhs = quadrature_sq_norm(node, block)
     return lhs[:, None], rhs[:, None]
 
 
@@ -330,8 +330,10 @@ def _check_orthogonality(spec: CheckSpec) -> _Member:
     integrand = build_integrand(sc)
 
     def stat(block):
-        terms = terminal_terms(cell_values(integrand, block),
-                               block.increments)
+        # one integral per component: the component axis is a batch axis
+        vals = cell_values(integrand, block)
+        terms = terminal_cells(vals.swapaxes(-2, -3)[..., None, :],
+                               block.increments[..., None, :])
         return np.vecdot(terms[:, first], terms[:, second]), 0.0
 
     return _statistical(spec, stat)
@@ -396,9 +398,9 @@ def _check_bracket(spec: CheckSpec) -> _Member:
         lhs = np.array([np.vecdot(dm0, dm0), np.vecdot(dm1, dm1),
                         np.vecdot(dm0, dm1), np.vecdot(ip, dm0 * dm0),
                         np.vecdot(ip, dm0 * dm1)]).T
-        t = angle_bracket(block.grid, 0, 0, terminal=True)
-        zero = angle_bracket(block.grid, 0, 1, terminal=True)
-        ci = covariation_integral(nx, ny, block, 0, 0, terminal=True)
+        t = angle_bracket(block.grid, 0, 0)
+        zero = angle_bracket(block.grid, 0, 1)
+        ci = covariation_integral(nx, ny, block, 0, 0)
         return lhs, np.array([t, t, zero, ci, zero]).T
 
     return _statistical(spec, stat)
@@ -564,8 +566,8 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
         levy2 = transport_levy(assemble_levy(cov, driver), iso)
         node2 = iso.coord_map @ node
         z2 = ito_seq(node2, levy2.driver)
-        q1 = quadrature_sq_norm(node, driver, terminal=True)
-        q2 = quadrature_sq_norm(node2, driver, terminal=True)
+        q1 = quadrature_sq_norm(node, driver)
+        q2 = quadrature_sq_norm(node2, driver)
         dt = driver.grid.dt[:, None]
         jumpless = driver.grid.kind[:, None, 1:] == SCHEDULED
         compensator = rate * dt

@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (sim, integ, chk):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_option(0), default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk.add_argument("--check", default=None,
                      help="run a single named check")
-    chk.add_argument("--paths", type=int, default=None,
+    chk.add_argument("--paths", type=_int_option(1), default=None,
                      help="override the config path count")
     chk.add_argument("--format", choices=("json", "csv"), default="json")
     chk.add_argument("--negative-control", choices=FAULTS, default=None,

@@ -30,27 +30,29 @@ and a layer returns it as a plain array: its running value at every grid
 node, (n_paths, n_nodes, dim_h), with a zero first node, so ``z[i, -1]``
 is the terminal value of path i and ``z[i, k]`` its value at node k.
 :func:`series_terms` returns the series as (n_paths, n_modes, n_nodes,
-dim_h), and the brackets and quadratures return (n_paths, n_nodes).  With
-``terminal=True`` each layer returns only the value at the horizon, the
-running form without its node axis, computed as one contraction.
+dim_h).  With ``terminal=True`` an integral returns only its value at the
+horizon, computed as one contraction.  The brackets and quadratures
+return their totals, (n_paths,).
 
 An integrand is a :class:`SimpleIntegrand`, a :class:`GridIntegrand`, or
 a grid integrand's values on the block at hand, as :func:`node_values`
 returns them.  Passing the values lets an integral and a quadrature share
 one evaluation.
 
-Every layer is a shape adapter around one kernel, :func:`integrate_cells`
-(and its per-component form :func:`integrate_terms`, and the explicit
-basis route :func:`integrate_in_basis`); the squared-norm quadrature is
-:func:`time_quadrature`.  The kernel is two passes over a block: one
-batched product contracts every cell's increments with its values over
-the components, and one cumsum accumulates the cells.  The order in which
-the product adds the components is the linear-algebra library's, so the
-running sums are deterministic for given shapes but equal to a
-component-by-component sum only up to rounding.  The terminal forms
-:func:`terminal_cells` and :func:`terminal_terms` give the kernels' last
-node as one contraction, without the running sums; they agree with it up
-to rounding, which the ``basis_invariance`` check verifies on every path.
+Every integral is a shape adapter around one kernel,
+:func:`integrate_cells`, and its terminal form :func:`terminal_cells`; a
+series term is the kernel on one component, which becomes a batch axis.
+The kernel is two passes over a block: one batched product contracts
+every cell's increments with its values over the components, and one
+cumsum accumulates the cells.  The order in which the product adds the
+components is the linear-algebra library's, so the running sums are
+deterministic for given shapes but equal to a component-by-component sum
+only up to rounding.  The terminal form gives the kernel's last node as
+one contraction, without the running sums; it agrees with it up to
+rounding, which the ``basis_invariance`` check verifies on every path.
+:func:`integrate_in_basis` is the independent reference route through an
+explicit orthonormal basis, with its own products and cumsum, and
+:func:`time_quadrature` is the quadrature behind every bracket.
 """
 from __future__ import annotations
 
@@ -172,20 +174,6 @@ def integrate_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """Per-component running integrals, (..., n_components, n_nodes, dim_h).
-
-    Term j integrates component j alone, exactly as :func:`integrate_cells`
-    would; the terms add up to the full integral.
-    """
-    shape = vals.shape
-    out = np.zeros(shape[:-3] + (shape[-2], shape[-3] + 1, shape[-1]))
-    cells = out[..., 1:, :]
-    np.multiply(np.swapaxes(vals, -2, -3), increments[..., None], out=cells)
-    cells.cumsum(axis=-2, out=cells)
-    return out
-
-
 def terminal_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """The kernel's terminal value: ``integrate_cells(...)[..., -1, :]``.
 
@@ -197,16 +185,6 @@ def terminal_cells(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
     n = vals.shape[-3] * vals.shape[-2]
     flat = increments.swapaxes(-1, -2).reshape(lead + (1, n))
     return (flat @ vals.reshape(lead + (n, vals.shape[-1])))[..., 0, :]
-
-
-def terminal_terms(vals: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """The terms' terminal values: ``integrate_terms(...)[..., -1, :]``.
-
-    One contraction over cells per component, (..., n_components, dim_h),
-    as a batched product of each component's increments with its values.
-    """
-    per_term = increments[..., :, None, :] @ vals.swapaxes(-2, -3)
-    return per_term[..., 0, :]
 
 
 def integrate_in_basis(vals: np.ndarray, increments: np.ndarray,
@@ -229,21 +207,15 @@ def integrate_in_basis(vals: np.ndarray, increments: np.ndarray,
 
 
 def time_quadrature(x_vals: np.ndarray, y_vals: np.ndarray,
-                    dt: np.ndarray, terminal: bool = True) -> np.ndarray:
-    """Left-point quadrature of <x, y> against time over all cells.
+                    dt: np.ndarray) -> np.ndarray:
+    """Left-point quadrature of <x, y> against time: the total, (...).
 
     ``dt`` is (..., n_cells); the value axes of ``x_vals`` and ``y_vals``
-    after the cell axis are contracted as one inner product.  The result
-    is the total, (...), or with ``terminal=False`` its running value at
-    every node, (..., n_nodes), with a zero first node.
+    after the cell axis are contracted as one inner product.
     """
     axes = "abc"[:x_vals.ndim - dt.ndim]
     per_cell = np.einsum(f"...k{axes},...k{axes}->...k", x_vals, y_vals)
-    if terminal:
-        return np.vecdot(per_cell, dt)
-    out = np.zeros(dt.shape[:-1] + (dt.shape[-1] + 1,))
-    (per_cell * dt).cumsum(axis=-1, out=out[..., 1:])
-    return out
+    return np.vecdot(per_cell, dt)
 
 
 def ito_h(integrand, path: PathBlock, component: int, *,
@@ -327,53 +299,49 @@ def series_terms(integrand, path: LevyPath, *, terminal: bool = False) -> np.nda
 
     Term j, (n_paths, n_modes, n_nodes, dim_h)[:, j], integrates the j-th
     operator column against standard component j; the terminal form is
-    (n_paths, n_modes, dim_h).  The terms are pairwise orthogonal in mean
-    square, which the harness verifies.
+    (n_paths, n_modes, dim_h).  A term is the kernel on one component:
+    the component axis becomes a batch axis.  The terms are pairwise
+    orthogonal in mean square, which the harness verifies.
     """
     seq_vals = _operator_cells(integrand, path)
-    kernel = terminal_terms if terminal else integrate_terms
-    return kernel(seq_vals, path.driver.increments)
+    kernel = terminal_cells if terminal else integrate_cells
+    return kernel(seq_vals.swapaxes(-2, -3)[..., None, :],
+                  path.driver.increments[..., None, :])
 
 
-def angle_bracket(grid: TimeGrid, j: int, k: int, *, terminal: bool = False
-                  ) -> np.ndarray:
-    """Predictable bracket of standard components j and k at every node.
-
-    It is t when j == k and 0 otherwise, (n_paths, n_nodes), or at the
-    horizon, (n_paths,).
-    """
+def angle_bracket(grid: TimeGrid, j: int, k: int) -> np.ndarray:
+    """Predictable bracket of standard components j and k at the horizon,
+    (n_paths,): the horizon when j == k and 0 otherwise."""
     if j < 0 or k < 0:
         raise IndexOutOfRange("component indices must be nonnegative")
-    times = grid.times[:, -1] if terminal else grid.times
-    return times.copy() if j == k else np.zeros(times.shape)
+    horizon = grid.times[:, -1]
+    return horizon.copy() if j == k else np.zeros(horizon.shape)
 
 
 def covariation_integral(x_integrand, y_integrand, path: PathBlock,
-                         j: int, k: int, *, terminal: bool = False) -> np.ndarray:
+                         j: int, k: int) -> np.ndarray:
     """Pathwise integral of <X, Y> against the bracket of components j, k.
 
     The bracket of standard components is delta_{jk} t, so the result,
-    (n_paths, n_nodes), or (n_paths,) at the horizon, is the running
-    left-point quadrature of the H inner product of the two integrands
-    when j == k and identically zero otherwise.
+    (n_paths,), is the left-point quadrature of the H inner product of
+    the two integrands when j == k and zero otherwise.
     """
     if j != k:
-        return angle_bracket(path.grid, j, k, terminal=terminal)
+        return angle_bracket(path.grid, j, k)
     vx = cell_values(x_integrand, path)
     vy = cell_values(y_integrand, path)
     if vx.shape != vy.shape:
         raise DimensionMismatch(
             f"integrand shapes {vx.shape} and {vy.shape} differ")
-    return time_quadrature(vx, vy, path.grid.dt, terminal)
+    return time_quadrature(vx, vy, path.grid.dt)
 
 
-def quadrature_sq_norm(integrand, path: PathBlock, *, terminal: bool = False
-                       ) -> np.ndarray:
+def quadrature_sq_norm(integrand, path: PathBlock) -> np.ndarray:
     """Left-point quadrature of the squared integrand norm against time.
 
     H vectors, sequences of H vectors and Hilbert-Schmidt values all
-    reduce to a sum of squares per cell.  The result is the running
-    quadrature, (n_paths, n_nodes), or its total, (n_paths,).
+    reduce to a sum of squares per cell.  The result is the total,
+    (n_paths,).
     """
     vals = cell_values(integrand, path)
-    return time_quadrature(vals, vals, path.grid.dt, terminal)
+    return time_quadrature(vals, vals, path.grid.dt)

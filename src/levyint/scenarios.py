@@ -162,7 +162,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.fault is not None and self.fault not in FAULTS:
-            raise ConfigInvalid(f"fault {self.fault!r} not one of {FAULTS}")
+            raise ConfigInvalid(
+                f"fault {self.fault!r} not one of {', '.join(FAULTS)}")
 
     def with_fault(self, fault: Optional[str]) -> "ScenarioConfig":
         return replace(self, fault=fault)
@@ -396,9 +397,14 @@ def build_simple_integrand(scenario: ScenarioConfig):
     if cfg.breakpoints is None:
         raise ConfigInvalid("a simple integrand needs integrand.breakpoints")
     b = np.asarray(cfg.breakpoints, dtype=float)
+    shape = (b.size - 1, scenario.dim_h)
     if cfg.value is not None:
         values = np.asarray(cfg.value, dtype=float)
+        if values.shape != shape:
+            raise ConfigInvalid(
+                f"integrand.value shape {values.shape} does not match "
+                f"(intervals, dH) {shape}")
     else:
         gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
-        values = cfg.scale * gen.standard_normal((b.size - 1, scenario.dim_h))
+        values = cfg.scale * gen.standard_normal(shape)
     return _with_fault(scenario, SimpleIntegrand(b, values))

@@ -15,11 +15,10 @@ from levyint.integrators import (
     cell_values,
     integrate_cells,
     integrate_in_basis,
-    integrate_terms,
     ito_h,
     node_values,
+    series_terms,
     terminal_cells,
-    terminal_terms,
 )
 from levyint.processes import (
     PathBlock,
@@ -168,14 +167,19 @@ def test_ito_h_rows_are_the_per_path_integrals(specs, indices, kind):
 def test_terminal_forms_are_the_running_kernels_last_node(specs, indices,
                                                           first):
     block = _sampler(specs).sample_block(SEED, indices)
-    vals = cell_values(_integrands()["seq"], block)[:, :, first:]
-    inc = block.increments[:, first:]
+    node = node_values(_integrands()["seq"], block)[:, :, first:]
+    vals, inc = node[:, :-1], block.increments[:, first:]
     # the tail slice is a view, as in truncation_tail
     assert first == 0 or not vals.flags.c_contiguous
+    # unit eigenvalues and the identity basis: Psi_lambda of the operator
+    # values is ``vals`` itself, so the series terms integrate it per mode
+    levy = assemble_levy(make_covariance((1.0,) * inc.shape[1]),
+                         PathBlock(block.grid, inc, block.n_nodes))
+    op = node.swapaxes(-1, -2)
     for got, want in ((terminal_cells(vals, inc),
                        integrate_cells(vals, inc)[..., -1, :]),
-                      (terminal_terms(vals, inc),
-                       integrate_terms(vals, inc)[..., -1, :])):
+                      (series_terms(op, levy, terminal=True),
+                       series_terms(op, levy)[..., -1, :])):
         for row in range(block.n_paths):
             _close(got[row], want[row])
 

@@ -393,10 +393,11 @@ def _lagged(kernel):
     return lagged
 
 
-@pytest.mark.parametrize("form", ["terminal_cells", "terminal_terms"])
+@pytest.mark.parametrize("form", ["terminal_cells"])
 def test_a_one_cell_lag_in_a_terminal_form_fails_the_suite(form, monkeypatch):
-    # the statistical checks read the terminal forms, where a lag biases
-    # nothing they can see: the exact comparison with the running form can
+    # the statistical checks read the terminal form, where a lag biases
+    # nothing they can see: the exact comparison with the running form can.
+    # Every layer's terminal form reads it, series_terms' per-mode one too.
     from levyint import integrators
 
     monkeypatch.setattr(integrators, form, _lagged(getattr(integrators, form)))
@@ -559,7 +560,8 @@ def test_csv_report_shape():
 def _reference_rows(spec, paths):
     """Rows of orthogonality and truncation_tail path by path, each term
     integrated alone by ``ito_h``: a second computation of the terms that
-    the checks take from ``terminal_terms`` and ``series_terms``."""
+    the checks take from ``terminal_cells`` on one component at a time
+    and from ``series_terms``."""
     from levyint.integrators import cell_values, ito_h, quadrature_sq_norm
     from levyint.scenarios import (build_integrand, resolve_covariance,
                                    restrict_integrand)
@@ -583,7 +585,7 @@ def _reference_rows(spec, paths):
                 for j in range(min(3, sc.n_modes - 1), sc.n_modes)]
         diff = sum(ito_h(x, path, j)[0, -1]
                    for j, x in enumerate(tail, sc.n_modes - len(tail)))
-        q = sum(quadrature_sq_norm(x, path, terminal=True)[0] for x in tail)
+        q = sum(quadrature_sq_norm(x, path)[0] for x in tail)
         out.append([diff @ diff, q, diff @ diff - q])
     return np.array(out, dtype=float)
 

@@ -629,6 +629,14 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         json.loads((CONFIG_DIR / "default.json").read_text()),
         space={"dH": 1024, "J": 2048, "T": 1.0, "nScheduled": 1},
         drivers="brownian"), "space.J"),
+    # a simple integrand's values are (intervals, dH)
+    ("integrate", _edit(space=dict(BASE["space"], dH=4), integrand={
+        "family": "simple", "carrier": "hvector", "evaluator": "constant",
+        "breakpoints": [0.0, 0.5, 1.0], "value": [[1, 2], [3, 4]]}),
+     "integrand.value"),
+    ("integrate", _edit(integrand={
+        "family": "simple", "carrier": "hvector", "evaluator": "constant",
+        "breakpoints": [0.0, 0.5, 1.0], "value": [1, 2]}), "integrand.value"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "replay-nan-increment",
         "integrate-replay-inf-increment", "replay-csv-nan-value",
@@ -642,7 +650,8 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",
         "one-component-series", "huge-grid", "huge-h", "huge-j",
-        "huge-block", "integrate-huge-path", "integrate-huge-coefficients"])
+        "huge-block", "integrate-huge-path", "integrate-huge-coefficients",
+        "simple-value-width", "simple-value-vector"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
                                                  monkeypatch):
     # a rejected size must be rejected before it is drawn
@@ -759,7 +768,9 @@ def test_simple_integrand_without_value_integrates_like_the_check(tmp_path):
 @pytest.mark.parametrize("args, option", [
     (("simulate", "--path-index", "-1"), "--path-index"),
     (("integrate", "--path-index", str(2 ** 64)), "--path-index"),
-    (("simulate", "--path-index", "x"), "--path-index")])
+    (("simulate", "--path-index", "x"), "--path-index"),
+    (("check", "--seed", "-3"), "--seed"),
+    (("check", "--paths", "0"), "--paths")])
 def test_bad_path_index_exits_2(tmp_path, capsys, args, option):
     cfg = write_config(tmp_path, BASE)
     with pytest.raises(SystemExit) as done:

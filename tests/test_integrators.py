@@ -303,12 +303,8 @@ def test_constant_operator_integral_telescopes():
 
 def test_angle_bracket_values():
     grid = TWO_CELL.grid
-    same = angle_bracket(grid, 1, 1)
-    assert np.array_equal(same, grid.times)
-    assert angle_bracket(grid, 1, 1, terminal=True).tolist() == [1.0]
-    cross = angle_bracket(grid, 0, 1)
-    assert cross.shape == (1, grid.n_nodes) and np.all(cross == 0.0)
-    assert angle_bracket(grid, 0, 1, terminal=True).tolist() == [0.0]
+    assert angle_bracket(grid, 1, 1).tolist() == [1.0]
+    assert angle_bracket(grid, 0, 1).tolist() == [0.0]
     with pytest.raises(IndexOutOfRange):
         angle_bracket(grid, -1, 0)
 
@@ -316,12 +312,8 @@ def test_angle_bracket_values():
 def test_covariation_integral_frozen_case():
     x = constant_integrand(np.array([1.0, 0.0]))
     y = constant_integrand(np.array([3.0, 4.0]))
-    ci = covariation_integral(x, y, TWO_CELL, 0, 0)
-    assert ci.tolist() == [[0.0, 1.5, 3.0]]
-    assert covariation_integral(x, y, TWO_CELL, 0, 0,
-                                terminal=True).tolist() == [3.0]
-    off = covariation_integral(x, y, TWO_CELL, 0, 1)
-    assert off.shape == (1, 3) and np.all(off == 0.0)
+    assert covariation_integral(x, y, TWO_CELL, 0, 0).tolist() == [3.0]
+    assert covariation_integral(x, y, TWO_CELL, 0, 1).tolist() == [0.0]
     mismatched = constant_integrand(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         covariation_integral(x, mismatched, TWO_CELL, 0, 0)
@@ -329,20 +321,17 @@ def test_covariation_integral_frozen_case():
 
 def test_quadrature_sq_norm_frozen_cases():
     v = constant_integrand(np.array([2.0, 3.0]))
-    total = quadrature_sq_norm(v, TWO_CELL, terminal=True)
+    total = quadrature_sq_norm(v, TWO_CELL)
     assert total.shape == (1,) and abs(total[0] - 13.0) <= 1e-12
-    assert quadrature_sq_norm(v, TWO_CELL).tolist() == [[0.0, 6.5, 13.0]]
     op = constant_integrand(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert abs(quadrature_sq_norm(op, TWO_CELL, terminal=True)[0]
-               - 30.0) <= 1e-12
+    assert abs(quadrature_sq_norm(op, TWO_CELL)[0] - 30.0) <= 1e-12
     fsum_oracle = math.fsum([4.0 * 0.5, 9.0 * 0.5, 4.0 * 0.5, 9.0 * 0.5])
     assert abs(total[0] - fsum_oracle) <= 1e-12
 
 
 def test_quadrature_uses_left_sampling_always():
     # values at the left nodes are 0 and 1, so the quadrature is 0.5
-    assert quadrature_sq_norm(node_rows(), TWO_CELL,
-                              terminal=True).tolist() == [0.5]
+    assert quadrature_sq_norm(node_rows(), TWO_CELL).tolist() == [0.5]
 
 
 def test_integral_path_accessors():
