@@ -70,9 +70,8 @@ from .integrators import (angle_bracket, cell_values, covariation_integral,
 from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
                         coordinate_view, make_standard_specs, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
-                        build_integrand, build_simple_integrand, make_sampler,
-                        path_law, resolve_covariance, restrict_integrand,
-                        value_shape)
+                        build_integrand, make_sampler, path_law,
+                        resolve_covariance, restrict_integrand, value_shape)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      make_covariance, random_orthogonal)
 from .stats import MAX_BLOCK_BYTES, accumulate_paths, block_paths
@@ -621,8 +620,8 @@ def _check_simple_exact(spec: CheckSpec) -> _Member:
     """Integrating a piecewise constant integrand telescopes exactly; the
     sum reads the clean intervals, so an injected fault is a deviation."""
     sc = spec.scenario
-    integrand = build_simple_integrand(sc)
-    clean = build_simple_integrand(sc.with_fault(None))
+    integrand = build_integrand(sc)
+    clean = build_integrand(sc.with_fault(None))
     b, values = clean.breakpoints, clean.values
 
     def per_block(block):

@@ -30,8 +30,7 @@ from .errors import ConfigInvalid, ConfigNotFound, LevyintError, UnknownCheck
 from .integrators import ito_general, ito_h, ito_seq, series_terms
 from .processes import KIND_NAMES, assemble_levy, replay_path
 from .scenarios import (FAULTS, ScenarioConfig, build_integrand,
-                        build_simple_integrand, make_sampler,
-                        resolve_covariance, restrict_integrand)
+                        make_sampler, resolve_covariance, restrict_integrand)
 
 
 def _read_path_csv(path: str):
@@ -149,13 +148,10 @@ def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
     Returns the integral (1, n_nodes, dim_h) and the series (1, n_modes,
     n_nodes, dim_h) or None.
     """
-    if scenario.integrand.family == "simple":
-        if scenario.integrand.carrier != "hvector":
-            raise ConfigInvalid("simple integrands integrate as hvector "
-                                "against component 0")
-        integrand = build_simple_integrand(scenario)
-        return ito_h(integrand, path, 0), None
     carrier = scenario.integrand.carrier
+    if scenario.integrand.family == "simple" and carrier != "hvector":
+        raise ConfigInvalid("simple integrands integrate as hvector "
+                            "against component 0")
     if want_series and carrier != "operator":
         raise ConfigInvalid("series dump needs an operator integrand")
     integrand = build_integrand(scenario)
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (sim, integ, chk):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=_int_option(0), default=None,
+        p.add_argument("--seed", type=_int_option(0, 2 ** 64), default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")

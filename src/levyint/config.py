@@ -212,8 +212,9 @@ def parse_config(data: dict) -> ExperimentConfig:
                 f"unknown check(s) {', '.join(unknown)}; valid names: "
                 f"{', '.join(CHECKS)}")
     seed = data.get("seed", BASE_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigInvalid("seed must be a nonnegative integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) \
+            or not 0 <= seed < 2 ** 64:
+        raise ConfigInvalid("seed must be an integer in [0, 2**64)")
     return ExperimentConfig(
         scenario=ScenarioConfig(**scenario_kwargs),
         n_paths=_positive_int(data, "nPaths", 100_000, "config"),

@@ -34,10 +34,10 @@ dim_h).  With ``terminal=True`` an integral returns only its value at the
 horizon, computed as one contraction.  The brackets and quadratures
 return their totals, (n_paths,).
 
-An integrand is a :class:`SimpleIntegrand`, a :class:`GridIntegrand`, or
-a grid integrand's values on the block at hand, as :func:`node_values`
-returns them.  Passing the values lets an integral and a quadrature share
-one evaluation.
+An integrand is a function of a block, returning its values at every
+grid node, (n_paths, n_nodes, *value_shape), or those values already
+evaluated on the block at hand, as :func:`node_values` returns them.
+Passing the values lets an integral and a quadrature share one evaluation.
 
 Every integral is a shape adapter around one kernel,
 :func:`integrate_cells`, and its terminal form :func:`terminal_cells`; a
@@ -57,7 +57,6 @@ explicit orthonormal basis, with its own products and cumsum, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -100,34 +99,11 @@ class SimpleIntegrand:
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
 
-
-@dataclass(frozen=True)
-class GridIntegrand:
-    """Integrand evaluated at every grid node of a given block of paths.
-
-    ``evaluator(block)`` returns an array of per-node values, (n_paths,
-    n_nodes, *value_shape).  Node k of a path may depend only on its data
-    up to node k; the registry evaluators in :mod:`levyint.scenarios`
-    respect that contract by construction.
-    """
-
-    evaluator: Callable[[PathBlock], np.ndarray]
-
-
-def node_values(integrand, path: PathBlock) -> np.ndarray:
-    """Per-node values of an integrand on a block, (n_paths, n_nodes,
-    *value_shape); values already evaluated on the block pass through.
-
-    A simple integrand takes at each node its value on the interval that
-    follows, and every breakpoint must be a node of every row.
-    """
-    if isinstance(integrand, np.ndarray):
-        per_node = integrand
-    elif isinstance(integrand, GridIntegrand):
-        per_node = np.asarray(integrand.evaluator(path), dtype=float)
-    elif isinstance(integrand, SimpleIntegrand):
+    def __call__(self, path: PathBlock) -> np.ndarray:
+        """At each node, the value on the interval that follows; every
+        breakpoint must be a node of every row."""
         times = path.grid.times
-        b = integrand.breakpoints
+        b = self.breakpoints
         if np.any(times[:, -1] != b[-1]):
             raise GridMismatch("breakpoints do not end at the horizon")
         if not np.all(np.any(times[:, :, None] == b, axis=1)):
@@ -135,8 +111,21 @@ def node_values(integrand, path: PathBlock) -> np.ndarray:
                 "every breakpoint must be a grid node; pass breakpoints as "
                 "extra_times when sampling")
         idx = np.searchsorted(b, times, side="right") - 1
-        np.clip(idx, 0, integrand.values.shape[0] - 1, out=idx)
-        return integrand.values[idx]
+        np.clip(idx, 0, self.values.shape[0] - 1, out=idx)
+        return self.values[idx]
+
+
+def node_values(integrand, path: PathBlock) -> np.ndarray:
+    """Per-node values of an integrand on a block, (n_paths, n_nodes,
+    *value_shape): the integrand called on the block, or values already
+    evaluated on it, which pass through.  Node k of a path may depend only
+    on its data up to node k; the evaluators of :mod:`levyint.scenarios`
+    respect that contract by construction.
+    """
+    if isinstance(integrand, np.ndarray):
+        per_node = integrand
+    elif callable(integrand):
+        per_node = np.asarray(integrand(path), dtype=float)
     else:
         raise DimensionMismatch(
             f"unsupported integrand type {type(integrand)!r}")

@@ -5,15 +5,16 @@ and integrands: space dimensions, covariance spectrum, driver recipe and
 an integrand description.  Scenarios are plain data so they serialize to
 the config format and pickle cleanly across worker processes.
 
-Integrand evaluators are registered by name.  Each evaluator receives a
-block of sampled paths (:class:`levyint.processes.PathBlock`, a single
-path being a block of one) and returns one value per path and grid node,
-where the value at node k is computed from path data up to node k only.
-That convention is what makes left-point sampling predictable.  The
-right-point fault is injected where a scenario's integrand is built:
-node k takes node k + 1's value, so the layers read each cell's right end.
+:func:`build_integrand` builds a scenario's integrand, a function of a
+block of sampled paths (:class:`levyint.processes.PathBlock`) that
+returns one value per path and grid node, where the value at node k is
+computed from path data up to node k only; that is what makes left-point
+sampling predictable.  The grid family is a named evaluator bound to its
+draws by :func:`functools.partial`, the simple family a
+:class:`levyint.integrators.SimpleIntegrand`.  The right-point fault is
+injected where an integrand is built: node k takes node k + 1's value.
 
-Evaluators:
+Grid evaluators:
 
 * ``constant``: a fixed value, given explicitly or drawn once per scenario.
 * ``driver_linear``: value at node k is affine in the cumulative driver
@@ -41,7 +42,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
                      NonPositiveEigenvalue, expect_number)
-from .integrators import GridIntegrand, SimpleIntegrand, node_values
+from .integrators import SimpleIntegrand, node_values
 from .processes import PathSampler, make_standard_specs, scheduled_nodes
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
 
@@ -164,6 +165,12 @@ class ScenarioConfig:
         if self.fault is not None and self.fault not in FAULTS:
             raise ConfigInvalid(
                 f"fault {self.fault!r} not one of {', '.join(FAULTS)}")
+        b = self.integrand.breakpoints
+        if self.integrand.family == "simple" and b is not None and (
+                len(b) < 2 or b[0] != 0.0 or b[-1] != self.horizon
+                or not all(x < y for x, y in zip(b, b[1:]))):
+            raise ConfigInvalid("integrand.breakpoints must strictly increase "
+                                f"from 0 to space.T {self.horizon}, got {b!r}")
 
     def with_fault(self, fault: Optional[str]) -> "ScenarioConfig":
         return replace(self, fault=fault)
@@ -265,9 +272,23 @@ def _eval_driver_tanh(path, coeffs: np.ndarray) -> np.ndarray:
 _GRID_EVALUATORS = ("constant", "driver_linear", "driver_tanh")
 
 
+def _constant_value(cfg: IntegrandConfig, shape: tuple) -> np.ndarray:
+    """The explicit ``value``, which must have ``shape``, or ``scale``
+    times standard normals of that shape from the integrand seed's stream."""
+    if cfg.value is None:
+        gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
+        return cfg.scale * gen.standard_normal(shape)
+    value = np.asarray(cfg.value, dtype=float)
+    if value.shape != shape:
+        raise ConfigInvalid(f"integrand.value has shape {value.shape}, "
+                            f"need {shape}")
+    return value
+
+
 def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
-                         n_inputs: int) -> GridIntegrand:
-    """Materialize a grid integrand; coefficient draws are scenario-level.
+                         n_inputs: int) -> partial:
+    """Materialize a grid integrand, a function of a block; coefficient
+    draws are scenario-level.
 
     ``n_inputs`` is the number of path components the evaluator sees
     (driver components, or reference coordinates for observable-path
@@ -276,22 +297,14 @@ def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
     if cfg.evaluator not in _GRID_EVALUATORS:
         raise ConfigInvalid(
             f"integrand.evaluator {cfg.evaluator!r} not one of {_GRID_EVALUATORS}")
-    gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
     if cfg.evaluator == "constant":
-        if cfg.value is not None:
-            value = np.asarray(cfg.value, dtype=float)
-            if value.shape != carrier_shape:
-                raise ConfigInvalid(
-                    f"integrand.value shape {value.shape} does not match "
-                    f"carrier shape {carrier_shape}")
-        else:
-            value = cfg.scale * gen.standard_normal(carrier_shape)
-        return GridIntegrand(partial(_eval_constant, value=value))
+        return partial(_eval_constant, value=_constant_value(cfg, carrier_shape))
+    gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
     c0 = cfg.scale * gen.standard_normal(carrier_shape)
     c1 = (cfg.scale / np.sqrt(n_inputs)) * gen.standard_normal(
         (n_inputs,) + carrier_shape)
     fn = _eval_driver_linear if cfg.evaluator == "driver_linear" else _eval_driver_tanh
-    return GridIntegrand(partial(fn, coeffs=np.concatenate([c0[None], c1])))
+    return partial(fn, coeffs=np.concatenate([c0[None], c1]))
 
 
 # evaluators linear in their coefficient arrays jointly, so that the
@@ -321,16 +334,16 @@ def _eval_right_point(path, integrand) -> np.ndarray:
 
 
 def _with_fault(scenario: ScenarioConfig, integrand):
-    """The integrand, or under the right-point fault its shifted grid form."""
+    """The integrand, or under the right-point fault its shifted form."""
     if scenario.fault != "right_point":
         return integrand
-    return GridIntegrand(partial(_eval_right_point, integrand=integrand))
+    return partial(_eval_right_point, integrand=integrand)
 
 
-def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegrand:
+def restrict_integrand(raw, spec: CovarianceSpec) -> partial:
     """Turn a reference-coordinate operator integrand into Hilbert-Schmidt form.
 
-    The raw evaluator emits (dim_h, dim_u) matrices acting on reference
+    The raw integrand emits (dim_h, dim_u) matrices acting on reference
     coordinates of U; the result emits their restriction by
     :func:`levyint.spaces.restrict_bounded_operator`, the weighted-column
     form (dim_h, n_modes) that the integral layers consume.
@@ -346,65 +359,41 @@ def restrict_integrand(raw: GridIntegrand, spec: CovarianceSpec) -> GridIntegran
     longer commutes with the evaluator; it, and any other evaluator,
     restricts every node value of every path instead.
     """
-    ev = raw.evaluator
-    if isinstance(ev, partial) and ev.func is _eval_right_point:
+    func = raw.func if isinstance(raw, partial) else None
+    if func is _eval_right_point:
         # the restriction acts node by node, so it commutes with the fault
-        inner = restrict_integrand(ev.keywords["integrand"], spec)
-        return GridIntegrand(partial(_eval_right_point, integrand=inner))
-    if (isinstance(ev, partial)
-            and getattr(ev.func, "__name__", None) in _LINEAR_IN_COEFFICIENTS):
+        inner = restrict_integrand(raw.keywords["integrand"], spec)
+        return partial(_eval_right_point, integrand=inner)
+    if getattr(func, "__name__", None) in _LINEAR_IN_COEFFICIENTS:
         coeffs = {}
-        for key, c in ev.keywords.items():
+        for key, c in raw.keywords.items():
             # (..., dim_h, n_modes) values, stored (..., n_modes, dim_h)
             c = restrict_bounded_operator(spec, c).swapaxes(-1, -2)
             coeffs[key] = np.ascontiguousarray(c)
-        return GridIntegrand(partial(_eval_folded,
-                                     raw_eval=partial(ev.func, **coeffs)))
-    return GridIntegrand(partial(_eval_restricted, raw_eval=ev, spec=spec))
+        return partial(_eval_folded, raw_eval=partial(func, **coeffs))
+    return partial(_eval_restricted, raw_eval=raw, spec=spec)
 
 
 def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
                     seed_offset: int = 0):
-    """Materialize the scenario integrand (grid family).
+    """Materialize the scenario integrand, grid or simple family.
 
-    Returns the integrand in the value convention of its carrier; operator
+    A grid integrand takes the value convention of its carrier; operator
     carriers emit (dim_h, dim_u) matrices on the reference coordinates of
     U, and callers restrict them per covariance spec via
-    :func:`restrict_integrand`.
+    :func:`restrict_integrand`.  A simple integrand holds H vectors, one
+    per interval of ``integrand.breakpoints``: the explicit ``value`` or,
+    like the ``constant`` evaluator's, normals from the integrand seed.
     """
     cfg = scenario.integrand
-    if cfg.family != "grid":
-        raise ConfigInvalid("build_integrand handles the grid family only")
     if seed_offset:
         cfg = replace(cfg, seed=cfg.seed + seed_offset)
-    shape = value_shape(scenario, cfg.carrier)
-    inputs = scenario.n_modes if n_inputs is None else n_inputs
-    return _with_fault(scenario, build_grid_integrand(cfg, shape, inputs))
-
-
-def build_simple_integrand(scenario: ScenarioConfig):
-    """Materialize the scenario's simple integrand.
-
-    Without an explicit ``value`` the interval values are drawn once per
-    scenario, like the ``constant`` evaluator's: ``scale`` times standard
-    normals of shape (intervals, dim_h) from the integrand seed.  Under
-    the right-point fault node k holds the value at node k + 1's time.
-    """
-    cfg = scenario.integrand
-    if cfg.family != "simple":
-        raise ConfigInvalid("a simple integrand needs integrand.family "
-                            f"'simple', got {cfg.family!r}")
-    if cfg.breakpoints is None:
+    if cfg.family == "grid":
+        shape = value_shape(scenario, cfg.carrier)
+        inputs = scenario.n_modes if n_inputs is None else n_inputs
+        return _with_fault(scenario, build_grid_integrand(cfg, shape, inputs))
+    b = cfg.breakpoints
+    if b is None:
         raise ConfigInvalid("a simple integrand needs integrand.breakpoints")
-    b = np.asarray(cfg.breakpoints, dtype=float)
-    shape = (b.size - 1, scenario.dim_h)
-    if cfg.value is not None:
-        values = np.asarray(cfg.value, dtype=float)
-        if values.shape != shape:
-            raise ConfigInvalid(
-                f"integrand.value shape {values.shape} does not match "
-                f"(intervals, dH) {shape}")
-    else:
-        gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
-        values = cfg.scale * gen.standard_normal(shape)
+    values = _constant_value(cfg, (len(b) - 1, scenario.dim_h))
     return _with_fault(scenario, SimpleIntegrand(b, values))

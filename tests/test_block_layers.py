@@ -31,8 +31,8 @@ from levyint.processes import (
 )
 from levyint.scenarios import (IntegrandConfig, ScenarioConfig, _with_fault,
                                build_grid_integrand, build_integrand,
-                               build_simple_integrand, make_sampler,
-                               resolve_covariance, restrict_integrand)
+                               make_sampler, resolve_covariance,
+                               restrict_integrand)
 from levyint.spaces import (build_eigen_isometry, make_covariance,
                             psi_lambda_apply, random_orthogonal,
                             restrict_bounded_operator)
@@ -123,8 +123,6 @@ def test_right_point_fault_takes_the_next_nodes_value(kind):
     assert len(set(block.n_nodes.tolist())) > 1
 
     def values(scenario):
-        if kind == "simple":
-            return node_values(build_simple_integrand(scenario), block)
         integrand = build_integrand(scenario)
         if kind == "operator":
             integrand = restrict_integrand(integrand,

@@ -593,10 +593,7 @@ def _reference_rows(spec, paths):
 def _cells_integrand(cells):
     """A grid integrand whose left-point cell values on a block of one are
     ``cells``."""
-    from levyint.integrators import GridIntegrand
-
-    return GridIntegrand(
-        lambda path: np.concatenate([cells, cells[-1:]])[None])
+    return lambda path: np.concatenate([cells, cells[-1:]])[None]
 
 
 class _Captured(Exception):

@@ -314,6 +314,12 @@ def test_series_dump_requires_operator_integrand(tmp_path):
     code, err = run_cli_capturing("integrate", "--config", cfg,
                                   "--dump-series")
     assert code == 2 and "operator" in err
+    # a simple integrand integrates as hvector, so it has no series either
+    cfg = write_config(tmp_path, dict(BASE, integrand=dict(
+        _SIMPLE, breakpoints=[0.0, 0.5, 1.0])))
+    code, err = run_cli_capturing("integrate", "--config", cfg,
+                                  "--dump-series")
+    assert code == 2 and "operator" in err
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +536,7 @@ _POISSON_NO_SIZE = dict(BASE, space=dict(BASE["space"], J=2),
                         drivers=["brownian", {"preset": "poisson"}])
 _ONE_COMPONENT_CHECK = dict(CHECK_BASE,
                             space=dict(CHECK_BASE["space"], J=1))
+_SIMPLE = {"family": "simple", "carrier": "hvector", "evaluator": "constant"}
 _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     "eigenvalues": {"kind": "geometric", "c": 0.5}})
 
@@ -637,6 +644,24 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     ("integrate", _edit(integrand={
         "family": "simple", "carrier": "hvector", "evaluator": "constant",
         "breakpoints": [0.0, 0.5, 1.0], "value": [1, 2]}), "integrand.value"),
+    # and its breakpoints strictly increase from 0 to space.T, checked
+    # before the value's shape
+    ("integrate", _edit(integrand=dict(_SIMPLE, breakpoints=[0.0])),
+     "integrand.breakpoints"),
+    ("integrate", _edit(integrand=dict(_SIMPLE, breakpoints=[0.5, 1.0])),
+     "integrand.breakpoints"),
+    ("integrate", _edit(integrand=dict(_SIMPLE,
+                                       breakpoints=[0.0, 0.7, 0.3, 1.0])),
+     "integrand.breakpoints"),
+    ("integrate", _edit(integrand=dict(_SIMPLE, breakpoints=[0.0, 0.5])),
+     "integrand.breakpoints"),
+    ("check", lambda tmp_path: dict(CHECK_BASE, integrand=dict(
+        _SIMPLE, breakpoints=[0.0, 1.5, 1.0])), "integrand.breakpoints"),
+    ("integrate", _edit(integrand=dict(_SIMPLE, breakpoints=[0.0],
+                                       value=[[1, 2]])),
+     "integrand.breakpoints"),
+    # a seed of 2**64 or more would alias a smaller one
+    ("simulate", _edit(seed=2 ** 64 + 5), "seed"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "replay-nan-increment",
         "integrate-replay-inf-increment", "replay-csv-nan-value",
@@ -651,7 +676,10 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "one-component-suite", "one-component-covariance",
         "one-component-series", "huge-grid", "huge-h", "huge-j",
         "huge-block", "integrate-huge-path", "integrate-huge-coefficients",
-        "simple-value-width", "simple-value-vector"])
+        "simple-value-width", "simple-value-vector",
+        "breakpoints-one", "breakpoints-late-start", "breakpoints-unordered",
+        "breakpoints-early-end", "check-breakpoints-beyond",
+        "breakpoints-one-with-value", "seed-2**64"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
                                                  monkeypatch):
     # a rejected size must be rejected before it is drawn
@@ -770,7 +798,8 @@ def test_simple_integrand_without_value_integrates_like_the_check(tmp_path):
     (("integrate", "--path-index", str(2 ** 64)), "--path-index"),
     (("simulate", "--path-index", "x"), "--path-index"),
     (("check", "--seed", "-3"), "--seed"),
-    (("check", "--paths", "0"), "--paths")])
+    (("check", "--paths", "0"), "--paths"),
+    (("simulate", "--seed", str(2 ** 64 + 5)), "--seed")])
 def test_bad_path_index_exits_2(tmp_path, capsys, args, option):
     cfg = write_config(tmp_path, BASE)
     with pytest.raises(SystemExit) as done:

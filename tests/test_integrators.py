@@ -16,7 +16,6 @@ from levyint.errors import (
     SpecMismatch,
 )
 from levyint.integrators import (
-    GridIntegrand,
     SimpleIntegrand,
     angle_bracket,
     cell_values,
@@ -36,7 +35,6 @@ from levyint.scenarios import (
     ScenarioConfig,
     _with_fault,
     build_integrand,
-    build_simple_integrand,
     make_sampler,
     restrict_integrand,
 )
@@ -45,16 +43,15 @@ from levyint.spaces import make_covariance, random_orthogonal
 TWO_CELL = replay_path([0.0, 0.5, 1.0], [[10.0, 20.0]])
 
 
-def constant_integrand(value) -> GridIntegrand:
+def constant_integrand(value):
     value = np.asarray(value, dtype=float)
-    return GridIntegrand(lambda path: np.broadcast_to(
-        value, path.grid.times.shape + value.shape))
+    return lambda path: np.broadcast_to(
+        value, path.grid.times.shape + value.shape)
 
 
-def node_rows() -> GridIntegrand:
+def node_rows():
     """The value k at node k, as a one-dimensional H vector."""
-    return GridIntegrand(
-        lambda p: np.arange(p.grid.n_nodes, dtype=float)[None, :, None])
+    return lambda p: np.arange(p.grid.n_nodes, dtype=float)[None, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +71,7 @@ def test_simple_integrand_validation():
 
 def _two_step(fault=None, breakpoints=(0.0, 0.5, 1.0)):
     """A scenario's simple integrand, 2 on (0, 0.5] and 3 on (0.5, 1]."""
-    return build_simple_integrand(ScenarioConfig(
+    return build_integrand(ScenarioConfig(
         dim_h=1, n_modes=1, fault=fault, integrand=IntegrandConfig(
             family="simple", carrier="hvector", evaluator="constant",
             breakpoints=breakpoints, value=((2.0,), (3.0,)))))
@@ -108,11 +105,11 @@ def test_cell_values_grid_integrand_slicing():
     right = _with_fault(ScenarioConfig(fault="right_point"), rows)
     assert cell_values(right, TWO_CELL).ravel().tolist() == [1.0, 2.0]
     # node values evaluated beforehand are cut the same way
-    node = rows.evaluator(TWO_CELL)
+    node = rows(TWO_CELL)
     assert cell_values(node, TWO_CELL).ravel().tolist() == [0.0, 1.0]
-    bad = GridIntegrand(lambda path: np.zeros((1, path.grid.n_nodes + 1, 1)))
     with pytest.raises(GridMismatch):
-        cell_values(bad, TWO_CELL)
+        cell_values(lambda path: np.zeros((1, path.grid.n_nodes + 1, 1)),
+                    TWO_CELL)
     # values without their path axis
     with pytest.raises(GridMismatch):
         cell_values(np.zeros((3, 1)), TWO_CELL)
@@ -158,7 +155,7 @@ def test_projection_route_identity_basis_is_bit_exact():
     path = sampler.sample(4, 0)
     gen = rng.stream(4, 0, 0, rng.INTEGRAND)
     vals = gen.standard_normal((1, path.grid.n_nodes, 3))
-    integrand = GridIntegrand(lambda p: vals)
+    integrand = lambda p: vals
     plain = ito_h(integrand, path, 0)
     routed = integrate_in_basis(cell_values(integrand, path),
                                 path.increments[:, 0], np.eye(3))
@@ -170,7 +167,7 @@ def test_projection_route_any_orthonormal_basis_agrees():
     path = sampler.sample(5, 0)
     gen = rng.stream(5, 0, 0, rng.INTEGRAND)
     vals = gen.standard_normal((1, path.grid.n_nodes, 4))
-    integrand = GridIntegrand(lambda p: vals)
+    integrand = lambda p: vals
     plain = ito_h(integrand, path, 0)
     for seed in range(3):
         q = random_orthogonal(4, rng.stream(seed, 0, 0, rng.BASIS))
@@ -202,9 +199,9 @@ def test_ito_seq_rejects_wrong_shapes():
 
 def _permuted(integrand, path, perm):
     """The integrand values and driver components of ``path`` reordered."""
-    node = integrand.evaluator(path)
+    node = integrand(path)
     moved = replay_path(path.grid.times[0], path.increments[0, perm])
-    return GridIntegrand(lambda p: node[:, :, perm]), moved
+    return (lambda p: node[:, :, perm]), moved
 
 
 def test_summation_order_does_not_matter():

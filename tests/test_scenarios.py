@@ -8,7 +8,7 @@ import pytest
 
 from levyint import rng
 from levyint.errors import ConfigInvalid
-from levyint.integrators import GridIntegrand, SimpleIntegrand, cell_values
+from levyint.integrators import SimpleIntegrand, cell_values
 from levyint.processes import replay_path
 from levyint.scenarios import (
     BASIS_FAULT_EPS,
@@ -17,7 +17,6 @@ from levyint.scenarios import (
     ScenarioConfig,
     build_grid_integrand,
     build_integrand,
-    build_simple_integrand,
     make_sampler,
     resolve_covariance,
     restrict_integrand,
@@ -162,8 +161,8 @@ def test_driver_linear_values_depend_only_on_the_path_so_far():
     integrand = build_grid_integrand(cfg, (2,), 1)
     a = replay_path([0.0, 0.5, 1.0], [[1.0, 2.0]])
     b = replay_path([0.0, 0.5, 1.0], [[1.0, -3.0]])
-    va = integrand.evaluator(a)[0]
-    vb = integrand.evaluator(b)[0]
+    va = integrand(a)[0]
+    vb = integrand(b)[0]
     assert np.array_equal(va[0], vb[0])
     assert np.array_equal(va[1], vb[1])
     assert not np.array_equal(va[2], vb[2])
@@ -175,7 +174,7 @@ def test_driver_linear_offset_is_the_value_at_time_zero():
     flat = replay_path([0.0, 1.0], [[0.0], [0.0]])
     gen = rng.stream(5, 0, 0, rng.INTEGRAND)
     c0 = gen.standard_normal(3)
-    assert np.max(np.abs(integrand.evaluator(flat)[0, 0] - c0)) <= 1e-15
+    assert np.max(np.abs(integrand(flat)[0, 0] - c0)) <= 1e-15
 
 
 def test_driver_tanh_values_are_bounded():
@@ -183,9 +182,9 @@ def test_driver_tanh_values_are_bounded():
                           scale=3.0)
     integrand = build_grid_integrand(cfg, (2,), 1)
     path = replay_path([0.0, 0.5, 1.0], [[4.0, -9.0]])
-    vals = integrand.evaluator(path)
+    vals = integrand(path)
     assert np.max(np.abs(vals)) <= 1.0
-    assert np.array_equal(vals, integrand.evaluator(path))
+    assert np.array_equal(vals, integrand(path))
 
 
 def test_build_integrand_shapes_follow_the_carrier():
@@ -198,16 +197,8 @@ def test_build_integrand_shapes_follow_the_carrier():
             n_scheduled=4,
             integrand=IntegrandConfig(carrier=carrier, evaluator="driver_linear"))
         integrand = build_integrand(scenario)
-        assert integrand.evaluator(path).shape == (
+        assert integrand(path).shape == (
             (1, path.grid.n_nodes) + shape)
-
-
-def test_build_integrand_rejects_simple_family():
-    scenario = ScenarioConfig(integrand=IntegrandConfig(
-        family="simple", carrier="hvector", evaluator="constant",
-        breakpoints=(0.0, 1.0), value=(1.0, 1.0, 1.0, 1.0)))
-    with pytest.raises(ConfigInvalid):
-        build_integrand(scenario)
 
 
 def test_seed_offset_changes_the_draw():
@@ -216,8 +207,8 @@ def test_seed_offset_changes_the_draw():
                                   seed=9))
     sampler = make_sampler(scenario)
     path = sampler.sample(2, 0)
-    base = build_integrand(scenario).evaluator(path)
-    moved = build_integrand(scenario, seed_offset=1).evaluator(path)
+    base = build_integrand(scenario)(path)
+    moved = build_integrand(scenario, seed_offset=1)(path)
     assert not np.array_equal(base, moved)
 
 
@@ -228,19 +219,17 @@ def test_build_simple_integrand_round_trip_and_validation():
                                   evaluator="constant",
                                   breakpoints=(0.0, 0.5, 1.0),
                                   value=((2.0,), (3.0,))))
-    si = build_simple_integrand(scenario)
+    si = build_integrand(scenario)
     assert isinstance(si, SimpleIntegrand)
     assert si.values.tolist() == [[2.0], [3.0]]
-    with pytest.raises(ConfigInvalid):
-        build_simple_integrand(ScenarioConfig())
     # without a value, scale times normals from the integrand seed's stream
     drawn = ScenarioConfig(integrand=IntegrandConfig(
         family="simple", carrier="hvector", evaluator="constant", seed=4,
         scale=0.5, breakpoints=(0.0, 0.25, 1.0)))
     oracle = 0.5 * rng.stream(4, 0, 0, rng.INTEGRAND).standard_normal((2, 4))
-    assert np.array_equal(build_simple_integrand(drawn).values, oracle)
+    assert np.array_equal(build_integrand(drawn).values, oracle)
     with pytest.raises(ConfigInvalid, match="breakpoints"):
-        build_simple_integrand(replace(drawn, integrand=replace(
+        build_integrand(replace(drawn, integrand=replace(
             drawn.integrand, breakpoints=None)))
 
 
@@ -248,32 +237,30 @@ def test_restrict_integrand_identity_matches_explicit_eye():
     raw_vals = np.arange(12.0).reshape(3, 4) + 1.0
     path = replay_path([0.0, 0.5, 1.0],
                        [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
-    raw = GridIntegrand(lambda p: np.broadcast_to(
-        raw_vals, (p.grid.n_nodes, 3, 4)))
+    raw = lambda p: np.broadcast_to(raw_vals, (p.grid.n_nodes, 3, 4))
     lam = (0.5, 0.25, 0.125, 0.0625)
     implicit = restrict_integrand(raw, make_covariance(lam))
     explicit = restrict_integrand(raw, make_covariance(lam, np.eye(4)))
-    assert np.array_equal(implicit.evaluator(path), explicit.evaluator(path))
+    assert np.array_equal(implicit(path), explicit(path))
 
 
 def test_restrict_integrand_composes_basis_then_weights():
     raw_vals = np.arange(12.0).reshape(3, 4) + 1.0
     path = replay_path([0.0, 0.5, 1.0],
                        [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
-    raw = GridIntegrand(lambda p: np.broadcast_to(
-        raw_vals, (p.grid.n_nodes, 3, 4)))
+    raw = lambda p: np.broadcast_to(raw_vals, (p.grid.n_nodes, 3, 4))
     spec = make_covariance((0.5, 0.25, 0.125, 0.0625), {"seed": 3})
-    vals = restrict_integrand(raw, spec).evaluator(path)
+    vals = restrict_integrand(raw, spec)(path)
     expected = (raw_vals @ spec.eigenbasis) * np.sqrt(spec.eigenvalues)
     assert vals.shape == (3, 3, 4)
     assert np.max(np.abs(vals - expected[None])) <= 1e-13
 
 
 def test_restrict_integrand_frozen_scaling():
-    raw = GridIntegrand(lambda p: np.broadcast_to(
-        np.array([[1.0, 3.0]]), (p.grid.n_nodes, 1, 2)))
+    raw = lambda p: np.broadcast_to(
+        np.array([[1.0, 3.0]]), (p.grid.n_nodes, 1, 2))
     spec = make_covariance((0.5, 0.25))
     path = replay_path([0.0, 1.0], [[1.0], [1.0]])
-    vals = restrict_integrand(raw, spec).evaluator(path)
+    vals = restrict_integrand(raw, spec)(path)
     assert abs(vals[0, 0, 0] - math.sqrt(0.5)) <= 1e-15
     assert vals[0, 0, 1] == 1.5

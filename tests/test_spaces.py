@@ -244,7 +244,7 @@ def test_block_rotation_isometry_and_alternate_decomposition():
 
 
 def test_seqh_transport_matches_coordinate_map():
-    from levyint.integrators import GridIntegrand, ito_seq
+    from levyint.integrators import ito_seq
     from levyint.processes import assemble_levy, replay_path, transport_levy
 
     lam = (0.25, 0.25)
@@ -256,8 +256,8 @@ def test_seqh_transport_matches_coordinate_map():
     moved = transport_levy(assemble_levy(spec, driver), iso)
 
     def constant(value):
-        return GridIntegrand(lambda p: np.broadcast_to(
-            value, p.grid.times.shape + value.shape))
+        return lambda p: np.broadcast_to(
+            value, p.grid.times.shape + value.shape)
 
     # the coordinate map mixes sequence entries as the transport mixes
     # the components, so the integral does not move
