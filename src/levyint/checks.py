@@ -68,9 +68,9 @@ from .integrators import (angle_bracket, cell_values, covariation_integral,
                           ito_l2lambda, ito_seq, node_values,
                           quadrature_sq_norm, series_terms, terminal_cells)
 from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
-                        coordinate_view, make_standard_specs, transport_levy)
+                        coordinate_view, normalize_drivers, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
-                        build_integrand, make_sampler, path_law,
+                        build_integrand, driver_specs, make_sampler, path_law,
                         resolve_covariance, restrict_integrand, value_shape)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      make_covariance, random_orthogonal)
@@ -553,10 +553,10 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     rotations = _block_rotations_for(cov.eigenvalues, gen)
     iso = build_eigen_isometry(cov, rotations)
-    driver_specs = make_standard_specs(sc.n_modes, sc.drivers)
+    specs = driver_specs(sc)
     integrand = build_integrand(sc)
-    pure = [c for c, s in enumerate(driver_specs) if s.sigma == 0.0]
-    rate = np.array([sum(a * nu for a, nu in driver_specs[c].jumps)
+    pure = [c for c, s in enumerate(specs) if s.sigma == 0.0]
+    rate = np.array([sum(a * nu for a, nu in specs[c].jumps)
                      for c in pure])[:, None]
 
     def per_block(driver):
@@ -825,7 +825,8 @@ def run_suite(specs, parallelism: int = 1) -> list:
 
 _MIXED_SIGMA = 0.7071067811865476
 
-_SINGLE_MIXED = ({"preset": "mixed", "sigma": _MIXED_SIGMA, "a": 1.0},)
+_SINGLE_MIXED = normalize_drivers(
+    ({"preset": "mixed", "sigma": _MIXED_SIGMA, "a": 1.0},))
 
 
 def _block_spectrum(n_modes: int) -> tuple:

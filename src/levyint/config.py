@@ -31,6 +31,7 @@ import numpy as np
 
 from .checks import BASE_SEED, CHECKS
 from .errors import ConfigInvalid, ConfigNotFound, expect_number
+from .processes import normalize_drivers
 from .scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
 
 _TOP_KEYS = {"space", "covariance", "drivers", "integrand", "nPaths",
@@ -75,6 +76,15 @@ def _positive_int(section: dict, key: str, default: int, where: str,
     return value
 
 
+def _seed(value, where: str) -> int:
+    """``value`` in [0, 2**64): any other integer aliases one modulo 2**64."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or not 0 <= value < 2 ** 64:
+        raise ConfigInvalid(f"{where} must be an integer in [0, 2**64), "
+                            f"got {value!r}")
+    return value
+
+
 def _parse_space(section: dict) -> dict:
     _reject_unknown(section, _SPACE_KEYS, "space")
     horizon = expect_number(section.get("T", 1.0), "space.T")
@@ -101,10 +111,7 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     basis = section.get("basis", "identity")
     if isinstance(basis, dict):
         _reject_unknown(basis, {"seed"}, "covariance.basis")
-        seed = basis.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigInvalid(f"covariance.basis.seed must be an integer, "
-                                f"got {seed!r}")
+        _seed(basis.get("seed"), "covariance.basis.seed")
     elif isinstance(basis, list):
         if not all(isinstance(row, (list, tuple)) for row in basis):
             raise ConfigInvalid("covariance.basis rows must be lists of "
@@ -148,14 +155,11 @@ def _parse_integrand(section: dict) -> IntegrandConfig:
                                 "numbers")
         breakpoints = tuple(expect_number(x, "integrand.breakpoints")
                             for x in breakpoints)
-    seed = section.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigInvalid(f"integrand.seed must be an integer, got {seed!r}")
     return IntegrandConfig(
         family=section.get("family", "grid"),
         carrier=section.get("carrier", "operator"),
         evaluator=section.get("evaluator", "driver_linear"),
-        seed=seed,
+        seed=_seed(section.get("seed", 0), "integrand.seed"),
         scale=expect_number(section.get("scale", 1.0), "integrand.scale"),
         value=value,
         breakpoints=breakpoints,
@@ -163,22 +167,13 @@ def _parse_integrand(section: dict) -> IntegrandConfig:
 
 
 def _parse_drivers(entry):
-    if isinstance(entry, str):
-        return entry
-    if isinstance(entry, dict):
-        if "replay" not in entry:
-            raise ConfigInvalid(
-                "a drivers mapping must be a replay: {\"replay\": ...}")
-        _reject_unknown(entry, {"replay"}, "drivers")
-        return {"replay": entry["replay"]}
-    if isinstance(entry, (list, tuple)):
-        for i, e in enumerate(entry):
-            if not isinstance(e, (str, dict)):
-                raise ConfigInvalid(
-                    f"drivers[{i}] must be a preset name or an object, "
-                    f"got {e!r}")
-        return tuple(e if isinstance(e, str) else dict(e) for e in entry)
-    raise ConfigInvalid("drivers must be a name, a recipe list or a replay")
+    if not isinstance(entry, dict):
+        return normalize_drivers(entry)
+    if "replay" not in entry:
+        raise ConfigInvalid(
+            "a drivers mapping must be a replay: {\"replay\": ...}")
+    _reject_unknown(entry, {"replay"}, "drivers")
+    return {"replay": entry["replay"]}
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -211,10 +206,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigInvalid(
                 f"unknown check(s) {', '.join(unknown)}; valid names: "
                 f"{', '.join(CHECKS)}")
-    seed = data.get("seed", BASE_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) \
-            or not 0 <= seed < 2 ** 64:
-        raise ConfigInvalid("seed must be an integer in [0, 2**64)")
+    seed = _seed(data.get("seed", BASE_SEED), "seed")
     return ExperimentConfig(
         scenario=ScenarioConfig(**scenario_kwargs),
         n_paths=_positive_int(data, "nPaths", 100_000, "config"),

@@ -88,7 +88,8 @@ class StandardLevySpec:
 
     ``jumps`` is a tuple of (size, intensity) pairs.  The variance rate
     ``sigma**2 + sum(size**2 * intensity)`` must equal one; use
-    :func:`make_standard_specs` to build normalized specs from presets.
+    :func:`normalize_drivers` to build normalized specs from a recipe of
+    presets, each of which goes through :func:`_normalize_spec`.
     """
 
     sigma: float
@@ -155,48 +156,37 @@ def spec_from_preset(entry) -> StandardLevySpec:
     Accepted forms: the string ``"brownian"``; mappings
     ``{"preset": "brownian"}``, ``{"preset": "poisson", "a": size}``,
     ``{"preset": "mixed", "sigma": s, "a": size}``; or an explicit
-    ``{"sigma": s, "jumps": [[size, intensity], ...]}`` whose intensities
-    are rescaled to meet the normalization.
+    ``{"sigma": s, "jumps": [[size, intensity], ...]}``.  A preset is one
+    jump term of unit intensity, and every form goes through
+    :func:`_normalize_spec`, which rescales the intensities to meet the
+    normalization.  :func:`normalize_drivers` normalizes a whole recipe.
     """
     if entry == "brownian":
-        return StandardLevySpec(sigma=1.0)
+        return _normalize_spec(1.0, ())
     if not isinstance(entry, dict):
         raise NonNormalizable(f"unrecognized driver entry {entry!r}")
-    if "preset" in entry:
-        preset = entry["preset"]
-        if preset == "brownian":
-            return StandardLevySpec(sigma=1.0)
-        if preset == "poisson":
-            a = _entry_number(entry, "a")
-            if a == 0.0:
-                raise ZeroJumpSize("jump sizes must be nonzero")
-            return StandardLevySpec(sigma=0.0, jumps=((a, 1.0 / (a * a)),))
-        if preset == "mixed":
-            sigma = _entry_number(entry, "sigma")
-            a = _entry_number(entry, "a")
-            if not 0 <= sigma < 1:
-                raise NonNormalizable("mixed preset needs 0 <= sigma < 1")
-            if a == 0.0:
-                raise ZeroJumpSize("jump sizes must be nonzero")
-            return StandardLevySpec(
-                sigma=sigma, jumps=((a, (1.0 - sigma * sigma) / (a * a)),))
-        raise NonNormalizable(f"unknown driver preset {preset!r}")
-    return _normalize_spec(_entry_number(entry, "sigma", 0.0),
-                           entry.get("jumps", ()))
+    if "preset" not in entry:
+        return _normalize_spec(_entry_number(entry, "sigma", 0.0),
+                               entry.get("jumps", ()))
+    preset = entry["preset"]
+    if preset == "brownian":
+        return _normalize_spec(1.0, ())
+    if preset == "poisson":
+        return _normalize_spec(0.0, ((_entry_number(entry, "a"), 1.0),))
+    if preset == "mixed":
+        return _normalize_spec(_entry_number(entry, "sigma"),
+                               ((_entry_number(entry, "a"), 1.0),))
+    raise NonNormalizable(f"unknown driver preset {preset!r}")
 
 
-def make_standard_specs(n: int, recipe) -> tuple:
-    """Normalized specs for n components.
-
-    ``recipe`` is a single preset applied to every index or a list of
-    per-index presets (cycled when shorter than n).
-    """
-    if n < 1:
-        raise DimensionMismatch("component count must be at least 1")
+def normalize_drivers(recipe) -> tuple:
+    """The normalized specs of a recipe, a preset or a list of presets,
+    one per entry; an error names its entry, ``drivers[i]`` (``drivers``
+    for a lone preset)."""
     if isinstance(recipe, (list, tuple)):
         if not recipe:
             raise NonNormalizable("drivers: the recipe list is empty")
-        entries = [(f"drivers[{i}]", e) for i, e in enumerate(recipe[:n])]
+        entries = [(f"drivers[{i}]", e) for i, e in enumerate(recipe)]
     else:
         entries = [("drivers", recipe)]
     specs = []
@@ -205,7 +195,7 @@ def make_standard_specs(n: int, recipe) -> tuple:
             specs.append(spec_from_preset(entry))
         except LevyintError as exc:
             raise type(exc)(f"{where}: {exc}") from None
-    return tuple(specs[i % len(specs)] for i in range(n))
+    return tuple(specs)
 
 
 @dataclass

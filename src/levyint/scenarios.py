@@ -1,9 +1,11 @@
 """Scenario descriptions and the integrand evaluator registry.
 
 A scenario bundles everything a check or CLI run needs to generate paths
-and integrands: space dimensions, covariance spectrum, driver recipe and
-an integrand description.  Scenarios are plain data so they serialize to
-the config format and pickle cleanly across worker processes.
+and integrands: space dimensions, covariance spectrum, drivers and an
+integrand description.  Its ``drivers`` hold either a recipe normalized
+once, when it is parsed, by :func:`levyint.processes.normalize_drivers`,
+or a replay mapping.  Scenarios are plain data, so they pickle cleanly
+across worker processes.
 
 :func:`build_integrand` builds a scenario's integrand, a function of a
 block of sampled paths (:class:`levyint.processes.PathBlock`) that
@@ -43,7 +45,7 @@ from . import rng as _rng
 from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
                      NonPositiveEigenvalue, expect_number)
 from .integrators import SimpleIntegrand, node_values
-from .processes import PathSampler, make_standard_specs, scheduled_nodes
+from .processes import PathSampler, normalize_drivers, scheduled_nodes
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
 
 CARRIERS = ("hvector", "seqh", "operator")
@@ -155,9 +157,9 @@ class ScenarioConfig:
     covariance: CovarianceConfig = field(
         default_factory=lambda: CovarianceConfig(
             eigenvalues={"kind": "geometric", "c": 0.5, "r": 0.5}))
-    drivers: object = ("brownian",
-                       {"preset": "poisson", "a": 0.5},
-                       {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0})
+    drivers: object = normalize_drivers((   # or {"replay": ...}
+        "brownian", {"preset": "poisson", "a": 0.5},
+        {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0}))
     integrand: IntegrandConfig = field(default_factory=IntegrandConfig)
     fault: Optional[str] = None
 
@@ -206,6 +208,13 @@ def _extra_times(scenario: ScenarioConfig, probes) -> tuple:
     return extra
 
 
+def driver_specs(scenario: ScenarioConfig) -> tuple:
+    """One spec per component: the normalized recipe, cycled over the
+    ``n_modes`` components when it is shorter."""
+    specs = scenario.drivers
+    return tuple(specs[i % len(specs)] for i in range(scenario.n_modes))
+
+
 def make_sampler(scenario: ScenarioConfig, probes: tuple = ()) -> PathSampler:
     """The scenario's sampler.
 
@@ -213,9 +222,8 @@ def make_sampler(scenario: ScenarioConfig, probes: tuple = ()) -> PathSampler:
     check reads the path, join its grid, so that each is a node of every
     path.
     """
-    specs = make_standard_specs(scenario.n_modes, scenario.drivers)
-    return PathSampler(specs, scenario.horizon, scenario.n_scheduled,
-                       _extra_times(scenario, probes))
+    return PathSampler(driver_specs(scenario), scenario.horizon,
+                       scenario.n_scheduled, _extra_times(scenario, probes))
 
 
 def path_law(scenario: ScenarioConfig, probes: tuple = ()) -> tuple:
@@ -227,8 +235,7 @@ def path_law(scenario: ScenarioConfig, probes: tuple = ()) -> tuple:
     """
     grid = scheduled_nodes(scenario.horizon, scenario.n_scheduled,
                            _extra_times(scenario, probes))
-    return (make_standard_specs(scenario.n_modes, scenario.drivers),
-            scenario.horizon, grid.tobytes())
+    return driver_specs(scenario), scenario.horizon, grid.tobytes()
 
 
 # ---------------------------------------------------------------------------

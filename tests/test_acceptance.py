@@ -35,12 +35,13 @@ from levyint.integrators import (
     ito_seq,
     time_quadrature,
 )
-from levyint.processes import PathSampler, assemble_levy, make_standard_specs
+from levyint.processes import PathSampler, assemble_levy, normalize_drivers
 from levyint.scenarios import (
     CovarianceConfig,
     IntegrandConfig,
     ScenarioConfig,
     build_integrand,
+    driver_specs,
     make_sampler,
     resolve_covariance,
 )
@@ -50,8 +51,8 @@ from levyint.stats import accumulate_paths, block_paths
 pytestmark = pytest.mark.slow
 
 N_PATHS = 100_000
-DESK_DRIVERS = ScenarioConfig().drivers
-MIXED_ONE = ({"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},)
+MIXED_ONE = normalize_drivers(
+    ({"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},))
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -91,7 +92,7 @@ def test_c01_simple_process_exactness():
                  "operator": (dim_h, n_modes)}[carrier]
         values = gen.standard_normal((breaks.size - 1,) + shape)
         integrand = SimpleIntegrand(breaks, values)
-        sampler = PathSampler(make_standard_specs(n_modes, DESK_DRIVERS),
+        sampler = PathSampler(driver_specs(ScenarioConfig(n_modes=n_modes)),
                               1.0, 16, extra_times=tuple(interior))
         path = sampler.sample(5000 + case, 0)
         if carrier == "hvector":

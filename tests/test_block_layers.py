@@ -26,7 +26,7 @@ from levyint.processes import (
     TimeGrid,
     assemble_levy,
     coordinate_view,
-    make_standard_specs,
+    normalize_drivers,
     transport_levy,
 )
 from levyint.scenarios import (IntegrandConfig, ScenarioConfig, _with_fault,
@@ -42,12 +42,12 @@ from levyint import rng
 SEED = 20260816
 BREAKS = (0.0, 0.3, 0.7, 1.0)
 DIM_H = 3
-DESK = make_standard_specs(6, (
+DESK = normalize_drivers((
     "brownian", {"preset": "poisson", "a": 0.5},
     {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},
     "brownian", {"preset": "poisson", "a": 0.25},
     {"preset": "mixed", "sigma": 0.5, "a": 0.5}))
-JUMP_DENSE = make_standard_specs(6, (
+JUMP_DENSE = normalize_drivers((
     {"preset": "poisson", "a": 0.15}, {"preset": "mixed", "sigma": 0.5, "a": 0.12},
     {"preset": "poisson", "a": 0.25}, {"preset": "mixed", "sigma": 0.3, "a": 0.1},
     {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2}))

@@ -28,6 +28,7 @@ from levyint.checks import (
     suite_passed,
 )
 from levyint.errors import ConfigInvalid, UnknownCheck
+from levyint.processes import StandardLevySpec, normalize_drivers
 from levyint.scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                                make_sampler)
 from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
@@ -35,7 +36,8 @@ from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
                            path_blocks)
 
 ONE_MODE = ScenarioConfig(
-    n_modes=1, drivers=("brownian",), covariance=CovarianceConfig((1.0,)),
+    n_modes=1, drivers=normalize_drivers("brownian"),
+    covariance=CovarianceConfig((1.0,)),
     integrand=IntegrandConfig(carrier="hvector", evaluator="driver_linear"))
 # integrand scales at which an exact check must still see its faults
 SCALES = pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
@@ -116,7 +118,8 @@ def test_accumulate_paths_chunking_and_determinism():
 
 def test_zero_integrand_isometry_is_exactly_tight():
     scenario = ScenarioConfig(
-        n_modes=1, drivers=("brownian",), covariance=CovarianceConfig((1.0,)),
+        n_modes=1, drivers=normalize_drivers("brownian"),
+    covariance=CovarianceConfig((1.0,)),
         integrand=IntegrandConfig(carrier="hvector", evaluator="constant",
                                   value=(0.0, 0.0, 0.0, 0.0)))
     report = run_check(CheckSpec("isometry1", scenario, 4, 77))
@@ -136,7 +139,7 @@ def test_check_preconditions_rejected():
         run_check(CheckSpec("isometry1", ONE_MODE, 1, 1))
     with pytest.raises(ConfigInvalid, match="space.J"):
         run_check(CheckSpec("bracket", ScenarioConfig(
-            n_modes=1, drivers=("brownian",),
+            n_modes=1, drivers=normalize_drivers("brownian"),
             covariance=CovarianceConfig((1.0,))), 4, 1))
     with pytest.raises(ConfigInvalid):
         run_check(CheckSpec("isometry2", ScenarioConfig(
@@ -148,7 +151,7 @@ def test_check_preconditions_rejected():
     # one mode leaves no tail to drop
     with pytest.raises(ConfigInvalid, match="space.J"):
         run_check(CheckSpec("truncation_tail", ScenarioConfig(
-            n_modes=1, drivers=("brownian",),
+            n_modes=1, drivers=normalize_drivers("brownian"),
             covariance=CovarianceConfig((1.0,)),
             integrand=IntegrandConfig(carrier="operator",
                                       evaluator="constant")), 4, 1))
@@ -199,6 +202,25 @@ def test_suite_results_do_not_depend_on_parallelism():
     # nor on the other checks, which share a check's paths in the suite
     alone = [reports_to_json(run_suite([spec])) for spec in suite]
     assert [reports_to_json([r]) for r in serial] == alone
+
+
+def test_the_driver_recipe_is_normalized_once_when_loaded(monkeypatch):
+    from pathlib import Path
+
+    from levyint import processes
+    from levyint.config import load_config
+
+    desk = load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                           / "default.json")).scenario
+    expected = reports_to_json(run_suite(default_suite(64, 4, desk=desk)))
+
+    def refuse(*args):
+        raise AssertionError("a driver recipe was normalized after loading")
+
+    for name in ("spec_from_preset", "_normalize_spec", "normalize_drivers"):
+        monkeypatch.setattr(processes, name, refuse, raising=False)
+    reports = run_suite(default_suite(64, 4, desk=desk))
+    assert reports_to_json(reports) == expected
 
 
 DESK_LAW = ["isometry2", "isometry2", "isometry4", "orthogonality",
@@ -351,7 +373,7 @@ def test_isometry_invariance_sees_a_jump_in_the_wrong_cell(scale, monkeypatch):
     spec, = [s for s in default_suite(64, 64,
                                       desk=_scaled(ScenarioConfig(), scale))
              if s.name == "isometry_invariance"]
-    assert {"preset": "poisson", "a": 0.5} in spec.scenario.drivers
+    assert StandardLevySpec(0.0, ((0.5, 4.0),)) in spec.scenario.drivers
     assert run_check(spec).passed
     monkeypatch.setattr(PathSampler, "sample_block", late_jumps)
     report = run_check(spec)
@@ -660,14 +682,15 @@ def test_block_rows_do_not_depend_on_the_block_width(spec, monkeypatch):
 
 
 # the desk of configs/default.json, and the jump-dense desk of the benchmark
-DESK_DRIVERS = ("brownian", {"preset": "poisson", "a": 0.5},
-                {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},
-                "brownian", {"preset": "poisson", "a": 0.25},
-                {"preset": "mixed", "sigma": 0.5, "a": 0.5})
-JUMP_DENSE_DRIVERS = (
+DESK_DRIVERS = normalize_drivers((
+    "brownian", {"preset": "poisson", "a": 0.5},
+    {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0},
+    "brownian", {"preset": "poisson", "a": 0.25},
+    {"preset": "mixed", "sigma": 0.5, "a": 0.5}))
+JUMP_DENSE_DRIVERS = normalize_drivers((
     {"preset": "poisson", "a": 0.15}, {"preset": "mixed", "sigma": 0.5, "a": 0.12},
     {"preset": "poisson", "a": 0.25}, {"preset": "mixed", "sigma": 0.3, "a": 0.1},
-    {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2})
+    {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2}))
 
 
 @pytest.mark.parametrize("drivers, desk_nodes, desk_width", [

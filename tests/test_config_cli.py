@@ -16,6 +16,7 @@ from levyint import checks, rng
 from levyint.cli import main
 from levyint.config import ExperimentConfig, load_config, parse_config
 from levyint.errors import ConfigInvalid, ConfigNotFound
+from levyint.processes import normalize_drivers
 from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
 from levyint.stats import MAX_BLOCK_BYTES
 
@@ -74,7 +75,7 @@ def test_default_config_parses_every_field():
             dim_h=4, n_modes=6, horizon=1.0, n_scheduled=64,
             covariance=CovarianceConfig(
                 {"kind": "geometric", "c": 0.5, "r": 0.5}, "identity"),
-            drivers=tuple(raw["drivers"]),
+            drivers=normalize_drivers(raw["drivers"]),
             integrand=IntegrandConfig(family="grid", carrier="operator",
                                       evaluator="driver_linear", seed=0,
                                       scale=1.0)),
@@ -104,7 +105,7 @@ def test_base_config_parses_every_field():
         scenario=ScenarioConfig(
             dim_h=2, n_modes=1, horizon=1.0, n_scheduled=8,
             covariance=CovarianceConfig((1.0,), "identity"),
-            drivers="brownian",
+            drivers=normalize_drivers("brownian"),
             integrand=IntegrandConfig(family="grid", carrier="hvector",
                                       evaluator="driver_linear", seed=3,
                                       scale=1.0)),
@@ -662,6 +663,24 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
      "integrand.breakpoints"),
     # a seed of 2**64 or more would alias a smaller one
     ("simulate", _edit(seed=2 ** 64 + 5), "seed"),
+    # and so would a negative one, or an integrand or basis seed out of range
+    ("integrate", _edit(integrand=dict(BASE["integrand"], seed=2 ** 64 + 3)),
+     "integrand.seed"),
+    ("integrate", _edit(integrand=dict(BASE["integrand"], seed=-1)),
+     "integrand.seed"),
+    ("integrate", _edit(covariance={"eigenvalues": [1.0],
+                                    "basis": {"seed": 2 ** 64 + 3}}),
+     "covariance.basis"),
+    ("integrate", _edit(covariance={"eigenvalues": [1.0],
+                                    "basis": {"seed": -1}}),
+     "covariance.basis"),
+    # a jump size whose square underflows leaves no term to normalize
+    ("simulate", _edit(drivers=[{"preset": "poisson", "a": 1e-200}]),
+     "drivers[0]"),
+    ("check", lambda tmp_path: dict(CHECK_BASE, drivers=[
+        {"preset": "poisson", "a": 1e-200}]), "drivers[0]"),
+    ("simulate", _edit(drivers=[{"preset": "mixed", "sigma": 0.5,
+                                 "a": 1e-200}]), "drivers[0]"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "replay-nan-increment",
         "integrate-replay-inf-increment", "replay-csv-nan-value",
@@ -679,7 +698,10 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "simple-value-width", "simple-value-vector",
         "breakpoints-one", "breakpoints-late-start", "breakpoints-unordered",
         "breakpoints-early-end", "check-breakpoints-beyond",
-        "breakpoints-one-with-value", "seed-2**64"])
+        "breakpoints-one-with-value", "seed-2**64",
+        "integrand-seed-2**64", "integrand-seed-negative",
+        "basis-seed-2**64", "basis-seed-negative", "poisson-size-underflow",
+        "check-poisson-size-underflow", "mixed-size-underflow"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
                                                  monkeypatch):
     # a rejected size must be rejected before it is drawn

@@ -28,7 +28,7 @@ from levyint.integrators import (
     quadrature_sq_norm,
     series_terms,
 )
-from levyint.processes import (PathSampler, assemble_levy, make_standard_specs,
+from levyint.processes import (PathSampler, assemble_levy, normalize_drivers,
                                project_standard, replay_path)
 from levyint.scenarios import (
     IntegrandConfig,
@@ -151,7 +151,7 @@ def test_ito_h_component_selection_and_bounds():
 
 
 def test_projection_route_identity_basis_is_bit_exact():
-    sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 8)
+    sampler = PathSampler(normalize_drivers("brownian"), 1.0, 8)
     path = sampler.sample(4, 0)
     gen = rng.stream(4, 0, 0, rng.INTEGRAND)
     vals = gen.standard_normal((1, path.grid.n_nodes, 3))
@@ -163,7 +163,7 @@ def test_projection_route_identity_basis_is_bit_exact():
 
 
 def test_projection_route_any_orthonormal_basis_agrees():
-    sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 16)
+    sampler = PathSampler(normalize_drivers("brownian"), 1.0, 16)
     path = sampler.sample(5, 0)
     gen = rng.stream(5, 0, 0, rng.INTEGRAND)
     vals = gen.standard_normal((1, path.grid.n_nodes, 4))
@@ -284,8 +284,8 @@ def test_ito_general_order_and_shape_checks():
 def test_constant_operator_integral_telescopes():
     # a constant integrand sees only the terminal driver values
     spec = make_covariance((0.5, 0.25), {"seed": 6})
-    sampler = PathSampler(make_standard_specs(
-        2, ("brownian", {"preset": "poisson", "a": 0.5})), 1.0, 16)
+    sampler = PathSampler(normalize_drivers(
+        ("brownian", {"preset": "poisson", "a": 0.5})), 1.0, 16)
     driver = sampler.sample(8, 0)
     levy = assemble_levy(spec, driver)
     s = np.array([[1.0, 3.0], [0.5, -2.0]])

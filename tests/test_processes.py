@@ -26,12 +26,13 @@ from levyint.processes import (
     TimeGrid,
     assemble_levy,
     coordinate_view,
-    make_standard_specs,
+    normalize_drivers,
     project_standard,
     replay_path,
     spec_from_preset,
     transport_levy,
 )
+from levyint.scenarios import ScenarioConfig, driver_specs
 from levyint.spaces import build_eigen_isometry, make_covariance
 
 MIXED = {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0}
@@ -102,15 +103,19 @@ def test_driver_validation_errors():
         spec_from_preset({"sigma": -0.1, "jumps": [[1.0, 1.0]]})
 
 
-def test_make_standard_specs_cycles_recipes():
-    specs = make_standard_specs(5, ("brownian", {"preset": "poisson", "a": 0.5}))
+def test_driver_specs_cycle_the_normalized_recipe():
+    pair = normalize_drivers(("brownian", {"preset": "poisson", "a": 0.5}))
+    assert pair == (spec_from_preset("brownian"),
+                    spec_from_preset({"preset": "poisson", "a": 0.5}))
+    assert normalize_drivers("brownian") == pair[:1]
+    specs = driver_specs(ScenarioConfig(n_modes=5, drivers=pair))
     assert [s.sigma for s in specs] == [1.0, 0.0, 1.0, 0.0, 1.0]
-    same = make_standard_specs(3, "brownian")
-    assert all(s == same[0] for s in same)
-    with pytest.raises(DimensionMismatch):
-        make_standard_specs(0, "brownian")
-    with pytest.raises(NonNormalizable):
-        make_standard_specs(2, ())
+    # the first components of a scenario take the first entries
+    assert driver_specs(ScenarioConfig(n_modes=1, drivers=pair)) == pair[:1]
+    with pytest.raises(NonNormalizable, match=r"drivers: "):
+        normalize_drivers(())
+    with pytest.raises(NonNormalizable, match=r"drivers\[1\]: "):
+        normalize_drivers(("brownian", {"preset": "poisson", "a": 1e-200}))
 
 
 @given(sigma=st.floats(0.0, 0.95),
@@ -129,7 +134,7 @@ def test_normalization_always_hits_unit_rate(sigma, jumps):
 
 
 def test_brownian_only_grid_is_the_scheduled_grid():
-    sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 8)
+    sampler = PathSampler(normalize_drivers("brownian"), 1.0, 8)
     path = sampler.sample(1, 0)
     assert np.array_equal(path.grid.times, np.linspace(0.0, 1.0, 9)[None])
     assert np.all(path.grid.kind == SCHEDULED)
@@ -141,7 +146,7 @@ def test_brownian_only_grid_is_the_scheduled_grid():
 
 
 def test_sampling_is_deterministic_per_address():
-    specs = make_standard_specs(2, ("brownian", {"preset": "poisson", "a": 0.5}))
+    specs = normalize_drivers(("brownian", {"preset": "poisson", "a": 0.5}))
     sampler = PathSampler(specs, 1.0, 8)
     p1 = sampler.sample(7, 3)
     p2 = sampler.sample(7, 3)
@@ -153,7 +158,7 @@ def test_sampling_is_deterministic_per_address():
 
 
 def test_jump_grid_structure_and_compensation():
-    sampler = PathSampler(make_standard_specs(1, {"preset": "poisson", "a": 0.5}),
+    sampler = PathSampler(normalize_drivers({"preset": "poisson", "a": 0.5}),
                           1.0, 8)
     path = sampler.sample(11, 2)
     times = path.grid.times[0]
@@ -180,15 +185,15 @@ def test_jump_grid_structure_and_compensation():
 
 
 def test_extra_times_join_the_grid():
-    sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 4,
+    sampler = PathSampler(normalize_drivers("brownian"), 1.0, 4,
                           extra_times=(0.3,))
     path = sampler.sample(1, 0)
     assert 0.3 in path.grid.times
     with pytest.raises(DimensionMismatch):
-        PathSampler(make_standard_specs(1, "brownian"), 1.0, 4,
+        PathSampler(normalize_drivers("brownian"), 1.0, 4,
                     extra_times=(1.5,))
     with pytest.raises(DimensionMismatch):
-        PathSampler(make_standard_specs(1, "brownian"), 1.0, 0)
+        PathSampler(normalize_drivers("brownian"), 1.0, 0)
 
 
 def test_node_lookup_semantics():
@@ -210,7 +215,7 @@ def test_node_lookup_semantics():
 
 
 def test_replay_round_trip_is_exact():
-    sampler = PathSampler(make_standard_specs(2, ("brownian", MIXED)), 1.0, 8)
+    sampler = PathSampler(normalize_drivers(("brownian", MIXED)), 1.0, 8)
     path = sampler.sample(3, 5)
     names = [KIND_NAMES[k] for k in path.grid.kind[0]]
     back = replay_path(path.grid.times[0], path.increments[0], names)
@@ -267,7 +272,7 @@ def test_project_standard_identity_basis_is_bit_exact():
 
 def test_project_standard_recovers_components_under_rotation():
     spec = make_covariance((0.5, 0.25), {"seed": 3})
-    sampler = PathSampler(make_standard_specs(2, ("brownian", MIXED)), 1.0, 8)
+    sampler = PathSampler(normalize_drivers(("brownian", MIXED)), 1.0, 8)
     driver = sampler.sample(2, 0)
     levy = assemble_levy(spec, driver)
     standard = project_standard(levy)
@@ -303,7 +308,7 @@ def test_coordinate_view_identity_basis_is_exact():
 def test_empirical_covariance_unexcited_direction_is_exactly_zero():
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     spec = make_covariance((0.5, 0.25), basis)
-    sampler = PathSampler(make_standard_specs(2, "brownian"), 1.0, 4)
+    sampler = PathSampler(2 * normalize_drivers("brownian"), 1.0, 4)
     coords = assemble_levy(spec, sampler.sample_block(0, range(16))).coords
     assert coords.shape == (16, 3, 5)
     # the third reference direction carries no variance, so every product
@@ -313,7 +318,7 @@ def test_empirical_covariance_unexcited_direction_is_exactly_zero():
 
 def test_empirical_covariance_matches_analytic_value():
     spec = make_covariance((1.0,))
-    sampler = PathSampler(make_standard_specs(1, "brownian"), 1.0, 4)
+    sampler = PathSampler(normalize_drivers("brownian"), 1.0, 4)
     coords = assemble_levy(spec, sampler.sample_block(21, range(4000))).coords
     z = coords[:, 0, -1] * coords[:, 0, -1]
     se = float(np.std(z, ddof=1)) / math.sqrt(z.size)
@@ -332,8 +337,8 @@ def test_transport_swaps_components_exactly():
     spec = make_covariance(lam)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     iso = build_eigen_isometry(spec, {0.25: swap})
-    drivers = make_standard_specs(2, ({"preset": "poisson", "a": 0.5},
-                                      {"preset": "poisson", "a": 1.0}))
+    drivers = normalize_drivers(({"preset": "poisson", "a": 0.5},
+                                 {"preset": "poisson", "a": 1.0}))
     driver = PathSampler(drivers, 1.0, 8).sample(13, 1)
     moved = transport_levy(assemble_levy(spec, driver), iso)
     assert np.array_equal(moved.driver.increments,
@@ -353,11 +358,11 @@ def test_transport_rejects_wrong_source():
 # ---------------------------------------------------------------------------
 # block sampling
 
-DESK = make_standard_specs(6, (
+DESK = normalize_drivers((
     "brownian", {"preset": "poisson", "a": 0.5}, MIXED,
     "brownian", {"preset": "poisson", "a": 0.25},
     {"preset": "mixed", "sigma": 0.5, "a": 0.5}))
-JUMP_DENSE = make_standard_specs(6, (
+JUMP_DENSE = normalize_drivers((
     {"preset": "poisson", "a": 0.15}, {"preset": "mixed", "sigma": 0.5, "a": 0.12},
     {"preset": "poisson", "a": 0.25}, {"preset": "mixed", "sigma": 0.3, "a": 0.1},
     {"preset": "poisson", "a": 0.2}, {"preset": "mixed", "sigma": 0.7, "a": 0.2}))
@@ -394,7 +399,7 @@ def test_block_rows_equal_single_path_samples(specs):
                                             width - n + 1, axis=1))
 
 
-ONE_MIXED = make_standard_specs(1, MIXED)
+ONE_MIXED = normalize_drivers(MIXED)
 
 
 @pytest.mark.parametrize("specs", [DESK, JUMP_DENSE, ONE_MIXED],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levyint import rng
-from levyint.processes import JUMP, PathSampler, make_standard_specs
+from levyint.processes import JUMP, PathSampler, normalize_drivers
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -138,8 +138,8 @@ def test_poisson_moments(mean):
 
 def test_sampled_jump_times_are_uniform():
     # a compensated Poisson driver with intensity 4 on [0, 2]
-    sampler = PathSampler(make_standard_specs(1, {"preset": "poisson",
-                                                  "a": 0.5}), 2.0, 1)
+    sampler = PathSampler(normalize_drivers({"preset": "poisson", "a": 0.5}),
+                          2.0, 1)
     block = sampler.sample_block(8130, range(4096))
     jumps = block.grid.times[block.grid.kind == JUMP]
     n = 4096

@@ -9,7 +9,7 @@ import pytest
 from levyint import rng
 from levyint.errors import ConfigInvalid
 from levyint.integrators import SimpleIntegrand, cell_values
-from levyint.processes import replay_path
+from levyint.processes import normalize_drivers, replay_path
 from levyint.scenarios import (
     BASIS_FAULT_EPS,
     CovarianceConfig,
@@ -93,7 +93,7 @@ def test_resolve_covariance_clean_and_faulted():
     assert broken.gram_defect() > 0.01
     assert broken.eigenvalues.tolist() == clean.eigenvalues.tolist()
     one = ScenarioConfig(n_modes=1, covariance=CovarianceConfig((1.0,)),
-                         drivers=("brownian",))
+                         drivers=normalize_drivers("brownian"))
     scaled = resolve_covariance(one.with_fault("nonorthogonal_basis"))
     # single column cannot tilt toward a neighbor, so it is stretched
     assert abs(scaled.gram_defect() - (1.05 ** 2 - 1.0)) <= 1e-12
