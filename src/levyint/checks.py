@@ -46,6 +46,14 @@ paths reads the first n, as the block it would sample alone.  Times at
 which a check reads the path (``_PROBES``) join its grid, so each is a
 node of every path.  The block width depends only on the law
 (:func:`levyint.stats.block_paths` of the sampler's expected nodes).
+
+Every entry of the default suite runs on the desk's drivers, so on a
+grid that holds its probe times the suite samples one law.  The checks
+of one or two driver components read them from the desk's blocks
+(:func:`_components`): ``isometry1``, ``basis_invariance`` and
+``simple_exact`` read :func:`_mixed_component`, ``bracket`` components 0
+and 1.  The desk grid also holds the other components' jump times; they
+are independent of the components read, so every identity holds on it.
 """
 from __future__ import annotations
 
@@ -68,7 +76,7 @@ from .integrators import (angle_bracket, cell_values, covariation_integral,
                           ito_l2lambda, ito_seq, node_values,
                           quadrature_sq_norm, series_terms, terminal_cells)
 from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
-                        coordinate_view, normalize_drivers, transport_levy)
+                        coordinate_view, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, driver_specs, make_sampler, path_law,
                         resolve_covariance, restrict_integrand, value_shape)
@@ -87,6 +95,20 @@ def _default_pairs(n_modes: int) -> tuple:
     if n_modes > 2:
         pairs += ((0, n_modes - 1),)
     return pairs
+
+
+def _mixed_component(sc: ScenarioConfig) -> int:
+    """The component a one-driver check reads: the scenario's first with
+    both a Brownian and a jump part, else component 0."""
+    return next((c for c, s in enumerate(driver_specs(sc))
+                 if s.sigma and s.jumps), 0)
+
+
+def _components(block: PathBlock, first: int, n: int) -> PathBlock:
+    """Components ``first`` to ``first + n - 1`` of a block, on its grid;
+    the increments are a view, read-only as the block's are."""
+    return PathBlock(block.grid, block.increments[:, first:first + n],
+                     block.n_nodes)
 
 
 def _component_pairs(spec: CheckSpec) -> tuple:
@@ -264,10 +286,13 @@ def _block_rotations_for(eigenvalues: np.ndarray,
 
 
 def _check_isometry1(spec: CheckSpec) -> _Member:
-    """E ||(X . M)_T||^2 equals E of the squared-norm quadrature (one driver)."""
-    integrand = build_integrand(spec.scenario)
+    """E ||(X . M)_T||^2 equals E of the squared-norm quadrature, against
+    the driver component :func:`_mixed_component`; X reads it alone."""
+    c = _mixed_component(spec.scenario)
+    integrand = build_integrand(spec.scenario, n_inputs=1)
 
     def stat(block):
+        block = _components(block, c, 1)
         node = node_values(integrand, block)
         z = ito_h(node, block, 0, terminal=True)
         return _isometry_sides(z, node, block)
@@ -376,19 +401,20 @@ def _check_covariance_recovery(spec: CheckSpec) -> _Member:
 
 
 def _check_bracket(spec: CheckSpec) -> _Member:
-    """Bracket identities on two components and on their integrals.
+    """Bracket identities on components 0 and 1 and on their integrals.
 
     Realized quadratic variation against the predictable bracket,
     realized cross variation against zero, and the covariation of two
     integral processes against the time quadrature of the integrand
-    inner product.
+    inner product.  The integrands read the two components alone.
     """
     _need_modes(spec, 2)
     sc = spec.scenario
-    x = build_integrand(sc)
-    y = build_integrand(sc, seed_offset=1000)
+    x = build_integrand(sc, n_inputs=2)
+    y = build_integrand(sc, n_inputs=2, seed_offset=1000)
 
     def stat(block):
+        block = _components(block, 0, 2)
         dm0, dm1 = block.increments[:, 0], block.increments[:, 1]
         nx, ny = node_values(x, block), node_values(y, block)
         ip = np.einsum("...kd,...kd->...k", cell_values(nx, block),
@@ -507,25 +533,27 @@ def _check_basis_invariance(spec: CheckSpec) -> _Member:
 
     Nor on the layer: an H-valued integrand is a one-column operator on a
     one-mode U, whose series (:func:`series_terms`) has one term, the
-    integral against component 0.  The terminal forms of :func:`ito_h` and
-    of the series, which the statistical checks read through every layer,
-    must equal the last node of their running forms.
+    integral against the one component read, :func:`_mixed_component`.
+    The terminal forms of :func:`ito_h` and of the series, which the
+    statistical checks read through every layer, must equal the last node
+    of their running forms.
     """
     sc = spec.scenario
-    integrand = build_integrand(sc)
+    c = _mixed_component(sc)
+    integrand = build_integrand(sc, n_inputs=1)
     gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
     q1, q2 = (random_orthogonal(sc.dim_h, gen) for _ in range(2))
     one_mode = make_covariance((1.0,))
 
     def per_block(block):
+        block = _components(block, c, 1)
         node = node_values(integrand, block)
         vals = cell_values(node, block)
         dm = block.increments[:, 0]
         z0 = ito_h(node, block, 0)
         z1 = integrate_in_basis(vals, dm, q1)
         z2 = integrate_in_basis(vals, dm, q2)
-        levy = assemble_levy(one_mode, PathBlock(
-            block.grid, block.increments[:, :1], block.n_nodes))
+        levy = assemble_levy(one_mode, block)
         terms = series_terms(node[..., None], levy)
         end = ito_h(node, block, 0, terminal=True)
         terms_end = series_terms(node[..., None], levy, terminal=True)
@@ -618,13 +646,16 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
 
 def _check_simple_exact(spec: CheckSpec) -> _Member:
     """Integrating a piecewise constant integrand telescopes exactly; the
-    sum reads the clean intervals, so an injected fault is a deviation."""
+    sum reads the clean intervals, so an injected fault is a deviation.
+    The integral is against the component :func:`_mixed_component`."""
     sc = spec.scenario
+    c = _mixed_component(sc)
     integrand = build_integrand(sc)
     clean = build_integrand(sc.with_fault(None))
     b, values = clean.breakpoints, clean.values
 
     def per_block(block):
+        block = _components(block, c, 1)
         z = ito_h(integrand, block, 0)
         rows = np.arange(block.n_paths)
         cum = block.cumulative[:, 0]
@@ -823,12 +854,6 @@ def run_suite(specs, parallelism: int = 1) -> list:
     return reports
 
 
-_MIXED_SIGMA = 0.7071067811865476
-
-_SINGLE_MIXED = normalize_drivers(
-    ({"preset": "mixed", "sigma": _MIXED_SIGMA, "a": 1.0},))
-
-
 def _block_spectrum(n_modes: int) -> tuple:
     """Dyadic eigenvalues with exact repeats, one pair per level."""
     return tuple(0.5 ** (2 + (j + 1) // 2) for j in range(n_modes))
@@ -844,7 +869,9 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
 
     ``desk`` supplies the shared scale (dimensions, horizon, grid,
     covariance law, driver recipe, integrand scale); each entry swaps in
-    the structure its identity needs.
+    the covariance and integrand its identity needs, never the drivers, so
+    every entry reads the desk's paths (module docstring).  The breakpoints
+    of ``simple_exact`` are the probe times of ``covariance_recovery``.
     """
     desk = ScenarioConfig() if desk is None else desk
     if isinstance(desk.drivers, dict):
@@ -855,8 +882,6 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
     if evaluator not in ("driver_linear", "driver_tanh"):
         evaluator = "driver_linear"
     scale = desk.integrand.scale
-    one = replace(desk, n_modes=1, drivers=_SINGLE_MIXED,
-                  covariance=CovarianceConfig(eigenvalues=(1.0,)))
     hvec = IntegrandConfig(carrier="hvector", evaluator=evaluator, scale=scale)
     seqh = IntegrandConfig(carrier="seqh", evaluator=evaluator, scale=scale)
     oper = IntegrandConfig(carrier="operator", evaluator=evaluator, scale=scale)
@@ -867,7 +892,7 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
                                    basis={"seed": 11})
 
     entries = [
-        ("isometry1", replace(one, integrand=replace(hvec, seed=101)),
+        ("isometry1", replace(desk, integrand=replace(hvec, seed=101)),
          n_paths),
         ("isometry2", replace(desk, integrand=replace(seqh, seed=102)),
          n_paths, "seq"),
@@ -879,7 +904,7 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
          n_paths),
         ("orthogonality", replace(desk, integrand=replace(seqh, seed=105)),
          n_paths),
-        ("basis_invariance", replace(one, integrand=replace(hvec, seed=106)),
+        ("basis_invariance", replace(desk, integrand=replace(hvec, seed=106)),
          n_exact),
         ("isometry_invariance", replace(desk, covariance=blocks_id,
                                         integrand=replace(seqh, seed=107)),
@@ -889,17 +914,16 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
          n_exact),
         ("covariance_recovery", replace(desk, covariance=rand_basis),
          n_paths),
-        ("bracket", replace(desk, n_modes=2,
-                            integrand=replace(hvec, seed=110)),
+        ("bracket", replace(desk, integrand=replace(hvec, seed=110)),
          n_paths),
         ("martingale", replace(desk, integrand=replace(seqh, seed=111)),
          n_paths),
         ("simple_exact",
-         replace(one, integrand=IntegrandConfig(
+         replace(desk, integrand=IntegrandConfig(
              family="simple", carrier="hvector", evaluator="constant",
              seed=112, scale=scale,
-             breakpoints=(0.0, 0.3 * desk.horizon, 0.7 * desk.horizon,
-                          desk.horizon))),
+             breakpoints=(0.0,) + tuple(
+                 f * desk.horizon for f in _PROBES["covariance_recovery"]))),
          n_exact),
         ("series_orthogonality", replace(desk, covariance=rand_basis,
                                          integrand=replace(oper, seed=113)),

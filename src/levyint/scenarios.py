@@ -45,7 +45,8 @@ from . import rng as _rng
 from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
                      NonPositiveEigenvalue, expect_number)
 from .integrators import SimpleIntegrand, node_values
-from .processes import PathSampler, normalize_drivers, scheduled_nodes
+from .processes import (PathSampler, StandardLevySpec, normalize_drivers,
+                        scheduled_nodes)
 from .spaces import CovarianceSpec, make_covariance, restrict_bounded_operator
 
 CARRIERS = ("hvector", "seqh", "operator")
@@ -148,7 +149,12 @@ class IntegrandConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulation setup."""
+    """Complete description of one simulation setup.
+
+    ``drivers`` is a non-empty tuple from
+    :func:`levyint.processes.normalize_drivers`, or a replay mapping;
+    anything else fails when the scenario is built.
+    """
 
     dim_h: int = 4
     n_modes: int = 6
@@ -164,6 +170,14 @@ class ScenarioConfig:
     fault: Optional[str] = None
 
     def __post_init__(self):
+        d = self.drivers
+        if not isinstance(d, dict) and (
+                type(d) is not tuple
+                or set(map(type, d)) != {StandardLevySpec}):
+            raise ConfigInvalid(
+                "drivers must be a replay mapping or a non-empty tuple of "
+                "specs from levyint.processes.normalize_drivers, got "
+                f"{d!r}")
         if self.fault is not None and self.fault not in FAULTS:
             raise ConfigInvalid(
                 f"fault {self.fault!r} not one of {', '.join(FAULTS)}")

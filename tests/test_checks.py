@@ -223,12 +223,8 @@ def test_the_driver_recipe_is_normalized_once_when_loaded(monkeypatch):
     assert reports_to_json(reports) == expected
 
 
-DESK_LAW = ["isometry2", "isometry2", "isometry4", "orthogonality",
-            "isometry_invariance", "well_defined", "covariance_recovery",
-            "martingale", "series_orthogonality", "truncation_tail"]
-
-
-def test_the_default_suite_samples_each_block_of_four_laws_once(monkeypatch):
+def test_the_default_suite_samples_each_block_of_its_one_law_once(
+        monkeypatch):
     from levyint import checks
     from levyint.processes import PathSampler
 
@@ -248,19 +244,15 @@ def test_the_default_suite_samples_each_block_of_four_laws_once(monkeypatch):
 
     monkeypatch.setattr(checks, "_run_pass", recorded)
     monkeypatch.setattr(PathSampler, "sample_block", counted)
-    run_suite(default_suite(300, 8))
-    # largest first: the desk's law, the single mixed driver, the first
-    # two desk drivers, the single driver refined by the breakpoints
-    assert [[s.name for s in specs] for specs in passes] == [
-        DESK_LAW, ["isometry1", "basis_invariance"], ["bracket"],
-        ["simple_exact"]]
-    blocks = 0
-    for specs in passes:
-        nodes = make_sampler(specs[0].scenario,
-                             checks._probes(specs[0])).expected_nodes
-        blocks += sum(len(b) for b in path_blocks(
-            max(s.n_paths for s in specs), block_paths(nodes)))
-    # one call per block of each law, never one per check
+    suite = default_suite(300, 8)
+    run_suite(suite)
+    # every entry reads the desk's paths, the one- and two-component
+    # checks too: one pass holds the whole suite
+    assert len(passes) == 1
+    assert [s.name for s in passes[0]] == [s.name for s in suite]
+    nodes = make_sampler(suite[0].scenario).expected_nodes
+    blocks = sum(len(b) for b in path_blocks(300, block_paths(nodes)))
+    # one call per block of the law, never one per check
     assert len(calls) == len(set(calls)) == blocks
 
 
@@ -710,10 +702,40 @@ def test_block_width_is_a_function_of_the_scenario(drivers, desk_nodes,
         other = replace(spec, seed=spec.seed + 1, n_paths=5,
                         scenario=spec.scenario.with_fault("right_point"))
         assert _block_width(other, monkeypatch) == width
-        if spec.scenario.n_modes == 1:
-            # one mixed component: 65 scheduled nodes and 0.5 jumps, plus
-            # simple_exact's two breakpoints
-            assert width == (60 if spec.name == "simple_exact" else 62)
+        # every entry samples the desk's law, simple_exact's breakpoints
+        # and the probe times being nodes of its grid
+        assert width == desk_width
+
+
+NO_MIXED_DRIVERS = normalize_drivers(("brownian",
+                                      {"preset": "poisson", "a": 0.5}))
+
+
+@pytest.mark.parametrize("drivers, mixed", [
+    (DESK_DRIVERS, 2), (JUMP_DENSE_DRIVERS, 1), (NO_MIXED_DRIVERS, 0)],
+    ids=["desk", "jump_dense", "no_mixed"])
+def test_small_checks_read_their_components_of_the_desk(drivers, mixed,
+                                                        monkeypatch):
+    # the first component with a Brownian and a jump part, else
+    # component 0; bracket reads components 0 and 1
+    from levyint import checks
+
+    read = []
+    components = checks._components
+
+    def recorded(block, first, n):
+        read.append((first, n, block.n_components))
+        return components(block, first, n)
+
+    monkeypatch.setattr(checks, "_components", recorded)
+    suite = default_suite(256, 8, desk=ScenarioConfig(drivers=drivers))
+    for name, first, n in (("isometry1", mixed, 1),
+                           ("basis_invariance", mixed, 1),
+                           ("simple_exact", mixed, 1), ("bracket", 0, 2)):
+        spec, = [s for s in suite if s.name == name]
+        read.clear()
+        assert run_check(spec).passed
+        assert set(read) == {(first, n, 6)}, name
 
 
 def test_blocks_never_straddle_a_chunk():

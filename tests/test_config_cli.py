@@ -619,6 +619,8 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
                                     checks=["covariance_recovery"]), "space.J"),
     ("check", lambda tmp_path: dict(_ONE_COMPONENT_CHECK,
                                     checks=["series_orthogonality"]), "space.J"),
+    ("check", lambda tmp_path: dict(_ONE_COMPONENT_CHECK,
+                                    checks=["bracket"]), "space.J"),
     # size keys are bounded before anything is allocated
     ("check", lambda tmp_path: dict(CHECK_BASE, space=dict(
         CHECK_BASE["space"], nScheduled=10 ** 18)), "space.nScheduled"),
@@ -693,7 +695,8 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "infinite-horizon", "check-not-a-name", "nan-jump-size",
         "mixed-sigma", "zero-eigenvalue", "jumps-per-path", "jump-means",
         "one-component-suite", "one-component-covariance",
-        "one-component-series", "huge-grid", "huge-h", "huge-j",
+        "one-component-series", "one-component-bracket", "huge-grid",
+        "huge-h", "huge-j",
         "huge-block", "integrate-huge-path", "integrate-huge-coefficients",
         "simple-value-width", "simple-value-vector",
         "breakpoints-one", "breakpoints-late-start", "breakpoints-unordered",
@@ -790,6 +793,19 @@ def test_few_modes_run_the_default_suite(tmp_path, n_modes):
     # truncation_tail keeps at most J - 1 modes and drops the rest
     payload = dict(_default_config(J=n_modes), nPaths=4096, nExact=64)
     out = tmp_path / "few.json"
+    code, err = run_cli_capturing(
+        "check", "--config", write_config(tmp_path, payload),
+        "--out", str(out))
+    assert code == 0 and err == ""
+    rows = json.loads(out.read_text())
+    assert len(rows) == 14 and all(r["pass"] for r in rows)
+
+
+def test_a_desk_without_a_mixed_component_runs_the_default_suite(tmp_path):
+    # isometry1, basis_invariance and simple_exact then read component 0
+    payload = dict(_default_config(), nPaths=4096, nExact=64, drivers=[
+        "brownian", {"preset": "poisson", "a": 0.5}])
+    out = tmp_path / "no_mixed.json"
     code, err = run_cli_capturing(
         "check", "--config", write_config(tmp_path, payload),
         "--out", str(out))

@@ -78,6 +78,15 @@ def test_scenario_validation_and_fault_helpers():
     assert base.fault is None   # with_fault does not mutate
 
 
+@pytest.mark.parametrize("drivers", [("brownian",), ()], ids=["raw", "empty"])
+def test_a_recipe_not_normalized_is_rejected_when_built(drivers):
+    # only config parsing normalizes, so a scenario built in Python checks
+    # its recipe before a sampler or driver_specs reads it
+    with pytest.raises(ConfigInvalid, match="drivers"):
+        ScenarioConfig(drivers=drivers)
+    assert ScenarioConfig(drivers=normalize_drivers("brownian")).drivers
+
+
 def test_integrand_config_validation():
     with pytest.raises(ConfigInvalid):
         IntegrandConfig(carrier="matrix")
