@@ -70,7 +70,7 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigInvalid, UnknownCheck
+from .errors import ConfigInvalid
 from .integrators import (angle_bracket, cell_values, covariation_integral,
                           integrate_in_basis, ito_general, ito_h,
                           ito_l2lambda, ito_seq, node_values,
@@ -829,8 +829,8 @@ def run_suite(specs, parallelism: int = 1) -> list:
     specs = list(specs)
     for s in specs:
         if s.name not in CHECKS:
-            raise UnknownCheck(f"unknown check {s.name!r}; valid names: "
-                               f"{', '.join(CHECKS)}")
+            raise ConfigInvalid(f"unknown check {s.name!r}; valid names: "
+                                f"{', '.join(CHECKS)}")
     groups = {}
     for i, s in enumerate(specs):
         key = (path_law(s.scenario, _probes(s)), _path_seed(s))

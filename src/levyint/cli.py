@@ -26,7 +26,7 @@ from .checks import (CHECKS, default_suite, fault_detected,
                      need_block_memory, negative_control_suite,
                      reports_to_csv, reports_to_json, run_suite, suite_passed)
 from .config import load_config
-from .errors import ConfigInvalid, ConfigNotFound, LevyintError, UnknownCheck
+from .errors import ConfigInvalid, LevyintError
 from .integrators import ito_general, ito_h, ito_seq, series_terms
 from .processes import KIND_NAMES, assemble_levy, replay_path
 from .scenarios import (FAULTS, ScenarioConfig, build_integrand,
@@ -39,7 +39,7 @@ def _read_path_csv(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError:
-        raise ConfigNotFound(f"replay file not found: {path}")
+        raise ConfigInvalid(f"replay file not found: {path}")
     if len(rows) < 3 or rows[0][:2] != ["time", "kind"]:
         raise ConfigInvalid(f"replay file {path} is not a path dump")
     try:
@@ -209,8 +209,8 @@ def _cmd_check(args) -> int:
             specs = [s for s in specs if s.name in cfg.checks]
     if args.check is not None:
         if args.check not in CHECKS:
-            raise UnknownCheck(f"unknown check {args.check!r}; valid names: "
-                               f"{', '.join(CHECKS)}")
+            raise ConfigInvalid(f"unknown check {args.check!r}; valid names: "
+                                f"{', '.join(CHECKS)}")
         specs = [s for s in specs if s.name == args.check]
     if not specs:
         raise ConfigInvalid("no checks selected")

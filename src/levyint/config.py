@@ -23,6 +23,7 @@ the size keys of ``space`` are bounded before anything is allocated.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .checks import BASE_SEED, CHECKS
-from .errors import ConfigInvalid, ConfigNotFound, expect_number
+from .errors import ConfigInvalid, expect_number
 from .processes import normalize_drivers
 from .scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
 
@@ -124,6 +125,9 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     tail = section.get("tailMass")
     if tail is not None:
         tail = expect_number(tail, "covariance.tailMass")
+        if not math.isfinite(tail):
+            raise ConfigInvalid(
+                f"covariance.tailMass must be finite, got {tail!r}")
         if tail < 0:
             raise ConfigInvalid("covariance.tailMass must be nonnegative")
     return CovarianceConfig(ev, basis, tail)
@@ -218,7 +222,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
-        raise ConfigNotFound(f"config file not found: {path}")
+        raise ConfigInvalid(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

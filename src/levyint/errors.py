@@ -1,52 +1,17 @@
-"""Exception types shared across the package, and the config number check."""
+"""The package's two exception types, and the config number check.
+
+Every error this package raises is a :class:`LevyintError`, and the
+command line exits 2 on any of them.  :class:`ConfigInvalid` is raised
+where the value can come from a config file or the command line:
+eigenvalues, the basis, driver entries and jumps, replay data,
+breakpoints, a missing file or an unknown check; its message names the
+key.  A plain :class:`LevyintError` is a broken contract between layers:
+a shape, a spec or a component index.
+"""
 
 
 class LevyintError(Exception):
     """Base class for every error raised by this package."""
-
-
-class DimensionMismatch(LevyintError):
-    """Array shapes disagree with the declared dimensions."""
-
-
-class NonPositiveEigenvalue(LevyintError):
-    """Covariance eigenvalues must be strictly positive."""
-
-
-class NonOrthogonalBasis(LevyintError):
-    """Basis columns fail the orthonormality tolerance."""
-
-
-class BlockShapeMismatch(LevyintError):
-    """A block rotation does not match its eigenvalue block."""
-
-
-class NonOrthogonalRotation(LevyintError):
-    """A block rotation fails the orthogonality tolerance."""
-
-
-class NonNormalizable(LevyintError):
-    """No intensity rescaling can bring the driver variance rate to one."""
-
-
-class ZeroJumpSize(LevyintError):
-    """Jump sizes must be nonzero."""
-
-
-class IndexOutOfRange(LevyintError):
-    """A component index lies outside the available range."""
-
-
-class SpecMismatch(LevyintError):
-    """Two objects were built against incompatible spectral data."""
-
-
-class GridMismatch(LevyintError):
-    """Integrand breakpoints are not nodes of the path grid."""
-
-
-class ConfigNotFound(LevyintError):
-    """The configuration file does not exist."""
 
 
 class ConfigInvalid(LevyintError):
@@ -58,7 +23,3 @@ def expect_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
     return float(value)
-
-
-class UnknownCheck(LevyintError):
-    """An unknown check name; the message lists the valid names."""

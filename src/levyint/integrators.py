@@ -60,12 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GridMismatch,
-    IndexOutOfRange,
-    SpecMismatch,
-)
+from .errors import ConfigInvalid, LevyintError
 from .processes import LevyPath, PathBlock, TimeGrid, project_standard
 from .spaces import psi_lambda_apply
 
@@ -89,12 +84,12 @@ class SimpleIntegrand:
         b = np.asarray(self.breakpoints, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if b.ndim != 1 or b.size < 2:
-            raise DimensionMismatch("need at least two breakpoints")
+            raise ConfigInvalid("need at least two breakpoints")
         if b[0] != 0.0 or np.any(np.diff(b) <= 0):
-            raise DimensionMismatch(
+            raise ConfigInvalid(
                 "breakpoints must start at 0 and strictly increase")
         if v.shape[0] != b.size - 1:
-            raise DimensionMismatch(
+            raise ConfigInvalid(
                 f"{b.size - 1} intervals but {v.shape[0]} values")
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
@@ -105,9 +100,9 @@ class SimpleIntegrand:
         times = path.grid.times
         b = self.breakpoints
         if np.any(times[:, -1] != b[-1]):
-            raise GridMismatch("breakpoints do not end at the horizon")
+            raise ConfigInvalid("breakpoints do not end at the horizon")
         if not np.all(np.any(times[:, :, None] == b, axis=1)):
-            raise GridMismatch(
+            raise ConfigInvalid(
                 "every breakpoint must be a grid node; pass breakpoints as "
                 "extra_times when sampling")
         idx = np.searchsorted(b, times, side="right") - 1
@@ -127,10 +122,10 @@ def node_values(integrand, path: PathBlock) -> np.ndarray:
     elif callable(integrand):
         per_node = np.asarray(integrand(path), dtype=float)
     else:
-        raise DimensionMismatch(
+        raise LevyintError(
             f"unsupported integrand type {type(integrand)!r}")
     if per_node.shape[:2] != path.grid.times.shape:
-        raise GridMismatch(
+        raise LevyintError(
             f"integrand values of shape {per_node.shape} on a grid of "
             f"shape {path.grid.times.shape}")
     return per_node
@@ -220,11 +215,11 @@ def ito_h(integrand, path: PathBlock, component: int, *,
     basis-independence of the construction.
     """
     if not 0 <= component < path.n_components:
-        raise IndexOutOfRange(
+        raise LevyintError(
             f"component {component} outside range(0, {path.n_components})")
     vals = cell_values(integrand, path)
     if vals.ndim != 3:
-        raise DimensionMismatch("H-valued integrand must have vector values")
+        raise LevyintError("H-valued integrand must have vector values")
     kernel = terminal_cells if terminal else integrate_cells
     return kernel(vals[..., None, :], path.increments[:, component, None])
 
@@ -240,7 +235,7 @@ def ito_seq(integrand, path: PathBlock, *, terminal: bool = False
     """
     vals = cell_values(integrand, path)
     if vals.ndim != 4 or vals.shape[2] != path.n_components:
-        raise DimensionMismatch(
+        raise LevyintError(
             f"sequence integrand has shape {vals.shape}, need "
             f"(paths, cells, {path.n_components}, dim_h)")
     kernel = terminal_cells if terminal else integrate_cells
@@ -263,7 +258,7 @@ def _operator_cells(integrand, path: LevyPath) -> np.ndarray:
     """Hilbert-Schmidt cell values as sequences, through Psi_lambda."""
     vals = cell_values(integrand, path.driver)
     if vals.ndim != 4:
-        raise SpecMismatch(
+        raise LevyintError(
             f"operator integrand has shape {vals.shape}, need "
             f"(paths, cells, dim_h, {path.spec.n_modes})")
     return psi_lambda_apply(path.spec, vals)
@@ -302,7 +297,7 @@ def angle_bracket(grid: TimeGrid, j: int, k: int) -> np.ndarray:
     """Predictable bracket of standard components j and k at the horizon,
     (n_paths,): the horizon when j == k and 0 otherwise."""
     if j < 0 or k < 0:
-        raise IndexOutOfRange("component indices must be nonnegative")
+        raise LevyintError("component indices must be nonnegative")
     horizon = grid.times[:, -1]
     return horizon.copy() if j == k else np.zeros(horizon.shape)
 
@@ -320,7 +315,7 @@ def covariation_integral(x_integrand, y_integrand, path: PathBlock,
     vx = cell_values(x_integrand, path)
     vy = cell_values(y_integrand, path)
     if vx.shape != vy.shape:
-        raise DimensionMismatch(
+        raise LevyintError(
             f"integrand shapes {vx.shape} and {vy.shape} differ")
     return time_quadrature(vx, vy, path.grid.dt)
 

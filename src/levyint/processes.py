@@ -56,17 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    GridMismatch,
-    IndexOutOfRange,
-    LevyintError,
-    NonNormalizable,
-    SpecMismatch,
-    ZeroJumpSize,
-    expect_number,
-)
+from .errors import ConfigInvalid, LevyintError, expect_number
 from .spaces import CovarianceSpec, phi_lambda_apply, phi_lambda_invert
 
 SCHEDULED = 0
@@ -98,13 +88,13 @@ class StandardLevySpec:
     def __post_init__(self):
         for size, intensity in self.jumps:
             if size == 0.0:
-                raise ZeroJumpSize("jump sizes must be nonzero")
+                raise ConfigInvalid("jump sizes must be nonzero")
             if not 0.0 < intensity < math.inf:
-                raise NonNormalizable("jump intensities must be positive "
-                                      "and finite")
+                raise ConfigInvalid("jump intensities must be positive "
+                                    "and finite")
         rate = self.sigma ** 2 + sum(a * a * nu for a, nu in self.jumps)
         if not abs(rate - 1.0) <= NORMALIZATION_TOL:
-            raise NonNormalizable(
+            raise ConfigInvalid(
                 f"variance rate {rate!r} differs from 1 by more than "
                 f"{NORMALIZATION_TOL:.0e}")
 
@@ -121,21 +111,21 @@ def _normalize_spec(sigma: float, jumps) -> StandardLevySpec:
                             "[size, intensity] pairs of finite numbers")
     for a, _ in jumps:
         if a == 0.0:
-            raise ZeroJumpSize("jump sizes must be nonzero")
+            raise ConfigInvalid("jump sizes must be nonzero")
     if sigma < 0:
-        raise NonNormalizable("sigma must be nonnegative")
+        raise ConfigInvalid("sigma must be nonnegative")
     budget = 1.0 - sigma * sigma
     if not jumps:
         if abs(budget) > NORMALIZATION_TOL:
-            raise NonNormalizable(
+            raise ConfigInvalid(
                 "a driver without jumps must have sigma == 1")
         return StandardLevySpec(sigma=float(sigma))
     if budget <= 0:
-        raise NonNormalizable(
+        raise ConfigInvalid(
             "sigma leaves no variance budget for the requested jumps")
     mass = sum(a * a * nu for a, nu in jumps)
     if mass <= 0:
-        raise NonNormalizable("jump terms carry no variance")
+        raise ConfigInvalid("jump terms carry no variance")
     scale = budget / mass
     return StandardLevySpec(
         sigma=float(sigma),
@@ -164,7 +154,7 @@ def spec_from_preset(entry) -> StandardLevySpec:
     if entry == "brownian":
         return _normalize_spec(1.0, ())
     if not isinstance(entry, dict):
-        raise NonNormalizable(f"unrecognized driver entry {entry!r}")
+        raise ConfigInvalid(f"unrecognized driver entry {entry!r}")
     if "preset" not in entry:
         return _normalize_spec(_entry_number(entry, "sigma", 0.0),
                                entry.get("jumps", ()))
@@ -176,7 +166,7 @@ def spec_from_preset(entry) -> StandardLevySpec:
     if preset == "mixed":
         return _normalize_spec(_entry_number(entry, "sigma"),
                                ((_entry_number(entry, "a"), 1.0),))
-    raise NonNormalizable(f"unknown driver preset {preset!r}")
+    raise ConfigInvalid(f"unknown driver preset {preset!r}")
 
 
 def normalize_drivers(recipe) -> tuple:
@@ -185,7 +175,7 @@ def normalize_drivers(recipe) -> tuple:
     for a lone preset)."""
     if isinstance(recipe, (list, tuple)):
         if not recipe:
-            raise NonNormalizable("drivers: the recipe list is empty")
+            raise ConfigInvalid("drivers: the recipe list is empty")
         entries = [(f"drivers[{i}]", e) for i, e in enumerate(recipe)]
     else:
         entries = [("drivers", recipe)]
@@ -303,8 +293,8 @@ class PathBlock:
     def node_at(self, t: float) -> np.ndarray:
         """Per path, the index of the last node not after t."""
         if t < 0.0 or t > self.grid.times[0, -1]:
-            raise IndexOutOfRange(f"time {t} outside [0, "
-                                  f"{self.grid.times[0, -1]}]")
+            raise LevyintError(f"time {t} outside [0, "
+                               f"{self.grid.times[0, -1]}]")
         return np.count_nonzero(self.grid.times <= t, axis=1) - 1
 
 
@@ -318,14 +308,14 @@ def scheduled_nodes(horizon: float, n_scheduled: int,
     """The nodes every path holds: ``n_scheduled`` equal cells on [0,
     horizon], refined by the deterministic ``extra_times``.  Read-only."""
     if n_scheduled < 1:
-        raise DimensionMismatch("n_scheduled must be at least 1")
+        raise LevyintError("n_scheduled must be at least 1")
     if not horizon > 0:
-        raise DimensionMismatch("horizon must be positive")
+        raise LevyintError("horizon must be positive")
     base = np.linspace(0.0, horizon, n_scheduled + 1)
     if extra_times:
         extra = np.asarray(extra_times, dtype=float)
         if np.any(extra < 0) or np.any(extra > horizon):
-            raise DimensionMismatch("extra_times must lie in [0, horizon]")
+            raise LevyintError("extra_times must lie in [0, horizon]")
         base = np.array(sorted(set(base.tolist() + extra.tolist())))
     return _frozen(base)
 
@@ -507,28 +497,28 @@ def replay_path(times, increments, kinds=None) -> PathBlock:
         times = np.asarray(times, dtype=float)
         increments = np.atleast_2d(np.asarray(increments, dtype=float))
     except (TypeError, ValueError) as exc:
-        raise GridMismatch(f"replay times and increments must be numbers "
-                           f"({exc})")
+        raise ConfigInvalid(f"replay times and increments must be numbers "
+                            f"({exc})")
     if times.ndim != 1 or times.size < 2:
-        raise GridMismatch("replay needs at least two node times")
+        raise ConfigInvalid("replay needs at least two node times")
     if times[0] != 0.0 or not np.all(np.diff(times) > 0):
-        raise GridMismatch("replay times must increase strictly from 0")
+        raise ConfigInvalid("replay times must increase strictly from 0")
     if increments.shape[1] != times.size - 1:
-        raise GridMismatch(
+        raise ConfigInvalid(
             f"replay increments have {increments.shape[1]} cells for "
             f"{times.size - 1} grid cells")
     if not np.all(np.isfinite(increments)):
-        raise GridMismatch("replay increments must be finite")
+        raise ConfigInvalid("replay increments must be finite")
     if kinds is None:
         kind = np.zeros(times.size, dtype=np.uint8)
     else:
         try:
             kind = np.array([_KIND_CODES[k] for k in kinds], dtype=np.uint8)
         except (KeyError, TypeError):
-            raise GridMismatch(f"replay kinds must be names in {KIND_NAMES} "
-                               f"or their indices, got {kinds!r}")
+            raise ConfigInvalid(f"replay kinds must be names in {KIND_NAMES} "
+                                f"or their indices, got {kinds!r}")
         if kind.size != times.size:
-            raise GridMismatch("replay kinds must match node count")
+            raise ConfigInvalid("replay kinds must match node count")
     return PathBlock(TimeGrid(times[None], kind[None]), increments[None],
                      np.array([times.size]))
 
@@ -548,7 +538,7 @@ class LevyPath:
 
     def __post_init__(self):
         if self.driver.n_components != self.spec.n_modes:
-            raise DimensionMismatch(
+            raise LevyintError(
                 f"driver has {self.driver.n_components} components, "
                 f"spec has {self.spec.n_modes} modes")
 
@@ -603,7 +593,7 @@ def transport_levy(path: LevyPath, iso) -> LevyPath:
     """
     lam = path.spec.eigenvalues
     if not np.array_equal(iso.eigenvalues, lam):
-        raise SpecMismatch("isometry source does not match the path spec")
+        raise LevyintError("isometry source does not match the path spec")
     target = CovarianceSpec(lam, np.eye(lam.size), path.spec.tail_mass)
     return LevyPath(target, replace(
         path.driver, increments=iso.coord_map @ path.driver.increments))

@@ -55,6 +55,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .errors import LevyintError
+
 # purpose codes; keep stable, they are part of the reproducibility contract
 BROWNIAN = 0
 JUMPS = 1
@@ -77,7 +79,7 @@ def stream(seed: int, path_index: int, component: int = 0,
            purpose: int = 0) -> np.random.Generator:
     """The Philox generator of (seed, path_index, component, purpose)."""
     if path_index < 0:
-        raise ValueError("path_index must be nonnegative")
+        raise LevyintError("path_index must be nonnegative")
     key = [seed & _MASK64,
            ((purpose << 48) | (component & 0xFFFFFFFF)) & _MASK64]
     counter = [0, 0, path_index & _MASK64, path_index >> 64]
@@ -99,7 +101,7 @@ def keys(seed: int, purpose: int, components, paths) -> np.ndarray:
     """
     paths = np.asarray(paths)
     if paths.size and paths.min() < 0:
-        raise ValueError("path_index must be nonnegative")
+        raise LevyintError("path_index must be nonnegative")
     head = _mix(np.array([seed & _MASK64], dtype=np.uint64) + _GAMMA)
     comp = _mix(head ^ (np.asarray(components, dtype=np.uint64)
                         | np.uint64(purpose << 32)))
@@ -145,8 +147,8 @@ class PoissonTable:
         table = {}
         which = [table.setdefault(float(mu), len(table)) for mu in means]
         if len(table) > MAX_POISSON_MEANS:
-            raise ValueError(f"{len(table)} distinct Poisson means; at most "
-                             f"{MAX_POISSON_MEANS} fit one table")
+            raise LevyintError(f"{len(table)} distinct Poisson means; at most "
+                               f"{MAX_POISSON_MEANS} fit one table")
         flat, start = [], []
         n = 0
         for t, mu in enumerate(table):

@@ -42,8 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as _rng
-from .errors import (ConfigInvalid, DimensionMismatch, NonOrthogonalBasis,
-                     NonPositiveEigenvalue, expect_number)
+from .errors import ConfigInvalid, expect_number
 from .integrators import SimpleIntegrand, node_values
 from .processes import (PathSampler, StandardLevySpec, normalize_drivers,
                         scheduled_nodes)
@@ -91,7 +90,7 @@ class CovarianceConfig:
     tail_mass: Optional[float] = None
 
     def resolve(self, n_modes: int):
-        """Return (eigenvalue array, tail mass)."""
+        """Return (eigenvalue array, tail mass), both checked in range."""
         ev = self.eigenvalues
         if isinstance(ev, dict):
             kind = ev.get("kind")
@@ -117,6 +116,11 @@ class CovarianceConfig:
             tail = 0.0
         if self.tail_mass is not None:
             tail = float(self.tail_mass)
+        if not ((lam > 0) & (lam < math.inf)).all():
+            raise ConfigInvalid(
+                "covariance.eigenvalues: eigenvalues must be finite and > 0")
+        if not 0 <= tail < math.inf:
+            raise ConfigInvalid("covariance.tailMass must be finite and >= 0")
         return lam, tail
 
     def dim_u(self, n_modes: int) -> int:
@@ -197,11 +201,9 @@ def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
     lam, tail = scenario.covariance.resolve(scenario.n_modes)
     try:
         spec = make_covariance(lam, scenario.covariance.basis, tail)
-    except NonPositiveEigenvalue as exc:
-        raise type(exc)(f"covariance.eigenvalues: {exc}") from None
-    except (DimensionMismatch, NonOrthogonalBasis) as exc:
-        # the eigenvalue count is checked when parsed: the basis is at fault
-        raise type(exc)(f"covariance.basis: {exc}") from None
+    except ConfigInvalid as exc:
+        # the spectrum is checked when resolved and parsed: the basis is at fault
+        raise ConfigInvalid(f"covariance.basis: {exc}") from None
     if scenario.fault != "nonorthogonal_basis":
         return spec
     basis = np.array(spec.eigenbasis)

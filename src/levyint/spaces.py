@@ -48,14 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BlockShapeMismatch,
-    DimensionMismatch,
-    NonOrthogonalBasis,
-    NonOrthogonalRotation,
-    NonPositiveEigenvalue,
-    SpecMismatch,
-)
+from .errors import ConfigInvalid, LevyintError
 from . import rng as _rng
 
 # construction-time validation tolerance for orthogonality defects
@@ -93,14 +86,14 @@ class CovarianceSpec:
         lam = _freeze(self.eigenvalues)
         basis = _freeze(self.eigenbasis)
         if lam.ndim != 1 or lam.size == 0:
-            raise DimensionMismatch("eigenvalues must be a nonempty vector")
+            raise ConfigInvalid("eigenvalues must be a nonempty vector")
         if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-            raise NonPositiveEigenvalue("eigenvalues must be finite and > 0")
+            raise ConfigInvalid("eigenvalues must be finite and > 0")
         if basis.ndim != 2 or basis.shape[1] != lam.size or basis.shape[0] < lam.size:
-            raise DimensionMismatch(
+            raise ConfigInvalid(
                 f"eigenbasis shape {basis.shape} incompatible with {lam.size} modes")
-        if self.tail_mass < 0:
-            raise NonPositiveEigenvalue("tail_mass must be >= 0")
+        if not 0 <= self.tail_mass < np.inf:
+            raise ConfigInvalid("tail_mass must be finite and >= 0")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenbasis", basis)
         root = np.sqrt(lam)
@@ -152,19 +145,19 @@ def make_covariance(eigenvalues, eigenbasis="identity", tail_mass: float = 0.0
     lam = np.asarray(eigenvalues, dtype=float)
     if isinstance(eigenbasis, str):
         if eigenbasis != "identity":
-            raise DimensionMismatch(f"unknown eigenbasis directive {eigenbasis!r}")
+            raise ConfigInvalid(f"unknown eigenbasis directive {eigenbasis!r}")
         basis = np.eye(lam.size)
     elif isinstance(eigenbasis, dict):
         if set(eigenbasis) != {"seed"}:
-            raise DimensionMismatch("eigenbasis mapping must have exactly the key 'seed'")
+            raise ConfigInvalid("eigenbasis mapping must have exactly the key 'seed'")
         basis = random_orthogonal(lam.size, _rng.stream(int(eigenbasis["seed"]),
                                                         0, 0, _rng.BASIS))
     else:
         basis = np.asarray(eigenbasis, dtype=float)
     spec = CovarianceSpec(lam, basis, tail_mass)
     defect = spec.gram_defect()
-    if defect > GRAM_TOL:
-        raise NonOrthogonalBasis(
+    if not defect <= GRAM_TOL:
+        raise ConfigInvalid(
             f"eigenbasis Gram defect {defect:.3e} exceeds {GRAM_TOL:.0e}")
     return spec
 
@@ -172,7 +165,7 @@ def make_covariance(eigenvalues, eigenbasis="identity", tail_mass: float = 0.0
 def phi_lambda_apply(spec: CovarianceSpec, u: np.ndarray) -> np.ndarray:
     """Phi_lambda: U reference coordinates (..., dim_u, k) to l2_lambda."""
     if u.ndim < 2 or u.shape[-2] != spec.dim_u:
-        raise DimensionMismatch(
+        raise LevyintError(
             f"expected {spec.dim_u} U coordinates on axis -2, got {u.shape}")
     return spec.analysis @ u
 
@@ -180,7 +173,7 @@ def phi_lambda_apply(spec: CovarianceSpec, u: np.ndarray) -> np.ndarray:
 def phi_lambda_invert(spec: CovarianceSpec, w: np.ndarray) -> np.ndarray:
     """Phi_lambda^-1: l2_lambda coordinates (..., n_modes, k) to U."""
     if w.ndim < 2 or w.shape[-2] != spec.n_modes:
-        raise DimensionMismatch(
+        raise LevyintError(
             f"expected {spec.n_modes} modes on axis -2, got {w.shape}")
     return spec.synthesis @ w
 
@@ -194,7 +187,7 @@ def restrict_bounded_operator(spec: CovarianceSpec, a: np.ndarray) -> np.ndarray
     linear, so both give the same values up to rounding.
     """
     if a.ndim < 2 or a.shape[-1] != spec.dim_u:
-        raise DimensionMismatch(
+        raise LevyintError(
             f"operator must have {spec.dim_u} columns, got {a.shape}")
     # one product over every leading axis, not one per operator
     out = a.reshape(-1, spec.dim_u) @ spec.synthesis
@@ -208,7 +201,7 @@ def psi_lambda_apply(spec: CovarianceSpec, op: np.ndarray) -> np.ndarray:
     (..., n_modes, dim_h) memory, as restricted affine integrands emit it.
     """
     if op.ndim < 2 or op.shape[-1] != spec.n_modes:
-        raise SpecMismatch(
+        raise LevyintError(
             f"operator must have {spec.n_modes} columns, got {op.shape}")
     return op.swapaxes(-1, -2)
 
@@ -250,16 +243,16 @@ def build_eigen_isometry(source: CovarianceSpec,
         rot = np.asarray(block_rotations.pop(value, np.eye(idx.size)),
                          dtype=float)
         if rot.shape != (idx.size, idx.size):
-            raise BlockShapeMismatch(
+            raise LevyintError(
                 f"rotation for eigenvalue {value} has shape {rot.shape}, "
                 f"block needs {(idx.size, idx.size)}")
         defect = float(np.max(np.abs(rot.T @ rot - np.eye(idx.size))))
-        if defect > GRAM_TOL:
-            raise NonOrthogonalRotation(
+        if not defect <= GRAM_TOL:
+            raise LevyintError(
                 f"rotation for eigenvalue {value} has Gram defect {defect:.3e}")
         cmap[np.ix_(idx, idx)] = rot
     if block_rotations:
-        raise BlockShapeMismatch(
+        raise LevyintError(
             f"rotations given for absent eigenvalues: {sorted(block_rotations)}")
     return BasisIsometry(lam, cmap)
 
@@ -273,6 +266,6 @@ def alternate_decomposition(spec: CovarianceSpec, iso: BasisIsometry
     is what the well-definedness checks integrate against.
     """
     if not np.array_equal(iso.eigenvalues, spec.eigenvalues):
-        raise SpecMismatch("isometry source does not match the covariance spec")
+        raise LevyintError("isometry source does not match the covariance spec")
     basis = spec.eigenbasis @ iso.coord_map.T
     return CovarianceSpec(spec.eigenvalues, basis, spec.tail_mass)

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LevyintError
+
 CHUNK_SIZE = 4096
 
 # Grid cells per statistic call.  Per-block work is mostly a fixed number
@@ -70,7 +72,7 @@ class MomentAccumulator:
     def from_samples(cls, samples: np.ndarray) -> "MomentAccumulator":
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2:
-            raise ValueError("samples must be (n, n_stats)")
+            raise LevyintError("samples must be (n, n_stats)")
         mean = samples.mean(axis=0)
         m2 = np.einsum("ij,ij->j", samples - mean, samples - mean)
         return cls(samples.shape[0], mean, m2, samples.max(axis=0))
@@ -98,7 +100,7 @@ def pairwise_merge(accumulators) -> MomentAccumulator:
     """Merge accumulators along a fixed pairwise tree (order-independent)."""
     accs = list(accumulators)
     if not accs:
-        raise ValueError("nothing to merge")
+        raise LevyintError("nothing to merge")
     while len(accs) > 1:
         merged = []
         for i in range(0, len(accs) - 1, 2):
@@ -148,6 +150,6 @@ def accumulate_paths(n_paths: int, stat_fn, width: int,
                        ([r for r in col if r is not None]
                         for col in zip(*outs))])
     if not chunks:
-        raise ValueError("no paths to accumulate")
+        raise LevyintError("no paths to accumulate")
     return tuple(pairwise_merge(acc for acc in col if acc is not None)
                  for col in zip(*chunks))

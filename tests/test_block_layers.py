@@ -9,7 +9,7 @@ value.
 import numpy as np
 import pytest
 
-from levyint.errors import GridMismatch
+from levyint.errors import ConfigInvalid
 from levyint.integrators import (
     SimpleIntegrand,
     cell_values,
@@ -361,7 +361,7 @@ def test_a_breakpoint_missing_from_one_row_is_rejected(specs):
     times[2, k] = np.nextafter(BREAKS[1], 0.0)
     moved = PathBlock(TimeGrid(times, block.grid.kind), block.increments,
                       block.n_nodes)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="must be a grid node"):
         cell_values(simple, moved)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="must be a grid node"):
         ito_h(simple, moved, 0)

@@ -27,7 +27,7 @@ from levyint.checks import (
     run_suite,
     suite_passed,
 )
-from levyint.errors import ConfigInvalid, UnknownCheck
+from levyint.errors import ConfigInvalid, LevyintError
 from levyint.processes import StandardLevySpec, normalize_drivers
 from levyint.scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                                make_sampler)
@@ -65,7 +65,7 @@ def test_accumulator_matches_numpy_moments():
 
 
 def test_accumulator_rejects_flat_samples_and_degenerate_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(LevyintError, match=r"samples must be \(n, n_stats\)"):
         MomentAccumulator.from_samples(np.zeros(5))
     single = MomentAccumulator.from_samples(np.array([[1.0, 2.0]]))
     assert single.variance.tolist() == [0.0, 0.0]
@@ -92,7 +92,7 @@ def test_pairwise_merge_tree():
     assert tree.count == 300
     assert np.max(np.abs(tree.mean - whole.mean)) <= 1e-12
     assert np.max(np.abs(tree.variance - whole.variance)) <= 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(LevyintError, match="nothing to merge"):
         pairwise_merge([])
 
 
@@ -108,7 +108,7 @@ def test_accumulate_paths_chunking_and_determinism():
     assert np.max(np.abs(small.mean - big.mean)) <= 1e-12
     assert np.array_equal(small.mean, again.mean)
     assert np.array_equal(small.m2, again.m2)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevyintError, match="no paths to accumulate"):
         accumulate_paths(0, stat, 4)
 
 
@@ -130,7 +130,7 @@ def test_zero_integrand_isometry_is_exactly_tight():
 
 
 def test_unknown_check_name_rejected():
-    with pytest.raises(UnknownCheck):
+    with pytest.raises(ConfigInvalid, match="unknown check 'isometry9'"):
         run_check(CheckSpec("isometry9", ONE_MODE, 4, 1))
 
 

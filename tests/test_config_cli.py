@@ -15,7 +15,7 @@ import pytest
 from levyint import checks, rng
 from levyint.cli import main
 from levyint.config import ExperimentConfig, load_config, parse_config
-from levyint.errors import ConfigInvalid, ConfigNotFound
+from levyint.errors import ConfigInvalid
 from levyint.processes import normalize_drivers
 from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
 from levyint.stats import MAX_BLOCK_BYTES
@@ -148,7 +148,7 @@ def test_value_validation():
 
 
 def test_load_config_failure_modes(tmp_path):
-    with pytest.raises(ConfigNotFound):
+    with pytest.raises(ConfigInvalid, match="config file not found"):
         load_config(str(tmp_path / "missing.json"))
     broken = tmp_path / "broken.json"
     broken.write_text("{nope", encoding="utf-8")
@@ -540,6 +540,10 @@ _ONE_COMPONENT_CHECK = dict(CHECK_BASE,
 _SIMPLE = {"family": "simple", "carrier": "hvector", "evaluator": "constant"}
 _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     "eigenvalues": {"kind": "geometric", "c": 0.5}})
+_DESK = json.loads((CONFIG_DIR / "default.json").read_text())
+_NAN_BASIS = dict(_DESK, covariance=dict(_DESK["covariance"], basis=[
+    [math.nan if i == j == 0 else float(i == j) for j in range(6)]
+    for i in range(6)]))
 
 
 @pytest.mark.parametrize("command, make, key", [
@@ -683,6 +687,12 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         {"preset": "poisson", "a": 1e-200}]), "drivers[0]"),
     ("simulate", _edit(drivers=[{"preset": "mixed", "sigma": 0.5,
                                  "a": 1e-200}]), "drivers[0]"),
+    # a non-finite basis entry or tail mass fails closed
+    ("integrate", lambda tmp_path: _NAN_BASIS, "covariance.basis"),
+    ("check", lambda tmp_path: dict(CHECK_BASE, covariance=dict(
+        CHECK_BASE["covariance"], tailMass=math.nan)), "covariance.tailMass"),
+    ("check", lambda tmp_path: dict(CHECK_BASE, covariance=dict(
+        CHECK_BASE["covariance"], tailMass=math.inf)), "covariance.tailMass"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "replay-nan-increment",
         "integrate-replay-inf-increment", "replay-csv-nan-value",
@@ -704,7 +714,8 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
         "breakpoints-one-with-value", "seed-2**64",
         "integrand-seed-2**64", "integrand-seed-negative",
         "basis-seed-2**64", "basis-seed-negative", "poisson-size-underflow",
-        "check-poisson-size-underflow", "mixed-size-underflow"])
+        "check-poisson-size-underflow", "mixed-size-underflow",
+        "integrate-nan-basis", "check-nan-tail-mass", "check-inf-tail-mass"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
                                                  monkeypatch):
     # a rejected size must be rejected before it is drawn

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from levyint import rng
-from levyint.errors import (
-    DimensionMismatch,
-    GridMismatch,
-    IndexOutOfRange,
-    SpecMismatch,
-)
+from levyint.errors import ConfigInvalid, LevyintError
 from levyint.integrators import (
     SimpleIntegrand,
     angle_bracket,
@@ -59,13 +54,13 @@ def node_rows():
 
 
 def test_simple_integrand_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="at least two breakpoints"):
         SimpleIntegrand(np.array([0.0]), np.zeros((0, 1)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="start at 0 and strictly"):
         SimpleIntegrand(np.array([0.1, 1.0]), np.zeros((1, 1)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="start at 0 and strictly"):
         SimpleIntegrand(np.array([0.0, 0.5, 0.5]), np.zeros((2, 1)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="2 intervals but 1 values"):
         SimpleIntegrand(np.array([0.0, 0.5, 1.0]), np.zeros((1, 1)))
 
 
@@ -89,13 +84,13 @@ def test_cell_values_simple_left_right():
 
 def test_cell_values_requires_breakpoints_on_the_grid():
     si = SimpleIntegrand(np.array([0.0, 0.3, 1.0]), np.array([[2.0], [3.0]]))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="must be a grid node"):
         cell_values(si, TWO_CELL)
     short = SimpleIntegrand(np.array([0.0, 0.5]), np.array([[2.0]]))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="do not end at the horizon"):
         cell_values(short, TWO_CELL)
     # the faulted integrand keeps the check
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="must be a grid node"):
         cell_values(_two_step("right_point", (0.0, 0.3, 1.0)), TWO_CELL)
 
 
@@ -107,13 +102,13 @@ def test_cell_values_grid_integrand_slicing():
     # node values evaluated beforehand are cut the same way
     node = rows(TWO_CELL)
     assert cell_values(node, TWO_CELL).ravel().tolist() == [0.0, 1.0]
-    with pytest.raises(GridMismatch):
+    with pytest.raises(LevyintError, match="integrand values of shape"):
         cell_values(lambda path: np.zeros((1, path.grid.n_nodes + 1, 1)),
                     TWO_CELL)
     # values without their path axis
-    with pytest.raises(GridMismatch):
+    with pytest.raises(LevyintError, match="integrand values of shape"):
         cell_values(np.zeros((3, 1)), TWO_CELL)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="unsupported integrand type"):
         cell_values([0.0, 1.0, 2.0], TWO_CELL)
 
 
@@ -143,10 +138,10 @@ def test_ito_h_component_selection_and_bounds():
     driver = replay_path([0.0, 1.0], [[1.0], [-2.0]])
     si = SimpleIntegrand(np.array([0.0, 1.0]), np.array([[1.0, 1.0]]))
     assert ito_h(si, driver, 1)[0, -1].tolist() == [-2.0, -2.0]
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LevyintError, match="component 2 outside"):
         ito_h(si, driver, 2)
     seq_shaped = constant_integrand(np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="must have vector values"):
         ito_h(seq_shaped, driver, 0)
 
 
@@ -191,9 +186,9 @@ def test_ito_seq_frozen_case():
 
 def test_ito_seq_rejects_wrong_shapes():
     driver = replay_path([0.0, 1.0], [[1.0], [2.0]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="sequence integrand has shape"):
         ito_seq(constant_integrand(np.ones(2)), driver)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="sequence integrand has shape"):
         ito_seq(constant_integrand(np.ones((3, 2))), driver)
 
 
@@ -275,9 +270,9 @@ def test_ito_general_order_and_shape_checks():
                             replay_path([0.0, 0.5, 1.0], [[1.5, 0.5], [0.6, 0.4]]))
     backward = ito_general(constant_integrand(op[:, ::-1]), swapped)
     assert np.max(np.abs(forward - backward)) <= 1e-12
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(LevyintError, match="operator must have 2 columns"):
         ito_general(constant_integrand(np.ones((2, 3))), levy)
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(LevyintError, match="operator must have 2 columns"):
         series_terms(constant_integrand(np.ones((2, 3))), levy)
 
 
@@ -302,7 +297,7 @@ def test_angle_bracket_values():
     grid = TWO_CELL.grid
     assert angle_bracket(grid, 1, 1).tolist() == [1.0]
     assert angle_bracket(grid, 0, 1).tolist() == [0.0]
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LevyintError, match="indices must be nonnegative"):
         angle_bracket(grid, -1, 0)
 
 
@@ -312,7 +307,7 @@ def test_covariation_integral_frozen_case():
     assert covariation_integral(x, y, TWO_CELL, 0, 0).tolist() == [3.0]
     assert covariation_integral(x, y, TWO_CELL, 0, 1).tolist() == [0.0]
     mismatched = constant_integrand(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="integrand shapes"):
         covariation_integral(x, mismatched, TWO_CELL, 0, 0)
 
 
@@ -338,5 +333,5 @@ def test_integral_path_accessors():
     assert z.shape == (1, 3, 1)
     assert z[0, driver.node_at(0.75)[0]][0] == z[0, 1][0]
     assert z[0, -1][0] == 2.0
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LevyintError, match=r"time 2.0 outside \[0, 1.0\]"):
         driver.node_at(2.0)

@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyint import rng
-from levyint.errors import (
-    DimensionMismatch,
-    GridMismatch,
-    IndexOutOfRange,
-    NonNormalizable,
-    SpecMismatch,
-    ZeroJumpSize,
-)
+from levyint.errors import ConfigInvalid, LevyintError
 from levyint.processes import (
     JUMP,
     KIND_NAMES,
@@ -50,7 +43,7 @@ def test_stream_addressing_is_reproducible_and_disjoint():
                   rng.stream(5, 0, 0, rng.JUMPS),
                   rng.stream(6, 0, 0, rng.BROWNIAN)):
         assert not np.array_equal(a, other.standard_normal(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(LevyintError, match="path_index must be nonnegative"):
         rng.stream(5, -1)
 
 
@@ -81,25 +74,25 @@ def test_explicit_driver_rescales_intensities():
 
 
 def test_driver_validation_errors():
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="variance rate 0.25 differs"):
         StandardLevySpec(sigma=0.5)
-    with pytest.raises(ZeroJumpSize):
+    with pytest.raises(ConfigInvalid, match="jump sizes must be nonzero"):
         StandardLevySpec(sigma=0.0, jumps=((0.0, 1.0),))
-    with pytest.raises(ZeroJumpSize):
+    with pytest.raises(ConfigInvalid, match="jump sizes must be nonzero"):
         spec_from_preset({"preset": "poisson", "a": 0.0})
-    with pytest.raises(ZeroJumpSize):
+    with pytest.raises(ConfigInvalid, match="jump sizes must be nonzero"):
         spec_from_preset({"sigma": 0.0, "jumps": [[0.0, 1.0]]})
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="no variance budget"):
         spec_from_preset({"preset": "mixed", "sigma": 1.0, "a": 1.0})
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="unknown driver preset"):
         spec_from_preset({"preset": "unknown"})
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="unrecognized driver entry"):
         spec_from_preset("poisson")
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="no variance budget"):
         spec_from_preset({"sigma": 1.0, "jumps": [[1.0, 1.0]]})
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="must have sigma == 1"):
         spec_from_preset({"sigma": 0.5})
-    with pytest.raises(NonNormalizable):
+    with pytest.raises(ConfigInvalid, match="sigma must be nonnegative"):
         spec_from_preset({"sigma": -0.1, "jumps": [[1.0, 1.0]]})
 
 
@@ -112,9 +105,9 @@ def test_driver_specs_cycle_the_normalized_recipe():
     assert [s.sigma for s in specs] == [1.0, 0.0, 1.0, 0.0, 1.0]
     # the first components of a scenario take the first entries
     assert driver_specs(ScenarioConfig(n_modes=1, drivers=pair)) == pair[:1]
-    with pytest.raises(NonNormalizable, match=r"drivers: "):
+    with pytest.raises(ConfigInvalid, match="drivers: the recipe list"):
         normalize_drivers(())
-    with pytest.raises(NonNormalizable, match=r"drivers\[1\]: "):
+    with pytest.raises(ConfigInvalid, match=r"drivers\[1\]: jump terms"):
         normalize_drivers(("brownian", {"preset": "poisson", "a": 1e-200}))
 
 
@@ -189,10 +182,10 @@ def test_extra_times_join_the_grid():
                           extra_times=(0.3,))
     path = sampler.sample(1, 0)
     assert 0.3 in path.grid.times
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="extra_times must lie in"):
         PathSampler(normalize_drivers("brownian"), 1.0, 4,
                     extra_times=(1.5,))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="n_scheduled must be at least 1"):
         PathSampler(normalize_drivers("brownian"), 1.0, 0)
 
 
@@ -208,9 +201,9 @@ def test_node_lookup_semantics():
         assert path.node_at(float(t))[0] == k
     assert path.node_at(0.3).tolist() == [1, 0]
     assert path.node_at(0.5).tolist() == [2, 1]
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LevyintError, match="outside"):
         path.node_at(-0.1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LevyintError, match="outside"):
         path.node_at(1.1)
 
 
@@ -227,21 +220,21 @@ def test_replay_round_trip_is_exact():
 
 
 def test_replay_validation():
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="increase strictly from 0"):
         replay_path([0.5, 1.0], [[1.0]])
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="at least two node times"):
         replay_path([0.0], [[]])
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="increase strictly from 0"):
         replay_path([0.0, 0.5, 0.5], [[1.0, 2.0]])
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="1 cells for 2 grid cells"):
         replay_path([0.0, 0.5, 1.0], [[1.0]])
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ConfigInvalid, match="kinds must match node count"):
         replay_path([0.0, 1.0], [[1.0]], kinds=["scheduled"])
     # kinds are names of KIND_NAMES or their indices, nothing else
     assert replay_path([0.0, 1.0], [[1.0]], kinds=[0, "jump"]).grid.kind.tolist() \
         == [[SCHEDULED, JUMP]]
     for kinds in (["scheduled", "bogus"], [0, 7], [0, [1]], 3):
-        with pytest.raises(GridMismatch, match="kinds"):
+        with pytest.raises(ConfigInvalid, match="kinds must be names"):
             replay_path([0.0, 1.0], [[1.0]], kinds=kinds)
 
 
@@ -259,7 +252,7 @@ def test_assembled_path_coordinates_frozen_case():
     end = levy.coords[0, :, -1]
     assert end[0] == math.sqrt(0.5)
     assert end[1] == 1.0
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="driver has 2 components"):
         assemble_levy(make_covariance((0.5, 0.25, 0.125)), driver)
 
 
@@ -351,7 +344,7 @@ def test_transport_rejects_wrong_source():
     iso = build_eigen_isometry(spec)
     other = make_covariance((0.25, 0.25))
     driver = replay_path([0.0, 1.0], [[1.0], [2.0]])
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(LevyintError, match="does not match the path spec"):
         transport_levy(assemble_levy(other, driver), iso)
 
 

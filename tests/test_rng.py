@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levyint import rng
+from levyint.errors import LevyintError
 from levyint.processes import JUMP, PathSampler, normalize_drivers
 
 MASK = (1 << 64) - 1
@@ -67,7 +68,7 @@ def test_keys_of_a_block_are_the_keys_of_its_addresses():
     for r, p in enumerate(range(5, 9)):
         for c, comp in enumerate((4, 0, 2)):
             assert int(block[r, c]) == _key(9, rng.JUMPS, comp, p)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevyintError, match="path_index must be nonnegative"):
         rng.keys(9, rng.JUMPS, [0], [3, -1])
 
 
@@ -165,5 +166,5 @@ def test_poisson_table_keeps_one_table_per_distinct_mean():
     same = rng.PoissonTable([0.5] * 2000)
     assert np.array_equal(same.counts(np.repeat(w[:, 1:2], 2000, axis=1)),
                           np.repeat(counts[:, 1:2], 2000, axis=1))
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(LevyintError, match="distinct Poisson means"):
         rng.PoissonTable(1.0 + np.arange(rng.MAX_POISSON_MEANS + 1) / 4096)

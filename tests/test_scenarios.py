@@ -61,6 +61,13 @@ def test_covariance_law_validation():
         CovarianceConfig({"kind": "geometric", "c": 1.0, "r": 0.0}).resolve(3)
     with pytest.raises(ConfigInvalid):
         CovarianceConfig({"kind": "harmonic", "c": 1.0}).resolve(3)
+    # the resolved spectrum is finite and positive, its tail finite
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues: eigen"):
+        CovarianceConfig({"kind": "geometric", "c": -1.0, "r": 0.5}).resolve(3)
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues: eigen"):
+        CovarianceConfig((0.5, math.nan)).resolve(2)
+    with pytest.raises(ConfigInvalid, match="covariance.tailMass"):
+        CovarianceConfig((0.5,), tail_mass=math.inf).resolve(1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyint import rng
-from levyint.errors import (
-    BlockShapeMismatch,
-    DimensionMismatch,
-    NonOrthogonalBasis,
-    NonOrthogonalRotation,
-    NonPositiveEigenvalue,
-    SpecMismatch,
-)
+from levyint.errors import ConfigInvalid, LevyintError
 from levyint.spaces import (
     CovarianceSpec,
     alternate_decomposition,
@@ -64,29 +57,35 @@ def test_covariance_arrays_are_frozen():
 
 
 def test_make_covariance_rejects_bad_spectra():
-    with pytest.raises(NonPositiveEigenvalue):
+    with pytest.raises(ConfigInvalid, match="eigenvalues must be finite"):
         make_covariance((0.5, 0.0))
-    with pytest.raises(NonPositiveEigenvalue):
+    with pytest.raises(ConfigInvalid, match="eigenvalues must be finite"):
         make_covariance((0.5, -0.25))
-    with pytest.raises(NonPositiveEigenvalue):
+    with pytest.raises(ConfigInvalid, match="eigenvalues must be finite"):
         make_covariance((0.5, float("inf")))
-    with pytest.raises(NonPositiveEigenvalue):
-        make_covariance((0.5,), tail_mass=-1.0)
-    with pytest.raises(DimensionMismatch):
+    for tail in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid, match="tail_mass must be finite"):
+            make_covariance((0.5,), tail_mass=tail)
+        with pytest.raises(ConfigInvalid, match="tail_mass must be finite"):
+            CovarianceSpec(np.array([0.5]), np.eye(1), tail)
+    with pytest.raises(ConfigInvalid, match="must be a nonempty vector"):
         make_covariance([[0.5, 0.25]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="must be a nonempty vector"):
         make_covariance(())
 
 
 def test_make_covariance_rejects_bad_bases():
-    with pytest.raises(NonOrthogonalBasis):
+    with pytest.raises(ConfigInvalid, match="Gram defect"):
         make_covariance((0.5, 0.25), [[1.0, 0.0], [0.3, 1.0]])
-    with pytest.raises(DimensionMismatch):
+    # a NaN defect is no pass
+    with pytest.raises(ConfigInvalid, match="Gram defect nan"):
+        make_covariance((0.5, 0.25), [[float("nan"), 0.0], [0.0, 1.0]])
+    with pytest.raises(ConfigInvalid, match="unknown eigenbasis directive"):
         make_covariance((0.5, 0.25), "qr")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="exactly the key 'seed'"):
         make_covariance((0.5, 0.25), {"seed": 1, "extra": 2})
     # fewer rows than modes can never have orthonormal columns
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match=r"eigenbasis shape \(2, 3\)"):
         make_covariance((0.5, 0.25, 0.125), np.eye(3)[:2])
 
 
@@ -141,11 +140,11 @@ def test_weighted_coordinates_frozen_case():
 
 
 def test_phi_rejects_wrong_length():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="expected 2 U coordinates"):
         phi_lambda_apply(TWO_MODES, np.ones((3, 1)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="expected 2 U coordinates"):
         phi_lambda_apply(TWO_MODES, np.ones(2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="expected 2 modes"):
         phi_lambda_invert(TWO_MODES, np.ones((3, 1)))
 
 
@@ -190,7 +189,7 @@ def test_operator_unroll_preserves_norms():
     assert np.array_equal(rows, op.T)
     assert abs(math.sqrt(np.sum(op * op))
                - math.sqrt(np.sum(rows * rows))) <= 1e-12
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(LevyintError, match="operator must have 2 columns"):
         psi_lambda_apply(TWO_MODES, np.ones((3, 4)))
 
 
@@ -204,7 +203,7 @@ def test_restrict_bounded_operator_frozen_case():
     # Hilbert-Schmidt mass is capped by opnorm(a)^2 times the eigenvalue sum
     bound = float(np.linalg.norm(a, 2)) ** 2 * float(np.sum(TWO_MODES.eigenvalues))
     assert hs2 <= bound + 1e-12
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LevyintError, match="operator must have 2 columns"):
         restrict_bounded_operator(TWO_MODES, np.ones((1, 3)))
 
 
@@ -269,18 +268,21 @@ def test_seqh_transport_matches_coordinate_map():
 
 def test_isometry_builder_rejects_bad_inputs():
     spec = make_covariance((0.5, 0.25))
-    with pytest.raises(BlockShapeMismatch):
+    with pytest.raises(LevyintError, match=r"block needs \(1, 1\)"):
         build_eigen_isometry(spec, {0.5: np.eye(2)})
-    with pytest.raises(BlockShapeMismatch):
+    with pytest.raises(LevyintError, match="absent eigenvalues"):
         build_eigen_isometry(spec, {0.9: np.eye(1)})
-    with pytest.raises(NonOrthogonalRotation):
-        pair = make_covariance((0.3, 0.3))
+    pair = make_covariance((0.3, 0.3))
+    with pytest.raises(LevyintError, match="Gram defect"):
         build_eigen_isometry(pair, {0.3: np.array([[1.0, 1.0], [0.0, 1.0]])})
+    with pytest.raises(LevyintError, match="Gram defect nan"):
+        build_eigen_isometry(pair, {0.3: np.array([[math.nan, 0.0],
+                                                   [0.0, 1.0]])})
 
 
 def test_isometry_spec_mismatches():
     spec = make_covariance((0.5, 0.25))
     iso = build_eigen_isometry(spec)
     other = make_covariance((0.4, 0.2))
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(LevyintError, match="match the covariance spec"):
         alternate_decomposition(other, iso)
