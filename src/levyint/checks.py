@@ -79,7 +79,7 @@ from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
                         coordinate_view, transport_levy)
 from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
                         build_integrand, driver_specs, make_sampler, path_law,
-                        resolve_covariance, restrict_integrand, value_shape)
+                        resolve_covariance, value_shape)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      make_covariance, random_orthogonal)
 from .stats import MAX_BLOCK_BYTES, accumulate_paths, block_paths
@@ -270,15 +270,18 @@ def _row_max(a: np.ndarray) -> np.ndarray:
                              initial=0.0)
 
 
-def _block_rotations_for(eigenvalues: np.ndarray,
-                         gen: np.random.Generator) -> dict:
-    """Haar rotation per repeated eigenvalue, keyed per the isometry builder."""
-    out = {}
-    for v in sorted(set(eigenvalues.tolist())):
-        n = int(np.count_nonzero(eigenvalues == v))
+def _random_isometry(cov, seed: int):
+    """The isometry of ``cov`` that mixes each repeated eigenvalue's block
+    by a Haar rotation, drawn in eigenvalue order from the BASIS stream of
+    ``seed``."""
+    gen = _rng.stream(seed, 0, 0, _rng.BASIS)
+    lam = cov.eigenvalues
+    rotations = {}
+    for v in sorted(set(lam.tolist())):
+        n = int(np.count_nonzero(lam == v))
         if n > 1:
-            out[v] = random_orthogonal(n, gen)
-    return out
+            rotations[v] = random_orthogonal(n, gen)
+    return build_eigen_isometry(cov, rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +340,7 @@ def _check_isometry4(spec: CheckSpec) -> _Member:
     """Isometry for an operator integrand against an assembled path."""
     sc = spec.scenario
     cov = resolve_covariance(sc)
-    restricted = restrict_integrand(build_integrand(sc), cov)
+    restricted = build_integrand(sc, cov)
 
     def stat(block):
         node = node_values(restricted, block)
@@ -454,7 +457,7 @@ def _check_series_orthogonality(spec: CheckSpec) -> _Member:
     """
     sc = spec.scenario
     cov = resolve_covariance(sc)
-    restricted = restrict_integrand(build_integrand(sc), cov)
+    restricted = build_integrand(sc, cov)
     first, second = _component_pairs(spec)
 
     def stat(block):
@@ -485,7 +488,7 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
     n_sub = min(3, sc.n_modes - 1)
     cov = resolve_covariance(sc)
     raw = build_integrand(sc)
-    restricted = restrict_integrand(raw, cov)
+    restricted = build_integrand(sc, cov)
 
     # a constant integrand takes its value on any path, here a still one
     still = PathBlock(TimeGrid(np.array([[0.0, sc.horizon]]),
@@ -578,9 +581,7 @@ def _check_isometry_invariance(spec: CheckSpec) -> _Member:
     """
     sc = spec.scenario
     cov = resolve_covariance(sc)
-    gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
-    rotations = _block_rotations_for(cov.eigenvalues, gen)
-    iso = build_eigen_isometry(cov, rotations)
+    iso = _random_isometry(cov, spec.seed)
     specs = driver_specs(sc)
     integrand = build_integrand(sc)
     pure = [c for c, s in enumerate(specs) if s.sigma == 0.0]
@@ -617,14 +618,12 @@ def _check_well_defined(spec: CheckSpec) -> _Member:
     """
     sc = spec.scenario
     cov1 = resolve_covariance(sc)
-    gen = _rng.stream(spec.seed, 0, 0, _rng.BASIS)
-    rotations = _block_rotations_for(cov1.eigenvalues, gen)
-    iso = build_eigen_isometry(cov1, rotations)
+    iso = _random_isometry(cov1, spec.seed)
     cov2 = alternate_decomposition(cov1, iso)
     cmap = iso.coord_map
+    r1 = build_integrand(sc, cov1, n_inputs=cov1.dim_u)
+    r2 = build_integrand(sc, cov2, n_inputs=cov1.dim_u)
     raw = build_integrand(sc, n_inputs=cov1.dim_u)
-    r1 = restrict_integrand(raw, cov1)
-    r2 = restrict_integrand(raw, cov2)
 
     def per_block(d1):
         levy1 = assemble_levy(cov1, d1)

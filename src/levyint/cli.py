@@ -27,10 +27,11 @@ from .checks import (CHECKS, default_suite, fault_detected,
                      reports_to_csv, reports_to_json, run_suite, suite_passed)
 from .config import load_config
 from .errors import ConfigInvalid, LevyintError
-from .integrators import ito_general, ito_h, ito_seq, series_terms
+from .integrators import (ito_general, ito_h, ito_seq, node_values,
+                          series_terms)
 from .processes import KIND_NAMES, assemble_levy, replay_path
 from .scenarios import (FAULTS, ScenarioConfig, build_integrand,
-                        make_sampler, resolve_covariance, restrict_integrand)
+                        make_sampler, resolve_covariance)
 
 
 def _read_path_csv(path: str):
@@ -154,18 +155,19 @@ def _integrate_scenario(scenario: ScenarioConfig, path, want_series: bool):
                             "against component 0")
     if want_series and carrier != "operator":
         raise ConfigInvalid("series dump needs an operator integrand")
-    integrand = build_integrand(scenario)
+    cov = resolve_covariance(scenario) if carrier == "operator" else None
+    integrand = build_integrand(scenario, cov)
     if carrier == "hvector":
         return ito_h(integrand, path, 0), None
     if carrier == "seqh":
         return ito_seq(integrand, path), None
-    cov = resolve_covariance(scenario)
+    # evaluated once, for the integral and the series alike
+    node = node_values(integrand, path)
     levy = assemble_levy(cov, path)
-    restricted = restrict_integrand(integrand, cov)
-    z = ito_general(restricted, levy)
+    z = ito_general(node, levy)
     if not want_series:
         return z, None
-    return z, series_terms(restricted, levy)
+    return z, series_terms(node, levy)
 
 
 def _cmd_integrate(args) -> int:

@@ -119,6 +119,11 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
                                 "numbers")
         basis = tuple(tuple(expect_number(x, "covariance.basis") for x in row)
                       for row in basis)
+        bad = next((x for row in basis for x in row if not math.isfinite(x)),
+                   None)
+        if bad is not None:
+            raise ConfigInvalid(
+                f"covariance.basis entries must be finite, got {bad!r}")
     elif basis != "identity":
         raise ConfigInvalid(
             'covariance.basis must be "identity", {"seed": n} or a matrix')

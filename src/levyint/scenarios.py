@@ -26,11 +26,13 @@ Grid evaluators:
 * ``driver_tanh``: tanh of the same affine expression, hence bounded.
 
 An operator carrier's raw values are (dim_h, dim_u) matrices on the
-reference coordinates of U, and :func:`restrict_integrand` makes them
-Hilbert-Schmidt.  The restriction is linear, so for ``constant`` and
-``driver_linear`` it runs once, on the coefficients, when the integrand is
-restricted; for ``driver_tanh`` it runs on every node value, after the
-tanh.  Either way it is :func:`levyint.spaces.restrict_bounded_operator`.
+reference coordinates of U; given a covariance spec, the builder makes
+them Hilbert-Schmidt when it draws them.  The restriction is linear, so
+for ``constant`` and ``driver_linear`` it runs once, on the drawn
+coefficients; for ``driver_tanh`` it runs on every node value, after the
+tanh (:func:`restrict_integrand`).  Either way it is
+:func:`levyint.spaces.restrict_bounded_operator`, and which evaluators
+commute with it is read from the config, never from a built integrand.
 """
 from __future__ import annotations
 
@@ -267,8 +269,8 @@ def value_shape(scenario: ScenarioConfig, carrier: str) -> tuple:
     return (scenario.dim_h, scenario.covariance.dim_u(scenario.n_modes))
 
 
-def _eval_constant(path, value: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(value, path.grid.times.shape + value.shape)
+def _eval_constant(path, coeffs: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(coeffs, path.grid.times.shape + coeffs.shape)
 
 
 def _affine(path, coeffs: np.ndarray) -> np.ndarray:
@@ -309,31 +311,42 @@ def _constant_value(cfg: IntegrandConfig, shape: tuple) -> np.ndarray:
 
 
 def build_grid_integrand(cfg: IntegrandConfig, carrier_shape: tuple,
-                         n_inputs: int) -> partial:
+                         n_inputs: int,
+                         cov: Optional[CovarianceSpec] = None) -> partial:
     """Materialize a grid integrand, a function of a block; coefficient
     draws are scenario-level.
 
     ``n_inputs`` is the number of path components the evaluator sees
     (driver components, or reference coordinates for observable-path
-    integrands).
+    integrands).  With ``cov``, the (dim_h, dim_u) operator values are
+    restricted to (dim_h, n_modes) (module docstring).  ``constant`` and
+    ``driver_linear`` restrict their coefficients, the value or the stacked
+    [c0; c1], and store them C-contiguous (..., n_modes, dim_h): the node
+    values are a transposed view whose Psi_lambda view is contiguous and
+    reshapes into the kernels without a copy.
     """
     if cfg.evaluator not in _GRID_EVALUATORS:
         raise ConfigInvalid(
             f"integrand.evaluator {cfg.evaluator!r} not one of {_GRID_EVALUATORS}")
     if cfg.evaluator == "constant":
-        return partial(_eval_constant, value=_constant_value(cfg, carrier_shape))
-    gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
-    c0 = cfg.scale * gen.standard_normal(carrier_shape)
-    c1 = (cfg.scale / np.sqrt(n_inputs)) * gen.standard_normal(
-        (n_inputs,) + carrier_shape)
-    fn = _eval_driver_linear if cfg.evaluator == "driver_linear" else _eval_driver_tanh
-    return partial(fn, coeffs=np.concatenate([c0[None], c1]))
-
-
-# evaluators linear in their coefficient arrays jointly, so that the
-# restriction, linear in the operator, commutes with them; named, so that
-# a wrapper made with functools.wraps is recognized too
-_LINEAR_IN_COEFFICIENTS = ("_eval_constant", "_eval_driver_linear")
+        fn, c = _eval_constant, _constant_value(cfg, carrier_shape)
+    else:
+        gen = _rng.stream(cfg.seed, 0, 0, _rng.INTEGRAND)
+        c0 = cfg.scale * gen.standard_normal(carrier_shape)
+        c1 = (cfg.scale / np.sqrt(n_inputs)) * gen.standard_normal(
+            (n_inputs,) + carrier_shape)
+        fn = (_eval_driver_linear if cfg.evaluator == "driver_linear"
+              else _eval_driver_tanh)
+        c = np.concatenate([c0[None], c1])
+    raw = partial(fn, coeffs=c)
+    if cov is None:
+        return raw
+    if cfg.evaluator == "driver_tanh":
+        return restrict_integrand(raw, cov)
+    # (..., dim_h, n_modes) values, stored (..., n_modes, dim_h)
+    c = restrict_bounded_operator(cov, c).swapaxes(-1, -2)
+    return partial(_eval_folded,
+                   raw_eval=partial(fn, coeffs=np.ascontiguousarray(c)))
 
 
 def _eval_restricted(path, raw_eval, spec: CovarianceSpec) -> np.ndarray:
@@ -364,49 +377,22 @@ def _with_fault(scenario: ScenarioConfig, integrand):
 
 
 def restrict_integrand(raw, spec: CovarianceSpec) -> partial:
-    """Turn a reference-coordinate operator integrand into Hilbert-Schmidt form.
-
-    The raw integrand emits (dim_h, dim_u) matrices acting on reference
-    coordinates of U; the result emits their restriction by
-    :func:`levyint.spaces.restrict_bounded_operator`, the weighted-column
-    form (dim_h, n_modes) that the integral layers consume.
-
-    Where the restriction runs depends on the evaluator.  ``constant`` and
-    ``driver_linear`` are linear in their coefficients, so their
-    coefficients (the value, or the stacked [c0; c1]) are restricted once,
-    here, on their trailing (dim_h, dim_u) axes, and stored as C-contiguous
-    (..., n_modes, dim_h) arrays: the node values are a transposed view
-    of (..., n_nodes, n_modes, dim_h) memory, whose Psi_lambda view is
-    contiguous and reshapes into the kernels without a copy.
-    ``driver_tanh`` applies tanh before the restriction, which then no
-    longer commutes with the evaluator; it, and any other evaluator,
-    restricts every node value of every path instead.
-    """
-    func = raw.func if isinstance(raw, partial) else None
-    if func is _eval_right_point:
-        # the restriction acts node by node, so it commutes with the fault
-        inner = restrict_integrand(raw.keywords["integrand"], spec)
-        return partial(_eval_right_point, integrand=inner)
-    if getattr(func, "__name__", None) in _LINEAR_IN_COEFFICIENTS:
-        coeffs = {}
-        for key, c in raw.keywords.items():
-            # (..., dim_h, n_modes) values, stored (..., n_modes, dim_h)
-            c = restrict_bounded_operator(spec, c).swapaxes(-1, -2)
-            coeffs[key] = np.ascontiguousarray(c)
-        return partial(_eval_folded, raw_eval=partial(func, **coeffs))
+    """``raw`` with every node value restricted per ``spec``."""
     return partial(_eval_restricted, raw_eval=raw, spec=spec)
 
 
-def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
-                    seed_offset: int = 0):
+def build_integrand(scenario: ScenarioConfig,
+                    cov: Optional[CovarianceSpec] = None, *,
+                    n_inputs: Optional[int] = None, seed_offset: int = 0):
     """Materialize the scenario integrand, grid or simple family.
 
-    A grid integrand takes the value convention of its carrier; operator
-    carriers emit (dim_h, dim_u) matrices on the reference coordinates of
-    U, and callers restrict them per covariance spec via
-    :func:`restrict_integrand`.  A simple integrand holds H vectors, one
-    per interval of ``integrand.breakpoints``: the explicit ``value`` or,
-    like the ``constant`` evaluator's, normals from the integrand seed.
+    A grid integrand takes the value convention of its carrier; with
+    ``cov``, an operator carrier's (dim_h, dim_u) matrices on the
+    reference coordinates of U are restricted to their Hilbert-Schmidt
+    form per that spec (:func:`build_grid_integrand`).  A simple integrand
+    holds H vectors, one per interval of ``integrand.breakpoints``: the
+    explicit ``value`` or, like the ``constant`` evaluator's, normals from
+    the integrand seed.
     """
     cfg = scenario.integrand
     if seed_offset:
@@ -414,7 +400,8 @@ def build_integrand(scenario: ScenarioConfig, *, n_inputs: Optional[int] = None,
     if cfg.family == "grid":
         shape = value_shape(scenario, cfg.carrier)
         inputs = scenario.n_modes if n_inputs is None else n_inputs
-        return _with_fault(scenario, build_grid_integrand(cfg, shape, inputs))
+        return _with_fault(scenario,
+                           build_grid_integrand(cfg, shape, inputs, cov))
     b = cfg.breakpoints
     if b is None:
         raise ConfigInvalid("a simple integrand needs integrand.breakpoints")

@@ -33,8 +33,8 @@ builds once; each map is one product with one of them:
 * The restriction makes a bounded operator on U Hilbert-Schmidt: the
   operator times ``synthesis``.  It is linear in the operator, so an
   integrand affine in its coefficients is restricted once, coefficient by
-  coefficient, and any other integrand node by node
-  (:func:`levyint.scenarios.restrict_integrand`).
+  coefficient, when it is drawn, and any other integrand node by node
+  (:func:`levyint.scenarios.build_grid_integrand`).
 * Psi_lambda turns a Hilbert-Schmidt operator into its sequence of
   columns, which the series integral sums term by term.
 

@@ -17,7 +17,7 @@ from levyint import rng
 from levyint.checks import (
     BASE_SEED,
     CheckSpec,
-    _block_rotations_for,
+    _random_isometry,
     default_suite,
     negative_control_suite,
     reports_to_csv,
@@ -158,13 +158,14 @@ def test_c03_basis_independence():
 
 def test_c04_well_definedness():
     lam = (0.4, 0.3, 0.3, 0.15, 0.1, 0.05)
-    rotations = _block_rotations_for(np.array(lam),
-                                     rng.stream(0, 0, 0, rng.BASIS))
-    repeated_block = set(rotations) == {0.3} and rotations[0.3].shape == (2, 2)
     sc = ScenarioConfig(
         covariance=CovarianceConfig(lam, {"seed": 7}),
         integrand=IntegrandConfig(carrier="operator",
                                   evaluator="driver_linear", seed=401))
+    # the check's isometry rotates the 0.3 pair, positions 1 and 2, alone
+    iso = _random_isometry(resolve_covariance(sc), BASE_SEED + 401)
+    moved = iso.coord_map != np.eye(len(lam))
+    repeated_block = moved[1:3, 1:3].all() and moved.sum() == 4
     report = run_check(CheckSpec("well_defined", sc, 64, BASE_SEED + 401))
     _criterion(4, report.passed and repeated_block,
                f"two eigendecompositions with the 0.3 pair rotated in "

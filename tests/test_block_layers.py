@@ -6,6 +6,8 @@ a block of one, and padding must leave running values at their terminal
 value.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,15 +31,15 @@ from levyint.processes import (
     normalize_drivers,
     transport_levy,
 )
-from levyint.scenarios import (IntegrandConfig, ScenarioConfig, _with_fault,
+from levyint.scenarios import (CovarianceConfig, IntegrandConfig,
+                               ScenarioConfig, _with_fault,
                                build_grid_integrand, build_integrand,
-                               make_sampler, resolve_covariance,
-                               restrict_integrand)
+                               make_sampler, resolve_covariance)
 from levyint.spaces import (build_eigen_isometry, make_covariance,
                             psi_lambda_apply, random_orthogonal,
                             restrict_bounded_operator)
 from levyint.stats import CHUNK_SIZE
-from levyint import rng
+from levyint import rng, scenarios
 
 SEED = 20260816
 BREAKS = (0.0, 0.3, 0.7, 1.0)
@@ -108,13 +110,17 @@ def test_cell_values_rows_are_the_per_path_values(specs, indices, kind, side):
         _close(vals[row, :n - 1], want[0])
 
 
-@pytest.mark.parametrize("kind", ["driver_linear", "operator", "simple"])
+@pytest.mark.parametrize("kind", ["driver_linear", "operator", "simple",
+                                  "operator-driver_tanh"])
 def test_right_point_fault_takes_the_next_nodes_value(kind):
     """Under the fault, node k of the scenario's integrand holds node k + 1
-    of the clean one, and the last node, padding included, repeats."""
+    of the clean one, and the last node, padding included, repeats; an
+    operator integrand's restricted values, folded or node by node."""
     if kind == "simple":
         cfg = IntegrandConfig(family="simple", carrier="hvector",
                               evaluator="constant", breakpoints=BREAKS)
+    elif kind == "operator-driver_tanh":
+        cfg = IntegrandConfig(carrier="operator", evaluator="driver_tanh")
     else:
         cfg = IntegrandConfig(
             carrier="seqh" if kind == "driver_linear" else "operator")
@@ -123,11 +129,9 @@ def test_right_point_fault_takes_the_next_nodes_value(kind):
     assert len(set(block.n_nodes.tolist())) > 1
 
     def values(scenario):
-        integrand = build_integrand(scenario)
-        if kind == "operator":
-            integrand = restrict_integrand(integrand,
-                                           resolve_covariance(scenario))
-        return node_values(integrand, block)
+        cov = (resolve_covariance(scenario) if kind.startswith("operator")
+               else None)
+        return node_values(build_integrand(scenario, cov), block)
 
     clean, faulted = values(sc), values(sc.with_fault("right_point"))
     assert np.array_equal(faulted[:, :-1], clean[:, 1:])
@@ -262,48 +266,77 @@ BASES = pytest.mark.parametrize("basis", ["identity", "random", "rectangular"])
 
 
 def _restriction_case(basis, evaluator):
-    """A covariance with the named basis and a raw operator integrand on U."""
+    """A scenario whose covariance has the named basis and whose integrand
+    is an operator on U, with its covariance spec."""
     lam = 0.5 ** np.arange(1.0, 7.0)
     gen = rng.stream(2, 0, 0, rng.BASIS)
     directive = {"identity": "identity", "random": {"seed": 7},
                  # U with two directions beyond the six modes
                  "rectangular": random_orthogonal(8, gen)[:, :6]}[basis]
-    cov = make_covariance(lam, directive)
-    raw = build_grid_integrand(
-        IntegrandConfig(carrier="operator", evaluator=evaluator, seed=6),
-        (DIM_H, cov.dim_u), 6)
-    return cov, raw
+    sc = ScenarioConfig(
+        dim_h=DIM_H, covariance=CovarianceConfig(tuple(lam), directive),
+        integrand=IntegrandConfig(carrier="operator", evaluator=evaluator,
+                                  seed=6))
+    return sc, resolve_covariance(sc)
 
 
 @DRIVERS
 @BASES
-@pytest.mark.parametrize("evaluator", ["constant", "driver_linear"])
+@pytest.mark.parametrize("evaluator",
+                         ["constant", "driver_linear", "driver_tanh"])
 def test_folded_restriction_is_the_per_node_restriction(specs, basis,
                                                         evaluator):
-    # the affine evaluators restrict their coefficients once; restricting
-    # every node value of the raw integrand must give the same values
-    cov, raw = _restriction_case(basis, evaluator)
+    # given a covariance, the builder restricts the affine evaluators'
+    # coefficients once and driver_tanh's every node value; both must be
+    # the restriction of every raw node value
+    sc, cov = _restriction_case(basis, evaluator)
     block = _sampler(specs).sample_block(SEED, BLOCKS[0])
-    folded = node_values(restrict_integrand(raw, cov), block)
-    per_node = restrict_bounded_operator(cov, node_values(raw, block))
-    assert folded.shape == (block.n_paths, block.grid.n_nodes, DIM_H, 6)
+    got = node_values(build_integrand(sc, cov), block)
+    per_node = restrict_bounded_operator(cov, node_values(build_integrand(sc),
+                                                          block))
+    assert got.shape == (block.n_paths, block.grid.n_nodes, DIM_H, 6)
     for row in range(block.n_paths):
-        _close(folded[row], per_node[row])
+        _close(got[row], per_node[row])
 
 
-@DRIVERS
-@BASES
-def test_restricted_affine_values_reach_the_kernels_without_a_copy(specs,
-                                                                   basis):
-    cov, raw = _restriction_case(basis, "driver_linear")
-    block = _sampler(specs).sample_block(SEED, BLOCKS[0])
-    node = node_values(restrict_integrand(raw, cov), block)
+def _reaches_the_kernels_without_a_copy(cov, node):
     seq = psi_lambda_apply(cov, node)
     assert seq.flags.c_contiguous
     # terminal_cells flattens cells and components into one axis
     cells = seq[:, :-1]
     flat = cells.reshape(cells.shape[:1] + (-1, DIM_H))
     assert np.shares_memory(flat, node)
+
+
+@DRIVERS
+@BASES
+def test_restricted_affine_values_reach_the_kernels_without_a_copy(specs,
+                                                                   basis):
+    sc, cov = _restriction_case(basis, "driver_linear")
+    block = _sampler(specs).sample_block(SEED, BLOCKS[0])
+    _reaches_the_kernels_without_a_copy(
+        cov, node_values(build_integrand(sc, cov), block))
+
+
+def test_a_wrapped_evaluator_is_restricted_as_the_bare_one(monkeypatch):
+    # a timing wrapper made with functools.wraps, as a tracer installs it,
+    # changes neither the values nor the folded layout
+    sc, cov = _restriction_case("rectangular", "driver_linear")
+    block = _sampler(DESK).sample_block(SEED, BLOCKS[0])
+    bare = node_values(build_integrand(sc, cov), block)
+    calls = []
+    inner = scenarios._eval_driver_linear
+
+    @functools.wraps(inner)
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_eval_driver_linear", wrapped)
+    node = node_values(build_integrand(sc, cov), block)
+    assert calls == [1]
+    assert node.tobytes() == bare.tobytes()
+    _reaches_the_kernels_without_a_copy(cov, node)
 
 
 _SHAPES = {"hvector": (DIM_H,), "seqh": (6, DIM_H), "operator": (DIM_H, 6)}
@@ -339,8 +372,8 @@ def test_affine_node_values_are_the_explicit_sum(specs, carrier, evaluator,
     cfg = IntegrandConfig(evaluator=evaluator, seed=6)
     if carrier == "restricted":
         # an operator on a U wider than the modes, restricted
-        cov, raw = _restriction_case("rectangular", evaluator)
-        integrand = restrict_integrand(raw, cov)
+        sc, cov = _restriction_case("rectangular", evaluator)
+        integrand = build_integrand(sc, cov)
         want = restrict_bounded_operator(cov, _explicit_affine(
             cfg, (DIM_H, cov.dim_u), path.increments))
     else:

@@ -541,9 +541,14 @@ _SIMPLE = {"family": "simple", "carrier": "hvector", "evaluator": "constant"}
 _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
     "eigenvalues": {"kind": "geometric", "c": 0.5}})
 _DESK = json.loads((CONFIG_DIR / "default.json").read_text())
-_NAN_BASIS = dict(_DESK, covariance=dict(_DESK["covariance"], basis=[
-    [math.nan if i == j == 0 else float(i == j) for j in range(6)]
-    for i in range(6)]))
+
+
+def _basis_entry(x):
+    """``configs/default.json`` at 256 paths with an explicit identity
+    basis whose first entry is ``x``."""
+    return lambda tmp_path: dict(_DESK, nPaths=256, covariance=dict(
+        _DESK["covariance"], basis=[[x if i == j == 0 else float(i == j)
+                                     for j in range(6)] for i in range(6)]))
 
 
 @pytest.mark.parametrize("command, make, key", [
@@ -688,11 +693,16 @@ _NAN_BASIS = dict(_DESK, covariance=dict(_DESK["covariance"], basis=[
     ("simulate", _edit(drivers=[{"preset": "mixed", "sigma": 0.5,
                                  "a": 1e-200}]), "drivers[0]"),
     # a non-finite basis entry or tail mass fails closed
-    ("integrate", lambda tmp_path: _NAN_BASIS, "covariance.basis"),
+    ("integrate", _basis_entry(math.nan), "covariance.basis"),
     ("check", lambda tmp_path: dict(CHECK_BASE, covariance=dict(
         CHECK_BASE["covariance"], tailMass=math.nan)), "covariance.tailMass"),
     ("check", lambda tmp_path: dict(CHECK_BASE, covariance=dict(
         CHECK_BASE["covariance"], tailMass=math.inf)), "covariance.tailMass"),
+    # when the config is parsed, not only where the basis is built
+    ("simulate", _basis_entry(math.nan), "covariance.basis"),
+    ("simulate", _basis_entry(math.inf), "covariance.basis"),
+    ("check", _basis_entry(math.nan), "covariance.basis"),
+    ("check", _basis_entry(-math.inf), "covariance.basis"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "replay-nan-increment",
         "integrate-replay-inf-increment", "replay-csv-nan-value",
@@ -715,7 +725,9 @@ _NAN_BASIS = dict(_DESK, covariance=dict(_DESK["covariance"], basis=[
         "integrand-seed-2**64", "integrand-seed-negative",
         "basis-seed-2**64", "basis-seed-negative", "poisson-size-underflow",
         "check-poisson-size-underflow", "mixed-size-underflow",
-        "integrate-nan-basis", "check-nan-tail-mass", "check-inf-tail-mass"])
+        "integrate-nan-basis", "check-nan-tail-mass", "check-inf-tail-mass",
+        "simulate-nan-basis", "simulate-inf-basis", "check-nan-basis",
+        "check-inf-basis"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
                                                  monkeypatch):
     # a rejected size must be rejected before it is drawn
