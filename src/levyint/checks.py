@@ -77,8 +77,8 @@ from .integrators import (angle_bracket, cell_values, covariation_integral,
                           quadrature_sq_norm, series_terms, terminal_cells)
 from .processes import (SCHEDULED, PathBlock, TimeGrid, assemble_levy,
                         coordinate_view, transport_levy)
-from .scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
-                        build_integrand, driver_specs, make_sampler, path_law,
+from .scenarios import (IntegrandConfig, ScenarioConfig, build_integrand,
+                        driver_specs, make_sampler, path_law,
                         resolve_covariance, value_shape)
 from .spaces import (alternate_decomposition, build_eigen_isometry,
                      make_covariance, random_orthogonal)
@@ -182,7 +182,7 @@ def need_block_memory(sc: ScenarioConfig, width: int, nodes: float,
     one per input coefficient arrays would outgrow memory."""
     value = math.prod(value_shape(sc, sc.integrand.carrier))
     per_node = max(sc.n_modes + 1, value)
-    inputs = 1 + max(sc.n_modes, sc.covariance.dim_u(sc.n_modes))
+    inputs = 1 + max(sc.n_modes, sc.covariance.dim_u)
     size = 8 * max(width * nodes * per_node, inputs * value)
     if size > MAX_BLOCK_BYTES:
         raise ConfigInvalid(
@@ -198,7 +198,9 @@ def _finish_statistical(spec: CheckSpec, acc) -> Report:
     """Reduce an accumulator laid out as [lhs..., rhs..., diff...]."""
     n = acc.mean.size // 3
     mean, se = acc.mean, acc.se
-    margins = [(0.0 if d == 0.0 else math.inf) if s == 0.0
+    # an infinite standard error (overflowing second moments) fails: NaN
+    margins = [math.nan if s == math.inf
+               else (0.0 if d == 0.0 else math.inf) if s == 0.0
                else d / (SIGMAS * s)
                for d, s in zip(np.abs(mean[2 * n:]).tolist(),
                                se[2 * n:].tolist())]
@@ -376,8 +378,7 @@ def _check_covariance_recovery(spec: CheckSpec) -> _Member:
     """
     _need_modes(spec, 2)
     sc = spec.scenario
-    clean = resolve_covariance(sc.with_fault(None))
-    sim = resolve_covariance(sc)
+    clean, sim = sc.covariance, resolve_covariance(sc)
     e = np.eye(clean.dim_u)
     b0, b1 = clean.eigenbasis[:, 0], clean.eigenbasis[:, 1]
     quarter, half, h = _probes(spec)
@@ -497,11 +498,11 @@ def _check_truncation_tail(spec: CheckSpec) -> _Member:
     s0 = cell_values(restricted, still)[0, 0]
     raw0 = cell_values(raw, still)[0, 0]
     dropped = float(np.sum(s0[:, n_sub:] ** 2))
-    # the SVD behind the operator norm fails on a non-finite probe value;
-    # a NaN bound then fails the check below
-    op_sq = (float(np.linalg.norm(raw0, 2)) ** 2
-             if np.all(np.isfinite(raw0)) else math.nan)
-    bound = sc.horizon * (dropped + op_sq * cov.tail_mass)
+    # the SVD behind the operator norm fails on a non-finite probe value,
+    # whose NaN bound fails below; op * op gives inf where op ** 2 raises
+    op = (float(np.linalg.norm(raw0, 2)) if np.all(np.isfinite(raw0))
+          else math.nan)
+    bound = sc.horizon * (dropped + op * op * cov.tail_mass)
 
     def stat(block):
         node = node_values(restricted, block)
@@ -713,6 +714,17 @@ def _path_seed(spec: CheckSpec) -> int:
     return spec.seed if spec.path_seed is None else spec.path_seed
 
 
+def _pass_sampler(specs) -> tuple:
+    """A pass's sampler and block width, after :func:`need_block_memory`."""
+    first = specs[0]
+    sampler = make_sampler(first.scenario, _probes(first))
+    nodes = sampler.expected_nodes
+    width = block_paths(nodes)
+    for spec in specs:
+        need_block_memory(spec.scenario, width, nodes, f"check {spec.name}")
+    return sampler, width
+
+
 def _run_pass(specs) -> list:
     """Reports of checks on one path law and seed, from one pass.
 
@@ -726,19 +738,14 @@ def _run_pass(specs) -> list:
     an equal share of the sampling and the walk.
     """
     start = time.perf_counter()
-    first = specs[0]
-    sampler = make_sampler(first.scenario, _probes(first))
-    nodes = sampler.expected_nodes
-    width = block_paths(nodes)
-    for spec in specs:
-        need_block_memory(spec.scenario, width, nodes, f"check {spec.name}")
+    sampler, width = _pass_sampler(specs)
     own = []
     members = []
     for spec in specs:
         t0 = time.perf_counter()
         members.append(CHECKS[spec.name](spec))
         own.append(time.perf_counter() - t0)
-    seed = _path_seed(first)
+    seed = _path_seed(specs[0])
 
     def stat_fn(paths):
         block = sampler.sample_block(seed, paths)
@@ -860,17 +867,23 @@ def _block_spectrum(n_modes: int) -> tuple:
 
 def default_suite(n_paths: int = 100_000, n_exact: int = 64,
                   base_seed: int = BASE_SEED,
-                  desk: Optional[ScenarioConfig] = None) -> list:
+                  desk: Optional[ScenarioConfig] = None,
+                  names=None) -> list:
     """The standing battery: every check once, isometry2 on both routes.
 
     The l2lambda route runs under a random eigenbasis, so that its
     projection through Phi_lambda is a real change of coordinates.
 
     ``desk`` supplies the shared scale (dimensions, horizon, grid,
-    covariance law, driver recipe, integrand scale); each entry swaps in
-    the covariance and integrand its identity needs, never the drivers, so
+    covariance, driver recipe, integrand scale); each entry swaps in the
+    covariance and integrand its identity needs, never the drivers, so
     every entry reads the desk's paths (module docstring).  The breakpoints
     of ``simple_exact`` are the probe times of ``covariance_recovery``.
+
+    ``names``, if given, selects the entries of those checks; each keeps
+    its position's seed.  Covariances are built once, for the entries
+    selected, and after the first entry is within the block bound of its
+    pass: a space too large to check fails before a basis is drawn.
     """
     desk = ScenarioConfig() if desk is None else desk
     if isinstance(desk.drivers, dict):
@@ -884,57 +897,50 @@ def default_suite(n_paths: int = 100_000, n_exact: int = 64,
     hvec = IntegrandConfig(carrier="hvector", evaluator=evaluator, scale=scale)
     seqh = IntegrandConfig(carrier="seqh", evaluator=evaluator, scale=scale)
     oper = IntegrandConfig(carrier="operator", evaluator=evaluator, scale=scale)
-    rand_basis = CovarianceConfig(desk.covariance.eigenvalues, {"seed": 7},
-                                  desk.covariance.tail_mass)
-    blocks_id = CovarianceConfig(eigenvalues=_block_spectrum(desk.n_modes))
-    blocks_rand = CovarianceConfig(eigenvalues=_block_spectrum(desk.n_modes),
-                                   basis={"seed": 11})
+    const = replace(oper, evaluator="constant")
+    simple = IntegrandConfig(
+        family="simple", carrier="hvector", evaluator="constant",
+        scale=scale, breakpoints=(0.0,) + tuple(
+            f * desk.horizon for f in _PROBES["covariance_recovery"]))
+    lam, tail = desk.covariance.eigenvalues, desk.covariance.tail_mass
+    blocks = _block_spectrum(desk.n_modes)
+    build = {"desk": lambda: desk.covariance,
+             "rand_basis": lambda: make_covariance(lam, {"seed": 7}, tail),
+             "blocks_id": lambda: make_covariance(blocks),
+             "blocks_rand": lambda: make_covariance(blocks, {"seed": 11})}
+    covariance = cache(lambda key: build[key]())
 
     entries = [
-        ("isometry1", replace(desk, integrand=replace(hvec, seed=101)),
-         n_paths),
-        ("isometry2", replace(desk, integrand=replace(seqh, seed=102)),
-         n_paths, "seq"),
-        ("isometry2", replace(desk, covariance=rand_basis,
-                              integrand=replace(seqh, seed=103)),
-         n_paths, "l2lambda"),
-        ("isometry4", replace(desk, covariance=rand_basis,
-                              integrand=replace(oper, seed=104)),
-         n_paths),
-        ("orthogonality", replace(desk, integrand=replace(seqh, seed=105)),
-         n_paths),
-        ("basis_invariance", replace(desk, integrand=replace(hvec, seed=106)),
-         n_exact),
-        ("isometry_invariance", replace(desk, covariance=blocks_id,
-                                        integrand=replace(seqh, seed=107)),
-         n_exact),
-        ("well_defined", replace(desk, covariance=blocks_rand,
-                                 integrand=replace(oper, seed=108)),
-         n_exact),
-        ("covariance_recovery", replace(desk, covariance=rand_basis),
-         n_paths),
-        ("bracket", replace(desk, integrand=replace(hvec, seed=110)),
-         n_paths),
-        ("martingale", replace(desk, integrand=replace(seqh, seed=111)),
-         n_paths),
-        ("simple_exact",
-         replace(desk, integrand=IntegrandConfig(
-             family="simple", carrier="hvector", evaluator="constant",
-             seed=112, scale=scale,
-             breakpoints=(0.0,) + tuple(
-                 f * desk.horizon for f in _PROBES["covariance_recovery"]))),
-         n_exact),
-        ("series_orthogonality", replace(desk, covariance=rand_basis,
-                                         integrand=replace(oper, seed=113)),
-         n_paths),
-        ("truncation_tail",
-         replace(desk, covariance=rand_basis,
-                 integrand=replace(oper, evaluator="constant", seed=114)),
-         n_paths),
+        ("isometry1", "desk", hvec, 101, n_paths),
+        ("isometry2", "desk", seqh, 102, n_paths, "seq"),
+        ("isometry2", "rand_basis", seqh, 103, n_paths, "l2lambda"),
+        ("isometry4", "rand_basis", oper, 104, n_paths),
+        ("orthogonality", "desk", seqh, 105, n_paths),
+        ("basis_invariance", "desk", hvec, 106, n_exact),
+        ("isometry_invariance", "blocks_id", seqh, 107, n_exact),
+        ("well_defined", "blocks_rand", oper, 108, n_exact),
+        ("covariance_recovery", "rand_basis", desk.integrand,
+         desk.integrand.seed, n_paths),
+        ("bracket", "desk", hvec, 110, n_paths),
+        ("martingale", "desk", seqh, 111, n_paths),
+        ("simple_exact", "desk", simple, 112, n_exact),
+        ("series_orthogonality", "rand_basis", oper, 113, n_paths),
+        ("truncation_tail", "rand_basis", const, 114, n_paths),
     ]
-    return [CheckSpec(name, scenario, paths, base_seed + i, *route,
-                      path_seed=base_seed)
-            for i, (name, scenario, paths, *route) in enumerate(entries, 1)]
+    specs = []
+    for i, (name, cov, template, seed, paths, *route) in enumerate(entries, 1):
+        if names is not None and name not in names:
+            continue
+        integrand = replace(template, seed=seed)
+        if not specs and desk.covariance.dim_u == desk.n_modes:
+            # only dim_u enters the bound: check it before a basis is drawn
+            _pass_sampler([CheckSpec(name, replace(desk, integrand=integrand),
+                                     paths, 0)])
+        scenario = replace(desk, covariance=covariance(cov),
+                           integrand=integrand)
+        specs.append(CheckSpec(name, scenario, paths, base_seed + i, *route,
+                               path_seed=base_seed))
+    return specs
 
 
 def negative_control_suite(fault: str, n_paths: int = 100_000,
@@ -945,10 +951,9 @@ def negative_control_suite(fault: str, n_paths: int = 100_000,
     if fault not in FAULT_CHECKS:
         raise ConfigInvalid(f"fault {fault!r} not one of "
                             f"{', '.join(FAULT_CHECKS)}")
-    names = FAULT_CHECKS[fault]
     return [replace(s, scenario=s.scenario.with_fault(fault))
-            for s in default_suite(n_paths, n_exact, base_seed, desk)
-            if s.name in names]
+            for s in default_suite(n_paths, n_exact, base_seed, desk,
+                                   FAULT_CHECKS[fault])]
 
 
 def fault_detected(reports) -> bool:

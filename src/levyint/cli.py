@@ -206,9 +206,7 @@ def _cmd_check(args) -> int:
         specs = negative_control_suite(args.negative_control, n_paths,
                                        cfg.n_exact, seed, desk)
     else:
-        specs = default_suite(n_paths, cfg.n_exact, seed, desk)
-        if cfg.checks is not None:
-            specs = [s for s in specs if s.name in cfg.checks]
+        specs = default_suite(n_paths, cfg.n_exact, seed, desk, cfg.checks)
     if args.check is not None:
         if args.check not in CHECKS:
             raise ConfigInvalid(f"unknown check {args.check!r}; valid names: "

@@ -19,6 +19,8 @@ Every section is optional and falls back to the desk-scale defaults of
 :class:`levyint.scenarios.ScenarioConfig`.  Unknown keys are rejected by
 name rather than ignored, so a typo cannot silently run the defaults, and
 the size keys of ``space`` are bounded before anything is allocated.
+The ``covariance`` section is resolved here, once, so a bad law,
+spectrum, tail mass or basis fails whatever the subcommand reads.
 """
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ import numpy as np
 from .checks import BASE_SEED, CHECKS
 from .errors import ConfigInvalid, expect_number
 from .processes import normalize_drivers
-from .scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
+from .scenarios import DESK_LAW, IntegrandConfig, ScenarioConfig, resolve_law
+from .spaces import CovarianceSpec, make_covariance
 
 _TOP_KEYS = {"space", "covariance", "drivers", "integrand", "nPaths",
              "nExact", "seed", "checks", "fault"}
@@ -100,13 +103,17 @@ def _parse_space(section: dict) -> dict:
     }
 
 
-def _parse_covariance(section: dict) -> CovarianceConfig:
+def _parse_covariance(section: dict, n_modes: int) -> CovarianceSpec:
+    """The covariance spec on ``n_modes`` modes, resolved and checked once."""
     _reject_unknown(section, _COV_KEYS, "covariance")
-    ev = section.get("eigenvalues", {"kind": "geometric", "c": 0.5, "r": 0.5})
+    ev = section.get("eigenvalues", DESK_LAW)
     if isinstance(ev, dict):
         _reject_unknown(ev, _LAW_KEYS, "covariance.eigenvalues")
     elif isinstance(ev, (list, tuple)):
-        ev = tuple(expect_number(x, "covariance.eigenvalues") for x in ev)
+        ev = [expect_number(x, "covariance.eigenvalues") for x in ev]
+        if len(ev) != n_modes:
+            raise ConfigInvalid(f"covariance.eigenvalues lists {len(ev)} "
+                                f"values, space.J is {n_modes}")
     else:
         raise ConfigInvalid("covariance.eigenvalues must be a list or a law")
     basis = section.get("basis", "identity")
@@ -114,11 +121,12 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
         _reject_unknown(basis, {"seed"}, "covariance.basis")
         _seed(basis.get("seed"), "covariance.basis.seed")
     elif isinstance(basis, list):
-        if not all(isinstance(row, (list, tuple)) for row in basis):
+        if not all(isinstance(row, (list, tuple))
+                   and len(row) == len(basis[0]) for row in basis):
             raise ConfigInvalid("covariance.basis rows must be lists of "
-                                "numbers")
-        basis = tuple(tuple(expect_number(x, "covariance.basis") for x in row)
-                      for row in basis)
+                                "numbers, all of one length")
+        basis = [[expect_number(x, "covariance.basis") for x in row]
+                 for row in basis]
         bad = next((x for row in basis for x in row if not math.isfinite(x)),
                    None)
         if bad is not None:
@@ -127,15 +135,10 @@ def _parse_covariance(section: dict) -> CovarianceConfig:
     elif basis != "identity":
         raise ConfigInvalid(
             'covariance.basis must be "identity", {"seed": n} or a matrix')
-    tail = section.get("tailMass")
-    if tail is not None:
-        tail = expect_number(tail, "covariance.tailMass")
-        if not math.isfinite(tail):
-            raise ConfigInvalid(
-                f"covariance.tailMass must be finite, got {tail!r}")
-        if tail < 0:
-            raise ConfigInvalid("covariance.tailMass must be nonnegative")
-    return CovarianceConfig(ev, basis, tail)
+    lam, tail = resolve_law(ev, n_modes) if isinstance(ev, dict) else (ev, 0.0)
+    if section.get("tailMass") is not None:
+        tail = expect_number(section["tailMass"], "covariance.tailMass")
+    return make_covariance(lam, basis, tail)
 
 
 def _check_value(value) -> None:
@@ -191,14 +194,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     _reject_unknown(data, _TOP_KEYS, "config")
     space = _parse_space(data.get("space", {}))
     scenario_kwargs = dict(space)
-    if "covariance" in data:
-        cov = _parse_covariance(data["covariance"])
-        if (isinstance(cov.eigenvalues, tuple)
-                and len(cov.eigenvalues) != space["n_modes"]):
-            raise ConfigInvalid(
-                f"covariance.eigenvalues lists {len(cov.eigenvalues)} "
-                f"values, space.J is {space['n_modes']}")
-        scenario_kwargs["covariance"] = cov
+    scenario_kwargs["covariance"] = _parse_covariance(
+        data.get("covariance", {}), space["n_modes"])
     if "drivers" in data:
         scenario_kwargs["drivers"] = _parse_drivers(data["drivers"])
     if "integrand" in data:

@@ -1,11 +1,12 @@
 """Scenario descriptions and the integrand evaluator registry.
 
 A scenario bundles everything a check or CLI run needs to generate paths
-and integrands: space dimensions, covariance spectrum, drivers and an
-integrand description.  Its ``drivers`` hold either a recipe normalized
-once, when it is parsed, by :func:`levyint.processes.normalize_drivers`,
-or a replay mapping.  Scenarios are plain data, so they pickle cleanly
-across worker processes.
+and integrands: space dimensions, the covariance spec, drivers and an
+integrand description.  The covariance, from a spectrum or a decay law
+(:func:`resolve_law`), and the driver recipe
+(:func:`levyint.processes.normalize_drivers`) are resolved once, when the
+config is parsed; ``drivers`` may instead hold a replay mapping.
+Scenarios are plain data, so they pickle cleanly across worker processes.
 
 :func:`build_integrand` builds a scenario's integrand, a function of a
 block of sampled paths (:class:`levyint.processes.PathBlock`) that
@@ -77,59 +78,32 @@ def _hurwitz_zeta(p: float, q: float) -> float:
                              + float(_EULER_MACLAURIN @ rising))
 
 
-@dataclass(frozen=True)
-class CovarianceConfig:
-    """Spectrum given either explicitly or by a decay law.
+# the desk's decay law, which a scenario without a covariance takes
+DESK_LAW = {"kind": "geometric", "c": 0.5, "r": 0.5}
 
-    ``eigenvalues`` is a tuple of floats, or a mapping with ``kind`` in
-    {"power", "geometric"}: power means c * j**(-p) with p > 1, geometric
-    means c * r**j with 0 < r < 1, both for j = 1..n_modes.  ``tail_mass``
-    defaults to the analytic remainder of the law (0 for explicit lists).
+
+def resolve_law(law: dict, n_modes: int) -> tuple:
+    """(eigenvalues, tail mass) of a decay law on ``n_modes`` modes.
+
+    ``law`` has ``kind`` in {"power", "geometric"}: power means
+    c * j**(-p) with p > 1, geometric means c * r**j with 0 < r < 1, both
+    for j = 1..n_modes; the tail mass is the law's analytic remainder.
     """
-
-    eigenvalues: object
-    basis: object = "identity"       # "identity" | {"seed": int} | nested list
-    tail_mass: Optional[float] = None
-
-    def resolve(self, n_modes: int):
-        """Return (eigenvalue array, tail mass), both checked in range."""
-        ev = self.eigenvalues
-        if isinstance(ev, dict):
-            kind = ev.get("kind")
-            c = expect_number(ev.get("c", 1.0), "covariance.eigenvalues.c")
-            js = np.arange(1, n_modes + 1, dtype=float)
-            if kind == "power":
-                p = expect_number(ev.get("p"), "covariance.eigenvalues.p")
-                if p <= 1:
-                    raise ConfigInvalid("covariance.eigenvalues.p must exceed 1")
-                lam = c * js ** (-p)
-                tail = c * float(_hurwitz_zeta(p, n_modes + 1))
-            elif kind == "geometric":
-                r = expect_number(ev.get("r"), "covariance.eigenvalues.r")
-                if not 0 < r < 1:
-                    raise ConfigInvalid("covariance.eigenvalues.r must lie in (0, 1)")
-                lam = c * r ** js
-                tail = c * r ** (n_modes + 1) / (1.0 - r)
-            else:
-                raise ConfigInvalid(
-                    f"covariance.eigenvalues.kind {kind!r} not one of power, geometric")
-        else:
-            lam = np.asarray(ev, dtype=float)
-            tail = 0.0
-        if self.tail_mass is not None:
-            tail = float(self.tail_mass)
-        if not ((lam > 0) & (lam < math.inf)).all():
-            raise ConfigInvalid(
-                "covariance.eigenvalues: eigenvalues must be finite and > 0")
-        if not 0 <= tail < math.inf:
-            raise ConfigInvalid("covariance.tailMass must be finite and >= 0")
-        return lam, tail
-
-    def dim_u(self, n_modes: int) -> int:
-        """The dimension of U: the rows of an explicit basis, else ``n_modes``."""
-        if isinstance(self.basis, (str, dict)):
-            return n_modes
-        return len(self.basis)
+    kind = law.get("kind")
+    c = expect_number(law.get("c", 1.0), "covariance.eigenvalues.c")
+    js = np.arange(1, n_modes + 1, dtype=float)
+    if kind == "power":
+        p = expect_number(law.get("p"), "covariance.eigenvalues.p")
+        if p <= 1:
+            raise ConfigInvalid("covariance.eigenvalues.p must exceed 1")
+        return c * js ** (-p), c * float(_hurwitz_zeta(p, n_modes + 1))
+    if kind == "geometric":
+        r = expect_number(law.get("r"), "covariance.eigenvalues.r")
+        if not 0 < r < 1:
+            raise ConfigInvalid("covariance.eigenvalues.r must lie in (0, 1)")
+        return c * r ** js, c * r ** (n_modes + 1) / (1.0 - r)
+    raise ConfigInvalid(
+        f"covariance.eigenvalues.kind {kind!r} not one of power, geometric")
 
 
 @dataclass(frozen=True)
@@ -157,6 +131,8 @@ class IntegrandConfig:
 class ScenarioConfig:
     """Complete description of one simulation setup.
 
+    ``covariance`` is the resolved spec on ``n_modes`` modes, by default
+    the identity basis and :data:`DESK_LAW` with its tail mass.
     ``drivers`` is a non-empty tuple from
     :func:`levyint.processes.normalize_drivers`, or a replay mapping;
     anything else fails when the scenario is built.
@@ -166,9 +142,7 @@ class ScenarioConfig:
     n_modes: int = 6
     horizon: float = 1.0
     n_scheduled: int = 64
-    covariance: CovarianceConfig = field(
-        default_factory=lambda: CovarianceConfig(
-            eigenvalues={"kind": "geometric", "c": 0.5, "r": 0.5}))
+    covariance: Optional[CovarianceSpec] = None
     drivers: object = normalize_drivers((   # or {"replay": ...}
         "brownian", {"preset": "poisson", "a": 0.5},
         {"preset": "mixed", "sigma": 0.7071067811865476, "a": 1.0}))
@@ -176,6 +150,14 @@ class ScenarioConfig:
     fault: Optional[str] = None
 
     def __post_init__(self):
+        if self.covariance is None:
+            lam, tail = resolve_law(DESK_LAW, self.n_modes)
+            object.__setattr__(self, "covariance",
+                               make_covariance(lam, "identity", tail))
+        elif self.covariance.n_modes != self.n_modes:
+            raise ConfigInvalid(
+                f"covariance.eigenvalues lists {self.covariance.n_modes} "
+                f"values, space.J is {self.n_modes}")
         d = self.drivers
         if not isinstance(d, dict) and (
                 type(d) is not tuple
@@ -199,13 +181,8 @@ class ScenarioConfig:
 
 
 def resolve_covariance(scenario: ScenarioConfig) -> CovarianceSpec:
-    """Materialize the covariance spec, applying the basis fault if injected."""
-    lam, tail = scenario.covariance.resolve(scenario.n_modes)
-    try:
-        spec = make_covariance(lam, scenario.covariance.basis, tail)
-    except ConfigInvalid as exc:
-        # the spectrum is checked when resolved and parsed: the basis is at fault
-        raise ConfigInvalid(f"covariance.basis: {exc}") from None
+    """The spec a scenario samples: under the basis fault, a broken copy."""
+    spec = scenario.covariance
     if scenario.fault != "nonorthogonal_basis":
         return spec
     basis = np.array(spec.eigenbasis)
@@ -266,7 +243,7 @@ def value_shape(scenario: ScenarioConfig, carrier: str) -> tuple:
         return (scenario.dim_h,)
     if carrier == "seqh":
         return (scenario.n_modes, scenario.dim_h)
-    return (scenario.dim_h, scenario.covariance.dim_u(scenario.n_modes))
+    return (scenario.dim_h, scenario.covariance.dim_u)
 
 
 def _eval_constant(path, coeffs: np.ndarray) -> np.ndarray:

@@ -86,14 +86,16 @@ class CovarianceSpec:
         lam = _freeze(self.eigenvalues)
         basis = _freeze(self.eigenbasis)
         if lam.ndim != 1 or lam.size == 0:
-            raise ConfigInvalid("eigenvalues must be a nonempty vector")
-        if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-            raise ConfigInvalid("eigenvalues must be finite and > 0")
-        if basis.ndim != 2 or basis.shape[1] != lam.size or basis.shape[0] < lam.size:
             raise ConfigInvalid(
-                f"eigenbasis shape {basis.shape} incompatible with {lam.size} modes")
+                "covariance.eigenvalues must be a nonempty vector")
+        if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
+            raise ConfigInvalid("covariance.eigenvalues must be finite and > 0")
+        if basis.ndim != 2 or basis.shape[1] != lam.size or basis.shape[0] < lam.size:
+            raise ConfigInvalid(f"covariance.basis: eigenbasis shape "
+                                f"{basis.shape} incompatible with {lam.size} modes")
         if not 0 <= self.tail_mass < np.inf:
-            raise ConfigInvalid("tail_mass must be finite and >= 0")
+            raise ConfigInvalid("covariance.tailMass must be finite and >= 0, "
+                                f"got {float(self.tail_mass)!r}")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenbasis", basis)
         root = np.sqrt(lam)
@@ -145,11 +147,12 @@ def make_covariance(eigenvalues, eigenbasis="identity", tail_mass: float = 0.0
     lam = np.asarray(eigenvalues, dtype=float)
     if isinstance(eigenbasis, str):
         if eigenbasis != "identity":
-            raise ConfigInvalid(f"unknown eigenbasis directive {eigenbasis!r}")
+            raise ConfigInvalid(
+                f"covariance.basis: unknown eigenbasis directive {eigenbasis!r}")
         basis = np.eye(lam.size)
     elif isinstance(eigenbasis, dict):
         if set(eigenbasis) != {"seed"}:
-            raise ConfigInvalid("eigenbasis mapping must have exactly the key 'seed'")
+            raise ConfigInvalid("covariance.basis must have exactly the key 'seed'")
         basis = random_orthogonal(lam.size, _rng.stream(int(eigenbasis["seed"]),
                                                         0, 0, _rng.BASIS))
     else:
@@ -157,8 +160,8 @@ def make_covariance(eigenvalues, eigenbasis="identity", tail_mass: float = 0.0
     spec = CovarianceSpec(lam, basis, tail_mass)
     defect = spec.gram_defect()
     if not defect <= GRAM_TOL:
-        raise ConfigInvalid(
-            f"eigenbasis Gram defect {defect:.3e} exceeds {GRAM_TOL:.0e}")
+        raise ConfigInvalid(f"covariance.basis: eigenbasis Gram defect "
+                            f"{defect:.3e} exceeds {GRAM_TOL:.0e}")
     return spec
 
 

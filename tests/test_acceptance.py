@@ -37,13 +37,14 @@ from levyint.integrators import (
 )
 from levyint.processes import PathSampler, assemble_levy, normalize_drivers
 from levyint.scenarios import (
-    CovarianceConfig,
+    DESK_LAW,
     IntegrandConfig,
     ScenarioConfig,
     build_integrand,
     driver_specs,
     make_sampler,
     resolve_covariance,
+    resolve_law,
 )
 from levyint.spaces import make_covariance, random_orthogonal
 from levyint.stats import accumulate_paths, block_paths
@@ -135,7 +136,7 @@ def test_c02_isometry_all_layers(default_reports):
 
 def test_c03_basis_independence():
     sc = ScenarioConfig(
-        n_modes=1, drivers=MIXED_ONE, covariance=CovarianceConfig((1.0,)),
+        n_modes=1, drivers=MIXED_ONE, covariance=make_covariance((1.0,)),
         integrand=IntegrandConfig(carrier="hvector",
                                   evaluator="driver_linear", seed=301))
     sampler = make_sampler(sc)
@@ -159,7 +160,7 @@ def test_c03_basis_independence():
 def test_c04_well_definedness():
     lam = (0.4, 0.3, 0.3, 0.15, 0.1, 0.05)
     sc = ScenarioConfig(
-        covariance=CovarianceConfig(lam, {"seed": 7}),
+        covariance=make_covariance(lam, {"seed": 7}),
         integrand=IntegrandConfig(carrier="operator",
                                   evaluator="driver_linear", seed=401))
     # the check's isometry rotates the 0.3 pair, positions 1 and 2, alone
@@ -183,8 +184,8 @@ def test_c05_component_orthogonality():
 
 
 def test_c06_covariance_recovery():
-    sc = ScenarioConfig(covariance=CovarianceConfig(
-        {"kind": "geometric", "c": 0.5, "r": 0.5}, {"seed": 7}))
+    lam, tail = resolve_law(DESK_LAW, 6)
+    sc = ScenarioConfig(covariance=make_covariance(lam, {"seed": 7}, tail))
     spec = resolve_covariance(sc)
     sampler = make_sampler(sc)
     basis = spec.eigenbasis
@@ -233,7 +234,7 @@ def test_c07_bracket_normalization():
 
 def test_c08_quadratic_variation():
     sc = ScenarioConfig(
-        n_modes=1, drivers=MIXED_ONE, covariance=CovarianceConfig((1.0,)),
+        n_modes=1, drivers=MIXED_ONE, covariance=make_covariance((1.0,)),
         integrand=IntegrandConfig(carrier="hvector",
                                   evaluator="driver_linear", seed=801))
     sampler = make_sampler(sc)

@@ -31,8 +31,7 @@ from levyint.processes import (
     normalize_drivers,
     transport_levy,
 )
-from levyint.scenarios import (CovarianceConfig, IntegrandConfig,
-                               ScenarioConfig, _with_fault,
+from levyint.scenarios import (IntegrandConfig, ScenarioConfig, _with_fault,
                                build_grid_integrand, build_integrand,
                                make_sampler, resolve_covariance)
 from levyint.spaces import (build_eigen_isometry, make_covariance,
@@ -274,7 +273,7 @@ def _restriction_case(basis, evaluator):
                  # U with two directions beyond the six modes
                  "rectangular": random_orthogonal(8, gen)[:, :6]}[basis]
     sc = ScenarioConfig(
-        dim_h=DIM_H, covariance=CovarianceConfig(tuple(lam), directive),
+        dim_h=DIM_H, covariance=make_covariance(lam, directive),
         integrand=IntegrandConfig(carrier="operator", evaluator=evaluator,
                                   seed=6))
     return sc, resolve_covariance(sc)

@@ -29,15 +29,15 @@ from levyint.checks import (
 )
 from levyint.errors import ConfigInvalid, LevyintError
 from levyint.processes import StandardLevySpec, normalize_drivers
-from levyint.scenarios import (CovarianceConfig, IntegrandConfig, ScenarioConfig,
-                               make_sampler)
+from levyint.scenarios import IntegrandConfig, ScenarioConfig, make_sampler
+from levyint.spaces import make_covariance
 from levyint.stats import (CHUNK_SIZE, MIN_BLOCK_PATHS, MomentAccumulator,
                            accumulate_paths, block_paths, pairwise_merge,
                            path_blocks)
 
 ONE_MODE = ScenarioConfig(
     n_modes=1, drivers=normalize_drivers("brownian"),
-    covariance=CovarianceConfig((1.0,)),
+    covariance=make_covariance((1.0,)),
     integrand=IntegrandConfig(carrier="hvector", evaluator="driver_linear"))
 # integrand scales at which an exact check must still see its faults
 SCALES = pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
@@ -119,7 +119,7 @@ def test_accumulate_paths_chunking_and_determinism():
 def test_zero_integrand_isometry_is_exactly_tight():
     scenario = ScenarioConfig(
         n_modes=1, drivers=normalize_drivers("brownian"),
-    covariance=CovarianceConfig((1.0,)),
+    covariance=make_covariance((1.0,)),
         integrand=IntegrandConfig(carrier="hvector", evaluator="constant",
                                   value=(0.0, 0.0, 0.0, 0.0)))
     report = run_check(CheckSpec("isometry1", scenario, 4, 77))
@@ -140,7 +140,7 @@ def test_check_preconditions_rejected():
     with pytest.raises(ConfigInvalid, match="space.J"):
         run_check(CheckSpec("bracket", ScenarioConfig(
             n_modes=1, drivers=normalize_drivers("brownian"),
-            covariance=CovarianceConfig((1.0,))), 4, 1))
+            covariance=make_covariance((1.0,))), 4, 1))
     with pytest.raises(ConfigInvalid):
         run_check(CheckSpec("isometry2", ScenarioConfig(
             integrand=IntegrandConfig(carrier="seqh")), 4, 1,
@@ -152,7 +152,7 @@ def test_check_preconditions_rejected():
     with pytest.raises(ConfigInvalid, match="space.J"):
         run_check(CheckSpec("truncation_tail", ScenarioConfig(
             n_modes=1, drivers=normalize_drivers("brownian"),
-            covariance=CovarianceConfig((1.0,)),
+            covariance=make_covariance((1.0,)),
             integrand=IntegrandConfig(carrier="operator",
                                       evaluator="constant")), 4, 1))
 
@@ -188,9 +188,31 @@ def test_default_suite_layout():
         assert s.name in CHECKS
     routes = [s.route for s in suite if s.name == "isometry2"]
     assert routes == ["seq", "l2lambda"]
-    # the projected route runs under a random eigenbasis
-    assert [s.scenario.covariance.basis for s in suite[1:3]] == [
-        "identity", {"seed": 7}]
+    # the projected route runs under a random eigenbasis of the desk's law
+    desk = ScenarioConfig().covariance
+    seq, projected = (s.scenario.covariance for s in suite[1:3])
+    assert seq.identity_basis
+    assert np.array_equal(projected.eigenvalues, desk.eigenvalues)
+    assert np.array_equal(projected.eigenbasis, make_covariance(
+        desk.eigenvalues, {"seed": 7}).eigenbasis)
+    assert projected.tail_mass == desk.tail_mass
+    # which every entry under it reads, built once
+    assert all(s.scenario.covariance is projected for s in suite
+               if s.name in ("isometry4", "covariance_recovery",
+                             "series_orthogonality", "truncation_tail"))
+
+
+@pytest.mark.parametrize("names", [
+    ("isometry2",), ("truncation_tail", "isometry1"), ("well_defined",),
+    ("martingale", "covariance_recovery", "simple_exact"), ()])
+def test_a_named_default_suite_is_the_filtered_full_suite(names):
+    def layout(suite):
+        return [(s.name, s.seed, s.n_paths, s.route, s.path_seed)
+                for s in suite]
+
+    full = default_suite(300, 8, 5)
+    assert layout(default_suite(300, 8, 5, names=names)) == layout(
+        [s for s in full if s.name in names])
 
 
 def test_suite_results_do_not_depend_on_parallelism():

@@ -17,7 +17,8 @@ from levyint.cli import main
 from levyint.config import ExperimentConfig, load_config, parse_config
 from levyint.errors import ConfigInvalid
 from levyint.processes import normalize_drivers
-from levyint.scenarios import CovarianceConfig, IntegrandConfig, ScenarioConfig
+from levyint.scenarios import IntegrandConfig, ScenarioConfig, resolve_law
+from levyint.spaces import make_covariance
 from levyint.stats import MAX_BLOCK_BYTES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -70,11 +71,15 @@ def run_cli_capturing(*argv):
 def test_default_config_parses_every_field():
     raw = json.loads((CONFIG_DIR / "default.json").read_text())
     cfg = load_config(str(CONFIG_DIR / "default.json"))
+    # a spec of several modes has no ==: its arrays are compared
+    cov = cfg.scenario.covariance
+    lam, tail = resolve_law({"kind": "geometric", "c": 0.5, "r": 0.5}, 6)
+    assert np.array_equal(cov.eigenvalues, lam) and cov.tail_mass == tail
+    assert np.array_equal(cov.eigenbasis, np.eye(6))
     assert cfg == ExperimentConfig(
         scenario=ScenarioConfig(
             dim_h=4, n_modes=6, horizon=1.0, n_scheduled=64,
-            covariance=CovarianceConfig(
-                {"kind": "geometric", "c": 0.5, "r": 0.5}, "identity"),
+            covariance=cov,
             drivers=normalize_drivers(raw["drivers"]),
             integrand=IntegrandConfig(family="grid", carrier="operator",
                                       evaluator="driver_linear", seed=0,
@@ -85,11 +90,14 @@ def test_default_config_parses_every_field():
 def test_worked_example_parses_with_defaults():
     raw = json.loads((CONFIG_DIR / "worked_example.json").read_text())
     cfg = load_config(str(CONFIG_DIR / "worked_example.json"))
+    cov = cfg.scenario.covariance
+    assert cov.eigenvalues.tolist() == [0.5, 0.25] and cov.tail_mass == 0.0
+    assert np.array_equal(cov.eigenbasis, np.eye(2))
     # nExact and the integrand's seed and scale take their defaults
     assert cfg == ExperimentConfig(
         scenario=ScenarioConfig(
             dim_h=1, n_modes=2, horizon=1.0, n_scheduled=2,
-            covariance=CovarianceConfig((0.5, 0.25), "identity"),
+            covariance=cov,
             drivers=raw["drivers"],
             integrand=IntegrandConfig(carrier="operator",
                                       evaluator="constant",
@@ -104,7 +112,7 @@ def test_base_config_parses_every_field():
     assert cfg == ExperimentConfig(
         scenario=ScenarioConfig(
             dim_h=2, n_modes=1, horizon=1.0, n_scheduled=8,
-            covariance=CovarianceConfig((1.0,), "identity"),
+            covariance=make_covariance((1.0,)),
             drivers=normalize_drivers("brownian"),
             integrand=IntegrandConfig(family="grid", carrier="hvector",
                                       evaluator="driver_linear", seed=3,
@@ -543,6 +551,15 @@ _LAW_NO_RATIO = dict(CHECK_BASE, covariance={
 _DESK = json.loads((CONFIG_DIR / "default.json").read_text())
 
 
+_POWER_LAW = {"kind": "power", "c": 1.0, "p": 2.0}
+
+
+def _desk_covariance(**covariance):
+    """``configs/default.json``, its covariance section updated by
+    ``covariance``."""
+    return dict(_DESK, covariance=dict(_DESK["covariance"], **covariance))
+
+
 def _basis_entry(x):
     """``configs/default.json`` at 256 paths with an explicit identity
     basis whose first entry is ``x``."""
@@ -636,16 +653,17 @@ def _basis_entry(x):
     ("integrate", _edit(space=dict(BASE["space"], dH=10 ** 18)), "space.dH"),
     ("simulate", _edit(space=dict(BASE["space"], J=10 ** 18)), "space.J"),
     # within the size bounds, but a block of a check would need gigabytes
+    # (under a law that, unlike the desk's, does not underflow at J 2048)
     ("check", lambda tmp_path: dict(
-        json.loads((CONFIG_DIR / "default.json").read_text()),
+        _desk_covariance(eigenvalues=_POWER_LAW),
         space={"dH": 4, "J": 2048, "T": 1.0, "nScheduled": 64}), "space.J"),
     # and so would the values of the integrand along one path
     ("integrate", lambda tmp_path: dict(
-        json.loads((CONFIG_DIR / "default.json").read_text()),
+        _desk_covariance(eigenvalues=_POWER_LAW),
         space={"dH": 1024, "J": 2048, "T": 1.0, "nScheduled": 64}), "space.J"),
     # or the coefficients of an affine integrand, on a path of two nodes
     ("integrate", lambda tmp_path: dict(
-        json.loads((CONFIG_DIR / "default.json").read_text()),
+        _desk_covariance(eigenvalues=_POWER_LAW),
         space={"dH": 1024, "J": 2048, "T": 1.0, "nScheduled": 1},
         drivers="brownian"), "space.J"),
     # a simple integrand's values are (intervals, dH)
@@ -703,6 +721,23 @@ def _basis_entry(x):
     ("simulate", _basis_entry(math.inf), "covariance.basis"),
     ("check", _basis_entry(math.nan), "covariance.basis"),
     ("check", _basis_entry(-math.inf), "covariance.basis"),
+    # the covariance is resolved when the config is parsed, whatever the
+    # subcommand reads
+    ("simulate", lambda tmp_path: _desk_covariance(
+        eigenvalues=dict(_POWER_LAW, p=0.5)), "covariance.eigenvalues.p"),
+    ("simulate", lambda tmp_path: _desk_covariance(
+        eigenvalues={"kind": "cubic", "c": 1.0}), "covariance.eigenvalues"),
+    ("simulate", lambda tmp_path: _desk_covariance(
+        eigenvalues=[0.5, 0.25, -3.0, 0.125, 0.0625, 0.03125]),
+     "covariance.eigenvalues"),
+    # the desk's law underflows to 0 from mode 1074 on
+    ("simulate", lambda tmp_path: dict(_desk_covariance(), space=dict(
+        _DESK["space"], J=1100)), "covariance.eigenvalues"),
+    ("check", lambda tmp_path: _desk_covariance(basis=[[1.0, 0.0],
+                                                       [0.0, 1.0]]),
+     "covariance.basis"),
+    ("integrate", lambda tmp_path: _desk_covariance(
+        basis=[[1.0, 0.0], [0.0]]), "covariance.basis"),
 ], ids=["driver-entry", "eigenvalue", "poisson-size", "geometric-ratio", "integrand-seed",
         "replay-csv-time", "replay-nan-time", "replay-nan-increment",
         "integrate-replay-inf-increment", "replay-csv-nan-value",
@@ -727,7 +762,9 @@ def _basis_entry(x):
         "check-poisson-size-underflow", "mixed-size-underflow",
         "integrate-nan-basis", "check-nan-tail-mass", "check-inf-tail-mass",
         "simulate-nan-basis", "simulate-inf-basis", "check-nan-basis",
-        "check-inf-basis"])
+        "check-inf-basis", "simulate-power-law-p", "simulate-law-kind",
+        "simulate-negative-eigenvalue", "simulate-desk-law-underflow",
+        "check-basis-shape", "integrate-ragged-basis"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
                                                  monkeypatch):
     # a rejected size must be rejected before it is drawn
@@ -740,6 +777,25 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, command, make, key,
     assert code == 2
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("names", [None, ["isometry4"], ["well_defined"]])
+def test_a_space_too_large_to_check_fails_before_a_basis_is_drawn(
+        tmp_path, monkeypatch, names):
+    # the suite's bases cost O(J**3) to draw; the block bound comes first,
+    # whichever covariance the first check selected reads
+    def draw(*args):
+        raise AssertionError("a basis was drawn")
+
+    monkeypatch.setattr(checks, "make_covariance", draw)
+    payload = dict(_desk_covariance(eigenvalues=_POWER_LAW),
+                   space={"dH": 4, "J": 2048, "T": 1.0, "nScheduled": 64})
+    if names is not None:
+        payload["checks"] = names
+    code, err = run_cli_capturing(
+        "check", "--config", write_config(tmp_path, payload),
+        "--out", str(tmp_path / "out.json"))
+    assert code == 2 and "space.J" in err and "Traceback" not in err
 
 
 def test_nan_integrand_report_is_valid_json(tmp_path):
@@ -775,6 +831,44 @@ def test_nan_integrand_fails_truncation_tail_without_a_crash(tmp_path):
     tail, = [r for r in rows if r["name"] == "truncation_tail"]
     assert tail["pass"] is False
     assert tail["truncationBound"] is None and tail["margin"] is None
+
+
+def _scaled_desk(tmp_path, scale: float) -> tuple:
+    """``configs/default.json`` at 64 paths and nExact 4 with the integrand
+    scaled, written out, and the path of its report."""
+    payload = json.loads((CONFIG_DIR / "default.json").read_text())
+    payload["integrand"]["scale"] = scale
+    payload["nPaths"], payload["nExact"] = 64, 4
+    return write_config(tmp_path, payload), tmp_path / "report.json"
+
+
+def test_a_statistic_with_an_infinite_standard_error_fails(tmp_path):
+    # the second moments overflow to inf while the means stay finite: a
+    # margin over an infinite standard error would read 0 and pass
+    cfg, out = _scaled_desk(tmp_path, 1e80)
+    code, err = run_cli_capturing("check", "--config", cfg,
+                                  "--out", str(out))
+    assert code == 1 and err == ""
+    rows = json.loads(out.read_text())
+    failed = [r for r in rows if not r["pass"]]
+    assert [r["name"] for r in failed] == [
+        "isometry1", "isometry2", "isometry2", "isometry4", "orthogonality",
+        "bracket", "series_orthogonality", "truncation_tail"]
+    assert all(r["se"] is None and r["margin"] is None for r in failed)
+
+
+def test_an_overflowing_truncation_bound_fails_without_a_crash(tmp_path):
+    # numpy warns of the overflow on stderr, so the command runs apart
+    cfg, out = _scaled_desk(tmp_path, 1e155)
+    done = _cli_subprocess(
+        "import sys, levyint.cli as cli; "
+        f"sys.exit(cli.main(['check', '--config', {cfg!r}, '--out', "
+        f"{str(out)!r}]))")
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    rows = json.loads(out.read_text())
+    assert len(rows) == 14
+    tail, = [r for r in rows if r["name"] == "truncation_tail"]
+    assert tail["pass"] is False and tail["truncationBound"] is None
 
 
 def test_a_short_horizon_runs_every_check(tmp_path):

@@ -218,8 +218,7 @@ def test_l2lambda_layer_is_the_seq_layer_on_the_driver():
     sampler = make_sampler(scenario)
     path = sampler.sample(7, 2)
     integrand = build_integrand(scenario)
-    lam, _ = scenario.covariance.resolve(scenario.n_modes)
-    levy = assemble_levy(make_covariance(lam), path)
+    levy = assemble_levy(scenario.covariance, path)
     through_path = ito_l2lambda(integrand, levy)
     direct = ito_seq(integrand, path)
     assert np.array_equal(through_path, direct)
@@ -230,8 +229,8 @@ def test_l2lambda_layer_projects_through_a_random_basis():
         integrand=IntegrandConfig(carrier="seqh", evaluator="driver_linear", seed=9))
     path = make_sampler(scenario).sample(7, 2)
     integrand = build_integrand(scenario)
-    lam, _ = scenario.covariance.resolve(scenario.n_modes)
-    levy = assemble_levy(make_covariance(lam, {"seed": 5}), path)
+    levy = assemble_levy(
+        make_covariance(scenario.covariance.eigenvalues, {"seed": 5}), path)
     through_path = ito_l2lambda(integrand, levy)
     direct = ito_seq(integrand, path)
     assert project_standard(levy) is not path.increments   # a real projection

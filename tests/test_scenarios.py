@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from levyint import rng
+from levyint.config import parse_config
 from levyint.errors import ConfigInvalid
 from levyint.integrators import SimpleIntegrand, cell_values
 from levyint.processes import normalize_drivers, replay_path
 from levyint.scenarios import (
     BASIS_FAULT_EPS,
-    CovarianceConfig,
     IntegrandConfig,
     ScenarioConfig,
     build_grid_integrand,
     build_integrand,
     make_sampler,
     resolve_covariance,
+    resolve_law,
     restrict_integrand,
 )
 from levyint.spaces import make_covariance
@@ -28,46 +29,68 @@ from levyint.spaces import make_covariance
 # covariance laws
 
 
+def _covariance(section: dict, n_modes: int):
+    """The spec a config's ``covariance`` section parses to."""
+    return parse_config({"space": {"J": n_modes},
+                         "covariance": section}).scenario.covariance
+
+
 def test_geometric_law_frozen_values():
-    lam, tail = CovarianceConfig({"kind": "geometric", "c": 0.5, "r": 0.5}).resolve(6)
+    lam, tail = resolve_law({"kind": "geometric", "c": 0.5, "r": 0.5}, 6)
     assert list(lam) == [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
     # c * r^(J+1) / (1 - r) is exactly the dropped geometric mass
     assert tail == 0.0078125
+    # the desk's law, which a scenario without a covariance takes
+    desk = ScenarioConfig().covariance
+    assert list(desk.eigenvalues) == list(lam) and desk.tail_mass == tail
+    assert desk.identity_basis
 
 
 def test_power_law_tail_matches_direct_series():
-    lam, tail = CovarianceConfig({"kind": "power", "c": 1.0, "p": 2.0}).resolve(4)
+    lam, tail = resolve_law({"kind": "power", "c": 1.0, "p": 2.0}, 4)
     assert np.allclose(lam, [1.0, 0.25, 1.0 / 9.0, 0.0625], rtol=0, atol=1e-15)
     oracle = math.pi ** 2 / 6.0 - math.fsum(1.0 / k ** 2 for k in range(1, 5))
     assert abs(tail - oracle) <= 1e-12
 
 
 def test_explicit_eigenvalues_and_tail_override():
-    lam, tail = CovarianceConfig((0.5, 0.25)).resolve(2)
-    assert list(lam) == [0.5, 0.25] and tail == 0.0
-    _, forced = CovarianceConfig((0.5, 0.25), tail_mass=0.125).resolve(2)
-    assert forced == 0.125
-    _, capped = CovarianceConfig(
-        {"kind": "geometric", "c": 0.5, "r": 0.5}, tail_mass=0.0).resolve(6)
-    assert capped == 0.0
+    cov = _covariance({"eigenvalues": [0.5, 0.25]}, 2)
+    assert list(cov.eigenvalues) == [0.5, 0.25] and cov.tail_mass == 0.0
+    forced = _covariance({"eigenvalues": [0.5, 0.25], "tailMass": 0.125}, 2)
+    assert forced.tail_mass == 0.125
+    capped = _covariance({"eigenvalues": {"kind": "geometric", "c": 0.5,
+                                          "r": 0.5}, "tailMass": 0.0}, 6)
+    assert capped.tail_mass == 0.0
 
 
 def test_covariance_law_validation():
-    with pytest.raises(ConfigInvalid):
-        CovarianceConfig({"kind": "power", "c": 1.0, "p": 1.0}).resolve(3)
-    with pytest.raises(ConfigInvalid):
-        CovarianceConfig({"kind": "geometric", "c": 1.0, "r": 1.0}).resolve(3)
-    with pytest.raises(ConfigInvalid):
-        CovarianceConfig({"kind": "geometric", "c": 1.0, "r": 0.0}).resolve(3)
-    with pytest.raises(ConfigInvalid):
-        CovarianceConfig({"kind": "harmonic", "c": 1.0}).resolve(3)
-    # the resolved spectrum is finite and positive, its tail finite
-    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues: eigen"):
-        CovarianceConfig({"kind": "geometric", "c": -1.0, "r": 0.5}).resolve(3)
-    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues: eigen"):
-        CovarianceConfig((0.5, math.nan)).resolve(2)
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues.p"):
+        resolve_law({"kind": "power", "c": 1.0, "p": 1.0}, 3)
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues.r"):
+        resolve_law({"kind": "geometric", "c": 1.0, "r": 1.0}, 3)
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues.r"):
+        resolve_law({"kind": "geometric", "c": 1.0, "r": 0.0}, 3)
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues.kind"):
+        resolve_law({"kind": "harmonic", "c": 1.0}, 3)
+    # the parsed spectrum is finite and positive, its tail finite
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues must be finite"):
+        _covariance({"eigenvalues": {"kind": "geometric", "c": -1.0,
+                                     "r": 0.5}}, 3)
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues must be finite"):
+        _covariance({"eigenvalues": [0.5, math.nan]}, 2)
     with pytest.raises(ConfigInvalid, match="covariance.tailMass"):
-        CovarianceConfig((0.5,), tail_mass=math.inf).resolve(1)
+        _covariance({"eigenvalues": [0.5], "tailMass": math.inf}, 1)
+    # the desk's law underflows to 0 from mode 1074 on
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues must be finite"):
+        _covariance({}, 1100)
+
+
+def test_a_covariance_on_other_modes_is_rejected():
+    with pytest.raises(ConfigInvalid, match="covariance.eigenvalues lists 2 "
+                                            "values, space.J is 6"):
+        ScenarioConfig(covariance=make_covariance((0.5, 0.25)))
+    with pytest.raises(ConfigInvalid, match="space.J"):
+        replace(ScenarioConfig(), n_modes=5)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +131,7 @@ def test_resolve_covariance_clean_and_faulted():
     broken = resolve_covariance(base.with_fault("nonorthogonal_basis"))
     assert broken.gram_defect() > 0.01
     assert broken.eigenvalues.tolist() == clean.eigenvalues.tolist()
-    one = ScenarioConfig(n_modes=1, covariance=CovarianceConfig((1.0,)),
+    one = ScenarioConfig(n_modes=1, covariance=make_covariance((1.0,)),
                          drivers=normalize_drivers("brownian"))
     scaled = resolve_covariance(one.with_fault("nonorthogonal_basis"))
     # single column cannot tilt toward a neighbor, so it is stretched

@@ -64,9 +64,9 @@ def test_make_covariance_rejects_bad_spectra():
     with pytest.raises(ConfigInvalid, match="eigenvalues must be finite"):
         make_covariance((0.5, float("inf")))
     for tail in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigInvalid, match="tail_mass must be finite"):
+        with pytest.raises(ConfigInvalid, match="tailMass must be finite"):
             make_covariance((0.5,), tail_mass=tail)
-        with pytest.raises(ConfigInvalid, match="tail_mass must be finite"):
+        with pytest.raises(ConfigInvalid, match="tailMass must be finite"):
             CovarianceSpec(np.array([0.5]), np.eye(1), tail)
     with pytest.raises(ConfigInvalid, match="must be a nonempty vector"):
         make_covariance([[0.5, 0.25]])
